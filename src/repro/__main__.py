@@ -24,6 +24,8 @@ import sys
 
 import numpy as np
 
+from repro.exec import REAL_BACKENDS
+
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     from repro.core.solver import ParallelSparseSolver
@@ -242,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ordering", default="nested_dissection")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--backend", default="sim",
-                   choices=["sim", "serial", "threads", "fused"],
+                   choices=["sim", *REAL_BACKENDS],
                    help="triangular-solve execution: 'sim' walks the SPMD "
                         "solvers through the machine simulator; 'serial', "
                         "'threads' and 'fused' run them for real and report "
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-wait", type=float, default=2e-3,
                    help="coalescer deadline in seconds")
     s.add_argument("--backend", default="fused",
-                   choices=["serial", "threads", "fused"])
+                   choices=REAL_BACKENDS)
     s.add_argument("--ordering", default="nested_dissection")
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_serve_demo)

@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 from repro.core.backward import parallel_backward
 from repro.core.factor_model import parallel_factor_time, serial_factor_time
 from repro.core.forward import parallel_forward
+from repro.exec import REAL_BACKENDS
 from repro.machine.events import SimResult
 from repro.machine.presets import cray_t3d
 from repro.machine.spec import MachineSpec
@@ -148,6 +149,7 @@ class ParallelSparseSolver:
     factor: SupernodalFactor | None = None
     assign: list[ProcSet] | None = None
     _factor_seconds: float | None = field(default=None, repr=False)
+    _redistribute_seconds: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_power_of_two(self.p, "p")
@@ -231,9 +233,11 @@ class ParallelSparseSolver:
         return out
 
     def redistribution_seconds(self) -> float:
-        """Simulated 2-D -> 1-D factor redistribution time."""
-        sym, _, assign = self._require_prepared()
-        return total_redistribution_time(self.spec, sym.stree, assign)
+        """Simulated 2-D -> 1-D factor redistribution time (cached per instance)."""
+        if self._redistribute_seconds is None:
+            sym, _, assign = self._require_prepared()
+            self._redistribute_seconds = total_redistribution_time(self.spec, sym.stree, assign)
+        return self._redistribute_seconds
 
     # ------------------------------------------------------------------
     def solve(
@@ -285,8 +289,8 @@ class ParallelSparseSolver:
         measured for now.
         """
         sym, factor, assign = self._require_prepared()
-        require(backend in ("sim", "serial", "threads", "fused"),
-                f"backend must be 'sim', 'serial', 'threads' or 'fused', "
+        require(backend == "sim" or backend in REAL_BACKENDS,
+                f"backend must be 'sim' or one of {REAL_BACKENDS}, "
                 f"got {backend!r}")
         require(workers is None or backend == "threads",
                 "workers is only meaningful with backend='threads'")

@@ -7,10 +7,11 @@ level-scheduled thread pool over the supernodal tree (``threads``) and
 the flat, vectorized level program (``fused``), which batches each
 elimination-tree level into a handful of whole-level array ops.  The
 layers are deliberately separate from the simulator: simulated seconds
-validate the paper's model, measured seconds feed the repo's perf
-trajectory (``BENCH_exec.json``).
+validate the paper's model, measured seconds are what
+``python -m benchmarks.spine`` reports (``benchmarks/spine/README.md``).
 
-Public surface:
+Public surface (building blocks only this package and its tests touch
+are imported from their submodules):
 
 * :func:`forward_exec` / :func:`backward_exec` / :func:`solve_exec` —
   the threaded engine entry points (vector or ``(n, nrhs)`` blocks).
@@ -27,13 +28,9 @@ Public surface:
 * :func:`prepare_factor`, :func:`fused_panels_for`,
   :func:`clear_exec_caches`, :func:`exec_cache_stats` — value
   preparation and cache control.
-* :class:`WorkspaceArena` — the lease/return pool of reusable solve
-  workspaces owned by each :class:`PreparedFactor`.
 """
 
-from repro.exec.arena import WorkspaceArena
 from repro.exec.cache import (
-    PreparedFactor,
     certificate_for,
     clear_exec_caches,
     exec_cache_stats,
@@ -44,53 +41,33 @@ from repro.exec.cache import (
     program_for,
 )
 from repro.exec.engine import (
-    MAX_DEFAULT_WORKERS,
     backward_exec,
     default_workers,
     forward_exec,
-    resolve_workers,
     solve_exec,
 )
-from repro.exec.fused import (
-    FusedPanels,
-    backward_fused,
-    build_fused_panels,
-    forward_fused,
-    solve_fused,
-)
+from repro.exec.fused import backward_fused, forward_fused, solve_fused
 from repro.exec.plan import (
-    DEFAULT_GRAIN,
     ExecPlan,
-    ExecTask,
     Level,
-    LevelGroup,
-    LevelOnes,
     LevelProgram,
-    NodeStep,
     build_plan,
-    check_plan,
     compile_level_program,
 )
 
+#: The backends that execute on the host (all but ``"sim"``); the solver, the
+#: serving layer and the CLI derive the names they accept from this tuple.
+REAL_BACKENDS = ("serial", "threads", "fused")
+
 __all__ = [
-    "DEFAULT_GRAIN",
-    "MAX_DEFAULT_WORKERS",
+    "REAL_BACKENDS",
     "ExecPlan",
-    "ExecTask",
-    "FusedPanels",
     "Level",
-    "LevelGroup",
-    "LevelOnes",
     "LevelProgram",
-    "NodeStep",
-    "PreparedFactor",
-    "WorkspaceArena",
     "backward_exec",
     "backward_fused",
-    "build_fused_panels",
     "build_plan",
     "certificate_for",
-    "check_plan",
     "clear_exec_caches",
     "compile_level_program",
     "default_workers",
@@ -102,7 +79,6 @@ __all__ = [
     "plan_for",
     "prepare_factor",
     "program_for",
-    "resolve_workers",
     "solve_exec",
     "solve_fused",
 ]

@@ -1,11 +1,11 @@
 """The fused, level-batched execution backend (``backend="fused"``).
 
-The threaded engine already beats the serial walker, but its hot path is
-per-node Python dispatch: one loop iteration, one ``np.zeros``, one
-scatter loop per supernode.  On fine-grained elimination trees (2-D/3-D
-grid problems are ~85% width-1 supernodes) that overhead dwarfs the BLAS
-work.  This module executes the :class:`~repro.exec.plan.LevelProgram`
-compiled from the plan instead — per level:
+The threaded engine's hot path is per-node Python dispatch: one loop
+iteration and one scatter loop per supernode.  On fine-grained elimination
+trees (2-D/3-D grid problems are ~85% width-1 supernodes) that overhead
+dwarfs the dense kernels (``exec.engine.*`` against ``exec.fused.*`` in
+``benchmarks/spine/README.md``).  This module executes the
+:class:`~repro.exec.plan.LevelProgram` compiled from the plan — per level:
 
 * one ``np.take`` gathers every panel top of the level into the packed
   accumulator;

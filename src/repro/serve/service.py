@@ -40,6 +40,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.exec import REAL_BACKENDS
 from repro.numeric.supernodal import SupernodalFactor
 from repro.numeric.trisolve import as_rhs_matrix
 from repro.serve.batcher import Batch, Coalescer, SolveRequest
@@ -47,7 +48,7 @@ from repro.serve.clock import Clock, MonotonicClock
 from repro.serve.report import BatchRecord, ServeReport
 
 #: Backends a service may execute batches on (all bitwise-identical).
-SERVE_BACKENDS = ("serial", "threads", "fused")
+SERVE_BACKENDS = REAL_BACKENDS
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ subtree-to-subcube mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +82,8 @@ class SupernodalTree:
     def nsuper(self) -> int:
         return len(self.supernodes)
 
-    @property
+    # Cached counters: read on every solve, and the tree is immutable once built.
+    @cached_property
     def n(self) -> int:
         return max((sn.col_hi for sn in self.supernodes), default=0)
 
@@ -119,14 +121,18 @@ class SupernodalTree:
             total += t * (t + 1) // 2 + (n - t) * t
         return total
 
-    def solve_flops(self, nrhs: int = 1) -> int:
-        """Flops of one forward (or backward) triangular solve."""
+    @cached_property
+    def _solve_flops_per_rhs(self) -> int:
         from repro.util.flops import supernode_solve_flops
 
-        return sum(supernode_solve_flops(sn.n, sn.t, nrhs) for sn in self.supernodes)
+        return sum(supernode_solve_flops(sn.n, sn.t) for sn in self.supernodes)
 
-    def factor_flops(self) -> int:
-        """Flops of the supernodal Cholesky factorization."""
+    def solve_flops(self, nrhs: int = 1) -> int:
+        """Flops of one forward (or backward) triangular solve (linear in ``nrhs``)."""
+        return nrhs * self._solve_flops_per_rhs
+
+    @cached_property
+    def _factor_flops(self) -> int:
         total = 0
         for sn in self.supernodes:
             t, n = sn.t, sn.n
@@ -134,6 +140,10 @@ class SupernodalTree:
             # + symmetric rank-t update of the (n-t) x (n-t) frontal part.
             total += t**3 // 3 + (n - t) * t * t + (n - t) ** 2 * t
         return total
+
+    def factor_flops(self) -> int:
+        """Flops of the supernodal Cholesky factorization."""
+        return self._factor_flops
 
 
 def build_supernodal_tree(

@@ -81,6 +81,7 @@ def _emit(report: Report, *, mode: str, header: str, exit_code: int, as_json: bo
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Construct the argument parser of ``python -m repro.verify``."""
     parser = argparse.ArgumentParser(
         prog="repro.verify", description="repo-wide static verification gate"
     )
@@ -114,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the selected gate, print its report, return the exit code."""
     args = build_parser().parse_args(argv)
     if args.lint_only is not None:
         paths = [Path(p) for p in args.lint_only] or None

@@ -32,7 +32,7 @@ access spans all ``nrhs`` columns — so row indices alone discriminate):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -136,24 +136,11 @@ def backward_effects(plan: "ExecPlan") -> list[Effect]:
     return out
 
 
-def level_effects(effects: list[Effect], node_level: np.ndarray) -> list[Effect]:
-    """Re-task an effect summary onto a level schedule.
-
-    The fused backend (:mod:`repro.exec.fused`) executes one
-    elimination-tree level per step, so its scheduling unit is the level,
-    not the plan task.  Each node still performs exactly the accesses the
-    plan summaries describe — the level program is a re-*layout* of the
-    same schedule, not a different algorithm — so the fused summary is
-    the plan summary with ``task`` replaced by the node's level.  The
-    certifier crosses these against the level chain's happens-before
-    (level ``i`` completes before level ``i + 1`` starts).
-    """
-    return [replace(e, task=int(node_level[e.node])) for e in effects]
+#: One conflicting effect pair and the index set they overlap on.
+Conflict = tuple[Effect, Effect, np.ndarray]
 
 
-def effect_conflicts(
-    effects: list[Effect],
-) -> list[tuple[Effect, Effect, np.ndarray]]:
+def effect_conflicts(effects: list[Effect]) -> list[Conflict]:
     """Every conflicting effect pair, with the overlapping index set.
 
     Two effects conflict when they name the same space, come from
@@ -167,7 +154,7 @@ def effect_conflicts(
     by_space: dict[tuple, list[Effect]] = {}
     for e in effects:
         by_space.setdefault(e.space, []).append(e)
-    out: list[tuple[Effect, Effect, np.ndarray]] = []
+    out: list[Conflict] = []
     for effs in by_space.values():
         for i, a in enumerate(effs):
             a_lo = int(a.rows[0]) if a.rows.size else 0
@@ -209,6 +196,7 @@ __all__ = [
     "READ",
     "WRITE",
     "X_SPACE",
+    "Conflict",
     "Effect",
     "acc_space",
     "backward_effects",
@@ -216,5 +204,4 @@ __all__ = [
     "effect_conflicts",
     "format_index_set",
     "forward_effects",
-    "level_effects",
 ]

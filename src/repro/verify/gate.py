@@ -118,12 +118,9 @@ def run_solver_comm_lint(*, p: int = 4, b: int = 4) -> Report:
     return report
 
 
-#: The standard schedule-certification battery: (label, builder, sizes).
-#: Grains span "one task per supernode" (0) through heavy aggregation;
-#: nrhs ∈ {1, 4} exercises the certifier's claim that effect summaries
-#: are independent of the right-hand-side width.
+#: Aggregation grains of the standard schedule-certification battery,
+#: spanning "one task per supernode" (0) through heavy aggregation.
 SCHEDULE_BATTERY_GRAINS = (0, 256, 4096)
-SCHEDULE_BATTERY_NRHS = (1, 4)
 
 
 def run_schedule_certification() -> Report:
@@ -131,10 +128,10 @@ def run_schedule_certification() -> Report:
 
     For every (matrix, grain) the plan must certify clean — no races, no
     coverage violation, canonical reduction order — and its determinism
-    certificate must be byte-identical across ``nrhs`` values and across
-    an independent rebuild of the same plan (``schedule-cert-unstable``
-    otherwise).  This is the static counterpart of the runtime test that
-    solves are bitwise identical across worker counts.
+    certificate must be byte-identical across an independent rebuild of
+    the same plan (``schedule-cert-unstable`` otherwise).  This is the
+    static counterpart of the runtime test that solves are bitwise
+    identical across worker counts.
 
     The fused backend's :class:`~repro.exec.plan.LevelProgram` compiled
     from each plan must certify clean too
@@ -146,7 +143,7 @@ def run_schedule_certification() -> Report:
     from repro.exec.plan import build_plan, compile_level_program
     from repro.sparse.generators import grid2d_laplacian, grid3d_laplacian
     from repro.symbolic.analyze import analyze
-    from repro.verify.schedule import certify_level_program, certify_plan
+    from repro.verify.schedule import certify_level_program, certify_plan, plan_digest
 
     report = Report()
     battery = [
@@ -159,40 +156,30 @@ def run_schedule_certification() -> Report:
         for grain in SCHEDULE_BATTERY_GRAINS:
             label = f"{name} grain={grain}"
             plan = build_plan(sym.stree, grain=grain)
-            digests = set()
-            for nrhs in SCHEDULE_BATTERY_NRHS:
-                cert = certify_plan(plan, sym.stree, nrhs=nrhs, name=label)
-                digests.add(cert.digest)
-                for f in cert.report:
-                    report.add(
-                        f.rule,
-                        f"[schedule nrhs={nrhs}] {f.message}",
-                        location=f.location,
-                        severity=f.severity,
-                    )
+            digest = plan_digest(plan)
             rebuilt = certify_plan(
                 build_plan(sym.stree, grain=grain), sym.stree, name=label
             )
-            digests.add(rebuilt.digest)
-            if len(digests) != 1:
-                report.add(
-                    "schedule-cert-unstable",
-                    f"{label}: determinism certificate differs across nrhs or "
-                    f"across plan rebuilds ({sorted(digests)}) — the hash is "
-                    "not a pure function of the structure",
-                    location=label,
-                )
             fused = certify_level_program(
                 compile_level_program(plan), plan, sym.stree, name=label
             )
-            for f in fused.report:
+            for tag, cert in (("schedule", rebuilt), ("fused", fused)):
+                for f in cert.report:
+                    report.add(
+                        f.rule,
+                        f"[{tag}] {f.message}",
+                        location=f.location,
+                        severity=f.severity,
+                    )
+            if rebuilt.digest != digest:
                 report.add(
-                    f.rule,
-                    f"[fused] {f.message}",
-                    location=f.location,
-                    severity=f.severity,
+                    "schedule-cert-unstable",
+                    f"{label}: determinism certificate differs across plan "
+                    f"rebuilds ({sorted({digest, rebuilt.digest})}) — the hash "
+                    "is not a pure function of the structure",
+                    location=label,
                 )
-            if fused.digest not in digests:
+            if fused.digest != digest:
                 report.add(
                     "schedule-cert-divergent",
                     f"{label}: the fused level program's certificate digest "

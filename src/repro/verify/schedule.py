@@ -31,8 +31,8 @@ properties the engine's docstrings promise:
 :class:`~repro.exec.plan.LevelProgram`: the program's flat index vectors
 (accumulator layout, width-1 lane, contribution scatter, backward
 gather) are decoded back against the plan's steps — rules prefixed
-``schedule-program-`` — and the plan's effect summaries, re-tasked onto
-the level chain, are crossed against the chain's happens-before.  A
+``schedule-program-`` — and the plan's conflicting effect pairs, re-tasked
+onto the level chain, are crossed against the chain's happens-before.  A
 certified program earns its plan's digest: the fused and threaded
 backends provably execute the same schedule.
 
@@ -43,23 +43,21 @@ machinery; rules are prefixed ``schedule-``.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.verify.effects import (
     READ,
     WRITE,
-    Effect,
+    Conflict,
     backward_effects,
     effect_conflicts,
     format_index_set,
     forward_effects,
-    level_effects,
 )
 from repro.verify.findings import Report
-from repro.util.validation import require
 
 if TYPE_CHECKING:
     from repro.exec.plan import ExecPlan, LevelProgram
@@ -389,7 +387,7 @@ def _check_phase_races(
     phase: str,
     ntasks: int,
     pos: dict[int, int],
-    effects: list[Effect],
+    conflicts: Iterable[Conflict],
     ndeps: Sequence[int],
     dependents: Sequence[Sequence[int]],
     report: Report,
@@ -397,6 +395,8 @@ def _check_phase_races(
 ) -> None:
     """Prove every conflicting effect pair of one sweep is ordered.
 
+    ``conflicts`` is the sweep's pair set with each effect's ``task``
+    naming its scheduling unit (plan task, or level for a level program).
     ``pos`` gives each node's program order *inside* its task (used for
     the within-task stale-read direction check); cross-task ordering
     comes from the guaranteed dependency edges alone.
@@ -406,7 +406,7 @@ def _check_phase_races(
         return
 
     loc = f"{name}/{phase}"
-    for a, b, overlap in effect_conflicts(effects):
+    for a, b, overlap in conflicts:
         if a.task == b.task:
             # Sequential within one worker; only the read-after-write
             # direction can still be wrong.
@@ -442,29 +442,15 @@ def _check_phase_races(
 
 
 # ------------------------------------------------------------------ public
-def certify_plan(
-    plan: "ExecPlan",
-    stree: "SupernodalTree | None" = None,
-    *,
-    nrhs: int = 1,
-    name: str = "plan",
-) -> ScheduleCertificate:
-    """Statically certify one execution plan; never raises on bad plans.
+def _certify_plan_sweeps(
+    plan: "ExecPlan", stree: "SupernodalTree | None", name: str
+) -> tuple[ScheduleCertificate, list[Conflict], list[Conflict]]:
+    """:func:`certify_plan`, also handing back each sweep's conflict pairs.
 
-    Runs every structural proof (task partition, exactly-once column
-    coverage, scatter bijectivity, canonical reduction order, optional
-    assembly-tree cross-check) and the happens-before race analysis for
-    both sweeps, then computes the determinism digest.  ``nrhs`` is the
-    right-hand-side width the plan will be run with; every task accesses
-    all columns of the block, so the effect summaries — and therefore
-    the findings and the digest — are provably identical for every
-    ``nrhs >= 1`` (the parameter exists so callers can certify the exact
-    workload they run).
-
-    Callers that want fail-fast semantics use
-    ``certify_plan(...).report.raise_if_errors()``.
+    Deriving the pairs (forward, backward) is the certifier's dominant cost
+    and does not depend on how nodes are grouped into tasks, so
+    :func:`certify_level_program` re-checks them against the level chain.
     """
-    require(nrhs >= 1, f"nrhs must be >= 1, got {nrhs!r}")
     report = Report()
     n = stree.n if stree is not None else max(
         (st.col_hi for st in plan.steps), default=0
@@ -486,22 +472,43 @@ def certify_plan(
         for k, s in enumerate(reversed(task.nodes)):
             bwd_pos[s] = k
 
+    fwd_conflicts = effect_conflicts(forward_effects(plan))
+    bwd_conflicts = effect_conflicts(backward_effects(plan))
     fwd_ndeps, fwd_dependents = plan.forward_deps()
     _check_phase_races(
-        "forward", plan.ntasks, fwd_pos, forward_effects(plan),
+        "forward", plan.ntasks, fwd_pos, fwd_conflicts,
         fwd_ndeps, fwd_dependents, report, name,
     )
     bwd_ndeps, bwd_dependents = plan.backward_deps()
     _check_phase_races(
-        "backward", plan.ntasks, bwd_pos, backward_effects(plan),
+        "backward", plan.ntasks, bwd_pos, bwd_conflicts,
         bwd_ndeps, bwd_dependents, report, name,
     )
-    return ScheduleCertificate(
-        digest=plan_digest(plan),
-        report=report,
-        nsuper=len(plan.steps),
-        ntasks=plan.ntasks,
+    cert = ScheduleCertificate(
+        digest=plan_digest(plan), report=report, nsuper=len(plan.steps), ntasks=plan.ntasks
     )
+    return cert, fwd_conflicts, bwd_conflicts
+
+
+def certify_plan(
+    plan: "ExecPlan",
+    stree: "SupernodalTree | None" = None,
+    *,
+    name: str = "plan",
+) -> ScheduleCertificate:
+    """Statically certify one execution plan; never raises on bad plans.
+
+    Runs every structural proof (task partition, exactly-once column
+    coverage, scatter bijectivity, canonical reduction order, optional
+    assembly-tree cross-check) and the happens-before race analysis for
+    both sweeps, then computes the determinism digest.  Every task
+    accesses all columns of the right-hand-side block, so the verdict and
+    the digest hold for every right-hand-side width.
+
+    Callers that want fail-fast semantics use
+    ``certify_plan(...).report.raise_if_errors()``.
+    """
+    return _certify_plan_sweeps(plan, stree, name)[0]
 
 
 # ------------------------------------------------------- level programs
@@ -917,20 +924,18 @@ def certify_level_program(
     certified (a faithful compilation of a broken plan is still broken);
     then the program's flat layout, lane, scatter and gather vectors are
     decoded back against the plan's steps (rules ``schedule-program-*``);
-    finally the plan's per-node effect summaries are re-tasked onto the
-    level chain (:func:`repro.verify.effects.level_effects`) and crossed
-    against the chain's happens-before — level ``i`` before ``i + 1``
-    forward, reversed backward — proving the level barriers order every
-    conflicting access.
+    finally the plan's conflicting effect pairs are re-tasked onto the
+    level chain and crossed against the chain's happens-before — level
+    ``i`` before ``i + 1`` forward, reversed backward — proving the level
+    barriers order every conflicting access.
 
     The certificate's ``digest`` is the *plan's* canonical digest: a
     certified program is proven to be a re-layout of exactly that
     schedule, so the fused backend earns the identical determinism
     certificate the threaded backend carries, for every worker count.
     """
-    base = certify_plan(plan, stree, name=name)
-    report = Report()
-    report.extend(base.report)
+    base, fwd_conflicts, bwd_conflicts = _certify_plan_sweeps(plan, stree, name)
+    report = base.report
     _check_program_structure(program, plan, report, name)
 
     nlev = len(program.levels)
@@ -947,16 +952,24 @@ def certify_level_program(
         pos[s] = counters.get(li, 0)
         counters[li] = pos[s] + 1
 
+    # The fused scheduling unit is the level, not the plan task.  Each
+    # node still performs the accesses the plan summaries describe, so the
+    # same pairs conflict and only their ``task`` moves to the node's level.
+    level = program.node_level
+
+    def on_levels(conflicts: list[Conflict]) -> Iterator[Conflict]:
+        for a, b, overlap in conflicts:
+            yield (replace(a, task=int(level[a.node])),
+                   replace(b, task=int(level[b.node])), overlap)
+
     _check_phase_races(
-        "forward", nlev, pos,
-        level_effects(forward_effects(plan), program.node_level),
+        "forward", nlev, pos, on_levels(fwd_conflicts),
         ndeps, dependents, report, name,
     )
     bwd_ndeps = [0 if i == nlev - 1 else 1 for i in range(nlev)]
     bwd_dependents = [[i - 1] if i > 0 else [] for i in range(nlev)]
     _check_phase_races(
-        "backward", nlev, pos,
-        level_effects(backward_effects(plan), program.node_level),
+        "backward", nlev, pos, on_levels(bwd_conflicts),
         bwd_ndeps, bwd_dependents, report, name,
     )
     return ScheduleCertificate(

@@ -1,8 +1,10 @@
-"""API quality gates: docstrings everywhere, clean exports, no cycles."""
+"""API quality gates: docstrings everywhere, clean exports, no cycles, live doc paths."""
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,9 @@ PACKAGES = [
     "repro.core",
     "repro.analysis",
     "repro.experiments",
+    "repro.exec",
+    "repro.serve",
+    "repro.verify",
 ]
 
 
@@ -82,3 +87,18 @@ class TestImportHygiene:
     def test_all_modules_importable_in_isolation(self):
         # importing any module must not raise (no hidden cycles)
         assert len(all_modules()) > 40
+
+
+class TestDocReferences:
+    """A document that quotes a deleted file keeps describing it."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+    #: Backticked repo paths: under a source directory (globs allowed) or root JSON.
+    REPO_PATH = re.compile(r"`((?:benchmarks|src|tests|examples)/[^`\s]*|\w+\.json)`")
+
+    @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
+    def test_quoted_repo_paths_exist(self, doc):
+        paths = set(self.REPO_PATH.findall((self.ROOT / doc).read_text()))
+        assert paths, f"{doc} quotes no repo paths — the pattern stopped matching"
+        missing = sorted(p for p in paths if not any(self.ROOT.glob(p.rstrip("/"))))
+        assert not missing, f"{doc} quotes paths that do not exist: {missing}"

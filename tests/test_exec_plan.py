@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.exec import (
-    DEFAULT_GRAIN,
-    build_plan,
-    check_plan,
-    clear_exec_caches,
-    exec_cache_stats,
-    plan_for,
-)
+from repro.exec import build_plan, clear_exec_caches, exec_cache_stats, plan_for
+from repro.exec.plan import DEFAULT_GRAIN, check_plan
 from repro.symbolic.analyze import analyze
 from repro.symbolic.etree import NO_PARENT
 

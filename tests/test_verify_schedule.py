@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.exec import certificate_for, clear_exec_caches, exec_cache_stats, plan_for
-from repro.exec.plan import build_plan
+from repro.exec.plan import build_plan, compile_level_program
 from repro.sparse.generators import grid2d_laplacian, grid3d_laplacian
 from repro.symbolic.analyze import analyze
 from repro.verify import VerificationError
@@ -22,8 +22,10 @@ from repro.verify.effects import (
     format_index_set,
     forward_effects,
 )
+from repro.verify import schedule
+from repro.verify.corpus import known_bad_cases
 from repro.verify.gate import run_schedule_certification
-from repro.verify.schedule import certify_plan, plan_digest
+from repro.verify.schedule import certify_level_program, certify_plan, plan_digest
 
 
 @pytest.fixture(scope="module")
@@ -87,12 +89,6 @@ class TestCertifyClean:
         assert cert.nsuper == sym.stree.nsuper
         assert cert.ntasks == plan.ntasks
 
-    def test_nrhs_does_not_change_verdict_or_digest(self, sym, plan):
-        c1 = certify_plan(plan, sym.stree, nrhs=1)
-        c4 = certify_plan(plan, sym.stree, nrhs=4)
-        assert c1.ok and c4.ok
-        assert c1.digest == c4.digest
-
     def test_digest_stable_across_rebuilds(self, sym):
         p1 = build_plan(sym.stree, grain=64)
         p2 = build_plan(sym.stree, grain=64)
@@ -102,10 +98,6 @@ class TestCertifyClean:
         assert plan_digest(build_plan(sym.stree, grain=0)) != plan_digest(
             build_plan(sym.stree, grain=4096)
         )
-
-    def test_bad_nrhs_rejected(self, sym, plan):
-        with pytest.raises(ValueError):
-            certify_plan(plan, sym.stree, nrhs=0)
 
     def test_gate_battery_certifies_clean(self):
         report = run_schedule_certification()
@@ -165,6 +157,52 @@ class TestCertifyMutants:
             f"tasks {min(dropped, tp)} and {max(dropped, tp)}" in f.message
             for f in races
         ), report.render()
+
+
+class TestLevelChainSharesThePlansConflicts:
+    """The level-chain check re-uses each sweep's conflict pairs, relabelled."""
+
+    def test_conflicts_derived_once_per_sweep(self, sym, plan, monkeypatch):
+        calls = []
+        real = schedule.effect_conflicts
+        monkeypatch.setattr(
+            schedule, "effect_conflicts", lambda effects: calls.append(1) or real(effects)
+        )
+        cert = certify_level_program(compile_level_program(plan), plan, sym.stree)
+        assert cert.ok, cert.report.render()
+        assert len(calls) == 2  # forward + backward; not again for the level chain
+
+    def test_level_chain_findings_name_levels_not_plan_tasks(self, sym, plan):
+        # Lift a child onto its parent's level: its backward gather then
+        # shares a level with the write it depends on, and the finding must
+        # label both accesses with that *level*, not with their plan tasks.
+        program = compile_level_program(plan)
+        child = next(s for s, st in enumerate(plan.steps) if st.below.size and st.t)
+        parent = next(s for s, st in enumerate(plan.steps) if child in st.children)
+        node_level = program.node_level.copy()
+        node_level[child] = node_level[parent]
+        cert = certify_level_program(
+            dataclasses.replace(program, node_level=node_level), plan, sym.stree
+        )
+        label = f"(task {int(node_level[parent])})"
+        stale = [f for f in cert.report.errors() if f.rule == "schedule-stale-read"]
+        assert stale and all(f.message.count(label) == 2 for f in stale), cert.report.render()
+
+    def test_schedule_corpus_fires_exactly_the_recorded_rules(self):
+        # Full rule sets recorded before the pairs were shared between the
+        # plan and level-chain checks: sharing must not add or lose a rule.
+        recorded = {
+            "plan-dropped-dependency": {"schedule-dep-count", "schedule-race"},
+            "plan-scatter-overlap": {"schedule-scatter-overlap"},
+            "plan-duplicated-columns": {
+                "schedule-coverage-gap", "schedule-coverage-overlap", "schedule-scatter-mismatch",
+                "schedule-stale-read", "schedule-tree-mismatch",
+            },
+            "plan-permuted-reduction": {"schedule-reduction-order"},
+            "program-swapped-scatter": {"schedule-program-scatter"},
+        }
+        cases = [c for c in known_bad_cases() if c.name.startswith(("plan-", "program-"))]
+        assert {c.name: c.run().rules() for c in cases} == recorded
 
 
 class TestCachedCertification:
