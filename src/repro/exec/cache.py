@@ -4,11 +4,11 @@ Repeated solves against the same factorization are the common case (multi
 right-hand-side workloads, iterative refinement, time stepping), so the
 engine never rebuilds what it can reuse:
 
-* :func:`plan_for` caches one :class:`~repro.exec.plan.ExecPlan` per
-  ``(symbolic structure, grain)``.  The key is the identity of the
-  :class:`~repro.symbolic.stree.SupernodalTree` — the object every
+* :func:`plan_for` caches one default-grain
+  :class:`~repro.exec.plan.ExecPlan` per symbolic structure, keyed by the
+  identity of the :class:`~repro.symbolic.stree.SupernodalTree` every
   :class:`~repro.symbolic.analyze.SymbolicFactor` and
-  :class:`~repro.numeric.supernodal.SupernodalFactor` share — and entries
+  :class:`~repro.numeric.supernodal.SupernodalFactor` share; entries
   are evicted automatically when the structure is garbage collected.
   ``plan_for(..., certify=True)`` additionally runs the static schedule
   certifier (:func:`repro.verify.schedule.certify_plan`) over the plan
@@ -24,8 +24,7 @@ engine never rebuilds what it can reuse:
   :class:`~repro.exec.arena.WorkspaceArena`, so the solve workspaces of
   both real backends share the factor's lifetime and eviction.
 * :func:`program_for` caches the compiled
-  :class:`~repro.exec.plan.LevelProgram` per structure (programs are
-  grain-invariant, so one entry serves every grain), and
+  :class:`~repro.exec.plan.LevelProgram` per structure, and
   :func:`fused_certificate_for` its schedule certificate;
   :func:`fused_panels_for` caches the packed width-1 panel values per
   numeric factor.
@@ -39,18 +38,12 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.exec.arena import WorkspaceArena
-from repro.exec.plan import (
-    DEFAULT_GRAIN,
-    ExecPlan,
-    LevelProgram,
-    build_plan,
-    compile_level_program,
-)
+from repro.exec.plan import ExecPlan, LevelProgram, build_plan, compile_level_program
 from repro.numeric.supernodal import SupernodalFactor
 from repro.symbolic.stree import SupernodalTree
 
@@ -62,28 +55,27 @@ if TYPE_CHECKING:
 class _IdentityCache:
     """A dict keyed by object identity with weakref-driven eviction."""
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: dict[tuple, tuple[weakref.ref, object]] = {}
+        self._entries: dict[int, tuple[weakref.ref, object]] = {}
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, anchor: object, key: tuple):
+    def get(self, anchor: object, build: Callable[[], Any]) -> Any:
+        """The value cached for *anchor*, built (outside the lock) on a miss."""
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.get(id(anchor))
             if entry is not None and entry[0]() is anchor:
                 self.hits += 1
                 return entry[1]
             self.misses += 1
-            return None
-
-    def store(self, anchor: object, key: tuple, value: object) -> None:
+        value = build()
         with self._lock:
-            self._entries[key] = (weakref.ref(anchor), value)
-        weakref.finalize(anchor, self._evict, key)
+            self._entries[id(anchor)] = (weakref.ref(anchor), value)
+        weakref.finalize(anchor, self._evict, id(anchor))
+        return value
 
-    def _evict(self, key: tuple) -> None:
+    def _evict(self, key: int) -> None:
         with self._lock:
             self._entries.pop(key, None)
 
@@ -98,17 +90,15 @@ class _IdentityCache:
             return len(self._entries)
 
 
-_PLANS = _IdentityCache("plans")
-_PREPARED = _IdentityCache("prepared")
-_CERTS = _IdentityCache("certs")
-_PROGRAMS = _IdentityCache("programs")
-_FUSED_CERTS = _IdentityCache("fused-certs")
-_PANELS = _IdentityCache("panels")
+_PLANS = _IdentityCache()
+_PREPARED = _IdentityCache()
+_CERTS = _IdentityCache()
+_PROGRAMS = _IdentityCache()
+_FUSED_CERTS = _IdentityCache()
+_PANELS = _IdentityCache()
 
 
-def plan_for(
-    stree: SupernodalTree, *, grain: int = DEFAULT_GRAIN, certify: bool = False
-) -> ExecPlan:
+def plan_for(stree: SupernodalTree, *, certify: bool = False) -> ExecPlan:
     """The cached execution plan for *stree* (built on first use).
 
     With ``certify=True`` the plan is additionally put through the
@@ -116,24 +106,19 @@ def plan_for(
     :class:`repro.verify.VerificationError` is raised if the certifier
     finds a race, a coverage violation, or a nondeterministic reduction
     order.  The certificate is cached alongside the plan, so only the
-    first certified call per ``(structure, grain)`` pays for the proof.
+    first certified call per structure pays for the proof.  (For another
+    grain, hand :func:`~repro.exec.plan.build_plan`'s plan to ``plan=``.)
     """
-    key = (id(stree), int(grain))
-    plan = _PLANS.lookup(stree, key)
-    if plan is None:
-        plan = build_plan(stree, grain=grain)
-        _PLANS.store(stree, key, plan)
+    plan = _PLANS.get(stree, lambda: build_plan(stree))
     if certify:
-        certificate_for(stree, grain=grain).report.raise_if_errors(
+        certificate_for(stree).report.raise_if_errors(
             "execution plan failed schedule certification"
         )
-    return plan  # type: ignore[return-value]
+    return plan
 
 
-def certificate_for(
-    stree: SupernodalTree, *, grain: int = DEFAULT_GRAIN
-) -> "ScheduleCertificate":
-    """The cached schedule certificate for *stree*'s plan at *grain*.
+def certificate_for(stree: SupernodalTree) -> "ScheduleCertificate":
+    """The cached schedule certificate for *stree*'s cached plan.
 
     Runs :func:`repro.verify.schedule.certify_plan` on first use and
     memoizes the result with the same identity key and weakref eviction
@@ -141,14 +126,12 @@ def certificate_for(
     clean — callers decide between inspecting ``.report`` and failing
     fast (:func:`plan_for` with ``certify=True`` does the latter).
     """
-    key = (id(stree), int(grain))
-    cert = _CERTS.lookup(stree, key)
-    if cert is None:
+    def certify() -> "ScheduleCertificate":
         from repro.verify.schedule import certify_plan
 
-        cert = certify_plan(plan_for(stree, grain=grain), stree)
-        _CERTS.store(stree, key, cert)
-    return cert  # type: ignore[return-value]
+        return certify_plan(plan_for(stree), stree)
+
+    return _CERTS.get(stree, certify)
 
 
 @dataclass(frozen=True)
@@ -192,33 +175,23 @@ def _prepare(factor: SupernodalFactor) -> PreparedFactor:
 
 def prepare_factor(factor: SupernodalFactor) -> PreparedFactor:
     """Cached kernel-ready form of *factor* (validated on first use)."""
-    key = ("factor", id(factor))
-    prep = _PREPARED.lookup(factor, key)
-    if prep is None:
-        prep = _prepare(factor)
-        _PREPARED.store(factor, key, prep)
-    return prep  # type: ignore[return-value]
+    return _PREPARED.get(factor, lambda: _prepare(factor))
 
 
 def program_for(stree: SupernodalTree, *, certify: bool = False) -> LevelProgram:
     """The cached fused :class:`LevelProgram` for *stree*.
 
-    Level programs depend only on the symbolic structure (they are
-    grain-invariant), so one cached entry serves every grain.  With
+    Level programs depend only on the symbolic structure.  With
     ``certify=True`` the program must additionally pass the fused
     schedule certifier (:func:`fused_certificate_for`) before it is
     handed out.
     """
-    key = ("program", id(stree))
-    prog = _PROGRAMS.lookup(stree, key)
-    if prog is None:
-        prog = compile_level_program(plan_for(stree))
-        _PROGRAMS.store(stree, key, prog)
+    prog = _PROGRAMS.get(stree, lambda: compile_level_program(plan_for(stree)))
     if certify:
         fused_certificate_for(stree).report.raise_if_errors(
             "fused level program failed schedule certification"
         )
-    return prog  # type: ignore[return-value]
+    return prog
 
 
 def fused_certificate_for(stree: SupernodalTree) -> "ScheduleCertificate":
@@ -229,28 +202,22 @@ def fused_certificate_for(stree: SupernodalTree) -> "ScheduleCertificate":
     the same schedule, so fused solves earn the identical certificate
     the threaded backend does.
     """
-    key = ("fused-cert", id(stree))
-    cert = _FUSED_CERTS.lookup(stree, key)
-    if cert is None:
+    def certify() -> "ScheduleCertificate":
         from repro.verify.schedule import certify_level_program
 
-        cert = certify_level_program(program_for(stree), plan_for(stree), stree)
-        _FUSED_CERTS.store(stree, key, cert)
-    return cert  # type: ignore[return-value]
+        return certify_level_program(program_for(stree), plan_for(stree), stree)
+
+    return _FUSED_CERTS.get(stree, certify)
 
 
 def fused_panels_for(factor: SupernodalFactor) -> "FusedPanels":
     """The cached packed width-1 panel values of *factor* (built once)."""
-    key = ("panels", id(factor))
-    panels = _PANELS.lookup(factor, key)
-    if panels is None:
+    def build() -> "FusedPanels":
         from repro.exec.fused import build_fused_panels
 
-        panels = build_fused_panels(
-            program_for(factor.stree), prepare_factor(factor)
-        )
-        _PANELS.store(factor, key, panels)
-    return panels  # type: ignore[return-value]
+        return build_fused_panels(program_for(factor.stree), prepare_factor(factor))
+
+    return _PANELS.get(factor, build)
 
 
 def clear_exec_caches() -> None:

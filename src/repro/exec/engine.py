@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.exec.arena import build_engine_workspace
 from repro.exec.cache import PreparedFactor, plan_for, prepare_factor
-from repro.exec.plan import DEFAULT_GRAIN, ExecPlan
+from repro.exec.plan import ExecPlan
 from repro.numeric.kernels import (
     rect_apply,
     rect_apply_t,
@@ -237,7 +237,6 @@ def forward_exec(
     b: np.ndarray,
     *,
     workers: int | None = None,
-    grain: int = DEFAULT_GRAIN,
     plan: ExecPlan | None = None,
 ) -> np.ndarray:
     """Solve ``L y = b`` on the shared-memory engine.
@@ -246,7 +245,7 @@ def forward_exec(
     input's shape.  Identical numerics for every ``workers`` value.
     """
     workers_n = resolve_workers(workers)
-    plan = plan if plan is not None else plan_for(factor.stree, grain=grain)
+    plan = plan if plan is not None else plan_for(factor.stree)
     prep = prepare_factor(factor)
     y, squeeze = as_rhs_matrix(b, factor.n)
     _forward_mat(plan, prep, y, workers_n)
@@ -258,12 +257,11 @@ def backward_exec(
     b: np.ndarray,
     *,
     workers: int | None = None,
-    grain: int = DEFAULT_GRAIN,
     plan: ExecPlan | None = None,
 ) -> np.ndarray:
     """Solve ``L^T x = b`` on the shared-memory engine."""
     workers_n = resolve_workers(workers)
-    plan = plan if plan is not None else plan_for(factor.stree, grain=grain)
+    plan = plan if plan is not None else plan_for(factor.stree)
     prep = prepare_factor(factor)
     x, squeeze = as_rhs_matrix(b, factor.n)
     _backward_mat(plan, prep, x, workers_n)
@@ -275,7 +273,6 @@ def solve_exec(
     b: np.ndarray,
     *,
     workers: int | None = None,
-    grain: int = DEFAULT_GRAIN,
     plan: ExecPlan | None = None,
 ) -> np.ndarray:
     """Full ``A x = b`` solve (forward then backward) on the engine.
@@ -284,7 +281,7 @@ def solve_exec(
     sweeps — the pool is created once per call, not once per sweep.
     """
     workers_n = resolve_workers(workers)
-    plan = plan if plan is not None else plan_for(factor.stree, grain=grain)
+    plan = plan if plan is not None else plan_for(factor.stree)
     prep = prepare_factor(factor)
     x, squeeze = as_rhs_matrix(b, factor.n)
     if workers_n == 1:

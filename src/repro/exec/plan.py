@@ -568,23 +568,3 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
         max_dot=max_dot,
         max_wk=max_wk,
     )
-
-
-def check_plan(plan: ExecPlan, stree: SupernodalTree) -> None:
-    """Structural self-check: partition, topology, level consistency.
-
-    Used by tests and by callers that construct plans manually; raises
-    :class:`ValueError` on the first violated invariant.
-    """
-    seen: list[int] = []
-    for task in plan.tasks:
-        require(list(task.nodes) == sorted(task.nodes), "task nodes must ascend")
-        seen.extend(task.nodes)
-    require(sorted(seen) == list(range(stree.nsuper)),
-            "tasks must partition the supernodes")
-    for ti, task in enumerate(plan.tasks):
-        tp = int(plan.task_parent[ti])
-        if tp != -1:
-            require(tp > ti, "parent tasks must follow their children")
-            require(int(plan.task_level[ti]) < int(plan.task_level[tp]),
-                    "task levels must strictly increase towards the roots")

@@ -15,12 +15,15 @@ of them *before* anything executes:
 * :mod:`repro.verify.invariants` — structural checkers for CSC matrices,
   elimination trees / postorder, supernode partitions, subtree-to-subcube
   maps and block-cyclic layouts.
-* :mod:`repro.verify.effects` / :mod:`repro.verify.schedule` — the
-  schedule certifier for the real shared-memory execution layer
-  (:mod:`repro.exec`): per-task read/write effect summaries, a
-  happens-before race check over the dependency-counted task tree,
-  exactly-once coverage proofs, and a canonical determinism
-  certificate (:func:`certify_plan`).
+* :mod:`repro.verify.schedule` — the schedule certifier for the real
+  shared-memory execution layer (:mod:`repro.exec`): the ordering
+  obligations the elimination tree names (child contribution → parent,
+  solved ancestor rows → descendant; all the cross-node conflicts there
+  are, since column ranges tile, every contribution buffer has one
+  writer and one reader, and accumulators are node-private) checked
+  against the happens-before of the dependency-counted task tree,
+  exactly-once coverage proofs, and a canonical determinism certificate
+  (:func:`certify_plan`).
 * :mod:`repro.verify.lint` — AST lint with repo-specific rules
   (unseeded randomness, CSC index-array mutation, bare asserts,
   unused imports).
@@ -33,12 +36,6 @@ Checkers report :class:`Finding` records through :class:`Report`
 """
 
 from repro.verify.comm import lint_spmd, lint_task_graph, spmd_deadlock_rules
-from repro.verify.effects import (
-    Effect,
-    backward_effects,
-    effect_conflicts,
-    forward_effects,
-)
 from repro.verify.findings import (
     Finding,
     Report,
@@ -68,16 +65,12 @@ from repro.verify.invariants import (
 from repro.verify.lint import lint_file, lint_paths, lint_source
 
 __all__ = [
-    "Effect",
     "Finding",
     "Report",
     "ScheduleCertificate",
     "Severity",
     "VerificationError",
-    "backward_effects",
     "certify_plan",
-    "effect_conflicts",
-    "forward_effects",
     "merge",
     "plan_digest",
     "run_schedule_certification",

@@ -6,8 +6,8 @@ source file under ``src/repro``, checks the structural invariants of a
 small deterministic workload battery end to end (ordering -> symbolic ->
 mapping -> layouts), statically verifies the communication structure
 of the repo's real SPMD forward/backward solver programs, and certifies
-the shared-memory execution plans of a 2-D/3-D grid battery for
-race-freedom, exactly-once coverage and reduction-order determinism —
+the shared-memory execution plans of a battery of grids and irregular
+3-D meshes for race-freedom, exactly-once coverage and reduction-order determinism —
 all without running the simulator or the thread pool.
 ``run_bad_corpus`` is the negative gate: it must find errors in every
 seeded known-bad input, proving the checkers still catch what they were
@@ -126,56 +126,51 @@ SCHEDULE_BATTERY_GRAINS = (0, 256, 4096)
 def run_schedule_certification() -> Report:
     """Certify the execution plans of the standard workload battery.
 
-    For every (matrix, grain) the plan must certify clean — no races, no
-    coverage violation, canonical reduction order — and its determinism
-    certificate must be byte-identical across an independent rebuild of
-    the same plan (``schedule-cert-unstable`` otherwise).  This is the
-    static counterpart of the runtime test that solves are bitwise
+    Three small grids and an irregular 3-D mesh at every grain of
+    ``SCHEDULE_BATTERY_GRAINS``, plus the n = 1728 irregular mesh of the
+    benchmark's cold workload at the default grain.  Each plan and the
+    fused :class:`~repro.exec.plan.LevelProgram` compiled from it must
+    certify clean (:func:`~repro.verify.schedule.certify_level_program`
+    proves both).  The determinism digest must be byte-identical across an
+    independent rebuild of the plan (``schedule-cert-unstable`` otherwise)
+    and the program's certificate must carry it — one structure, one
+    certificate, for every backend (``schedule-cert-divergent`` otherwise):
+    the static counterpart of the runtime test that solves are bitwise
     identical across worker counts.
-
-    The fused backend's :class:`~repro.exec.plan.LevelProgram` compiled
-    from each plan must certify clean too
-    (:func:`~repro.verify.schedule.certify_level_program`), and its
-    certificate digest must equal the plan's — one structure, one
-    determinism certificate, for every backend and every grain
-    (``schedule-cert-divergent`` otherwise).
     """
-    from repro.exec.plan import build_plan, compile_level_program
-    from repro.sparse.generators import grid2d_laplacian, grid3d_laplacian
+    from repro.exec.plan import DEFAULT_GRAIN, build_plan, compile_level_program
+    from repro.sparse.generators import fe_mesh_3d, grid2d_laplacian, grid3d_laplacian
     from repro.symbolic.analyze import analyze
-    from repro.verify.schedule import certify_level_program, certify_plan, plan_digest
+    from repro.verify.schedule import certify_level_program, plan_digest
 
     report = Report()
     battery = [
-        ("grid2d(8)", grid2d_laplacian(8)),
-        ("grid2d(12)", grid2d_laplacian(12)),
-        ("grid3d(4)", grid3d_laplacian(4)),
+        ("grid2d(8)", grid2d_laplacian(8), SCHEDULE_BATTERY_GRAINS),
+        ("grid2d(12)", grid2d_laplacian(12), SCHEDULE_BATTERY_GRAINS),
+        ("grid3d(4)", grid3d_laplacian(4), SCHEDULE_BATTERY_GRAINS),
+        ("fe3d(5)", fe_mesh_3d(5, seed=219), SCHEDULE_BATTERY_GRAINS),
+        # The hsct21954 analogue (n = 1728) of the spine's cold workload, with
+        # the plan solve() runs on it.  Analysing it costs more than all of the
+        # above together, so the grain sweep stays on the small matrices.
+        ("fe3d(12)", fe_mesh_3d(12, seed=219), (DEFAULT_GRAIN,)),
     ]
-    for name, a in battery:
+    for name, a, grains in battery:
         sym = analyze(a)
-        for grain in SCHEDULE_BATTERY_GRAINS:
+        for grain in grains:
             label = f"{name} grain={grain}"
             plan = build_plan(sym.stree, grain=grain)
             digest = plan_digest(plan)
-            rebuilt = certify_plan(
-                build_plan(sym.stree, grain=grain), sym.stree, name=label
-            )
+            rebuilt_digest = plan_digest(build_plan(sym.stree, grain=grain))
+            # Certifying the program certifies its plan first: one report.
             fused = certify_level_program(
                 compile_level_program(plan), plan, sym.stree, name=label
             )
-            for tag, cert in (("schedule", rebuilt), ("fused", fused)):
-                for f in cert.report:
-                    report.add(
-                        f.rule,
-                        f"[{tag}] {f.message}",
-                        location=f.location,
-                        severity=f.severity,
-                    )
-            if rebuilt.digest != digest:
+            report.extend(fused.report)
+            if rebuilt_digest != digest:
                 report.add(
                     "schedule-cert-unstable",
                     f"{label}: determinism certificate differs across plan "
-                    f"rebuilds ({sorted({digest, rebuilt.digest})}) — the hash "
+                    f"rebuilds ({sorted({digest, rebuilt_digest})}) — the hash "
                     "is not a pure function of the structure",
                     location=label,
                 )

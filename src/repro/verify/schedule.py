@@ -5,16 +5,22 @@ optionally the :class:`~repro.symbolic.stree.SupernodalTree` it was
 built from) and *proves*, without executing anything, the three
 properties the engine's docstrings promise:
 
-1. **Race-freedom.**  The per-task read/write effect summaries of
-   :mod:`repro.verify.effects` are crossed against the happens-before
-   relation induced by the engine's dependency counting.  A dependency
-   edge ``i -> d`` is *guaranteed* only when task ``d``'s counter equals
-   its true in-degree — a smaller counter means ``d`` can start before
-   some predecessor finished, so none of its in-edges order anything.
-   Every conflicting effect pair (same space, overlapping rows, at least
-   one write, different supernodes) must be ordered by the transitive
-   closure of the guaranteed edges; read-after-write pairs must be
-   ordered *writer-first*.
+1. **Race-freedom.**  The elimination tree names the only data that
+   crosses from one supernode to another, so the plan's own fields spell
+   out every *ordering obligation* as a (writer, reader, rows) triple:
+   forward, each entry ``c`` of ``steps[s].children`` writes its
+   contribution rows ``below(c)`` for ``s`` to read; backward, ``s``
+   reads its solved rows ``steps[s].below`` from the supernodes whose
+   column ranges own them.  These are *all* the cross-node conflicts:
+   the column ranges tile ``0..n`` (``schedule-coverage-*``), so no two
+   nodes share a solution row in the forward sweep and a node's only
+   foreign rows in the backward sweep are its below-rows; each
+   contribution buffer has one writer and, by
+   ``schedule-duplicate-consumer``, one reader; accumulators are
+   node-private.  The writer's task must reach the reader's through the
+   edges the engine's dependency counting *guarantees*
+   (``schedule-race`` when the two are unordered, ``schedule-stale-read``
+   when the reader comes first).
 2. **Exactly-once coverage.**  The supernode column ranges tile
    ``0..n`` with no overlap and no gap (every solution row is written by
    exactly one node per sweep), and each child contribution buffer is
@@ -31,8 +37,8 @@ properties the engine's docstrings promise:
 :class:`~repro.exec.plan.LevelProgram`: the program's flat index vectors
 (accumulator layout, width-1 lane, contribution scatter, backward
 gather) are decoded back against the plan's steps — rules prefixed
-``schedule-program-`` — and the plan's conflicting effect pairs, re-tasked
-onto the level chain, are crossed against the chain's happens-before.  A
+``schedule-program-`` — and the same obligations are checked against the
+level chain, each node standing in its ``program.node_level``.  A
 certified program earns its plan's digest: the fused and threaded
 backends provably execute the same schedule.
 
@@ -43,20 +49,11 @@ machinery; rules are prefixed ``schedule-``.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.verify.effects import (
-    READ,
-    WRITE,
-    Conflict,
-    backward_effects,
-    effect_conflicts,
-    format_index_set,
-    forward_effects,
-)
 from repro.verify.findings import Report
 
 if TYPE_CHECKING:
@@ -118,9 +115,15 @@ def plan_digest(plan: "ExecPlan") -> str:
 
 
 # ------------------------------------------------------- structural checks
-def _check_partition(plan: "ExecPlan", report: Report, name: str) -> None:
-    """Each supernode must belong to exactly one task, listed ascending."""
-    owner: dict[int, int] = {}
+def _check_partition(
+    plan: "ExecPlan", report: Report, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each supernode must belong to exactly one task, listed ascending.
+
+    Returns each node's task (``-1``: none) and its place in that task's list.
+    """
+    task_of = np.full(len(plan.steps), -1, dtype=np.int64)
+    place = np.zeros(len(plan.steps), dtype=np.int64)
     for ti, task in enumerate(plan.tasks):
         if list(task.nodes) != sorted(task.nodes):
             report.add(
@@ -128,25 +131,30 @@ def _check_partition(plan: "ExecPlan", report: Report, name: str) -> None:
                 f"task {ti} lists nodes {list(task.nodes)} out of ascending order",
                 location=f"{name}/task {ti}",
             )
-        for s in task.nodes:
-            if s in owner:
+        for k, s in enumerate(task.nodes):
+            if task_of[s] != -1:
                 report.add(
                     "schedule-task-partition",
-                    f"supernode {s} appears in tasks {owner[s]} and {ti}",
+                    f"supernode {s} appears in tasks {task_of[s]} and {ti}",
                     location=f"{name}/task {ti}",
                 )
-            owner[s] = ti
-    missing = sorted(set(range(len(plan.steps))) - set(owner))
+            task_of[s], place[s] = ti, k
+    missing = np.flatnonzero(task_of == -1).tolist()
     if missing:
         report.add(
             "schedule-task-partition",
             f"supernodes {missing} belong to no task — they would never run",
             location=f"{name}/tasks",
         )
+    return task_of, place
 
 
-def _check_coverage(plan: "ExecPlan", report: Report, name: str, n: int) -> None:
-    """The column ranges must tile ``[0, n)`` with no overlap and no gap."""
+def _check_coverage(plan: "ExecPlan", report: Report, name: str, n: int) -> bool:
+    """The column ranges must tile ``[0, n)`` with no overlap and no gap.
+
+    Returns whether they do: the ordering obligations rest on it.
+    """
+    before = len(report)
     ranges = sorted(
         (st.col_lo, st.col_hi, st.s) for st in plan.steps if st.col_hi > st.col_lo
     )
@@ -172,6 +180,7 @@ def _check_coverage(plan: "ExecPlan", report: Report, name: str, n: int) -> None
             f"columns [{cursor}, {n}) are owned by no supernode — never solved",
             location=f"{name}/columns",
         )
+    return len(report) == before
 
 
 def _check_scatters(plan: "ExecPlan", report: Report, name: str) -> None:
@@ -383,111 +392,129 @@ def _guaranteed_reachability(
     return reach
 
 
-def _check_phase_races(
+def format_index_set(rows: np.ndarray) -> str:
+    """Compact run-length rendering of a sorted index set: ``[3..7, 12]``."""
+    runs = np.split(rows, np.flatnonzero(np.diff(rows) != 1) + 1)
+    return "[" + ", ".join(
+        f"{r[0]}..{r[-1]}" if r.size > 1 else f"{r[0]}" for r in runs if r.size
+    ) + "]"
+
+
+#: One sweep's obligations as parallel sequences: node ``writer[k]`` must
+#: finish before node ``reader[k]`` starts, which reads ``rows[k]`` from it.
+Obligations = tuple[np.ndarray, np.ndarray, list[np.ndarray]]
+
+
+def _ordering_obligations(plan: "ExecPlan", n: int) -> tuple[Obligations, Obligations]:
+    """Every cross-node (writer, reader, rows) triple of the two sweeps.
+
+    Assumes the column ranges tile ``[0, n)`` (the module docstring says
+    why nothing else can conflict then); independent of how nodes are
+    grouped into tasks or levels.
+    """
+    steps = plan.steps
+    # Forward: a child's contribution rows go to the node that lists it.
+    handoffs = [(c, st.s) for st in steps for c in st.children if steps[c].below.size]
+    child, parent = np.array(handoffs, dtype=np.int64).reshape(-1, 2).T
+    forward = (child, parent, [steps[c].below for c, _ in handoffs])
+
+    # Backward, all gathers at once: tag every below-row with its reader
+    # and its owner, then cut the stream wherever either changes.  (A node
+    # with no columns solves nothing, so it never gathers.)
+    gathers = [st for st in steps if st.t and st.below.size]
+    if not gathers:
+        nobody = np.empty(0, dtype=np.int64)
+        return forward, (nobody, nobody, [])
+    rows = np.concatenate([st.below for st in gathers])
+    reader = np.repeat([st.s for st in gathers], [st.below.size for st in gathers])
+    owner = np.full(max(n, int(rows.max()) + 1), -1, dtype=np.int64)  # -1: nobody's row
+    for st in steps:
+        owner[st.col_lo:st.col_hi] = st.s
+    writer = owner[rows]
+    cuts = np.flatnonzero((np.diff(reader) != 0) | (np.diff(writer) != 0)) + 1
+    lo = np.concatenate(([0], cuts))
+    hi = np.concatenate((cuts, [rows.size]))
+    owned = writer[lo] >= 0
+    lo, hi = lo[owned], hi[owned]
+    backward = (
+        writer[lo], reader[lo], [rows[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+    )
+    return forward, backward
+
+
+def _check_orderings(
     phase: str,
-    ntasks: int,
-    pos: dict[int, int],
-    conflicts: Iterable[Conflict],
+    obligations: Obligations,
+    unit: np.ndarray,
+    pos: np.ndarray,
     ndeps: Sequence[int],
     dependents: Sequence[Sequence[int]],
     report: Report,
     name: str,
 ) -> None:
-    """Prove every conflicting effect pair of one sweep is ordered.
+    """Prove the writer of every obligation of one sweep runs first.
 
-    ``conflicts`` is the sweep's pair set with each effect's ``task``
-    naming its scheduling unit (plan task, or level for a level program).
-    ``pos`` gives each node's program order *inside* its task (used for
-    the within-task stale-read direction check); cross-task ordering
-    comes from the guaranteed dependency edges alone.
+    ``unit[s]`` is node ``s``'s scheduling unit (plan task, or level of a
+    level program; ``-1``: in none) and ``pos[s]`` its program order
+    inside that unit; cross-unit order comes from the guaranteed
+    dependency edges alone.
     """
-    reach = _guaranteed_reachability(ntasks, ndeps, dependents, report, name, phase)
+    reach = _guaranteed_reachability(len(ndeps), ndeps, dependents, report, name, phase)
     if reach is None:
         return
-
-    loc = f"{name}/{phase}"
-    for a, b, overlap in conflicts:
-        if a.task == b.task:
-            # Sequential within one worker; only the read-after-write
-            # direction can still be wrong.
-            if {a.mode, b.mode} == {READ, WRITE}:
-                w, r = (a, b) if a.mode == WRITE else (b, a)
-                if pos.get(w.node, 0) > pos.get(r.node, 0):
-                    report.add(
-                        "schedule-stale-read",
-                        f"[{phase}] within task {a.task}: {r.describe()} runs "
-                        f"before {w.describe()} — it reads stale values",
-                        location=loc,
-                    )
-            continue
-        a_before_b = bool(reach[a.task, b.task])
-        b_before_a = bool(reach[b.task, a.task])
-        if not a_before_b and not b_before_a:
-            report.add(
-                "schedule-race",
-                f"[{phase}] tasks {a.task} and {b.task} are unordered but "
-                f"conflict on rows {format_index_set(overlap)}: "
-                f"{a.describe()} vs {b.describe()}",
-                location=loc,
-            )
-        elif {a.mode, b.mode} == {READ, WRITE}:
-            w, r = (a, b) if a.mode == WRITE else (b, a)
-            if reach[r.task, w.task]:
-                report.add(
-                    "schedule-stale-read",
-                    f"[{phase}] task {r.task} is ordered *before* task "
-                    f"{w.task} yet {r.describe()} depends on {w.describe()}",
-                    location=loc,
-                )
+    w, r, rows = obligations
+    uw, ur = unit[w], unit[r]
+    # A node in no unit is schedule-task-partition's finding, not ours.
+    ordered = np.where(uw == ur, pos[w] <= pos[r], reach[uw, ur])
+    for k in np.flatnonzero((uw >= 0) & (ur >= 0) & ~ordered):
+        a, b = int(uw[k]), int(ur[k])
+        rule = "schedule-stale-read"
+        if a == b:
+            how = f"within task {a} the reader runs first, on stale values"
+        elif reach[b, a]:
+            how = f"task {b} is ordered *before* task {a}"
+        else:
+            rule, how = "schedule-race", f"tasks {min(a, b)} and {max(a, b)} are unordered"
+        report.add(
+            rule,
+            f"[{phase}] {how}: supernode {r[k]} (task {b}) reads rows "
+            f"{format_index_set(rows[k])} that supernode {w[k]} (task {a}) writes",
+            location=f"{name}/{phase}",
+        )
 
 
 # ------------------------------------------------------------------ public
-def _certify_plan_sweeps(
+def _certify_plan_orderings(
     plan: "ExecPlan", stree: "SupernodalTree | None", name: str
-) -> tuple[ScheduleCertificate, list[Conflict], list[Conflict]]:
-    """:func:`certify_plan`, also handing back each sweep's conflict pairs.
+) -> tuple[ScheduleCertificate, tuple[Obligations, Obligations] | None]:
+    """:func:`certify_plan`, also handing back the ordering obligations.
 
-    Deriving the pairs (forward, backward) is the certifier's dominant cost
-    and does not depend on how nodes are grouped into tasks, so
     :func:`certify_level_program` re-checks them against the level chain.
+    ``None`` when the column ranges do not tile (already reported): the
+    ordering check is then skipped, as it is on a dependency cycle.
     """
     report = Report()
     n = stree.n if stree is not None else max(
         (st.col_hi for st in plan.steps), default=0
     )
-    _check_partition(plan, report, name)
-    _check_coverage(plan, report, name, n)
+    task_of, place = _check_partition(plan, report, name)
+    tiles = _check_coverage(plan, report, name, n)
     _check_scatters(plan, report, name)
     _check_reduction_order(plan, report, name)
     if stree is not None:
         _check_tree(plan, stree, report, name)
 
-    # Program order inside a task: the forward sweep walks nodes
-    # ascending, the backward sweep descending.
-    fwd_pos: dict[int, int] = {}
-    bwd_pos: dict[int, int] = {}
-    for task in plan.tasks:
-        for k, s in enumerate(task.nodes):
-            fwd_pos[s] = k
-        for k, s in enumerate(reversed(task.nodes)):
-            bwd_pos[s] = k
-
-    fwd_conflicts = effect_conflicts(forward_effects(plan))
-    bwd_conflicts = effect_conflicts(backward_effects(plan))
-    fwd_ndeps, fwd_dependents = plan.forward_deps()
-    _check_phase_races(
-        "forward", plan.ntasks, fwd_pos, fwd_conflicts,
-        fwd_ndeps, fwd_dependents, report, name,
-    )
-    bwd_ndeps, bwd_dependents = plan.backward_deps()
-    _check_phase_races(
-        "backward", plan.ntasks, bwd_pos, bwd_conflicts,
-        bwd_ndeps, bwd_dependents, report, name,
-    )
+    obligations = _ordering_obligations(plan, n) if tiles else None
+    if obligations is not None:
+        # Program order inside a task: the forward sweep walks the task's
+        # nodes in list order, the backward sweep in reverse.
+        fwd, bwd = obligations
+        _check_orderings("forward", fwd, task_of, place, *plan.forward_deps(), report, name)
+        _check_orderings("backward", bwd, task_of, -place, *plan.backward_deps(), report, name)
     cert = ScheduleCertificate(
         digest=plan_digest(plan), report=report, nsuper=len(plan.steps), ntasks=plan.ntasks
     )
-    return cert, fwd_conflicts, bwd_conflicts
+    return cert, obligations
 
 
 def certify_plan(
@@ -500,15 +527,15 @@ def certify_plan(
 
     Runs every structural proof (task partition, exactly-once column
     coverage, scatter bijectivity, canonical reduction order, optional
-    assembly-tree cross-check) and the happens-before race analysis for
-    both sweeps, then computes the determinism digest.  Every task
-    accesses all columns of the right-hand-side block, so the verdict and
-    the digest hold for every right-hand-side width.
+    assembly-tree cross-check), checks both sweeps' ordering obligations
+    against the task graph's happens-before and computes the determinism
+    digest.  Every task accesses all columns of the right-hand-side
+    block, so verdict and digest hold for every right-hand-side width.
 
     Callers that want fail-fast semantics use
     ``certify_plan(...).report.raise_if_errors()``.
     """
-    return _certify_plan_sweeps(plan, stree, name)[0]
+    return _certify_plan_orderings(plan, stree, name)[0]
 
 
 # ------------------------------------------------------- level programs
@@ -924,59 +951,41 @@ def certify_level_program(
     certified (a faithful compilation of a broken plan is still broken);
     then the program's flat layout, lane, scatter and gather vectors are
     decoded back against the plan's steps (rules ``schedule-program-*``);
-    finally the plan's conflicting effect pairs are re-tasked onto the
-    level chain and crossed against the chain's happens-before — level
-    ``i`` before ``i + 1`` forward, reversed backward — proving the level
-    barriers order every conflicting access.
+    finally the plan's ordering obligations are checked against the level
+    chain, each node standing in its ``program.node_level`` — level ``i``
+    before ``i + 1`` forward, reversed backward — proving the level
+    barriers order every cross-node hand-off.
 
     The certificate's ``digest`` is the *plan's* canonical digest: a
     certified program is proven to be a re-layout of exactly that
     schedule, so the fused backend earns the identical determinism
     certificate the threaded backend carries, for every worker count.
     """
-    base, fwd_conflicts, bwd_conflicts = _certify_plan_sweeps(plan, stree, name)
+    base, obligations = _certify_plan_orderings(plan, stree, name)
     report = base.report
     _check_program_structure(program, plan, report, name)
 
     nlev = len(program.levels)
-    ndeps = [0 if i == 0 else 1 for i in range(nlev)]
-    dependents = [[i + 1] if i + 1 < nlev else [] for i in range(nlev)]
-    # Within a level, nodes of a valid program never conflict (columns
-    # are disjoint, ancestors sit strictly higher); same-level hand-offs
-    # are already rejected by schedule-program-level above, so ascending
-    # node order stands in for the within-level program order.
-    pos: dict[int, int] = {}
-    counters: dict[int, int] = {}
-    for s in range(program.nsuper):
-        li = int(program.node_level[s])
-        pos[s] = counters.get(li, 0)
-        counters[li] = pos[s] + 1
-
-    # The fused scheduling unit is the level, not the plan task.  Each
-    # node still performs the accesses the plan summaries describe, so the
-    # same pairs conflict and only their ``task`` moves to the node's level.
     level = program.node_level
-
-    def on_levels(conflicts: list[Conflict]) -> Iterator[Conflict]:
-        for a, b, overlap in conflicts:
-            yield (replace(a, task=int(level[a.node])),
-                   replace(b, task=int(level[b.node])), overlap)
-
-    _check_phase_races(
-        "forward", nlev, pos, on_levels(fwd_conflicts),
-        ndeps, dependents, report, name,
-    )
-    bwd_ndeps = [0 if i == nlev - 1 else 1 for i in range(nlev)]
-    bwd_dependents = [[i - 1] if i > 0 else [] for i in range(nlev)]
-    _check_phase_races(
-        "backward", nlev, pos, on_levels(bwd_conflicts),
-        bwd_ndeps, bwd_dependents, report, name,
-    )
+    # A node_level that is not one existing level per supernode is already a
+    # schedule-program-shape finding; there is no chain to check it against.
+    if (
+        obligations is not None
+        and level.size == len(plan.steps)
+        and not np.any((level < 0) | (level >= nlev))
+    ):
+        # Same-level hand-offs are rejected by schedule-program-level above,
+        # so ascending node order stands in for the within-level program
+        # order.  Each level waits for the one the sweep visits just before.
+        pos = np.arange(level.size)
+        waits = [min(i, 1) for i in range(nlev)]
+        up = [[i + 1] if i + 1 < nlev else [] for i in range(nlev)]
+        down = [[i - 1] if i > 0 else [] for i in range(nlev)]
+        fwd, bwd = obligations
+        _check_orderings("forward", fwd, level, pos, waits, up, report, name)
+        _check_orderings("backward", bwd, level, pos, waits[::-1], down, report, name)
     return ScheduleCertificate(
-        digest=base.digest,
-        report=report,
-        nsuper=program.nsuper,
-        ntasks=nlev,
+        digest=base.digest, report=report, nsuper=program.nsuper, ntasks=nlev
     )
 
 

@@ -102,3 +102,37 @@ class TestDocReferences:
         assert paths, f"{doc} quotes no repo paths — the pattern stopped matching"
         missing = sorted(p for p in paths if not any(self.ROOT.glob(p.rstrip("/"))))
         assert not missing, f"{doc} quotes paths that do not exist: {missing}"
+
+    #: Backticked dotted names under the package: `repro.verify.schedule`,
+    #: `repro.exec.plan_for`, also when a line break follows a dot.
+    DOTTED = re.compile(r"`(repro(?:\.\s*\w+)+)")
+    #: Backticked source files quoted relative to `src/` or `src/repro/`.
+    SOURCE_FILE = re.compile(r"`((?:\w+/)+\w+\.py)`")
+
+    @staticmethod
+    def _resolves(dotted: str) -> bool:
+        """Longest importable module prefix, then attributes for the rest."""
+        parts = dotted.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+            except ModuleNotFoundError:
+                continue
+            for attr in parts[cut:]:
+                if not hasattr(obj, attr):
+                    return False
+                obj = getattr(obj, attr)
+            return True
+        return False
+
+    @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
+    def test_quoted_modules_and_source_files_resolve(self, doc):
+        text = (self.ROOT / doc).read_text()
+        names = {re.sub(r"\s+", "", m) for m in self.DOTTED.findall(text)}
+        files = set(self.SOURCE_FILE.findall(text))
+        assert names and files, f"{doc}: the patterns stopped matching"
+        unresolved = sorted(n for n in names if not self._resolves(n))
+        bases = (self.ROOT, self.ROOT / "src", self.ROOT / "src" / "repro")
+        unresolved += sorted(f for f in files if not any((b / f).exists() for b in bases))
+        assert not unresolved, f"{doc} quotes modules/files that do not exist: {unresolved}"
+

@@ -14,9 +14,11 @@ from repro.exec import (
     plan_for,
     prepare_factor,
 )
+from repro.exec.plan import build_plan
 from repro.numeric.supernodal import cholesky_supernodal
 from repro.sparse.generators import grid2d_laplacian
 from repro.symbolic.analyze import analyze
+from repro.verify.schedule import certify_plan
 
 
 @pytest.fixture(autouse=True)
@@ -80,10 +82,13 @@ def test_uncertified_plan_does_not_pay_for_certification():
 
 def test_distinct_grains_get_distinct_certificates():
     sym = analyze(grid2d_laplacian(6))
-    c0 = certificate_for(sym.stree, grain=0)
-    c1 = certificate_for(sym.stree, grain=4096)
-    assert exec_cache_stats()["cert_entries"] == 2
+    c0 = certify_plan(build_plan(sym.stree, grain=0), sym.stree)
+    c1 = certify_plan(build_plan(sym.stree, grain=4096), sym.stree)
+    assert c0.ok and c1.ok
     assert c0.digest != c1.digest
+    # The cache keys on the structure alone: one certificate, the default grain's.
+    assert certificate_for(sym.stree).digest == c1.digest
+    assert exec_cache_stats()["cert_entries"] == 1
 
 
 def test_program_and_panels_cached_and_evicted():

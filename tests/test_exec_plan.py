@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.exec import build_plan, clear_exec_caches, exec_cache_stats, plan_for
-from repro.exec.plan import DEFAULT_GRAIN, check_plan
+from repro.exec.plan import DEFAULT_GRAIN
 from repro.symbolic.analyze import analyze
 from repro.symbolic.etree import NO_PARENT
+from repro.verify.schedule import certify_plan
 
 
 @pytest.fixture(autouse=True)
@@ -20,7 +21,8 @@ class TestPlanStructure:
     def test_partition_and_topology(self, sym_grid8, sym_grid3d5):
         for sym in (sym_grid8, sym_grid3d5):
             plan = build_plan(sym.stree)
-            check_plan(plan, sym.stree)
+            cert = certify_plan(plan, sym.stree)
+            assert cert.ok, cert.report.render()
             covered = sorted(s for task in plan.tasks for s in task.nodes)
             assert covered == list(range(sym.stree.nsuper))
 
@@ -115,9 +117,12 @@ class TestPlanCache:
         assert stats["plan_hits"] >= 1 and stats["plan_misses"] == 1
 
     def test_distinct_grains_get_distinct_plans(self, sym_grid8):
-        p1 = plan_for(sym_grid8.stree, grain=0)
-        p2 = plan_for(sym_grid8.stree, grain=DEFAULT_GRAIN)
-        assert p1 is not p2
+        # The cache holds the default-grain plan only; other grains are
+        # built explicitly and handed to the engine as ``plan=``.
+        p0 = build_plan(sym_grid8.stree, grain=0)
+        assert p0.ntasks != plan_for(sym_grid8.stree).ntasks
+        assert plan_for(sym_grid8.stree).grain == DEFAULT_GRAIN
+        assert exec_cache_stats()["plan_entries"] == 1
 
     def test_distinct_structures_get_distinct_plans(self, grid8):
         sym_a = analyze(grid8)

@@ -1,4 +1,4 @@
-"""The static schedule certifier: effects, happens-before, certificates."""
+"""The static schedule certifier: obligations, happens-before, certificates."""
 
 from __future__ import annotations
 
@@ -6,26 +6,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies
 
 from repro.exec import certificate_for, clear_exec_caches, exec_cache_stats, plan_for
 from repro.exec.plan import build_plan, compile_level_program
-from repro.sparse.generators import grid2d_laplacian, grid3d_laplacian
+from repro.sparse.generators import grid2d_laplacian, grid3d_laplacian, random_spd
 from repro.symbolic.analyze import analyze
 from repro.verify import VerificationError
-from repro.verify.effects import (
-    READ,
-    WRITE,
-    X_SPACE,
-    backward_effects,
-    contrib_space,
-    effect_conflicts,
-    format_index_set,
-    forward_effects,
-)
 from repro.verify import schedule
 from repro.verify.corpus import known_bad_cases
 from repro.verify.gate import run_schedule_certification
-from repro.verify.schedule import certify_level_program, certify_plan, plan_digest
+from repro.verify.schedule import (
+    certify_level_program,
+    certify_plan,
+    format_index_set,
+    plan_digest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,41 +34,48 @@ def plan(sym):
     return build_plan(sym.stree, grain=64)
 
 
-class TestEffects:
-    def test_forward_covers_all_columns_once(self, sym, plan):
-        writes = [
-            e for e in forward_effects(plan) if e.space == X_SPACE and e.mode == WRITE
-        ]
-        rows = np.concatenate([e.rows for e in writes])
-        assert sorted(rows.tolist()) == list(range(sym.stree.n))
-
-    def test_every_contribution_written_and_read_once(self, plan):
-        effects = forward_effects(plan)
-        for st in plan.steps:
-            if not st.below.size:
+def _brute_force_obligations(stree, sweep):
+    """All-pairs intersection of per-node access sets, straight off the tree."""
+    writes, reads = {}, {}
+    for s, sn in enumerate(stree.supernodes):
+        own = {("x", j) for j in range(sn.col_lo, sn.col_hi)}
+        writes[s], reads[s] = set(own), set(own)
+        if sweep == "forward":
+            writes[s] |= {("contrib", s, int(r)) for r in sn.below}
+            for c in stree.children[s]:
+                reads[s] |= {("contrib", c, int(r)) for r in stree.supernodes[c].below}
+        elif sn.t:
+            reads[s] |= {("x", int(r)) for r in sn.below}
+    found = set()
+    for w in writes:
+        for r in reads:
+            if w == r:
                 continue
-            touching = [e for e in effects if e.space == contrib_space(st.s)]
-            assert sorted(e.mode for e in touching) == [READ, WRITE]
-            w = next(e for e in touching if e.mode == WRITE)
-            assert w.node == st.s
-            np.testing.assert_array_equal(w.rows, st.below)
+            assert not writes[w] & writes[r]  # no write/write pair, ever
+            overlap = writes[w] & reads[r]
+            if overlap:
+                found.add((w, r, tuple(sorted(loc[-1] for loc in overlap))))
+    return found
 
-    def test_backward_reads_ancestor_rows(self, plan):
-        effects = backward_effects(plan)
-        by_node = {}
-        for e in effects:
-            if e.mode == READ and e.rows.size and e.space == X_SPACE:
-                by_node.setdefault(e.node, []).append(e)
-        for st in plan.steps:
-            if st.below.size:
-                reads = by_node[st.s]
-                assert any(np.array_equal(e.rows, st.below) for e in reads)
 
-    def test_conflicts_exclude_same_node_and_read_read(self, plan):
-        for a, b, overlap in effect_conflicts(forward_effects(plan)):
-            assert a.node != b.node
-            assert WRITE in (a.mode, b.mode)
-            assert overlap.size
+class TestObligations:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=strategies.integers(2, 28),
+        density=strategies.floats(0.02, 0.6),
+        seed=strategies.integers(0, 2**16),
+        grain=strategies.sampled_from([0, 64, 4096]),
+    )
+    def test_derived_obligations_equal_pairwise_intersection(self, n, density, seed, grain):
+        stree = analyze(random_spd(n, density=density, seed=seed)).stree
+        plan = build_plan(stree, grain=grain)
+        for sweep, derived in zip(
+            ("forward", "backward"), schedule._ordering_obligations(plan, stree.n)
+        ):
+            got = [(w, r, tuple(rows.tolist())) for w, r, rows in zip(*derived)]
+            assert len(got) == len(set(got))
+            assert set(got) == _brute_force_obligations(stree, sweep)
+        assert certify_level_program(compile_level_program(plan), plan, stree).ok
 
     def test_format_index_set(self):
         assert format_index_set(np.array([], dtype=np.int64)) == "[]"
@@ -160,17 +163,18 @@ class TestCertifyMutants:
 
 
 class TestLevelChainSharesThePlansConflicts:
-    """The level-chain check re-uses each sweep's conflict pairs, relabelled."""
+    """The level-chain check re-uses the plan's ordering obligations."""
 
     def test_conflicts_derived_once_per_sweep(self, sym, plan, monkeypatch):
         calls = []
-        real = schedule.effect_conflicts
+        real = schedule._ordering_obligations
         monkeypatch.setattr(
-            schedule, "effect_conflicts", lambda effects: calls.append(1) or real(effects)
+            schedule, "_ordering_obligations",
+            lambda plan, n: calls.append(1) or real(plan, n),
         )
         cert = certify_level_program(compile_level_program(plan), plan, sym.stree)
         assert cert.ok, cert.report.render()
-        assert len(calls) == 2  # forward + backward; not again for the level chain
+        assert len(calls) == 1  # both sweeps, plan tasks and level chain alike
 
     def test_level_chain_findings_name_levels_not_plan_tasks(self, sym, plan):
         # Lift a child onto its parent's level: its backward gather then
@@ -188,15 +192,26 @@ class TestLevelChainSharesThePlansConflicts:
         stale = [f for f in cert.report.errors() if f.rule == "schedule-stale-read"]
         assert stale and all(f.message.count(label) == 2 for f in stale), cert.report.render()
 
+    def test_level_the_program_does_not_have_is_reported_not_raised(self, sym, plan):
+        # Used to die with IndexError in the level-chain check.
+        program = compile_level_program(plan)
+        node_level = program.node_level.copy()
+        node_level[0] = len(program.levels)
+        cert = certify_level_program(
+            dataclasses.replace(program, node_level=node_level), plan, sym.stree
+        )
+        assert cert.report.rules() == {"schedule-program-shape"}
+
     def test_schedule_corpus_fires_exactly_the_recorded_rules(self):
-        # Full rule sets recorded before the pairs were shared between the
-        # plan and level-chain checks: sharing must not add or lose a rule.
+        # Full rule sets recorded under the all-pairs effect model, minus the
+        # ordering check on the one plan whose column ranges do not tile
+        # (plan-duplicated-columns: its x/x stale reads are not obligations).
         recorded = {
             "plan-dropped-dependency": {"schedule-dep-count", "schedule-race"},
             "plan-scatter-overlap": {"schedule-scatter-overlap"},
             "plan-duplicated-columns": {
                 "schedule-coverage-gap", "schedule-coverage-overlap", "schedule-scatter-mismatch",
-                "schedule-stale-read", "schedule-tree-mismatch",
+                "schedule-tree-mismatch",
             },
             "plan-permuted-reduction": {"schedule-reduction-order"},
             "program-swapped-scatter": {"schedule-program-scatter"},
