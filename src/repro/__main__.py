@@ -53,9 +53,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("SPMD communication lint: clean (forward + backward)")
     rng = np.random.default_rng(args.seed)
     b = rng.normal(size=(a.n, args.nrhs))
-    _, rep = solver.solve(
-        b, refine=args.refine, backend=args.backend, workers=args.workers
-    )
+    _, rep = solver.solve(b, refine=args.refine, backend=args.backend)
     print(f"matrix {args.matrix}(size={args.size}): N={a.n}, nnz={a.nnz}, "
           f"factor nnz={solver.symbolic.factor_nnz}")
     if rep.backend == "sim":
@@ -63,14 +61,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"p={rep.p} nrhs={rep.nrhs} backend=sim")
     else:
         kind = "wall-clock"
-        from repro.exec import default_workers, plan_for
-
-        nw = 1
-        if rep.backend == "threads":
-            nw = rep.workers if rep.workers is not None else default_workers()
-        stats = plan_for(solver.symbolic.stree).stats()
-        print(f"nrhs={rep.nrhs} backend={rep.backend} workers={nw} "
-              f"tasks={stats['ntasks']} levels={stats['nlevels']}")
+        stree = solver.symbolic.stree
+        print(f"nrhs={rep.nrhs} backend={rep.backend} supernodes={stree.nsuper} "
+              f"levels={int(stree.bottom_up_levels().max()) + 1}")
         if rep.schedule_certificate:
             print(f"schedule certificate: {rep.schedule_certificate}")
     print(f"  factorization : {rep.factor_seconds * 1e3:10.3f} ms  "
@@ -166,6 +159,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
     import threading
 
     from repro.core.solver import ParallelSparseSolver
+    from repro.serve import SolveService
     from repro.sparse.generators import model_problem
 
     a = model_problem(args.matrix, args.size, seed=args.seed)
@@ -174,12 +168,12 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
     rhs = [rng.normal(size=a.n) for _ in range(args.requests)]
 
     results: list[np.ndarray | None] = [None] * args.requests
-    with solver.serving(
-        backend=args.backend,
+    with SolveService(
         max_batch=args.max_batch,
         max_wait=args.max_wait,
         max_queue=max(args.requests, args.max_batch),
     ) as service:
+        service.register("default", solver)
 
         def submitter(worker: int) -> None:
             for i in range(worker, args.requests, args.submitters):
@@ -198,7 +192,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
     # Coalescing must be observably transparent: spot-check a few
     # responses bitwise against standalone width-1 solves.
     for i in range(0, args.requests, max(1, args.requests // 8)):
-        x_alone, _ = solver.solve(rhs[i], check=False, backend=args.backend)
+        x_alone, _ = solver.solve(rhs[i], check=False, backend="fused")
         if not np.array_equal(results[i], x_alone):
             print(f"request {i}: coalesced response differs from standalone solve",
                   file=sys.stderr)
@@ -211,7 +205,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
     )
     print(f"matrix {args.matrix}(size={args.size}): N={a.n}, "
           f"{args.requests} single-RHS requests from {args.submitters} threads, "
-          f"backend={args.backend}, max_batch={args.max_batch}, "
+          f"max_batch={args.max_batch}, "
           f"max_wait={args.max_wait * 1e3:g} ms")
     print(report.summary())
     print(f"transparency: sampled responses bitwise-equal to standalone solves; "
@@ -246,13 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--backend", default="sim",
                    choices=["sim", *REAL_BACKENDS],
                    help="triangular-solve execution: 'sim' walks the SPMD "
-                        "solvers through the machine simulator; 'serial', "
-                        "'threads' and 'fused' run them for real and report "
+                        "solvers through the machine simulator; 'serial' "
+                        "and 'fused' run them for real and report "
                         "wall-clock ('fused' batches whole elimination-tree "
-                        "levels into vectorized array ops)")
-    s.add_argument("--workers", type=int, default=None,
-                   help="thread count for --backend threads (default: one "
-                        "per core, capped)")
+                        "levels into vectorized array ops; 'serial' is the "
+                        "reference walker)")
     s.add_argument("--no-verify", action="store_true",
                    help="skip the cheap structural invariant checks in prepare()")
     s.add_argument("--verify-comm", action="store_true",
@@ -305,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coalescer flush width (columns)")
     s.add_argument("--max-wait", type=float, default=2e-3,
                    help="coalescer deadline in seconds")
-    s.add_argument("--backend", default="fused",
-                   choices=REAL_BACKENDS)
     s.add_argument("--ordering", default="nested_dissection")
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=_cmd_serve_demo)

@@ -58,18 +58,16 @@ class SolveReport:
     """Everything the paper's Figure 7 reports for one (matrix, p, NRHS).
 
     ``backend`` records where the triangular-solve seconds came from:
-    ``"sim"`` (simulated machine makespans, the default), or the real
-    wall-clock backends ``"serial"`` / ``"threads"`` / ``"fused"`` of
-    :mod:`repro.exec`.
+    ``"sim"`` (simulated machine makespans, the default), or measured
+    wall-clock: ``"serial"`` (the reference walker) / ``"fused"`` (the
+    level program of :mod:`repro.exec`).
 
-    ``schedule_certificate`` (``threads`` or ``fused`` backend with
-    ``verify=True``) is the determinism certificate of the statically
-    certified execution plan: a canonical hash over the schedule's
-    reduction orders and task topology.  It is a pure function of the
-    symbolic structure — two reports with equal certificates ran
-    schedule-equivalent (hence bitwise-identical) solves, for *any*
-    worker count and either real backend, without either run having to
-    be repeated.
+    ``schedule_certificate`` (``fused`` backend with ``verify=True``) is
+    the determinism certificate of the statically certified level
+    program: a canonical hash over the schedule's reduction orders and
+    task topology.  It is a pure function of the symbolic structure —
+    two reports with equal certificates ran schedule-equivalent (hence
+    bitwise-identical) solves without either run having to be repeated.
     """
 
     n: int
@@ -82,7 +80,6 @@ class SolveReport:
     backward: TrisolveRun
     residual: float | None = None
     backend: str = "sim"
-    workers: int | None = None
     schedule_certificate: str | None = None
 
     @property
@@ -247,7 +244,6 @@ class ParallelSparseSolver:
         check: bool = True,
         refine: int = 0,
         backend: str = "sim",
-        workers: int | None = None,
     ) -> tuple[np.ndarray, SolveReport]:
         """Solve ``A x = b`` and report per-phase times.
 
@@ -263,26 +259,20 @@ class ParallelSparseSolver:
         * ``"sim"`` (default) — the paper's SPMD solvers walked through
           the machine simulator; seconds are simulated makespans.
         * ``"serial"`` — the serial supernodal solvers of
-          :mod:`repro.numeric.trisolve`; seconds are measured wall-clock.
-        * ``"threads"`` — the shared-memory engine of :mod:`repro.exec`
-          with ``workers`` threads (default: one per core, capped);
-          seconds are measured wall-clock.  Results are bitwise
-          reproducible across worker counts.  With ``verify=True`` (the
-          solver default) the execution plan is first put through the
-          static schedule certifier — race-freedom, exactly-once
-          coverage, canonical reduction order — and the resulting
-          determinism certificate is recorded on the report
-          (``schedule_certificate``); certification is memoized per
-          structure, so only the first solve pays for the proof.
+          :mod:`repro.numeric.trisolve`, the reference every other
+          execution is compared against; seconds are measured wall-clock.
         * ``"fused"`` — the vectorized level program of
           :mod:`repro.exec.fused`: whole elimination-tree levels batched
           into a handful of array ops, no per-node Python dispatch, no
-          per-node allocations.  Bitwise identical to ``serial`` and
-          ``threads``.  With ``verify=True`` the compiled program is
-          certified against its plan
-          (:func:`repro.verify.schedule.certify_level_program`) and the
-          report carries the *same* determinism certificate the
-          ``threads`` backend earns — one structure, one certificate.
+          per-node allocations; seconds are measured wall-clock.  Bitwise
+          identical to ``serial``.  With ``verify=True`` (the solver
+          default) the compiled program is first put through the static
+          schedule certifier
+          (:func:`repro.verify.schedule.certify_level_program`) —
+          race-freedom, exactly-once coverage, canonical reduction order —
+          and the resulting determinism certificate is recorded on the
+          report (``schedule_certificate``); certification is memoized
+          per structure, so only the first solve pays for the proof.
 
         Factorization and redistribution seconds always come from the
         machine model — only the repo's real hot path (the solves) is
@@ -292,8 +282,6 @@ class ParallelSparseSolver:
         require(backend == "sim" or backend in REAL_BACKENDS,
                 f"backend must be 'sim' or one of {REAL_BACKENDS}, "
                 f"got {backend!r}")
-        require(workers is None or backend == "threads",
-                "workers is only meaningful with backend='threads'")
         bvec = np.asarray(bvec, dtype=np.float64)
         squeeze = bvec.ndim == 1
         bmat = bvec[:, None] if squeeze else bvec
@@ -302,14 +290,12 @@ class ParallelSparseSolver:
         require(refine >= 0, "refine must be >= 0")
         nrhs = bmat.shape[1]
 
-        x, fwd_seconds, bwd_seconds, fwd_sim, bwd_sim = self._one_solve(
-            bmat, backend, workers
-        )
+        x, fwd_seconds, bwd_seconds, fwd_sim, bwd_sim = self._one_solve(bmat, backend)
         for _ in range(refine):
             from repro.sparse.ops import matvec
 
             residual = bmat - matvec(self.a, x)
-            dx, fs, bs, _, _ = self._one_solve(residual, backend, workers)
+            dx, fs, bs, _, _ = self._one_solve(residual, backend)
             x = x + dx
             fwd_seconds += fs
             bwd_seconds += bs
@@ -325,14 +311,11 @@ class ParallelSparseSolver:
             forward=TrisolveRun(seconds=fwd_seconds, flops=solve_flops, sim=fwd_sim),
             backward=TrisolveRun(seconds=bwd_seconds, flops=solve_flops, sim=bwd_sim),
             backend=backend,
-            workers=workers,
         )
-        if self.verify and backend in ("threads", "fused"):
-            from repro.exec import certificate_for, fused_certificate_for
+        if self.verify and backend == "fused":
+            from repro.exec import fused_certificate_for
 
-            cert = (fused_certificate_for if backend == "fused"
-                    else certificate_for)(sym.stree)
-            report.schedule_certificate = cert.digest
+            report.schedule_certificate = fused_certificate_for(sym.stree).digest
         if check:
             from repro.sparse.ops import relative_residual
 
@@ -340,61 +323,8 @@ class ParallelSparseSolver:
         return (x[:, 0] if squeeze else x), report
 
     # ------------------------------------------------------------------
-    def serving(
-        self,
-        *,
-        backend: str = "fused",
-        max_batch: int = 16,
-        max_wait: float = 2e-3,
-        idle_wait: float | None = -1.0,
-        max_queue: int | None = None,
-        clock=None,
-        workers: int | None = None,
-        key: str = "default",
-    ):
-        """A request-coalescing solve service over this prepared solver.
-
-        Context manager: yields a started
-        :class:`~repro.serve.service.SolveService` with this solver
-        registered under *key* (default ``"default"``), and drains and
-        closes it on exit.  ``submit()`` single- or few-column requests
-        from any thread; the service packs concurrent requests into one
-        multi-RHS solve on the cached factor, and every response is
-        bitwise identical to the corresponding standalone
-        ``solve(..., backend=backend)`` solution::
-
-            with solver.serving(max_batch=16) as svc:
-                fut = svc.submit(b)          # b: (n,) or (n, w)
-                x = fut.result()
-
-        Pass a :class:`~repro.serve.clock.FakeClock` as *clock* to run
-        the service in deterministic manual-pump mode (tests).
-        """
-        from contextlib import contextmanager
-
-        from repro.serve import SolveService
-
-        @contextmanager
-        def _serving():
-            service = SolveService(
-                backend=backend,
-                max_batch=max_batch,
-                max_wait=max_wait,
-                idle_wait=idle_wait,
-                max_queue=max_queue,
-                clock=clock,
-                workers=workers,
-            )
-            service.register(key, self)
-            try:
-                yield service
-            finally:
-                service.close()
-
-        return _serving()
-
     def _one_solve(
-        self, bmat: np.ndarray, backend: str = "sim", workers: int | None = None
+        self, bmat: np.ndarray, backend: str
     ) -> tuple[np.ndarray, float, float, SimResult | None, SimResult | None]:
         """One forward+backward pass; returns x (original order) and times."""
         sym, factor, assign = self._require_prepared()
@@ -420,7 +350,7 @@ class ParallelSparseSolver:
             t1 = perf_counter()
             x_perm = backward_supernodal(factor, y)
             t2 = perf_counter()
-        elif backend == "fused":
+        else:  # fused
             from repro.exec import backward_fused, forward_fused
             from repro.exec.cache import program_for
 
@@ -431,18 +361,6 @@ class ParallelSparseSolver:
             y = forward_fused(factor, b_perm, program=program)
             t1 = perf_counter()
             x_perm = backward_fused(factor, y, program=program)
-            t2 = perf_counter()
-        else:  # threads
-            from repro.exec import backward_exec, forward_exec, plan_for
-
-            # Cached across repeated solves; with verify=True the plan is
-            # also statically certified (once per structure) before any
-            # task is dispatched.
-            plan = plan_for(sym.stree, certify=self.verify)
-            t0 = perf_counter()
-            y = forward_exec(factor, b_perm, workers=workers, plan=plan)
-            t1 = perf_counter()
-            x_perm = backward_exec(factor, y, workers=workers, plan=plan)
             t2 = perf_counter()
         x = sym.perm.unapply_to_vector(x_perm)
         return x, t1 - t0, t2 - t1, None, None

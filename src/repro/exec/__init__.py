@@ -1,30 +1,37 @@
-"""Real shared-memory execution backends for the triangular solves.
+"""Real execution of the triangular solves on the host.
 
 The :mod:`repro.machine` layer *simulates* the paper's message-passing
 solvers to reproduce its timing figures; this package *executes* the
-solves on the host for real.  Two real backends share one schedule: the
-level-scheduled thread pool over the supernodal tree (``threads``) and
-the flat, vectorized level program (``fused``), which batches each
-elimination-tree level into a handful of whole-level array ops.  The
-layers are deliberately separate from the simulator: simulated seconds
-validate the paper's model, measured seconds are what
-``python -m benchmarks.spine`` reports (``benchmarks/spine/README.md``).
+solves for real.  There are two executions and a reference: the flat,
+vectorized level program (``fused`` — each elimination-tree level batched
+into a handful of whole-level array ops; what ``solve(backend="fused")``
+and the serving layer run), the serial supernodal walker of
+:mod:`repro.numeric.trisolve` (``serial``, the reference), and the
+dependency-counted thread pool of :mod:`repro.exec.engine`, which no
+option selects any more.  The layers are deliberately separate from the
+simulator: simulated seconds validate the paper's model, measured seconds
+are what ``python -m benchmarks.spine`` reports
+(``benchmarks/spine/README.md``).
 
 Public surface (building blocks only this package and its tests touch
 are imported from their submodules):
 
-* :func:`forward_exec` / :func:`backward_exec` / :func:`solve_exec` —
-  the threaded engine entry points (vector or ``(n, nrhs)`` blocks).
 * :func:`forward_fused` / :func:`backward_fused` / :func:`solve_fused` —
-  the fused level-program entry points; bitwise identical results.
+  the fused level-program entry points (vector or ``(n, nrhs)`` blocks).
 * :func:`build_plan` / :func:`plan_for` — explicit or cached
-  :class:`ExecPlan` construction; ``plan_for(..., certify=True)`` runs
-  the static schedule certifier (:mod:`repro.verify.schedule`) first.
+  :class:`ExecPlan` construction, the schedule a program is compiled from.
 * :func:`compile_level_program` / :func:`program_for` — explicit or
-  cached compilation of a plan into a :class:`LevelProgram`.
-* :func:`certificate_for` / :func:`fused_certificate_for` — the memoized
+  cached compilation of a plan into a :class:`LevelProgram`;
+  ``program_for(..., certify=True)`` runs the static schedule certifier
+  (:mod:`repro.verify.schedule`) first.
+* :func:`fused_certificate_for` / :func:`certificate_for` — the memoized
   determinism certificates (race-freedom + exactly-once coverage proofs)
-  for a structure's plan and for its fused level program.
+  for a structure's level program and for its plan.  ``certificate_for``
+  is still exported because it is the digest the program's certificate
+  must equal, and ``benchmarks/spine`` times it.
+* :func:`solve_exec` / :func:`default_workers` — the thread-pool engine,
+  kept only because ``benchmarks/spine`` measures it as a baseline and
+  the tests use it as a second bitwise reference.
 * :func:`prepare_factor`, :func:`fused_panels_for`,
   :func:`clear_exec_caches`, :func:`exec_cache_stats` — value
   preparation and cache control.
@@ -40,12 +47,7 @@ from repro.exec.cache import (
     prepare_factor,
     program_for,
 )
-from repro.exec.engine import (
-    backward_exec,
-    default_workers,
-    forward_exec,
-    solve_exec,
-)
+from repro.exec.engine import default_workers, solve_exec
 from repro.exec.fused import backward_fused, forward_fused, solve_fused
 from repro.exec.plan import (
     ExecPlan,
@@ -55,16 +57,15 @@ from repro.exec.plan import (
     compile_level_program,
 )
 
-#: The backends that execute on the host (all but ``"sim"``); the solver, the
-#: serving layer and the CLI derive the names they accept from this tuple.
-REAL_BACKENDS = ("serial", "threads", "fused")
+#: The backends that execute on the host (all but ``"sim"``); the solver and
+#: the CLI derive the names they accept from this tuple.
+REAL_BACKENDS = ("serial", "fused")
 
 __all__ = [
     "REAL_BACKENDS",
     "ExecPlan",
     "Level",
     "LevelProgram",
-    "backward_exec",
     "backward_fused",
     "build_plan",
     "certificate_for",
@@ -72,7 +73,6 @@ __all__ = [
     "compile_level_program",
     "default_workers",
     "exec_cache_stats",
-    "forward_exec",
     "forward_fused",
     "fused_certificate_for",
     "fused_panels_for",

@@ -16,8 +16,8 @@ buffers and never race.
 Two workspace shapes live here:
 
 * :class:`EngineWorkspace` — flat per-node accumulator and contribution
-  arenas for the threaded engine, carved by :func:`build_engine_workspace`
-  from an :class:`~repro.exec.plan.ExecPlan` (per-node slices are disjoint,
+  arenas for the thread-pool engine baseline, carved by
+  :func:`build_engine_workspace` from an :class:`~repro.exec.plan.ExecPlan` (per-node slices are disjoint,
   so concurrent tasks write without synchronisation);
 * :class:`FusedWorkspace` — the level-sized scratch of the fused backend,
   carved by :func:`build_fused_workspace` from a
@@ -83,7 +83,7 @@ class WorkspaceArena:
 # ------------------------------------------------------------------ engine
 @dataclass(frozen=True)
 class EngineWorkspace:
-    """Flat accumulator/contribution arenas for the threaded engine.
+    """Flat accumulator/contribution arenas for the thread-pool engine baseline.
 
     ``acc[acc_off[s]:acc_off[s+1]]`` is supernode *s*'s ``(n_s, m)``
     accumulator; ``contrib[contrib_off[s]:contrib_off[s+1]]`` its

@@ -1,8 +1,8 @@
 """Per-structure plan cache and per-factor value preparation.
 
 Repeated solves against the same factorization are the common case (multi
-right-hand-side workloads, iterative refinement, time stepping), so the
-engine never rebuilds what it can reuse:
+right-hand-side workloads, iterative refinement, time stepping), so
+nothing is rebuilt that can be reused:
 
 * :func:`plan_for` caches one default-grain
   :class:`~repro.exec.plan.ExecPlan` per symbolic structure, keyed by the
@@ -10,22 +10,22 @@ engine never rebuilds what it can reuse:
   :class:`~repro.symbolic.analyze.SymbolicFactor` and
   :class:`~repro.numeric.supernodal.SupernodalFactor` share; entries
   are evicted automatically when the structure is garbage collected.
-  ``plan_for(..., certify=True)`` additionally runs the static schedule
-  certifier (:func:`repro.verify.schedule.certify_plan`) over the plan
-  and raises :class:`repro.verify.VerificationError` on any finding;
-  the resulting :class:`~repro.verify.schedule.ScheduleCertificate` is
-  memoized alongside the plan (same key, same eviction), so repeated
-  certified solves pay for the proof exactly once per structure.
+  :func:`certificate_for` memoizes the plan's
+  :class:`~repro.verify.schedule.ScheduleCertificate` alongside it (same
+  key, same eviction) — the digest a certified level program must earn.
 * :func:`prepare_factor` caches a :class:`PreparedFactor` per numeric
   factor: contiguous diagonal/rectangle views of each trapezoid plus a
   one-time singularity screen, so a zero or non-finite diagonal raises a
   clean :class:`ValueError` *before* any task is dispatched (never a
   wrong answer or a hung pool).  Each prepared factor owns a
-  :class:`~repro.exec.arena.WorkspaceArena`, so the solve workspaces of
-  both real backends share the factor's lifetime and eviction.
+  :class:`~repro.exec.arena.WorkspaceArena`, so the solve workspaces
+  share the factor's lifetime and eviction.
 * :func:`program_for` caches the compiled
   :class:`~repro.exec.plan.LevelProgram` per structure, and
-  :func:`fused_certificate_for` its schedule certificate;
+  :func:`fused_certificate_for` its schedule certificate
+  (``program_for(..., certify=True)`` raises
+  :class:`repro.verify.VerificationError` on any finding, and repeated
+  certified solves pay for the proof exactly once per structure);
   :func:`fused_panels_for` caches the packed width-1 panel values per
   numeric factor.
 
@@ -98,23 +98,13 @@ _FUSED_CERTS = _IdentityCache()
 _PANELS = _IdentityCache()
 
 
-def plan_for(stree: SupernodalTree, *, certify: bool = False) -> ExecPlan:
-    """The cached execution plan for *stree* (built on first use).
+def plan_for(stree: SupernodalTree) -> ExecPlan:
+    """The cached default-grain execution plan for *stree* (built on first use).
 
-    With ``certify=True`` the plan is additionally put through the
-    static schedule certifier before it is handed out:
-    :class:`repro.verify.VerificationError` is raised if the certifier
-    finds a race, a coverage violation, or a nondeterministic reduction
-    order.  The certificate is cached alongside the plan, so only the
-    first certified call per structure pays for the proof.  (For another
-    grain, hand :func:`~repro.exec.plan.build_plan`'s plan to ``plan=``.)
+    (For another grain, hand :func:`~repro.exec.plan.build_plan`'s plan
+    to ``plan=``.)
     """
-    plan = _PLANS.get(stree, lambda: build_plan(stree))
-    if certify:
-        certificate_for(stree).report.raise_if_errors(
-            "execution plan failed schedule certification"
-        )
-    return plan
+    return _PLANS.get(stree, lambda: build_plan(stree))
 
 
 def certificate_for(stree: SupernodalTree) -> "ScheduleCertificate":
@@ -123,8 +113,7 @@ def certificate_for(stree: SupernodalTree) -> "ScheduleCertificate":
     Runs :func:`repro.verify.schedule.certify_plan` on first use and
     memoizes the result with the same identity key and weakref eviction
     as the plan itself.  Returns the certificate whether or not it is
-    clean — callers decide between inspecting ``.report`` and failing
-    fast (:func:`plan_for` with ``certify=True`` does the latter).
+    clean — callers inspect ``.report``.
     """
     def certify() -> "ScheduleCertificate":
         from repro.verify.schedule import certify_plan
@@ -161,7 +150,7 @@ def _prepare(factor: SupernodalFactor) -> PreparedFactor:
         t = sn.t
         d = block[:t, :t]
         dvals = np.diagonal(d)
-        if t and (np.any(dvals == 0.0) or not np.all(np.isfinite(dvals))):
+        if np.any(dvals == 0.0) or not np.all(np.isfinite(dvals)):
             bad = int(np.flatnonzero((dvals == 0.0) | ~np.isfinite(dvals))[0])
             raise ValueError(
                 f"singular or non-finite diagonal in supernode {s} "
@@ -199,8 +188,7 @@ def fused_certificate_for(stree: SupernodalTree) -> "ScheduleCertificate":
 
     The certificate carries the *plan's* canonical digest — certifying
     the program means proving it is a faithful, race-free re-layout of
-    the same schedule, so fused solves earn the identical certificate
-    the threaded backend does.
+    the same schedule, so its digest equals :func:`certificate_for`'s.
     """
     def certify() -> "ScheduleCertificate":
         from repro.verify.schedule import certify_level_program

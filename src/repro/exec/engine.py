@@ -1,10 +1,12 @@
-"""Real shared-memory execution of the triangular solves.
+"""The dependency-counted thread-pool execution of the triangular solves.
 
-This is the repo's first *measured* hot path: forward elimination and
-backward substitution over a :class:`~repro.numeric.supernodal.SupernodalFactor`,
-executed for real on threads rather than walked through the machine
-simulator.  The design follows the level/etree scheduling that modern
-shared-memory sparse triangular solvers use:
+Not a product backend: nothing selects it (``ParallelSparseSolver.solve``
+runs ``sim | serial | fused``, the serving layer always runs ``fused``).
+:func:`solve_exec` stays as what ``benchmarks/spine`` and the tests use
+it for — a measured baseline (``exec.engine.*``: slower than the fused
+level program at every worker count on every workload) and a second,
+differently scheduled bitwise reference — until a ``benchmark`` PR drops
+those probes and this module can be deleted whole.
 
 * the cached :class:`~repro.exec.plan.ExecPlan` aggregates cheap subtrees
   into sequential tasks and leaves the expensive top of the tree as
@@ -12,9 +14,7 @@ shared-memory sparse triangular solvers use:
   thread pool);
 * tasks are dispatched to a :class:`~concurrent.futures.ThreadPoolExecutor`
   by dependency counting on the task tree — a forward task becomes ready
-  when its child tasks finish, a backward task when its parent does.  The
-  dense kernels (BLAS ``dtrsm`` and ``@``) release the GIL, so tasks
-  overlap on real cores;
+  when its child tasks finish, a backward task when its parent does;
 * all arithmetic is batched over the full ``(n, nrhs)`` right-hand-side
   block, and child contributions are reduced in ascending child order
   inside the consuming node — so results are **bitwise identical** for
@@ -30,10 +30,9 @@ ancestor entries ``x[below]`` and solves its transposed triangle.
 Accumulator and contribution blocks live in a flat
 :class:`~repro.exec.arena.EngineWorkspace` leased from the prepared
 factor's arena — per-node slices are disjoint, so tasks stay
-synchronisation-free while repeated solves stop paying a
-``np.zeros((n_s, m))`` per node.  All dense math goes through the
-canonical kernels in :mod:`repro.numeric.kernels`, which is what keeps
-the engine bitwise identical to the serial walker and the fused backend.
+synchronisation-free.  All dense math goes through the canonical kernels
+in :mod:`repro.numeric.kernels`, which is what keeps the engine bitwise
+identical to the serial walker and the fused level program.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,13 +48,7 @@ import numpy as np
 from repro.exec.arena import build_engine_workspace
 from repro.exec.cache import PreparedFactor, plan_for, prepare_factor
 from repro.exec.plan import ExecPlan
-from repro.numeric.kernels import (
-    rect_apply,
-    rect_apply_t,
-    solve_lower,
-    solve_lower_t,
-    unit_dot,
-)
+from repro.numeric.kernels import rect_apply, rect_apply_t, solve_lower, solve_lower_t
 from repro.numeric.supernodal import SupernodalFactor
 from repro.numeric.trisolve import as_rhs_matrix
 from repro.util.validation import require
@@ -67,10 +61,7 @@ def default_workers() -> int:
     """The worker count used when callers pass ``workers=None``.
 
     One thread per core, capped at :data:`MAX_DEFAULT_WORKERS`, never
-    below 1.  This is the single source of truth for "how many workers
-    does this machine get by default" — the engine, the CLI and the
-    benchmark harness all call it, so the policy cannot drift between
-    them.
+    below 1 (the benchmark harness reads it for its widest engine probe).
     """
     return max(1, min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS))
 
@@ -95,18 +86,16 @@ def _run_task_graph(
     ndeps: Sequence[int],
     dependents: Sequence[Sequence[int]],
     body: Callable[[int], None],
-    workers: int,
-    pool: ThreadPoolExecutor | None = None,
+    pool: ThreadPoolExecutor | None,
 ) -> None:
     """Run ``body(i)`` for every task, honouring the dependency counts.
 
-    ``workers == 1`` runs inline (no pool) in deterministic topological
-    order.  Otherwise tasks are submitted to *pool* — owned by the caller
-    so one executor serves both sweeps of a solve; when ``pool is None`` a
-    temporary one is created.  A failing task stops further submission,
-    the already-running tasks drain, and the failure with the smallest
-    task index is re-raised — the pool can never deadlock on an exception
-    because nothing waits on a task that was never submitted.
+    ``pool is None`` runs inline in deterministic topological order.
+    Otherwise tasks are submitted to *pool* — owned by the caller so one
+    executor serves both sweeps of a solve.  A failing task stops further
+    submission, the already-running tasks drain, and the failure with the
+    smallest task index is re-raised — the pool can never deadlock on an
+    exception because nothing waits on a task that was never submitted.
     """
     if ntasks == 0:
         return
@@ -115,7 +104,7 @@ def _run_task_graph(
     require(bool(ready), "task graph has no ready tasks — dependency cycle")
 
     executed = 0
-    if workers == 1:
+    if pool is None:
         queue = deque(ready)
         while queue:
             i = queue.popleft()
@@ -127,11 +116,6 @@ def _run_task_graph(
                     queue.append(d)
         require(executed == ntasks,
                 "task graph stalled before completing — dependency cycle")
-        return
-
-    if pool is None:
-        with ThreadPoolExecutor(max_workers=workers) as owned:
-            _run_task_graph(ntasks, ndeps, dependents, body, workers, pool=owned)
         return
 
     failures: list[tuple[int, BaseException]] = []
@@ -163,8 +147,7 @@ def _forward_mat(
     plan: ExecPlan,
     prep: PreparedFactor,
     y: np.ndarray,
-    workers: int,
-    pool: ThreadPoolExecutor | None = None,
+    pool: ThreadPoolExecutor | None,
 ) -> np.ndarray:
     """In-place forward elimination ``L y = b`` over the (n, m) block."""
     m = y.shape[1]
@@ -182,23 +165,19 @@ def _forward_mat(
                 t = st.t
                 acc = ws.acc[acc_off[s]:acc_off[s + 1]]
                 acc[t:] = 0.0
-                if t:
-                    acc[:t] = y[st.col_lo:st.col_hi]
+                acc[:t] = y[st.col_lo:st.col_hi]
                 for c, idx in zip(st.children, st.child_scatter):
                     c0, c1 = con_off[c], con_off[c + 1]
                     if c1 > c0:
                         acc[idx] += ws.contrib[c0:c1]
-                if t:
-                    solved = solve_lower(diag[s], acc[:t])
-                    y[st.col_lo:st.col_hi] = solved
-                    if st.n > t:
-                        np.subtract(acc[t:], rect_apply(rect[s], solved),
-                                    out=ws.contrib[con_off[s]:con_off[s + 1]])
-                elif st.n:
-                    ws.contrib[con_off[s]:con_off[s + 1]] = acc
+                solved = solve_lower(diag[s], acc[:t])
+                y[st.col_lo:st.col_hi] = solved
+                if st.n > t:
+                    np.subtract(acc[t:], rect_apply(rect[s], solved),
+                                out=ws.contrib[con_off[s]:con_off[s + 1]])
 
         ndeps, dependents = plan.forward_deps()
-        _run_task_graph(plan.ntasks, ndeps, dependents, run_task, workers, pool)
+        _run_task_graph(plan.ntasks, ndeps, dependents, run_task, pool)
     return y
 
 
@@ -206,8 +185,7 @@ def _backward_mat(
     plan: ExecPlan,
     prep: PreparedFactor,
     x: np.ndarray,
-    workers: int,
-    pool: ThreadPoolExecutor | None = None,
+    pool: ThreadPoolExecutor | None,
 ) -> np.ndarray:
     """In-place backward substitution ``L^T x = y`` over the (n, m) block."""
     steps = plan.steps
@@ -216,58 +194,17 @@ def _backward_mat(
     def run_task(ti: int) -> None:
         for s in reversed(plan.tasks[ti].nodes):
             st = steps[s]
-            t = st.t
-            if not t:
-                continue
             top = x[st.col_lo:st.col_hi]
-            if st.n > t:
-                xg = x[st.below]
-                top = top - (unit_dot(rect[s], xg) if t == 1
-                             else rect_apply_t(rect[s], xg))
+            if st.n > st.t:
+                top = top - rect_apply_t(rect[s], x[st.below])
             x[st.col_lo:st.col_hi] = solve_lower_t(diag[s], top)
 
     ndeps, dependents = plan.backward_deps()
-    _run_task_graph(plan.ntasks, ndeps, dependents, run_task, workers, pool)
+    _run_task_graph(plan.ntasks, ndeps, dependents, run_task, pool)
     return x
 
 
 # ------------------------------------------------------------------ public
-def forward_exec(
-    factor: SupernodalFactor,
-    b: np.ndarray,
-    *,
-    workers: int | None = None,
-    plan: ExecPlan | None = None,
-) -> np.ndarray:
-    """Solve ``L y = b`` on the shared-memory engine.
-
-    *b* may be a vector or an ``(n, nrhs)`` block; the result matches the
-    input's shape.  Identical numerics for every ``workers`` value.
-    """
-    workers_n = resolve_workers(workers)
-    plan = plan if plan is not None else plan_for(factor.stree)
-    prep = prepare_factor(factor)
-    y, squeeze = as_rhs_matrix(b, factor.n)
-    _forward_mat(plan, prep, y, workers_n)
-    return y[:, 0] if squeeze else y
-
-
-def backward_exec(
-    factor: SupernodalFactor,
-    b: np.ndarray,
-    *,
-    workers: int | None = None,
-    plan: ExecPlan | None = None,
-) -> np.ndarray:
-    """Solve ``L^T x = b`` on the shared-memory engine."""
-    workers_n = resolve_workers(workers)
-    plan = plan if plan is not None else plan_for(factor.stree)
-    prep = prepare_factor(factor)
-    x, squeeze = as_rhs_matrix(b, factor.n)
-    _backward_mat(plan, prep, x, workers_n)
-    return x[:, 0] if squeeze else x
-
-
 def solve_exec(
     factor: SupernodalFactor,
     b: np.ndarray,
@@ -278,17 +215,16 @@ def solve_exec(
     """Full ``A x = b`` solve (forward then backward) on the engine.
 
     One :class:`~concurrent.futures.ThreadPoolExecutor` serves both
-    sweeps — the pool is created once per call, not once per sweep.
+    sweeps — the pool is created once per call, not once per sweep; one
+    worker runs inline without a pool.  Identical numerics for every
+    ``workers`` value.
     """
     workers_n = resolve_workers(workers)
     plan = plan if plan is not None else plan_for(factor.stree)
     prep = prepare_factor(factor)
     x, squeeze = as_rhs_matrix(b, factor.n)
-    if workers_n == 1:
-        _forward_mat(plan, prep, x, workers_n)
-        _backward_mat(plan, prep, x, workers_n)
-    else:
-        with ThreadPoolExecutor(max_workers=workers_n) as pool:
-            _forward_mat(plan, prep, x, workers_n, pool)
-            _backward_mat(plan, prep, x, workers_n, pool)
+    with (ThreadPoolExecutor(max_workers=workers_n) if workers_n > 1
+          else nullcontext()) as pool:
+        _forward_mat(plan, prep, x, pool)
+        _backward_mat(plan, prep, x, pool)
     return x[:, 0] if squeeze else x

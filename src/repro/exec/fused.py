@@ -1,18 +1,18 @@
 """The fused, level-batched execution backend (``backend="fused"``).
 
-The threaded engine's hot path is per-node Python dispatch: one loop
-iteration and one scatter loop per supernode.  On fine-grained elimination
-trees (2-D/3-D grid problems are ~85% width-1 supernodes) that overhead
-dwarfs the dense kernels (``exec.engine.*`` against ``exec.fused.*`` in
+A per-node executor's hot path is Python dispatch: one loop iteration and
+one scatter loop per supernode.  On fine-grained elimination trees
+(2-D/3-D grid problems are ~85% width-1 supernodes) that overhead dwarfs
+the dense kernels (``exec.engine.*`` against ``exec.fused.*`` in
 ``benchmarks/spine/README.md``).  This module executes the
 :class:`~repro.exec.plan.LevelProgram` compiled from the plan — per level:
 
-* one ``np.take`` gathers every panel top of the level into the packed
+* one ``take`` gathers every panel top of the level into the packed
   accumulator;
-* one ``np.take`` + ``np.add.at`` replays all child-contribution
+* one ``take`` + ``np.add.at`` replays all child-contribution
   scatters of the level through flat int64 index vectors, in the plan's
   (parent ascending, child ascending) order — ``np.add.at`` applies
-  updates in index order, so the reduction is exactly the engine's
+  updates in index order, so the reduction is exactly the plan's
   deterministic ascending-child sum;
 * the width-1 lane solves all its panels with one broadcast divide, one
   replicated multiply and one subtract (forward) or one level-wide
@@ -29,7 +29,12 @@ Every buffer comes from a :class:`~repro.exec.arena.FusedWorkspace`
 leased from the prepared factor's arena, so a steady-state solve
 performs no per-node allocations at all.  All dense math matches the
 canonical kernels in :mod:`repro.numeric.kernels` op for op; solutions
-are bitwise identical to the ``serial`` and ``threads`` backends.
+are bitwise identical to the ``serial`` reference (and to the engine
+baseline, :func:`repro.exec.engine.solve_exec`).
+
+Gathers call ``ndarray.take`` directly: ``np.take`` reaches the same C
+routine through a Python-level ``fromnumeric`` wrapper, several hundred
+times per solve.
 """
 
 from __future__ import annotations
@@ -103,11 +108,10 @@ def _forward_levels(
         acc = ws.acc[: lvl.size]
         if lvl.size > tt:
             acc[tt:] = 0.0
-        if tt:
-            np.take(y, lvl.top_src, axis=0, out=acc[:tt])
+        y.take(lvl.top_src, axis=0, out=acc[:tt])
         nsc = lvl.scatter_src.size
         if nsc:
-            np.take(contrib, lvl.scatter_src, axis=0, out=ws.gather[:nsc])
+            contrib.take(lvl.scatter_src, axis=0, out=ws.gather[:nsc])
             np.add.at(acc, lvl.scatter_dst, ws.gather[:nsc])
         ones = lvl.ones
         if ones is not None:
@@ -116,20 +120,12 @@ def _forward_levels(
             y[ones.cols] = tops
             if ones.b:
                 rep = ws.rep[: ones.b]
-                np.take(tops, ones.rep_idx, axis=0, out=rep)
+                tops.take(ones.rep_idx, axis=0, out=rep)
                 np.multiply(rep, panels.r1[lvl.index], out=rep)
                 lo = ones.contrib_lo
                 np.subtract(acc[tt:tt + ones.b], rep, out=contrib[lo:lo + ones.b])
         for g in lvl.groups:
             t = g.t
-            if not t:
-                for i in range(g.nodes.size):
-                    nb = int(g.nb[i])
-                    if nb:
-                        bo = int(g.below_off[i])
-                        co = int(g.contrib_off[i])
-                        contrib[co:co + nb] = acc[bo:bo + nb]
-                continue
             for i in range(g.nodes.size):
                 s = int(g.nodes[i])
                 to = int(g.top_off[i])
@@ -158,12 +154,12 @@ def _backward_levels(
     for lvl in reversed(program.levels):
         ngr = lvl.gather_rows.size
         if ngr:
-            np.take(x, lvl.gather_rows, axis=0, out=ws.gather[:ngr])
+            x.take(lvl.gather_rows, axis=0, out=ws.gather[:ngr])
         ones = lvl.ones
         if ones is not None:
             kb = ones.k_below
             top = ws.top[: ones.k]
-            np.take(x, ones.cols, axis=0, out=top)
+            x.take(ones.cols, axis=0, out=top)
             if ones.b:
                 rep = ws.rep[: ones.b]
                 np.multiply(ws.gather[: ones.b], panels.r1[lvl.index], out=rep)
@@ -173,8 +169,6 @@ def _backward_levels(
             x[ones.cols] = top
         for g in lvl.groups:
             t = g.t
-            if not t:
-                continue
             for i in range(g.nodes.size):
                 s = int(g.nodes[i])
                 cl = int(g.col_lo[i])
@@ -217,7 +211,7 @@ def forward_fused(
     """Solve ``L y = b`` with the fused level program.
 
     *b* may be a vector or an ``(n, nrhs)`` block; the result matches the
-    input's shape and is bitwise identical to every other real backend.
+    input's shape and is bitwise identical to the serial reference.
     """
     prep = prepare_factor(factor)
     program, panels = _resolve_program(factor, prep, program)

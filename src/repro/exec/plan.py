@@ -3,12 +3,14 @@
 The simulated solvers in :mod:`repro.core` model the paper's
 message-passing algorithms; this module is the *real* counterpart.  It
 turns a :class:`~repro.symbolic.stree.SupernodalTree` into an
-:class:`ExecPlan` — everything the shared-memory engine
-(:mod:`repro.exec.engine`) needs to run forward elimination and backward
-substitution without recomputing any structure:
+:class:`ExecPlan` — the schedule the fused :class:`LevelProgram` is
+compiled from (``steps`` and ``node_level``) and everything the
+thread-pool engine baseline (:mod:`repro.exec.engine`) needs to run
+forward elimination and backward substitution without recomputing any
+structure:
 
 * **Per-supernode steps** (:class:`NodeStep`): column range, trapezoid
-  shape, the ascending child list (which fixes the engine's deterministic
+  shape, the ascending child list (which fixes the deterministic
   reduction order), and precomputed scatter indices mapping each child's
   below-rows into this node's rows (the solve-phase analogue of the
   multifrontal extend-add).
@@ -48,9 +50,9 @@ DEFAULT_GRAIN = 4096
 class NodeStep:
     """Structure-only data for one supernode, consumed by the hot loop.
 
-    ``children`` ascend, and the engine always reduces child contributions
-    in this order — that (not the thread schedule) is what makes the
-    backend bitwise reproducible across worker counts.
+    ``children`` ascend, and every execution reduces child contributions
+    in this order — that (not the execution's own schedule) is what makes
+    serial, fused and engine results bitwise identical.
     """
 
     s: int
@@ -275,7 +277,7 @@ class LevelOnes:
 
 @dataclass(frozen=True, slots=True)
 class LevelGroup:
-    """One width bucket (``t > 1``, or the ``t == 0`` placeholders) of a level.
+    """One width bucket (``t > 1``) of a level.
 
     Arrays are aligned with ``nodes`` (ascending supernode ids): per node
     the column base, its top/below offsets in the level accumulator, its
@@ -389,7 +391,6 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
         ones_order = ones_wb + ones_nb0
         widths = sorted({steps[s].t for s in nodes if steps[s].t > 1})
         buckets = [(t, [s for s in nodes if steps[s].t == t]) for t in widths]
-        zero_nodes = [s for s in nodes if steps[s].t == 0]
 
         # --- accumulator layout: tops first (width-1 lane, then buckets) ---
         pos = 0
@@ -403,7 +404,7 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
                 pos += t
         top_total = pos
 
-        # --- then belows, in the same node order (t==0 placeholders last) ---
+        # --- then belows, in the same node order ---
         seg_counts = []
         for s in ones_wb:
             node_below_off[s] = pos
@@ -416,10 +417,6 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
                 if nb:
                     node_below_off[s] = pos
                     pos += nb
-        for s in zero_nodes:
-            if steps[s].n:
-                node_below_off[s] = pos
-                pos += steps[s].n
         size = pos
 
         # --- contribution arena slices, same order as the below layout ---
@@ -456,29 +453,6 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
                 contrib_off=np.array(g_con, dtype=np.int64),
                 gather_off=np.array(g_gat, dtype=np.int64),
             ))
-        if zero_nodes:
-            z_nb, z_bel, z_con = [], [], []
-            for s in zero_nodes:
-                nb = steps[s].n
-                z_nb.append(nb)
-                z_bel.append(node_below_off[s] if nb else -1)
-                if nb:
-                    contrib_off[s] = ccur
-                    z_con.append(ccur)
-                    ccur += nb
-                else:
-                    z_con.append(-1)
-            group_tuples.append(LevelGroup(
-                t=0,
-                nodes=np.array(zero_nodes, dtype=np.int64),
-                col_lo=np.array([steps[s].col_lo for s in zero_nodes], dtype=np.int64),
-                top_off=np.full(len(zero_nodes), -1, dtype=np.int64),
-                nb=np.array(z_nb, dtype=np.int64),
-                below_off=np.array(z_bel, dtype=np.int64),
-                contrib_off=np.array(z_con, dtype=np.int64),
-                gather_off=np.full(len(zero_nodes), -1, dtype=np.int64),
-            ))
-
         # --- one gather feeding every top of the level ---
         src_cols = [np.array([steps[s].col_lo for s in ones_order], dtype=np.int64)]
         for t, bnodes in buckets:
@@ -486,8 +460,7 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
                 np.arange(steps[s].col_lo, steps[s].col_hi, dtype=np.int64)
                 for s in bnodes
             )
-        top_src = (np.concatenate(src_cols) if top_total
-                   else np.empty(0, dtype=np.int64))
+        top_src = np.concatenate(src_cols)
 
         # --- flatten the level's child-contribution edges ---
         dst_parts, src_parts = [], []

@@ -1,9 +1,11 @@
-"""Canonical dense solve kernels shared by every real backend.
+"""Canonical dense solve kernels shared by every real execution.
 
-The repo has three real executions of the triangular solves — the serial
-supernodal walker (:mod:`repro.numeric.trisolve`), the threaded engine
-(:mod:`repro.exec.engine`) and the fused level program
-(:mod:`repro.exec.fused`).  All three promise *bitwise identical*
+The repo has two real executions of the triangular solves and a
+reference: the fused level program (:mod:`repro.exec.fused`, what
+``solve(backend="fused")`` and the serving layer run), the serial
+supernodal walker (:mod:`repro.numeric.trisolve`, the reference) and the
+thread-pool engine (:mod:`repro.exec.engine`, kept as a measured baseline
+and second bitwise reference only).  All promise *bitwise identical*
 solutions, which is only possible if every floating-point operation is
 performed by the same kernel on the same operands in the same order.
 This module is that single source of truth:
@@ -14,11 +16,6 @@ This module is that single source of truth:
   panels call BLAS ``dtrsm`` directly, never LAPACK ``trtrs`` or a
   hand-rolled sweep, so the rounding of the triangular solve is the
   same function of the values everywhere.
-* :func:`unit_dot` — the backward-substitution inner product of a
-  width-1 panel, summed *sequentially in ascending row order* via
-  ``np.add.reduceat``.  A BLAS ``dot`` may reassociate the sum, and the
-  fused backend reduces whole levels with one ``reduceat`` call — so the
-  per-node path must use the identical reduction.
 * :func:`rect_apply` / :func:`rect_apply_t` — the rectangle products
   ``R @ solved`` and ``R.T @ xg``.  These used to be plain GEMM calls,
   but BLAS ``dgemm`` picks different internal kernels for different
@@ -34,8 +31,10 @@ This module is that single source of truth:
   - ``rect_apply`` sums rank-1 terms ``R[:, k] * solved[k, :]`` in
     ascending ``k`` (elementwise broadcast products, one add per term);
   - ``rect_apply_t`` forms output row ``i`` as the ascending-row
-    ``reduceat`` sum of ``R[:, i] * xg`` — :func:`unit_dot` applied per
-    rectangle column.
+    ``np.add.reduceat`` sum of ``R[:, i] * xg``.  A BLAS ``dot`` may
+    reassociate the sum, and the fused backend reduces a whole level of
+    width-1 panels with one ``reduceat`` call over its segments — so
+    the per-node path uses the identical one-segment reduction.
 
   Every multi-column kernel is therefore **column-slice invariant**:
   column ``j`` of the ``m``-column result equals the 1-column result on
@@ -51,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
-#: The single-segment index set for :func:`unit_dot`'s ``reduceat``.
+#: The single-segment index set for :func:`rect_apply_t`'s ``reduceat``.
 _SEG0 = np.zeros(1, dtype=np.intp)
 
 
@@ -72,18 +71,6 @@ def solve_lower_t(diag: np.ndarray, top: np.ndarray) -> np.ndarray:
     if diag.shape[0] == 1:
         return top / diag[0, 0]
     return dtrsm(1.0, diag, top, lower=1, trans_a=1)
-
-
-def unit_dot(rect: np.ndarray, xg: np.ndarray) -> np.ndarray:
-    """``rect.T @ xg`` for a width-1 rectangle, summed in row order.
-
-    *rect* is ``(nb, 1)``, *xg* the gathered ancestor rows ``(nb, m)``;
-    returns the ``(1, m)`` dot.  The products are reduced by
-    ``np.add.reduceat`` over one segment — the same reduction the fused
-    backend applies per segment of a level-wide product buffer, so the
-    two paths agree bitwise (a BLAS ``dot`` would not).
-    """
-    return np.add.reduceat(rect * xg, _SEG0, axis=0)
 
 
 def rect_apply(
@@ -128,9 +115,11 @@ def rect_apply_t(
     """``rect.T @ xg`` with a width-invariant accumulation order.
 
     *rect* is ``(nb, t)``, *xg* the gathered ancestor rows ``(nb, m)``;
-    returns the ``(t, m)`` product where row ``i`` is
-    :func:`unit_dot` of rectangle column ``i`` against *xg* — products
-    reduced sequentially in ascending row order by ``np.add.reduceat``.
+    returns the ``(t, m)`` product where row ``i`` is the dot of
+    rectangle column ``i`` against *xg* — products reduced sequentially
+    in ascending row order by ``np.add.reduceat`` over one segment, the
+    same reduction the fused backend applies per segment of a level-wide
+    product buffer (a BLAS ``dot`` would not agree bitwise).
     Column-slice invariant for the same reason as :func:`rect_apply`.
 
     ``out`` (``(t, m)``) and ``tmp`` (``(nb, m)``) follow the same

@@ -48,19 +48,22 @@ def load_factor(path: str | Path) -> SupernodalFactor:
     with np.load(Path(path)) as data:
         require(int(data["version"][0]) == _FORMAT_VERSION, "unknown factor format version")
         nsuper = int(data["nsuper"][0])
-        parent = data["parent"]
         col_lo, col_hi = data["col_lo"], data["col_hi"]
         rows_ptr, rows = data["rows_ptr"], data["rows"]
         block_ptr, block_data = data["block_ptr"], data["block_data"]
-        supernodes = []
-        blocks = []
-        for s in range(nsuper):
-            sn_rows = rows[rows_ptr[s] : rows_ptr[s + 1]]
-            sn = Supernode(
-                index=s, col_lo=int(col_lo[s]), col_hi=int(col_hi[s]), rows=sn_rows
-            )
-            supernodes.append(sn)
-            flat = block_data[block_ptr[s] : block_ptr[s + 1]]
-            blocks.append(flat.reshape(sn.n, sn.t).copy())
-        stree = SupernodalTree(supernodes=supernodes, parent=parent)
+        # The tree validates the structure before any value is shaped by it.
+        stree = SupernodalTree(
+            supernodes=[
+                Supernode(
+                    index=s, col_lo=int(col_lo[s]), col_hi=int(col_hi[s]),
+                    rows=rows[rows_ptr[s] : rows_ptr[s + 1]],
+                )
+                for s in range(nsuper)
+            ],
+            parent=data["parent"],
+        )
+        blocks = [
+            block_data[block_ptr[s] : block_ptr[s + 1]].reshape(sn.n, sn.t).copy()
+            for s, sn in enumerate(stree.supernodes)
+        ]
         return SupernodalFactor(stree=stree, blocks=blocks)

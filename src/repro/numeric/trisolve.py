@@ -20,8 +20,8 @@ For ``m`` right-hand sides every vector op becomes the corresponding
 The forward sweep deliberately uses the *hierarchical contribution* form
 (per-node accumulators reduced in ascending child order) rather than
 scattering each rectangle straight into ``y``: that is the one summation
-order every schedule of the parallel backends can reproduce, so serial,
-threaded and fused results are **bitwise identical** — same canonical
+order every schedule of the level program can reproduce, so serial and
+fused results (and the engine baseline's) are **bitwise identical** — same canonical
 kernels (:mod:`repro.numeric.kernels`), same operands, same order.
 Simplicial variants over :class:`LowerCSC` serve as independent references.
 """
@@ -30,13 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.numeric.kernels import (
-    rect_apply,
-    rect_apply_t,
-    solve_lower,
-    solve_lower_t,
-    unit_dot,
-)
+from repro.numeric.kernels import rect_apply, rect_apply_t, solve_lower, solve_lower_t
 from repro.numeric.supernodal import SupernodalFactor
 from repro.sparse.csc import LowerCSC
 
@@ -99,21 +93,17 @@ def forward_supernodal(f: SupernodalFactor, b: np.ndarray) -> np.ndarray:
         block = f.blocks[s]
         t = sn.t
         acc = np.zeros((sn.n, m))
-        if t:
-            acc[:t] = y[sn.col_lo : sn.col_hi]
+        acc[:t] = y[sn.col_lo : sn.col_hi]
         for c in stree.children[s]:
             u = contrib[c]
             if u is not None:
                 if u.size:
                     acc[np.searchsorted(sn.rows, stree.supernodes[c].below)] += u
                 contrib[c] = None
-        if t:
-            solved = solve_lower(block[:t, :t], acc[:t])
-            y[sn.col_lo : sn.col_hi] = solved
-            if sn.n > t:
-                contrib[s] = acc[t:] - rect_apply(block[t:, :t], solved)
-        elif sn.n:
-            contrib[s] = acc
+        solved = solve_lower(block[:t, :t], acc[:t])
+        y[sn.col_lo : sn.col_hi] = solved
+        if sn.n > t:
+            contrib[s] = acc[t:] - rect_apply(block[t:, :t], solved)
     return y[:, 0] if squeeze else y
 
 
@@ -125,13 +115,9 @@ def backward_supernodal(f: SupernodalFactor, b: np.ndarray) -> np.ndarray:
         sn = stree.supernodes[s]
         block = f.blocks[s]
         t = sn.t
-        if not t:
-            continue
         top = x[sn.col_lo : sn.col_hi]
         if sn.n > t:
-            rect = block[t:, :t]
-            xg = x[sn.below]
-            top = top - (unit_dot(rect, xg) if t == 1 else rect_apply_t(rect, xg))
+            top = top - rect_apply_t(block[t:, :t], x[sn.below])
         x[sn.col_lo : sn.col_hi] = solve_lower_t(block[:t, :t], top)
     return x[:, 0] if squeeze else x
 

@@ -1,4 +1,4 @@
-"""Request-coalescing serving layer over the cached execution backends.
+"""Request-coalescing serving layer over the cached fused level program.
 
 The paper's multi-RHS economics (Figures 7–8) say triangular-solve
 throughput comes from width: one ``(n, 16)`` solve costs far less than
@@ -24,18 +24,24 @@ Public surface:
   serving statistics.
 * :exc:`QueueFullError` — the backpressure signal.
 
-``ParallelSparseSolver.serving()`` wires a solver into a service as a
-context manager; ``python -m repro serve-demo`` exercises the whole
-stack from the command line.
+The service is its own context manager and always executes batches on
+the fused level program (the one execution the benchmark's serving
+workload has ever run; every other one returns the same bits, slower)::
+
+    with SolveService(max_batch=16) as svc:
+        svc.register("default", solver)   # a prepared ParallelSparseSolver
+        x = svc.submit(b).result()        # b: (n,) or (n, w)
+
+``python -m repro serve-demo`` exercises the whole stack from the
+command line.
 """
 
 from repro.serve.batcher import Batch, Coalescer, QueueFullError, SolveRequest
 from repro.serve.clock import Clock, FakeClock, MonotonicClock
 from repro.serve.report import BatchRecord, ServeReport
-from repro.serve.service import SERVE_BACKENDS, SolveService
+from repro.serve.service import SolveService
 
 __all__ = [
-    "SERVE_BACKENDS",
     "Batch",
     "BatchRecord",
     "Clock",

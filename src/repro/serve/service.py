@@ -1,13 +1,13 @@
 """The request-coalescing solve service.
 
-:class:`SolveService` is the serving layer over the cached execution
-backends: register a factorized system once, then :meth:`submit`
+:class:`SolveService` is the serving layer over the cached fused level
+program: register a factorized system once, then :meth:`submit`
 single- or few-column solve requests from any thread and receive
 futures.  A dispatcher packs pending requests for the same factor into
 one multi-column batch (:class:`~repro.serve.batcher.Coalescer`) and
-runs it as a single solve on the configured backend — so a stream of
-width-1 requests is served at multi-RHS throughput while every caller
-still sees an ordinary single-solve answer.
+runs it as a single fused solve — so a stream of width-1 requests is
+served at multi-RHS throughput while every caller still sees an
+ordinary single-solve answer.
 
 Coalescing is *observably transparent*: the canonical kernels are
 column-slice invariant (:mod:`repro.numeric.kernels`), so column ``i``
@@ -26,8 +26,8 @@ Two execution modes share all of the above:
 
 Registration reuses the weakref caches of :mod:`repro.exec.cache`
 (plans, level programs, prepared factors, packed panels), so the
-service adds no per-request preparation cost on top of the cached
-backends.
+service adds no per-request preparation cost on top of a cached
+``solve_fused``.
 """
 
 from __future__ import annotations
@@ -40,15 +40,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.exec import REAL_BACKENDS
+from repro.exec import fused_panels_for, prepare_factor, program_for, solve_fused
 from repro.numeric.supernodal import SupernodalFactor
 from repro.numeric.trisolve import as_rhs_matrix
 from repro.serve.batcher import Batch, Coalescer, SolveRequest
 from repro.serve.clock import Clock, MonotonicClock
 from repro.serve.report import BatchRecord, ServeReport
-
-#: Backends a service may execute batches on (all bitwise-identical).
-SERVE_BACKENDS = REAL_BACKENDS
 
 
 @dataclass(frozen=True)
@@ -60,49 +57,11 @@ class _Entry:
     solve: Callable[[np.ndarray], np.ndarray]
 
 
-def _solve_fn(
-    backend: str,
-    factor: SupernodalFactor,
-    perm,
-    *,
-    certify: bool,
-    workers: int | None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Build the packed-batch solve path and warm every cache it uses."""
-    from repro.exec import (
-        fused_panels_for,
-        plan_for,
-        prepare_factor,
-        program_for,
-        solve_exec,
-        solve_fused,
-    )
-    from repro.numeric.trisolve import solve_supernodal
-
-    prepare_factor(factor)  # validates the diagonal once, at registration
-    if backend == "fused":
-        program = program_for(factor.stree, certify=certify)
-        fused_panels_for(factor)
-        core = lambda bmat: solve_fused(factor, bmat, program=program)
-    elif backend == "threads":
-        plan = plan_for(factor.stree, certify=certify)
-        core = lambda bmat: solve_exec(factor, bmat, workers=workers, plan=plan)
-    else:  # serial
-        core = lambda bmat: solve_supernodal(factor, bmat)
-    if perm is None:
-        return core
-    return lambda bmat: perm.unapply_to_vector(core(perm.apply_to_vector(bmat)))
-
-
 class SolveService:
-    """Thread-safe, request-coalescing front end over the cached backends.
+    """Thread-safe, request-coalescing front end over the fused level program.
 
     Parameters
     ----------
-    backend :
-        How packed batches execute: ``"fused"`` (default), ``"threads"``
-        or ``"serial"`` — all bitwise-identical, so the choice is purely
-        a throughput knob.
     max_batch, max_wait, idle_wait, max_queue :
         The coalescer's flush policy and backpressure bound (see
         :class:`~repro.serve.batcher.Coalescer`).
@@ -110,29 +69,17 @@ class SolveService:
         The time source.  A real clock (default) starts a dispatcher
         thread; a clock with ``drives_threads=False`` (the fake clock)
         selects manual-pump mode.
-    workers :
-        Thread count for ``backend="threads"`` batches.
     """
 
     def __init__(
         self,
         *,
-        backend: str = "fused",
         max_batch: int = 16,
         max_wait: float = 2e-3,
         idle_wait: float | None = -1.0,
         max_queue: int | None = None,
         clock: Clock | None = None,
-        workers: int | None = None,
     ):
-        if backend not in SERVE_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {SERVE_BACKENDS}, got {backend!r}"
-            )
-        if workers is not None and backend != "threads":
-            raise ValueError("workers is only meaningful with backend='threads'")
-        self.backend = backend
-        self.workers = workers
         self._clock = clock if clock is not None else MonotonicClock()
         self._cond = threading.Condition()
         self._coalescer = Coalescer(
@@ -203,27 +150,29 @@ class SolveService:
 
         if isinstance(target, ParallelSparseSolver):
             sym, factor, _ = target._require_prepared()
-            solve = _solve_fn(
-                self.backend, factor, sym.perm,
-                certify=target.verify, workers=self.workers,
-            )
-            n = factor.n
+            perm, certify = sym.perm, target.verify
         elif isinstance(target, SupernodalFactor):
-            solve = _solve_fn(
-                self.backend, target, None, certify=False, workers=self.workers
-            )
-            n = target.n
+            factor, perm, certify = target, None, False
         else:
             raise TypeError(
                 "register() takes a prepared ParallelSparseSolver or a "
                 f"SupernodalFactor, got {type(target).__name__}"
+            )
+        prepare_factor(factor)  # validates the diagonal once, at registration
+        program = program_for(factor.stree, certify=certify)
+        fused_panels_for(factor)
+        if perm is None:
+            solve = lambda bmat: solve_fused(factor, bmat, program=program)
+        else:
+            solve = lambda bmat: perm.unapply_to_vector(
+                solve_fused(factor, perm.apply_to_vector(bmat), program=program)
             )
         with self._cond:
             if self._stopping or self._closed:
                 raise RuntimeError("cannot register on a closed service")
             if name in self._entries:
                 raise ValueError(f"key {name!r} is already registered")
-            self._entries[name] = _Entry(name=name, n=n, solve=solve)
+            self._entries[name] = _Entry(name=name, n=factor.n, solve=solve)
         return name
 
     @property
@@ -237,8 +186,8 @@ class SolveService:
 
         *b* is a length-``n`` vector or an ``(n, w)`` block with
         ``w <= max_batch``; the future resolves to the same shape.  The
-        result is bitwise identical to the standalone solve of *b* on
-        the service's backend, whatever batch it lands in.  Raises
+        result is bitwise identical to the standalone fused solve of
+        *b*, whatever batch it lands in.  Raises
         :class:`~repro.serve.batcher.QueueFullError` under backpressure
         and :class:`RuntimeError` once the service is closing.
         """
@@ -335,10 +284,10 @@ class SolveService:
         entry = self._entries[batch.key]
         packed = np.concatenate([r.rhs for r in batch.requests], axis=1)
         t0 = time.perf_counter()
-        error: BaseException | None = None
+        error: Exception | None = None
         try:
             solution = entry.solve(packed)
-        except BaseException as exc:
+        except Exception as exc:  # interrupts and exits propagate to the pumper
             error = exc
         exec_seconds = time.perf_counter() - t0
 

@@ -66,6 +66,11 @@ class SupernodalTree:
     def __post_init__(self) -> None:
         ns = len(self.supernodes)
         require(self.parent.shape[0] == ns, "parent array size mismatch")
+        for sn in self.supernodes:
+            # No executor or compiler carries a lane for an empty panel.
+            require(sn.col_hi > sn.col_lo,
+                    f"supernode {sn.index} has no columns "
+                    f"(col_lo={sn.col_lo}, col_hi={sn.col_hi})")
         self.children = [[] for _ in range(ns)]
         for s in range(ns):
             p = int(self.parent[s])

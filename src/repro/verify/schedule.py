@@ -39,8 +39,8 @@ properties the engine's docstrings promise:
 gather) are decoded back against the plan's steps — rules prefixed
 ``schedule-program-`` — and the same obligations are checked against the
 level chain, each node standing in its ``program.node_level``.  A
-certified program earns its plan's digest: the fused and threaded
-backends provably execute the same schedule.
+certified program earns its plan's digest: the fused backend provably
+executes the plan's schedule.
 
 Findings use the shared :class:`~repro.verify.findings.Report`
 machinery; rules are prefixed ``schedule-``.
@@ -958,8 +958,8 @@ def certify_level_program(
 
     The certificate's ``digest`` is the *plan's* canonical digest: a
     certified program is proven to be a re-layout of exactly that
-    schedule, so the fused backend earns the identical determinism
-    certificate the threaded backend carries, for every worker count.
+    schedule, so a fused solve reports the determinism certificate of
+    the plan itself.
     """
     base, obligations = _certify_plan_orderings(plan, stree, name)
     report = base.report

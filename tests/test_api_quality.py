@@ -83,6 +83,41 @@ class TestExports:
         assert repro.__version__.count(".") == 2
 
 
+class TestOptionSurface:
+    """Every independently settable value on the solve/serve/exec surface.
+
+    An option added here doubles what tests and benchmarks must cover, so
+    it has to show up as a diff of this table.
+    """
+
+    def test_parameters_and_backends_are_exactly_these(self):
+        from repro.core.solver import ParallelSparseSolver
+        from repro.exec import (
+            REAL_BACKENDS,
+            plan_for,
+            program_for,
+            solve_exec,
+            solve_fused,
+        )
+        from repro.serve import SolveService
+
+        expected = {
+            ParallelSparseSolver.solve: ["self", "bvec", "check", "refine", "backend"],
+            SolveService.__init__: [
+                "self", "max_batch", "max_wait", "idle_wait", "max_queue", "clock",
+            ],
+            SolveService.register: ["self", "name", "target"],
+            plan_for: ["stree"],
+            program_for: ["stree", "certify"],
+            solve_exec: ["factor", "b", "workers", "plan"],
+            solve_fused: ["factor", "b", "program"],
+        }
+        for func, names in expected.items():
+            assert list(inspect.signature(func).parameters) == names, func.__qualname__
+        assert REAL_BACKENDS == ("serial", "fused")
+        assert not hasattr(ParallelSparseSolver, "serving")
+
+
 class TestImportHygiene:
     def test_all_modules_importable_in_isolation(self):
         # importing any module must not raise (no hidden cycles)

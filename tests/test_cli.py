@@ -36,15 +36,6 @@ class TestCommands:
         ) == 0
         assert "FBsolve" in capsys.readouterr().out
 
-    def test_solve_threads_backend(self, capsys):
-        assert main(
-            ["solve", "--matrix", "grid2d", "--size", "10", "--p", "4",
-             "--nrhs", "4", "--backend", "threads", "--workers", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "backend=threads workers=2" in out
-        assert "wall-clock" in out and "residual" in out
-
     def test_solve_serial_backend(self, capsys):
         assert main(
             ["solve", "--matrix", "grid2d", "--size", "10", "--p", "2",
@@ -65,13 +56,17 @@ class TestCommands:
         assert "schedule certificate:" in out
 
     def test_solve_invalid_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["solve", "--backend", "gpu"])
+        for backend in ("gpu", "threads"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["solve", "--backend", backend])
 
-    def test_solve_invalid_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            main(["solve", "--matrix", "grid2d", "--size", "8", "--p", "2",
-                  "--backend", "threads", "--workers", "0"])
+    def test_serve_demo(self, capsys):
+        assert main(
+            ["serve-demo", "--matrix", "grid2d", "--size", "5",
+             "--requests", "12", "--submitters", "2", "--max-batch", "4"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "12 submitted, 12 completed" in out and "bitwise-equal" in out
 
     def test_schedules(self, capsys):
         assert main(["schedules", "--nb", "5", "--tb", "3", "--q", "2"]) == 0

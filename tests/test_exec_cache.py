@@ -58,12 +58,12 @@ def test_prepared_factor_evicted_with_factor():
 
 def test_certificates_cached_alongside_plan_and_evicted_together():
     sym = analyze(grid2d_laplacian(6))
-    plan_for(sym.stree, certify=True)
+    assert certificate_for(sym.stree).ok
     assert _counts() == (1, 0, 1)
 
     stats = exec_cache_stats()
     assert stats["cert_misses"] == 1
-    plan_for(sym.stree, certify=True)
+    certificate_for(sym.stree)
     certificate_for(sym.stree)
     stats = exec_cache_stats()
     assert stats["cert_misses"] == 1  # memoized: the proof ran exactly once

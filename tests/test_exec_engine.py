@@ -1,25 +1,23 @@
-"""Cross-validation battery and fault/edge tests for the real exec engine.
+"""Cross-validation battery and fault/edge tests for the thread-pool engine.
 
-Every matrix in the shared fixtures must solve identically (bitwise)
-across repeated runs and across ``workers in {1, 2, 4}``, must agree with
-the serial supernodal solvers and the SPMD-simulated solvers to 1e-10,
-and the engine must fail cleanly — never hang — on bad inputs.
+No option selects the engine any more; ``solve_exec`` is the benchmark's
+measured baseline and a second bitwise reference.  Every matrix in the
+shared fixtures must solve identically (bitwise) across repeated runs and
+across ``workers in {1, 2, 4}``, must agree with the serial supernodal
+solvers and the SPMD-simulated solvers to 1e-10, and the engine must fail
+cleanly — never hang — on bad inputs.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.core.solver import ParallelSparseSolver
-from repro.exec import (
-    backward_exec,
-    clear_exec_caches,
-    forward_exec,
-    plan_for,
-    prepare_factor,
-    solve_exec,
-)
+from repro.exec import clear_exec_caches, plan_for, prepare_factor, solve_exec
 from repro.exec import engine as engine_mod
 from repro.exec.engine import _run_task_graph, resolve_workers
+from repro.numeric.serialize import load_factor, save_factor
 from repro.numeric.supernodal import SupernodalFactor, cholesky_supernodal
 from repro.numeric.trisolve import (
     backward_supernodal,
@@ -56,13 +54,12 @@ class TestCrossValidation:
     def test_forward_backward_match_serial(self, factored, rng):
         a, sym, factor = factored
         b = rng.normal(size=(a.n, 3))
-        assert np.allclose(
-            forward_exec(factor, b, workers=2), forward_supernodal(factor, b), atol=1e-10
-        )
-        assert np.allclose(
-            backward_exec(factor, b, workers=2), backward_supernodal(factor, b),
-            atol=1e-10,
-        )
+        plan, prep = plan_for(sym.stree), prepare_factor(factor)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            y = engine_mod._forward_mat(plan, prep, b.copy(), pool)
+            x = engine_mod._backward_mat(plan, prep, b.copy(), pool)
+        assert np.array_equal(y, forward_supernodal(factor, b))
+        assert np.array_equal(x, backward_supernodal(factor, b))
 
     def test_bitwise_reproducible_across_workers_and_runs(self, factored, rng):
         a, sym, factor = factored
@@ -90,10 +87,11 @@ class TestCrossValidation:
         solver.assign = subtree_to_subcube(sym.stree, 4)
         b = rng.normal(size=(a.n, 4))
         x_sim, rep_sim = solver.solve(b, backend="sim")
-        x_thr, rep_thr = solver.solve(b, backend="threads", workers=2)
+        x_thr = sym.perm.unapply_to_vector(
+            solve_exec(factor, sym.perm.apply_to_vector(b), workers=2)
+        )
         assert np.allclose(x_thr, x_sim, atol=1e-10)
-        assert rep_sim.backend == "sim" and rep_thr.backend == "threads"
-        assert rep_thr.forward.sim is None and rep_sim.forward.sim is not None
+        assert rep_sim.backend == "sim" and rep_sim.forward.sim is not None
 
 
 class TestSolverBackends:
@@ -105,20 +103,15 @@ class TestSolverBackends:
         assert rep.fbsolve_seconds > 0
         assert rep.residual < 1e-12
 
-    def test_threads_backend_with_refinement(self, prepared_grid12, rng):
+    def test_fused_backend_with_refinement(self, prepared_grid12, rng):
         b = rng.normal(size=prepared_grid12.a.n)
-        x, rep = prepared_grid12.solve(b, backend="threads", workers=2, refine=1)
+        x, rep = prepared_grid12.solve(b, backend="fused", refine=1)
         assert rep.residual < 1e-13
 
     def test_unknown_backend_rejected(self, prepared_grid12, rng):
-        with pytest.raises(ValueError, match="backend"):
-            prepared_grid12.solve(rng.normal(size=prepared_grid12.a.n), backend="mpi")
-
-    def test_workers_require_threads_backend(self, prepared_grid12, rng):
-        with pytest.raises(ValueError, match="workers"):
-            prepared_grid12.solve(
-                rng.normal(size=prepared_grid12.a.n), backend="serial", workers=2
-            )
+        for backend in ("mpi", "threads"):
+            with pytest.raises(ValueError, match="backend must be 'sim' or one of"):
+                prepared_grid12.solve(rng.normal(size=prepared_grid12.a.n), backend=backend)
 
 
 class TestEdgeCases:
@@ -129,23 +122,26 @@ class TestEdgeCases:
         x = solve_exec(factor, np.array([8.0]), workers=2)
         assert np.allclose(x, [2.0])
 
-    def test_empty_supernode_is_tolerated(self):
-        # A hand-built factor containing a zero-width supernode: the engine
-        # must skip it without touching the solution.
-        stree = SupernodalTree(
-            supernodes=[
-                Supernode(index=0, col_lo=0, col_hi=1, rows=np.array([0])),
-                Supernode(index=1, col_lo=1, col_hi=1, rows=np.array([], dtype=np.int64)),
-                Supernode(index=2, col_lo=1, col_hi=2, rows=np.array([1])),
-            ],
-            parent=np.array([NO_PARENT, NO_PARENT, NO_PARENT]),
-        )
-        factor = SupernodalFactor(
-            stree=stree,
-            blocks=[np.array([[2.0]]), np.zeros((0, 0)), np.array([[4.0]])],
-        )
-        x = solve_exec(factor, np.array([2.0, 8.0]), workers=2)
-        assert np.allclose(x, [0.5, 0.5])
+    def test_empty_supernode_is_rejected(self, sym_grid8, tmp_path):
+        # No constructor builds a zero-width supernode, so no executor carries
+        # a lane for one: a hand-built tree and a tampered factor file both
+        # fail at SupernodalTree construction.
+        with pytest.raises(ValueError, match="supernode 1 has no columns"):
+            SupernodalTree(
+                supernodes=[
+                    Supernode(index=0, col_lo=0, col_hi=1, rows=np.array([0])),
+                    Supernode(index=1, col_lo=1, col_hi=1, rows=np.array([], dtype=np.int64)),
+                    Supernode(index=2, col_lo=1, col_hi=2, rows=np.array([1])),
+                ],
+                parent=np.array([NO_PARENT, NO_PARENT, NO_PARENT]),
+            )
+        path = tmp_path / "factor.npz"
+        save_factor(cholesky_supernodal(sym_grid8), path)
+        data = dict(np.load(path))
+        data["col_hi"][3] = data["col_lo"][3]
+        np.savez(path, **data)
+        with pytest.raises(ValueError, match="supernode 3 has no columns"):
+            load_factor(path)
 
     def test_multi_rhs_wide_block(self, sym_grid8, rng):
         factor = cholesky_supernodal(sym_grid8)
@@ -206,8 +202,9 @@ class TestFaults:
 
         ndeps = [0, 1, 1, 1, 1, 1]
         dependents = [[1], [2], [3], [4], [5], []]
-        with pytest.raises(RuntimeError, match="boom in task 2"):
-            _run_task_graph(6, ndeps, dependents, body, workers=2)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            with pytest.raises(RuntimeError, match="boom in task 2"):
+                _run_task_graph(6, ndeps, dependents, body, pool)
         assert 3 not in ran and 4 not in ran and 5 not in ran
 
     def test_raising_kernel_inside_engine_propagates(self, sym_grid8, rng, monkeypatch):
@@ -218,12 +215,12 @@ class TestFaults:
 
         monkeypatch.setattr(engine_mod, "solve_lower", boom)
         with pytest.raises(RuntimeError, match="kernel failure injected"):
-            forward_exec(factor, rng.normal(size=(sym_grid8.n, 2)), workers=2)
+            solve_exec(factor, rng.normal(size=(sym_grid8.n, 2)), workers=2)
 
     def test_dependency_cycle_detected(self):
         # Two tasks that gate each other: no ready task exists.
         with pytest.raises(ValueError, match="cycle"):
-            _run_task_graph(2, [1, 1], [[1], [0]], lambda i: None, workers=1)
+            _run_task_graph(2, [1, 1], [[1], [0]], lambda i: None, None)
 
     def test_plan_rejects_rows_not_contained_in_parent(self):
         # Child below-row 2 does not appear in its parent's rows [1].

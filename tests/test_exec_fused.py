@@ -5,13 +5,13 @@ The central claims under test, mirroring the engine battery in
 ``test_exec_engine.py``:
 
 * fused solves are *bitwise* identical to the serial supernodal solvers
-  and the threaded engine, for every problem class, NRHS width, and
-  aggregation grain of the plan the program was compiled from;
+  and the thread-pool engine (at every worker count), for every problem
+  class, NRHS width, and aggregation grain of the plan the program was
+  compiled from;
 * a second solve against a prepared factor runs entirely out of the
   workspace arena — no per-node array allocations;
 * the compiled program earns a determinism certificate with the *same*
-  digest as the threaded plan's, and the certifier rejects mutated
-  programs.
+  digest as its plan's, and the certifier rejects mutated programs.
 """
 
 import gc
@@ -20,9 +20,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.solver import ParallelSparseSolver
 from repro.exec import (
     backward_fused,
+    certificate_for,
     clear_exec_caches,
     compile_level_program,
     forward_fused,
@@ -68,14 +68,15 @@ class TestBitwiseAgreement:
         a, sym, factor = factored
         b = rng.normal(size=(a.n, nrhs))
         x_serial = solve_supernodal(factor, b)
-        x_threads = solve_exec(factor, b, workers=2)
         x_fused = solve_fused(factor, b)
         assert np.array_equal(x_fused, x_serial), (
             "fused backend is not bitwise identical to the serial solver"
         )
-        assert np.array_equal(x_fused, x_threads), (
-            "fused backend is not bitwise identical to the threaded engine"
-        )
+        plan = plan_for(sym.stree)
+        for workers in (1, 2, 8):
+            assert np.array_equal(
+                x_fused, solve_exec(factor, b, workers=workers, plan=plan)
+            ), f"fused is not bitwise identical to the engine at workers={workers}"
 
     @pytest.mark.parametrize("grain", [0, 256, 4096])
     def test_bitwise_across_plan_grains(self, factored, rng, grain):
@@ -190,13 +191,16 @@ class TestProgramCompilation:
         assert rep.forward.sim is None and rep.backward.sim is None
         assert rep.fbsolve_seconds > 0
         assert rep.residual < 1e-12
-        x_thr, rep_thr = prepared_grid12.solve(b, backend="threads", workers=2)
-        assert np.array_equal(x, x_thr)
-        # One structure, one determinism certificate — both backends.
-        assert rep.schedule_certificate == rep_thr.schedule_certificate
+        x_ser, rep_ser = prepared_grid12.solve(b, backend="serial")
+        assert np.array_equal(x, x_ser)
+        # One structure, one determinism certificate: the program earns its plan's.
+        stree = prepared_grid12.symbolic.stree
+        assert rep.schedule_certificate == certificate_for(stree).digest
+        assert rep_ser.schedule_certificate is None
 
     def test_workers_rejected_on_fused_backend(self, prepared_grid12, rng):
-        with pytest.raises(ValueError, match="workers"):
+        # There is one fused execution and no worker count to choose.
+        with pytest.raises(TypeError, match="workers"):
             prepared_grid12.solve(
                 rng.normal(size=prepared_grid12.a.n), backend="fused", workers=2
             )
@@ -204,8 +208,6 @@ class TestProgramCompilation:
 
 class TestFusedCertifier:
     def test_certificate_clean_and_digest_matches_plan(self, factored):
-        from repro.exec import certificate_for
-
         a, sym, factor = factored
         cert = fused_certificate_for(sym.stree)
         assert cert.ok, [str(f) for f in cert.report.errors()]

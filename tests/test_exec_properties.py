@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.sparse.linalg import spsolve_triangular
 
-from repro.exec import backward_exec, forward_exec, solve_exec
+from repro.exec import backward_fused, forward_fused, solve_exec
 from repro.numeric.supernodal import cholesky_supernodal
 from repro.numeric.trisolve import (
     backward_simplicial,
@@ -80,7 +80,7 @@ def test_forward_implementations_agree_with_scipy(system):
     for name, y in [
         ("supernodal", forward_supernodal(factor, b)),
         ("simplicial", forward_simplicial(lcsc, b)),
-        ("exec-threads", forward_exec(factor, b, workers=2)),
+        ("fused", forward_fused(factor, b)),
     ]:
         assert np.allclose(y, y_scipy, atol=ATOL), f"{name} deviates from scipy"
 
@@ -98,7 +98,7 @@ def test_backward_implementations_agree_with_scipy(system):
     for name, x in [
         ("supernodal", backward_supernodal(factor, b)),
         ("simplicial", backward_simplicial(lcsc, b)),
-        ("exec-threads", backward_exec(factor, b, workers=2)),
+        ("fused", backward_fused(factor, b)),
     ]:
         assert np.allclose(x, x_scipy, atol=ATOL), f"{name} deviates from scipy"
 

@@ -20,7 +20,6 @@ from repro.numeric.kernels import (
     rect_apply_t,
     solve_lower,
     solve_lower_t,
-    unit_dot,
 )
 
 WIDTHS = (2, 3, 4, 7, 16, 33)
@@ -107,11 +106,23 @@ def test_rect_apply_t_workspace_matches_allocating_path():
 
 
 def test_rect_apply_t_width1_matches_unit_dot():
-    """The t=1 rectangle path and unit_dot are the same reduction."""
+    """The t=1 rectangle path is the one-segment ``reduceat`` dot, bit for bit.
+
+    ``unit_dot`` was a second kernel with this body; the width-1 panels of
+    the serial walker and the engine now go through ``rect_apply_t`` and
+    must keep producing its bits (the fused width-1 lane reduces level-wide
+    segments the same way).
+    """
+    def unit_dot(rect, xg):
+        return np.add.reduceat(rect * xg, np.zeros(1, dtype=np.intp), axis=0)
+
     rng = _rng()
-    rect = rng.normal(size=(30, 1))
-    xg = rng.normal(size=(30, 5))
-    assert np.array_equal(rect_apply_t(rect, xg), unit_dot(rect, xg))
+    for nb in (1, 2, 7, 8, 9, 127, 128, 129, 1000, 4097):
+        for m in (1, 4, 31):
+            wide = rng.normal(size=(nb, 3))
+            xg = rng.normal(size=(nb, m))
+            for rect in (np.ascontiguousarray(wide[:, 1:2]), wide[:, 1:2]):
+                assert np.array_equal(rect_apply_t(rect, xg), unit_dot(rect, xg))
 
 
 def test_rect_apply_matches_gemm_to_rounding():

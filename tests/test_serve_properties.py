@@ -56,7 +56,6 @@ def test_random_schedules_answer_every_request_exactly_once_bitwise(
     rng = np.random.default_rng(seed)
     clk = FakeClock()
     service = SolveService(
-        backend="fused",
         max_batch=max_batch,
         max_wait=max_wait,
         idle_wait=None if idle_frac is None else idle_frac * max_wait,

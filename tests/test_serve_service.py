@@ -4,7 +4,8 @@ All tests run the service in manual-pump mode on a :class:`FakeClock` —
 no dispatcher thread, no sleeps — except where noted.  The headline
 invariant is *bitwise transparency*: a request's answer out of any
 coalesced batch equals the standalone solve of the same right-hand
-side, ``np.array_equal``-exact, across backends and matrix classes.
+side, ``np.array_equal``-exact, by every execution the repo has and
+across matrix classes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from repro.core.solver import ParallelSparseSolver
 from repro.machine.presets import cray_t3d
 from repro.numeric.supernodal import cholesky_supernodal
-from repro.serve import SERVE_BACKENDS, FakeClock, QueueFullError, SolveService
+from repro.serve import FakeClock, QueueFullError, SolveService
 from repro.sparse.generators import grid2d_laplacian
 from repro.symbolic.analyze import analyze
 
@@ -28,7 +29,6 @@ def factor_grid8(grid8):
 
 
 def make_service(factor, **kwargs):
-    kwargs.setdefault("backend", "fused")
     kwargs.setdefault("clock", FakeClock())
     service = SolveService(**kwargs)
     service.register("m", factor)
@@ -36,7 +36,7 @@ def make_service(factor, **kwargs):
 
 
 # ------------------------------------------------------------ transparency
-@pytest.mark.parametrize("backend", SERVE_BACKENDS)
+@pytest.mark.parametrize("backend", ["serial", "threads", "fused"])
 @pytest.mark.parametrize("fixture", ["grid8", "grid3d5", "fe9", "rand60"])
 def test_bitwise_transparency_across_matrices_and_backends(
     backend, fixture, request, rng
@@ -45,8 +45,9 @@ def test_bitwise_transparency_across_matrices_and_backends(
 
     16 width-1 requests land in batches of 6 (full flushes plus a
     drain); every future's result must equal the standalone solve of
-    its own right-hand side on the same backend — not merely close:
-    identical to the last bit.
+    its own right-hand side — by the fused program the service runs, by
+    the serial reference and by the thread-pool engine — not merely
+    close: identical to the last bit.
     """
     from repro.exec import solve_exec, solve_fused
     from repro.numeric.trisolve import solve_supernodal
@@ -60,7 +61,7 @@ def test_bitwise_transparency_across_matrices_and_backends(
     }[backend]
 
     rhs = [rng.normal(size=a.n) for _ in range(16)]
-    with make_service(factor, backend=backend, max_batch=6) as service:
+    with make_service(factor, max_batch=6) as service:
         futures = [service.submit(b, key="m") for b in rhs]
         service.pump_until_idle()
         service.drain()
@@ -111,11 +112,12 @@ def test_result_is_an_independent_copy(factor_grid8, rng):
 
 # ----------------------------------------------------- solver integration
 def test_solver_serving_context_manager(rng):
-    """serving() answers in the original ordering, bitwise-equal to solve()."""
+    """A registered solver answers in the original ordering, bitwise-equal to solve()."""
     a = grid2d_laplacian(10)
     solver = ParallelSparseSolver(a, p=4, spec=cray_t3d()).prepare()
     rhs = [rng.normal(size=a.n) for _ in range(8)]
-    with solver.serving(clock=FakeClock(), max_batch=4) as service:
+    with SolveService(clock=FakeClock(), max_batch=4) as service:
+        assert service.register("default", solver) == "default"
         futures = [service.submit(b) for b in rhs]
         service.drain()
         for b, fut in zip(rhs, futures):
@@ -128,9 +130,9 @@ def test_solver_serving_context_manager(rng):
 def test_serving_requires_prepared_solver():
     a = grid2d_laplacian(6)
     solver = ParallelSparseSolver(a, p=1, spec=cray_t3d())
-    with pytest.raises(ValueError, match="prepare"):
-        with solver.serving(clock=FakeClock()):
-            pass  # pragma: no cover - prepare() guard fires first
+    with SolveService(clock=FakeClock()) as service:
+        with pytest.raises(ValueError, match="prepare"):
+            service.register("default", solver)
 
 
 # ----------------------------------------------------------- registration
@@ -218,6 +220,36 @@ def test_solve_failure_resolves_every_future_with_the_exception(rng):
         assert ok.result(timeout=0).shape == (a.n,)
 
 
+def test_keyboard_interrupt_escapes_pump_but_errors_land_on_futures(factor_grid8, rng):
+    """Only ``Exception`` belongs to the batch; an interrupt belongs to the pumper."""
+    import dataclasses
+
+    n = factor_grid8.n
+    with make_service(factor_grid8, max_batch=2) as service:
+        good_entry = service._entries["m"]
+
+        def raising(exc):
+            def solve(bmat):
+                raise exc
+            return dataclasses.replace(good_entry, solve=solve)
+
+        service._entries["m"] = raising(ValueError("bad batch"))
+        futures = [service.submit(rng.normal(size=n), key="m") for _ in range(2)]
+        assert service.pump() is not None  # the full batch of 2
+        for fut in futures:
+            with pytest.raises(ValueError, match="bad batch"):
+                fut.result(timeout=0)
+        assert service.report().failed == 2
+
+        service._entries["m"] = raising(KeyboardInterrupt())
+        for _ in range(2):
+            service.submit(rng.normal(size=n), key="m")
+        with pytest.raises(KeyboardInterrupt):
+            service.pump()
+        assert service.report().failed == 2  # the interrupt was not recorded as a failure
+        service._entries["m"] = good_entry
+
+
 def test_cancelled_future_is_skipped_not_solved(factor_grid8, rng):
     with make_service(factor_grid8, max_batch=4) as service:
         f1 = service.submit(rng.normal(size=factor_grid8.n), key="m")
@@ -231,7 +263,7 @@ def test_cancelled_future_is_skipped_not_solved(factor_grid8, rng):
 
 
 def test_manual_pump_apis_rejected_on_threaded_service(factor_grid8):
-    service = SolveService(backend="fused")  # real clock -> dispatcher thread
+    service = SolveService()  # real clock -> dispatcher thread
     try:
         service.register("m", factor_grid8)
         assert service.manual is False
@@ -242,11 +274,12 @@ def test_manual_pump_apis_rejected_on_threaded_service(factor_grid8):
         service.close()
 
 
-def test_invalid_backend_and_workers_combinations(factor_grid8):
-    with pytest.raises(ValueError, match="backend"):
-        SolveService(backend="quantum")
-    with pytest.raises(ValueError, match="workers"):
-        SolveService(backend="fused", workers=2)
+def test_invalid_backend_and_workers_combinations():
+    # The service always runs the fused level program: neither knob exists.
+    with pytest.raises(TypeError, match="backend"):
+        SolveService(backend="threads")
+    with pytest.raises(TypeError, match="workers"):
+        SolveService(workers=2)
 
 
 # ----------------------------------------------------------------- report

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies
 
-from repro.exec import certificate_for, clear_exec_caches, exec_cache_stats, plan_for
+from repro.exec import (
+    certificate_for,
+    clear_exec_caches,
+    fused_certificate_for,
+    plan_for,
+    program_for,
+)
 from repro.exec.plan import build_plan, compile_level_program
 from repro.sparse.generators import grid2d_laplacian, grid3d_laplacian, random_spd
 from repro.symbolic.analyze import analyze
@@ -221,15 +227,6 @@ class TestLevelChainSharesThePlansConflicts:
 
 
 class TestCachedCertification:
-    def test_plan_for_certify_true_is_memoized(self, sym):
-        clear_exec_caches()
-        plan_for(sym.stree, certify=True)
-        misses = exec_cache_stats()["cert_misses"]
-        plan_for(sym.stree, certify=True)
-        stats = exec_cache_stats()
-        assert stats["cert_misses"] == misses
-        assert stats["cert_hits"] >= 1
-
     def test_certificate_for_matches_direct_certification(self, sym):
         clear_exec_caches()
         cert = certificate_for(sym.stree)
@@ -242,27 +239,32 @@ class TestSolveReportCertificate:
     def test_certificate_identical_across_worker_counts(self):
         from repro.core.solver import ParallelSparseSolver
 
+        from repro.exec import solve_exec
+
         a = grid3d_laplacian(4)
         rng = np.random.default_rng(7)
         b = rng.normal(size=(a.n, 4))
-        certs = set()
-        xs = []
+        # The certificate is a function of the structure alone: a fresh
+        # solver's fused solve reports the digest the cached plan earns, and
+        # the plan's engine returns the fused bits at every worker count.
+        solver = ParallelSparseSolver(a, p=1).prepare()
+        x, rep = solver.solve(b, backend="fused")
+        sym, factor = solver.symbolic, solver.factor
+        assert rep.schedule_certificate == certificate_for(sym.stree).digest
+        _, again = ParallelSparseSolver(a, p=1).prepare().solve(b, backend="fused")
+        assert again.schedule_certificate == rep.schedule_certificate
+        b_perm = sym.perm.apply_to_vector(b)
         for workers in (1, 2, 8):
-            solver = ParallelSparseSolver(a, p=1).prepare()
-            x, rep = solver.solve(b, backend="threads", workers=workers)
-            assert rep.schedule_certificate is not None
-            certs.add(rep.schedule_certificate)
-            xs.append(x)
-        assert len(certs) == 1
-        assert np.array_equal(xs[0], xs[1]) and np.array_equal(xs[0], xs[2])
+            x_exec = solve_exec(factor, b_perm, workers=workers, plan=plan_for(sym.stree))
+            assert np.array_equal(x, sym.perm.unapply_to_vector(x_exec))
 
-    def test_no_certificate_without_verify_or_off_threads(self):
+    def test_no_certificate_without_verify_or_serial(self):
         from repro.core.solver import ParallelSparseSolver
 
         a = grid2d_laplacian(5)
         b = np.ones(a.n)
         _, rep = ParallelSparseSolver(a, p=1, verify=False).prepare().solve(
-            b, backend="threads"
+            b, backend="fused"
         )
         assert rep.schedule_certificate is None
         _, rep = ParallelSparseSolver(a, p=1).prepare().solve(b, backend="serial")
@@ -272,9 +274,9 @@ class TestSolveReportCertificate:
         # Corrupt the cached certificate's report: every later certified
         # call for this structure must fail loudly, not solve anyway.
         clear_exec_caches()
-        cert = certificate_for(sym.stree)
+        cert = fused_certificate_for(sym.stree)
         cert.report.add("schedule-race", "seeded for the test", location="test")
         with pytest.raises(VerificationError):
-            plan_for(sym.stree, certify=True)
+            program_for(sym.stree, certify=True)
         clear_exec_caches()
-        assert certificate_for(sym.stree).ok
+        assert fused_certificate_for(sym.stree).ok
