@@ -23,7 +23,7 @@ Two workspace shapes live here:
   carved by :func:`build_fused_workspace` from a
   :class:`~repro.exec.plan.LevelProgram` (one accumulator the size of the
   widest level, one contribution arena for the whole tree, plus gather /
-  product / dot scratch at their program-wide maxima).
+  product / reduction scratch at their program-wide maxima).
 """
 
 from __future__ import annotations
@@ -119,19 +119,16 @@ class FusedWorkspace:
     """Scratch buffers for one fused solve at a fixed NRHS.
 
     All are ``(rows, m)`` float64 blocks sized at the program-wide maxima;
-    each level uses leading slices.  ``contrib`` is the only tree-sized
-    buffer — it persists across levels because parents consume children's
-    contribution blocks from it.
+    each level or bucket uses leading slices.  ``contrib`` is the only
+    tree-sized buffer — it persists across levels because parents consume
+    children's contribution blocks from it.
     """
 
-    acc: np.ndarray      # widest level's packed accumulator
+    acc: np.ndarray      # widest level's packed accumulator (backward: its tops)
     contrib: np.ndarray  # whole-tree contribution arena
-    gather: np.ndarray   # scatter sources (forward) / x[below] rows (backward)
-    rep: np.ndarray      # width-1 replicated-solution / product buffer
-    wk: np.ndarray       # per-node rectangle-product output, max(nb, t) rows
-    wk2: np.ndarray      # rank-1 term scratch of rect_apply/rect_apply_t
-    top: np.ndarray      # backward top blocks, max(k1, t) rows
-    dot: np.ndarray      # width-1 backward reduceat output
+    gather: np.ndarray   # a round's scatter sources (forward) / x[below] rows (backward)
+    prod: np.ndarray     # a bucket's product terms, b * t rows / the rows a round updates
+    dot: np.ndarray      # a bucket's solved tops k-major (forward) / reduceat output (backward)
 
 
 def build_fused_workspace(program: LevelProgram, m: int) -> FusedWorkspace:
@@ -140,9 +137,6 @@ def build_fused_workspace(program: LevelProgram, m: int) -> FusedWorkspace:
         acc=np.empty((program.max_acc, m)),
         contrib=np.empty((program.contrib_total, m)),
         gather=np.empty((program.max_gather, m)),
-        rep=np.empty((program.max_rep, m)),
-        wk=np.empty((program.max_wk, m)),
-        wk2=np.empty((program.max_wk, m)),
-        top=np.empty((program.max_top, m)),
+        prod=np.empty((program.max_prod, m)),
         dot=np.empty((program.max_dot, m)),
     )

@@ -25,8 +25,16 @@ structure:
   task is ready when all of its child tasks finished; a backward task is
   ready when its parent task finished.
 
-Plans depend only on the symbolic structure (never on numeric values), so
-they are cached per structure by :mod:`repro.exec.cache`.
+:func:`compile_level_program` then lays a plan out for the fused backend
+as a :class:`LevelProgram`: per elimination-tree level one packed
+accumulator, the child-contribution replay split into duplicate-free
+*rounds*, and one :class:`LevelBucket` per panel width — a vectorized
+lane whose tops, belows and contribution slices are contiguous, so a
+bucket's rectangles are one product and one reduction.
+
+Plans and programs depend only on the symbolic structure (never on
+numeric values), so they are cached per structure by
+:mod:`repro.exec.cache`.
 """
 
 from __future__ import annotations
@@ -249,22 +257,28 @@ def build_plan(stree: SupernodalTree, *, grain: int = DEFAULT_GRAIN) -> ExecPlan
 
 # --------------------------------------------------------------- level program
 @dataclass(frozen=True, slots=True)
-class LevelOnes:
-    """The vectorized width-1 lane of one level.
+class LevelBucket:
+    """The vectorized lane of one (level, panel width) pair.
 
-    ``nodes`` lists the level's ``t == 1`` supernodes — those with
-    below-rows first, then the trivial ones, each part ascending — so the
-    level's width-1 tops occupy accumulator rows ``[0, k)`` in this order
-    and the first ``k_below`` of them own contiguous below segments.
+    ``nodes`` lists the level's width-``t`` supernodes — those with
+    below-rows first, then the trivial ones, each part ascending.  Their
+    tops are contiguous in the level accumulator (``t`` rows per node from
+    ``top_lo``, in this order) and the first ``k_below`` of them own
+    contiguous below segments from ``below_lo``: ``seg_starts`` are the
+    segment starts, ``rep_idx`` the owner position in ``[0, k_below)`` of
+    every stacked below row.  The same ``b`` rows, in the same order, are
+    the bucket's slice of the contribution arena (from ``contrib_lo``) and
+    of the level's backward gather (from ``below_lo - top_total``).
     """
 
+    t: int
     nodes: np.ndarray       # (k,) supernode ids
-    cols: np.ndarray        # (k,) the single global column of each node
     k_below: int            # how many leading nodes have below-rows
+    top_lo: int             # first accumulator row of the k * t tops
+    below_lo: int           # first accumulator row of the stacked belows
+    contrib_lo: int         # first contribution-arena row of the same rows
     seg_starts: np.ndarray  # (k_below,) segment starts into the stacked belows
-    rep_idx: np.ndarray     # (b,) owner position in [0, k) per below row
-    below_rows: np.ndarray  # (b,) global row of each stacked below entry
-    contrib_lo: int         # start of the lane's contribution slice (-1 if b == 0)
+    rep_idx: np.ndarray     # (b,) owner position per stacked below row
 
     @property
     def k(self) -> int:
@@ -272,41 +286,25 @@ class LevelOnes:
 
     @property
     def b(self) -> int:
-        return int(self.below_rows.size)
-
-
-@dataclass(frozen=True, slots=True)
-class LevelGroup:
-    """One width bucket (``t > 1``) of a level.
-
-    Arrays are aligned with ``nodes`` (ascending supernode ids): per node
-    the column base, its top/below offsets in the level accumulator, its
-    below-row count, its contribution-arena offset and its offset into the
-    level's backward gather buffer (-1 where a node has no below-rows).
-    """
-
-    t: int
-    nodes: np.ndarray
-    col_lo: np.ndarray
-    top_off: np.ndarray
-    nb: np.ndarray
-    below_off: np.ndarray
-    contrib_off: np.ndarray
-    gather_off: np.ndarray
+        return int(self.rep_idx.size)
 
 
 @dataclass(frozen=True, slots=True)
 class Level:
     """One fully-packed elimination-tree level of a :class:`LevelProgram`.
 
-    The level accumulator is laid out ``[tops | belows]``: width-1 tops at
-    rows ``[0, k1)``, group tops following, then all below blocks.
-    ``top_src`` gathers the right-hand-side rows of every top in one
-    ``np.take``; ``scatter_dst``/``scatter_src`` replay every child
-    contribution of the level in (parent ascending, child ascending,
-    row ascending) order through one ``np.add.at`` — the plan's
-    deterministic reduction order, flattened.  ``gather_rows`` drives the
-    backward sweep's single gather of already-solved ancestor entries.
+    The level accumulator is laid out ``[tops | belows]``, bucket after
+    bucket in ascending width.  ``top_src`` gathers the right-hand-side
+    rows of every top in one ``take`` (and scatters the solved tops
+    back).  ``scatter_dst``/``scatter_src`` replay every child
+    contribution of the level: the plan's (parent ascending, child
+    ascending, row ascending) order, split by how many earlier entries
+    hit the same accumulator row into *rounds* stored back to back
+    (``round_starts`` delimits them).  No row appears twice in a round, so
+    a round is one gather-add-assign, and running the rounds in order
+    gives every row its additions in the plan's order.  ``gather_rows``
+    drives the backward sweep's single gather of already-solved ancestor
+    entries, in the accumulator's below order.
     """
 
     index: int
@@ -315,9 +313,9 @@ class Level:
     top_src: np.ndarray
     scatter_dst: np.ndarray
     scatter_src: np.ndarray
+    round_starts: tuple[int, ...]
     gather_rows: np.ndarray
-    ones: LevelOnes | None
-    groups: tuple[LevelGroup, ...]
+    buckets: tuple[LevelBucket, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,14 +324,18 @@ class LevelProgram:
 
     Per elimination-tree level every supernode panel's position is fixed
     at compile time, so the fused backend executes a level as a handful of
-    whole-level array ops instead of per-node Python dispatch.  The
-    program depends only on ``plan.steps`` and ``plan.node_level`` — both
-    grain-invariant — so one program serves every grain of the structure.
+    whole-level and whole-bucket array ops instead of per-node Python
+    dispatch.  The program depends only on ``plan.steps`` and
+    ``plan.node_level`` — both grain-invariant — so one program serves
+    every grain of the structure.
 
     ``node_top_off``/``node_below_off`` give each supernode's rows inside
     its level's accumulator (-1 where absent); ``contrib_off`` its slice
     of the tree-wide contribution arena.  The ``max_*`` fields size the
-    reusable :class:`~repro.exec.arena.FusedWorkspace` buffers.
+    reusable :class:`~repro.exec.arena.FusedWorkspace` buffers: the
+    largest level, the largest replay round or backward gather, the
+    largest bucket product (``b * t`` rows, or a replay round if that is
+    longer) and the most below-owning top rows of a bucket.
     """
 
     levels: tuple[Level, ...]
@@ -346,25 +348,47 @@ class LevelProgram:
     nsuper: int
     max_acc: int
     max_gather: int
-    max_rep: int
-    max_top: int
+    max_prod: int
     max_dot: int
-    max_wk: int
 
     @property
     def nlevels(self) -> int:
         return len(self.levels)
 
 
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _rounds(dst: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Reorder one level's replay into duplicate-free rounds.
+
+    An entry's round is the number of earlier entries with the same
+    destination; a stable sort by round keeps the plan's order inside
+    each round and, per destination, across rounds.
+    """
+    if not dst.size:
+        return dst, src, (0,)
+    by_dst = np.argsort(dst, kind="stable")
+    sorted_dst = dst[by_dst]
+    first = np.flatnonzero(np.concatenate(([True], sorted_dst[1:] != sorted_dst[:-1])))
+    run = np.diff(first, append=dst.size)
+    rank = np.empty(dst.size, dtype=np.int64)
+    rank[by_dst] = np.arange(dst.size) - np.repeat(first, run)
+    by_round = np.argsort(rank, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(rank))))
+    return dst[by_round], src[by_round], tuple(starts.tolist())
+
+
 def compile_level_program(plan: ExecPlan) -> LevelProgram:
     """Compile *plan* into the flat level program the fused backend runs.
 
-    Layout per level: width-1 nodes form a vectorized lane (tops at rows
-    ``[0, k1)``), wider nodes are bucketed by panel width, and every
-    child-contribution edge of the plan is flattened into one pair of
-    int64 gather/scatter vectors preserving the plan's ascending-child
+    Per level the supernodes are bucketed by panel width, every bucket a
+    vectorized lane (:class:`LevelBucket`), and every child-contribution
+    edge of the plan is flattened into one pair of int64 gather/scatter
+    vectors that keeps, per accumulator row, the plan's ascending-child
     reduction order — so the fused execution is bitwise identical to the
-    per-node engine.
+    per-node walker.
     """
     steps = plan.steps
     ns = len(steps)
@@ -375,6 +399,7 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
     node_top_off = np.full(ns, -1, dtype=np.int64)
     node_below_off = np.full(ns, -1, dtype=np.int64)
     contrib_off = np.full(ns, -1, dtype=np.int64)
+    width = np.array([st.t for st in steps], dtype=np.int64)
 
     by_level: list[list[int]] = [[] for _ in range(nlev)]
     for s in range(ns):
@@ -382,133 +407,78 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
 
     levels: list[Level] = []
     ccur = 0
-    max_acc = max_gather = max_rep = max_top = max_dot = max_wk = 0
+    max_acc = max_gather = max_prod = max_dot = 0
 
     for li in range(nlev):
         nodes = by_level[li]
-        ones_wb = [s for s in nodes if steps[s].t == 1 and steps[s].n > 1]
-        ones_nb0 = [s for s in nodes if steps[s].t == 1 and steps[s].n == 1]
-        ones_order = ones_wb + ones_nb0
-        widths = sorted({steps[s].t for s in nodes if steps[s].t > 1})
-        buckets = [(t, [s for s in nodes if steps[s].t == t]) for t in widths]
+        # width -> (below-owning nodes, trivial nodes), each ascending
+        by_width: dict[int, tuple[list[int], list[int]]] = {}
+        for s in nodes:
+            st = steps[s]
+            by_width.setdefault(st.t, ([], []))[st.n == st.t].append(s)
+        # (width, below-owning nodes, all nodes with those first)
+        lanes = [(t, own, own + trivial) for t, (own, trivial) in sorted(by_width.items())]
 
-        # --- accumulator layout: tops first (width-1 lane, then buckets) ---
+        # --- accumulator layout: every bucket's tops, then every bucket's
+        # belows; the contribution arena follows the below order.
         pos = 0
-        for s in ones_order:
-            node_top_off[s] = pos
-            pos += 1
-        k1 = pos
-        for t, bnodes in buckets:
-            for s in bnodes:
+        for t, _, members in lanes:
+            for s in members:
                 node_top_off[s] = pos
                 pos += t
         top_total = pos
-
-        # --- then belows, in the same node order ---
-        seg_counts = []
-        for s in ones_wb:
-            node_below_off[s] = pos
-            pos += steps[s].n - 1
-            seg_counts.append(steps[s].n - 1)
-        b1 = pos - top_total
-        for t, bnodes in buckets:
-            for s in bnodes:
-                nb = steps[s].n - t
-                if nb:
-                    node_below_off[s] = pos
-                    pos += nb
+        buckets: list[LevelBucket] = []
+        for t, owners, members in lanes:
+            counts = np.array([steps[s].n - t for s in owners], dtype=np.int64)
+            b = int(counts.sum())
+            buckets.append(LevelBucket(
+                t=t,
+                nodes=np.array(members, dtype=np.int64),
+                k_below=len(owners),
+                top_lo=int(node_top_off[members[0]]),
+                below_lo=pos,
+                contrib_lo=ccur,
+                seg_starts=(np.cumsum(counts) - counts).astype(np.intp),
+                rep_idx=np.repeat(np.arange(len(owners), dtype=np.int64), counts),
+            ))
+            for s, nb in zip(owners, counts.tolist()):
+                node_below_off[s] = pos
+                contrib_off[s] = ccur
+                pos += nb
+                ccur += nb
+            max_prod = max(max_prod, b * t)
+            max_dot = max(max_dot, len(owners) * t)
         size = pos
 
-        # --- contribution arena slices, same order as the below layout ---
-        ones_contrib_lo = ccur if b1 else -1
-        for s in ones_wb:
-            contrib_off[s] = ccur
-            ccur += steps[s].n - 1
-        group_tuples: list[LevelGroup] = []
-        gpos = b1  # backward gather: width-1 belows first, then buckets
-        for t, bnodes in buckets:
-            g_top, g_nb, g_bel, g_con, g_gat = [], [], [], [], []
-            for s in bnodes:
-                nb = steps[s].n - t
-                g_top.append(node_top_off[s])
-                g_nb.append(nb)
-                g_bel.append(node_below_off[s] if nb else -1)
-                if nb:
-                    contrib_off[s] = ccur
-                    g_con.append(ccur)
-                    ccur += nb
-                    g_gat.append(gpos)
-                    gpos += nb
-                else:
-                    g_con.append(-1)
-                    g_gat.append(-1)
-                max_wk = max(max_wk, nb, t)
-            group_tuples.append(LevelGroup(
-                t=t,
-                nodes=np.array(bnodes, dtype=np.int64),
-                col_lo=np.array([steps[s].col_lo for s in bnodes], dtype=np.int64),
-                top_off=np.array(g_top, dtype=np.int64),
-                nb=np.array(g_nb, dtype=np.int64),
-                below_off=np.array(g_bel, dtype=np.int64),
-                contrib_off=np.array(g_con, dtype=np.int64),
-                gather_off=np.array(g_gat, dtype=np.int64),
-            ))
         # --- one gather feeding every top of the level ---
-        src_cols = [np.array([steps[s].col_lo for s in ones_order], dtype=np.int64)]
-        for t, bnodes in buckets:
-            src_cols.extend(
-                np.arange(steps[s].col_lo, steps[s].col_hi, dtype=np.int64)
-                for s in bnodes
-            )
-        top_src = np.concatenate(src_cols)
+        top_src = _concat([
+            np.arange(steps[s].col_lo, steps[s].col_hi, dtype=np.int64)
+            for bkt in buckets for s in bkt.nodes.tolist()
+        ])
 
         # --- flatten the level's child-contribution edges ---
-        dst_parts, src_parts = [], []
-        for s in nodes:  # parents ascending; children ascend within each
-            st = steps[s]
-            for c, idx in zip(st.children, st.child_scatter):
-                nbc = steps[c].n - steps[c].t
-                if not nbc:
-                    continue
-                idx64 = idx.astype(np.int64)
-                dst_parts.append(np.where(
-                    idx64 < st.t,
-                    node_top_off[s] + idx64,
-                    node_below_off[s] + idx64 - st.t,
-                ))
-                src_parts.append(contrib_off[c] + np.arange(nbc, dtype=np.int64))
-        scatter_dst = (np.concatenate(dst_parts) if dst_parts
-                       else np.empty(0, dtype=np.int64))
-        scatter_src = (np.concatenate(src_parts) if src_parts
-                       else np.empty(0, dtype=np.int64))
+        edges = [  # parents ascending; children ascend within each
+            (s, c, idx)
+            for s in nodes
+            for c, idx in zip(steps[s].children, steps[s].child_scatter)
+            if idx.size
+        ]
+        lens = np.array([idx.size for _, _, idx in edges], dtype=np.int64)
+        parent = np.repeat(np.array([s for s, _, _ in edges], dtype=np.int64), lens)
+        child = np.repeat(np.array([c for _, c, _ in edges], dtype=np.int64), lens)
+        row = _concat([idx for _, _, idx in edges]).astype(np.int64)
+        scatter_dst, scatter_src, round_starts = _rounds(
+            row + np.where(row < width[parent], node_top_off[parent],
+                           node_below_off[parent] - width[parent]),
+            # a child's rows are consecutive in the arena: offset + position in its block
+            contrib_off[child] + np.arange(row.size) - np.repeat(np.cumsum(lens) - lens, lens),
+        )
 
-        # --- backward gather rows: width-1 belows, then bucket belows ---
-        gat_parts = [steps[s].below.astype(np.int64) for s in ones_wb]
-        for t, bnodes in buckets:
-            gat_parts.extend(
-                steps[s].below.astype(np.int64) for s in bnodes if steps[s].n > t
-            )
-        gather_rows = (np.concatenate(gat_parts) if gat_parts
-                       else np.empty(0, dtype=np.int64))
-
-        ones = None
-        if ones_order:
-            counts = np.array(seg_counts, dtype=np.int64)
-            ones = LevelOnes(
-                nodes=np.array(ones_order, dtype=np.int64),
-                cols=np.array([steps[s].col_lo for s in ones_order], dtype=np.int64),
-                k_below=len(ones_wb),
-                seg_starts=(np.concatenate(([0], np.cumsum(counts)[:-1]))
-                            if len(ones_wb) else np.empty(0, dtype=np.int64)
-                            ).astype(np.intp),
-                rep_idx=np.repeat(np.arange(len(ones_wb), dtype=np.int64), counts),
-                below_rows=(np.concatenate(
-                    [steps[s].below.astype(np.int64) for s in ones_wb])
-                    if ones_wb else np.empty(0, dtype=np.int64)),
-                contrib_lo=ones_contrib_lo,
-            )
-            max_rep = max(max_rep, b1)
-            max_dot = max(max_dot, len(ones_wb))
+        # --- backward gather rows, in the accumulator's below order ---
+        gather_rows = _concat([
+            steps[s].below.astype(np.int64)
+            for bkt in buckets for s in bkt.nodes[: bkt.k_below].tolist()
+        ])
 
         levels.append(Level(
             index=li,
@@ -517,13 +487,14 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
             top_src=top_src,
             scatter_dst=scatter_dst,
             scatter_src=scatter_src,
+            round_starts=round_starts,
             gather_rows=gather_rows,
-            ones=ones,
-            groups=tuple(group_tuples),
+            buckets=tuple(buckets),
         ))
+        widest_round = int(np.diff(round_starts).max(initial=0))
         max_acc = max(max_acc, size)
-        max_gather = max(max_gather, int(scatter_src.size), int(gather_rows.size))
-        max_top = max(max_top, k1, *(t for t, _ in buckets), 0)
+        max_gather = max(max_gather, widest_round, int(gather_rows.size))
+        max_prod = max(max_prod, widest_round)
 
     return LevelProgram(
         levels=tuple(levels),
@@ -536,8 +507,6 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
         nsuper=ns,
         max_acc=max_acc,
         max_gather=max_gather,
-        max_rep=max_rep,
-        max_top=max_top,
+        max_prod=max_prod,
         max_dot=max_dot,
-        max_wk=max_wk,
     )

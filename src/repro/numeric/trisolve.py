@@ -22,7 +22,11 @@ The forward sweep deliberately uses the *hierarchical contribution* form
 scattering each rectangle straight into ``y``: that is the one summation
 order every schedule of the level program can reproduce, so serial and
 fused results (and the engine baseline's) are **bitwise identical** — same canonical
-kernels (:mod:`repro.numeric.kernels`), same operands, same order.
+kernels (:mod:`repro.numeric.kernels`), same operands, same order: the
+forward rectangle product sums its rank-1 terms sequentially in ascending
+``k``; the backward one reduces each column of products in the order of
+numpy's one-segment ``reduceat`` (first product plus a pairwise sum of the
+rest — fixed by the number of below-rows, not sequential).
 Simplicial variants over :class:`LowerCSC` serve as independent references.
 """
 
@@ -82,12 +86,18 @@ def backward_simplicial(l: LowerCSC, b: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------- supernodal
+def _term_scratch(f: SupernodalFactor, m: int) -> np.ndarray:
+    """One product-term buffer big enough for every rectangle of *f* at *m* columns."""
+    return np.empty((max(sn.t * (sn.n - sn.t) for sn in f.stree.supernodes), m))
+
+
 def forward_supernodal(f: SupernodalFactor, b: np.ndarray) -> np.ndarray:
     """Supernodal forward elimination ``L y = b`` (leaves -> root)."""
     y, squeeze = _as_matrix(b, f.n)
     stree = f.stree
     m = y.shape[1]
     contrib: list[np.ndarray | None] = [None] * stree.nsuper
+    terms = _term_scratch(f, m)
     for s in stree.topo_order():
         sn = stree.supernodes[s]
         block = f.blocks[s]
@@ -103,7 +113,7 @@ def forward_supernodal(f: SupernodalFactor, b: np.ndarray) -> np.ndarray:
         solved = solve_lower(block[:t, :t], acc[:t])
         y[sn.col_lo : sn.col_hi] = solved
         if sn.n > t:
-            contrib[s] = acc[t:] - rect_apply(block[t:, :t], solved)
+            contrib[s] = acc[t:] - rect_apply(block[t:, :t], solved, tmp=terms)
     return y[:, 0] if squeeze else y
 
 
@@ -111,13 +121,14 @@ def backward_supernodal(f: SupernodalFactor, b: np.ndarray) -> np.ndarray:
     """Supernodal backward substitution ``L^T x = b`` (root -> leaves)."""
     x, squeeze = _as_matrix(b, f.n)
     stree = f.stree
+    terms = _term_scratch(f, x.shape[1])
     for s in reversed(stree.topo_order()):
         sn = stree.supernodes[s]
         block = f.blocks[s]
         t = sn.t
         top = x[sn.col_lo : sn.col_hi]
         if sn.n > t:
-            top = top - rect_apply_t(block[t:, :t], x[sn.below])
+            top = top - rect_apply_t(block[t:, :t], x[sn.below], tmp=terms)
         x[sn.col_lo : sn.col_hi] = solve_lower_t(block[:t, :t], top)
     return x[:, 0] if squeeze else x
 

@@ -17,6 +17,7 @@ Both are immutable after construction; all mutation happens in the builders
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +105,16 @@ class SymCSC:
         )
         strict = sparse.tril(lower, k=-1)
         return (lower + strict.T).tocsc()
+
+    @cached_property
+    def _full(self):
+        """The full symmetric matrix as ``scipy.sparse`` CSR, assembled once.
+
+        Read-only by convention (:func:`repro.sparse.ops.matvec` multiplies
+        with it on every checked solve); :meth:`to_scipy` hands out fresh
+        copies.  Symmetry makes the CSC arrays a CSR view at no cost.
+        """
+        return self.to_scipy().T
 
     def pattern_full(self) -> tuple[np.ndarray, np.ndarray]:
         """CSC (indptr, indices) of the *full* symmetric pattern.

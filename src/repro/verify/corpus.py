@@ -210,25 +210,60 @@ def _plan_permuted_reduction() -> Report:
     return _certify(dataclasses.replace(plan, steps=steps), stree)
 
 
-def _program_swapped_scatter() -> Report:
-    # Swap two entries of a level's flattened scatter-source vector: every
-    # contribution row still lands exactly once, but two child rows trade
-    # places — silently wrong values with a structurally plausible layout.
+def _certify_mutated_level(pick, mutate) -> Report:
+    """Certify the pristine program with one level replaced by ``mutate(level)``."""
     from repro.exec.plan import compile_level_program
     from repro.verify.schedule import certify_level_program
 
     plan, stree = _plan_and_tree()
     program = compile_level_program(plan)
-    li = next(
-        i for i, lvl in enumerate(program.levels) if lvl.scatter_src.size >= 2
-    )
-    lvl = program.levels[li]
-    src = lvl.scatter_src.copy()
-    src[0], src[1] = src[1], src[0]
+    li = next(i for i, lvl in enumerate(program.levels) if pick(lvl))
     levels = list(program.levels)
-    levels[li] = dataclasses.replace(lvl, scatter_src=src)
+    levels[li] = mutate(levels[li])
     mutated = dataclasses.replace(program, levels=tuple(levels))
     return certify_level_program(mutated, plan, stree).report
+
+
+def _program_swapped_scatter() -> Report:
+    # Swap two entries of a level's scatter-source vector: every
+    # contribution row still lands exactly once, but two child rows trade
+    # places — silently wrong values with a structurally plausible layout.
+    def mutate(lvl):
+        src = lvl.scatter_src.copy()
+        src[0], src[1] = src[1], src[0]
+        return dataclasses.replace(lvl, scatter_src=src)
+
+    return _certify_mutated_level(lambda lvl: lvl.scatter_src.size >= 2, mutate)
+
+
+def _has_second_round(lvl) -> bool:
+    return len(lvl.round_starts) > 2 and lvl.round_starts[2] > lvl.round_starts[1]
+
+
+def _program_round_duplicate_destination() -> Report:
+    # Merge the second replay round into the first: a row two children
+    # contribute to is then named twice in one gather-add-assign, and the
+    # assignment keeps only the later sum — a lost update.  The entries and
+    # their order are untouched, so only the round rule can see it.
+    def mutate(lvl):
+        starts = lvl.round_starts
+        return dataclasses.replace(lvl, round_starts=(starts[0], *starts[2:]))
+
+    return _certify_mutated_level(_has_second_round, mutate)
+
+
+def _program_round_order_swapped() -> Report:
+    # One row's first- and second-round contributions trade rounds: every
+    # round stays duplicate-free and every entry still lands once, but that
+    # row sums its children in descending order — different rounding.
+    def mutate(lvl):
+        dst, src = lvl.scatter_dst, lvl.scatter_src.copy()
+        second = lvl.round_starts[1]
+        first = int(np.flatnonzero(dst[:second] == dst[second])[0])
+        src[first], src[second] = src[second], src[first]
+        return dataclasses.replace(lvl, scatter_src=src)
+
+    return _certify_mutated_level(_has_second_round, mutate)
 
 
 _BAD_SOURCE = '''\
@@ -334,6 +369,18 @@ def known_bad_cases() -> list[BadCase]:
             "a fused level program whose scatter replays child rows out of place",
             frozenset({"schedule-program-scatter"}),
             _program_swapped_scatter,
+        ),
+        BadCase(
+            "program-round-duplicate-destination",
+            "a replay round that names one accumulator row twice — a lost update",
+            frozenset({"schedule-program-round"}),
+            _program_round_duplicate_destination,
+        ),
+        BadCase(
+            "program-round-order-swapped",
+            "one row's contributions replayed in the wrong round order",
+            frozenset({"schedule-program-scatter"}),
+            _program_round_order_swapped,
         ),
         BadCase(
             "forbidden-source-constructs",

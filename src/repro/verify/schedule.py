@@ -35,9 +35,11 @@ properties the engine's docstrings promise:
 
 :func:`certify_level_program` extends the proof to the fused backend's
 :class:`~repro.exec.plan.LevelProgram`: the program's flat index vectors
-(accumulator layout, width-1 lane, contribution scatter, backward
-gather) are decoded back against the plan's steps — rules prefixed
-``schedule-program-`` — and the same obligations are checked against the
+(accumulator layout, one lane per (level, width) bucket, contribution
+replay rounds, backward gather) are decoded back against the plan's steps
+— rules prefixed ``schedule-program-``; for the rounds: no destination
+twice inside a round, and per destination the plan's order across rounds
+— and the same obligations are checked against the
 level chain, each node standing in its ``program.node_level``.  A
 certified program earns its plan's digest: the fused backend provably
 executes the plan's schedule.
@@ -539,15 +541,16 @@ def certify_plan(
 
 
 # ------------------------------------------------------- level programs
-def _program_members(program: "LevelProgram", li: int) -> list[int]:
-    """Every supernode a level's execution actually touches, ascending."""
-    lvl = program.levels[li]
-    members: list[int] = []
-    if lvl.ones is not None:
-        members.extend(int(s) for s in lvl.ones.nodes)
-    for g in lvl.groups:
-        members.extend(int(s) for s in g.nodes)
-    return sorted(members)
+def _first_untiled_row(starts: np.ndarray, lengths: np.ndarray, total: int) -> int | None:
+    """Where the intervals stop tiling ``[0, total)`` (``None``: they tile it)."""
+    order = np.argsort(starts, kind="stable")
+    starts, lengths = starts[order], lengths[order]
+    expect = np.cumsum(lengths) - lengths
+    bad = np.flatnonzero(starts != expect)
+    if bad.size:
+        return int(min(starts[bad[0]], expect[bad[0]]))
+    end = int(lengths.sum())
+    return None if end == total else min(end, total)
 
 
 def _check_program_structure(
@@ -586,268 +589,127 @@ def _check_program_structure(
     # child must sit strictly below its parent or the contribution
     # hand-off happens inside one unordered level.
     lvl_of = program.node_level
-    for st in steps:
-        for c in st.children:
-            if int(lvl_of[c]) >= int(lvl_of[st.s]):
-                report.add(
-                    "schedule-program-level",
-                    f"child {c} (level {int(lvl_of[c])}) is not strictly below "
-                    f"its parent {st.s} (level {int(lvl_of[st.s])}) — the level "
-                    "barrier cannot order their contribution hand-off",
-                    location=loc0,
-                )
+    kids = np.array([c for st in steps for c in st.children], dtype=np.int64)
+    parents = np.repeat(np.arange(ns), [len(st.children) for st in steps])
+    inverted = lvl_of[kids] >= lvl_of[parents]
+    for c, s in zip(kids[inverted].tolist(), parents[inverted].tolist()):
+        report.add(
+            "schedule-program-level",
+            f"child {c} (level {int(lvl_of[c])}) is not strictly below "
+            f"its parent {s} (level {int(lvl_of[s])}) — the level "
+            "barrier cannot order their contribution hand-off",
+            location=loc0,
+        )
 
     # Membership: levels must partition the supernodes, each node listed
     # in the level node_level assigns it to.
-    owner = np.full(ns, -1, dtype=np.int64)
-    clean = True
-    for lvl in program.levels:
-        for s in _program_members(program, lvl.index):
-            if s < 0 or s >= ns:
-                report.add(
-                    "schedule-program-partition",
-                    f"level {lvl.index} lists unknown supernode {s}",
-                    location=loc0,
-                )
-                clean = False
-                continue
-            if owner[s] != -1:
-                report.add(
-                    "schedule-program-partition",
-                    f"supernode {s} appears in levels {int(owner[s])} "
-                    f"and {lvl.index}",
-                    location=loc0,
-                )
-                clean = False
-            owner[s] = lvl.index
-            if int(lvl_of[s]) != lvl.index:
-                report.add(
-                    "schedule-program-partition",
-                    f"supernode {s} executes in level {lvl.index} but "
-                    f"node_level places it at {int(lvl_of[s])}",
-                    location=loc0,
-                )
-                clean = False
-    missing = np.flatnonzero(owner == -1)
-    if missing.size:
-        report.add(
-            "schedule-program-partition",
-            f"supernodes {missing.tolist()} appear in no level — never solved",
-            location=loc0,
-        )
-        clean = False
-    if not clean:
+    listed = [
+        np.concatenate([bkt.nodes for bkt in lvl.buckets], dtype=np.int64)
+        if lvl.buckets else np.empty(0, dtype=np.int64)
+        for lvl in program.levels
+    ]
+    flat = np.concatenate(listed) if listed else np.empty(0, dtype=np.int64)
+    where = np.repeat(np.arange(len(listed)), [a.size for a in listed])
+    unknown = (flat < 0) | (flat >= ns)
+    times = np.bincount(flat[~unknown], minlength=ns)
+    misplaced = ~unknown
+    misplaced[misplaced] = lvl_of[flat[misplaced]] != where[misplaced]
+    for bad, what in (
+        (flat[unknown], "are not supernodes of the plan"),
+        (np.flatnonzero(times > 1), "appear in several levels or twice in one"),
+        (np.flatnonzero(times == 0), "appear in no level — never solved"),
+        (flat[misplaced], "execute in a level other than node_level's"),
+    ):
+        if bad.size:
+            report.add(
+                "schedule-program-partition",
+                f"supernodes {format_index_set(np.unique(bad))} {what}",
+                location=loc0,
+            )
+    if np.any(unknown) or np.any(times != 1) or np.any(misplaced):
         return  # the per-level decodes below would only cascade
 
-    # Contribution arena: the per-node slices must tile [0, contrib_total).
-    regions = sorted(
-        (int(program.contrib_off[s]), steps[s].n - steps[s].t)
-        for s in range(ns)
-        if steps[s].n - steps[s].t > 0
-    )
-    cursor = 0
-    for start, length in regions:
-        if start != cursor:
-            report.add(
-                "schedule-program-contrib",
-                f"contribution slices {'overlap' if start < cursor else 'leave a gap'} "
-                f"at arena row {min(start, cursor)}",
-                location=loc0,
-            )
-            break
-        cursor += length
-    else:
-        if cursor != program.contrib_total:
-            report.add(
-                "schedule-program-contrib",
-                f"contribution slices end at row {cursor} but the arena "
-                f"declares {program.contrib_total}",
-                location=loc0,
-            )
+    width = np.array([st.t for st in steps], dtype=np.int64)
+    below_count = np.array([st.n - st.t for st in steps], dtype=np.int64)
+    col_lo = np.array([st.col_lo for st in steps], dtype=np.int64)
 
-    for lvl in program.levels:
+    # Contribution arena: the per-node slices must tile [0, contrib_total).
+    has_below = below_count > 0
+    row = _first_untiled_row(
+        program.contrib_off[has_below], below_count[has_below], program.contrib_total
+    )
+    if row is not None:
+        report.add(
+            "schedule-program-contrib",
+            f"contribution slices overlap, leave a gap or overrun the declared "
+            f"{program.contrib_total} rows at arena row {row}",
+            location=loc0,
+        )
+
+    for lvl, nodes in zip(program.levels, listed):
         loc = f"{name}/program level {lvl.index}"
-        members = _program_members(program, lvl.index)
-        ones = lvl.ones
+        members = np.sort(nodes)
+        owners = members[has_below[members]]
 
         # --- accumulator layout: per-node intervals must tile [0, size),
         # tops inside [0, top_total), belows after it.
-        intervals: list[tuple[int, int]] = []
-        layout_ok = True
-        for s in members:
-            st = steps[s]
-            if st.t:
-                to = int(program.node_top_off[s])
-                if to < 0 or to + st.t > lvl.top_total:
-                    report.add(
-                        "schedule-program-layout",
-                        f"supernode {s}'s top block [{to}, {to + st.t}) falls "
-                        f"outside the level's top region [0, {lvl.top_total})",
-                        location=loc,
-                    )
-                    layout_ok = False
-                intervals.append((to, st.t))
-            nb = st.n - st.t
-            if nb:
-                bo = int(program.node_below_off[s])
-                if bo < lvl.top_total or bo + nb > lvl.size:
-                    report.add(
-                        "schedule-program-layout",
-                        f"supernode {s}'s below block [{bo}, {bo + nb}) falls "
-                        f"outside the level's below region "
-                        f"[{lvl.top_total}, {lvl.size})",
-                        location=loc,
-                    )
-                    layout_ok = False
-                intervals.append((bo, nb))
-        if layout_ok:
-            intervals.sort()
-            cursor = 0
-            for start, length in intervals:
-                if start != cursor:
-                    report.add(
-                        "schedule-program-layout",
-                        f"level accumulator rows "
-                        f"{'overlap' if start < cursor else 'are unused'} at "
-                        f"row {min(start, cursor)} — panels must tile the level",
-                        location=loc,
-                    )
-                    layout_ok = False
-                    break
-                cursor += length
-            if layout_ok and cursor != lvl.size:
-                report.add(
-                    "schedule-program-layout",
-                    f"level panels end at accumulator row {cursor} but the "
-                    f"level declares size {lvl.size}",
-                    location=loc,
-                )
-                layout_ok = False
+        top_at, below_at = program.node_top_off[members], program.node_below_off[owners]
+        row = _first_untiled_row(
+            np.concatenate((top_at, below_at)),
+            np.concatenate((width[members], below_count[owners])),
+            lvl.size,
+        )
+        layout_ok = (
+            row is None
+            and not np.any(top_at + width[members] > lvl.top_total)
+            and not np.any(below_at < lvl.top_total)
+        )
+        if not layout_ok:
+            report.add(
+                "schedule-program-layout",
+                f"panels do not tile the level accumulator as [tops | belows] "
+                f"(top region [0, {lvl.top_total}), size {lvl.size}"
+                + (f", first overlap, gap or overrun at row {row})" if row is not None
+                   else "): a block sits in the wrong region"),
+                location=loc,
+            )
 
-        # --- the width-1 lane's vectorized arrays.
-        if ones is not None:
-            kb = ones.k_below
-            counts: list[int] = []
-            lane_ok = kb <= ones.k
-            if not lane_ok:
+        # --- every bucket is one vectorized lane: its arrays must restate
+        # the plan's per-node facts or the bucket-wide take / product /
+        # reduction would pair the wrong rows.
+        for bkt in lvl.buckets:
+            t, kb, at = bkt.t, bkt.k_below, np.arange(bkt.k)
+            own = bkt.nodes[:kb]
+            counts = below_count[own]
+            seg = np.cumsum(counts) - counts
+            bad = (
+                kb > bkt.k
+                or np.any(width[bkt.nodes] != t)
+                or np.any((below_count[bkt.nodes] > 0) != (at < kb))
+                or not np.array_equal(program.node_top_off[bkt.nodes], bkt.top_lo + t * at)
+                or not np.array_equal(bkt.seg_starts, seg)
+                or not np.array_equal(bkt.rep_idx, np.repeat(at[:kb], counts))
+                or not np.array_equal(program.node_below_off[own], bkt.below_lo + seg)
+                or not np.array_equal(program.contrib_off[own], bkt.contrib_lo + seg)
+            )
+            if bad:
                 report.add(
                     "schedule-program-lane",
-                    f"lane declares {kb} below-owning nodes out of {ones.k}",
+                    f"bucket t={t} misdescribes its panels (width, below-owning "
+                    "nodes first, top / below / contribution offsets, segment "
+                    "starts or owner indices) — the bucket-wide product would "
+                    "reduce the wrong segments",
                     location=loc,
                 )
-            for i in range(ones.k):
-                s = int(ones.nodes[i])
-                st = steps[s]
-                nb = st.n - st.t
-                if st.t != 1:
-                    report.add(
-                        "schedule-program-lane",
-                        f"supernode {s} (panel width {st.t}) sits in the "
-                        "width-1 lane",
-                        location=loc,
-                    )
-                    lane_ok = False
-                    continue
-                if int(program.node_top_off[s]) != i or int(ones.cols[i]) != st.col_lo:
-                    report.add(
-                        "schedule-program-lane",
-                        f"lane node {s} maps to accumulator row "
-                        f"{int(program.node_top_off[s])} / column "
-                        f"{int(ones.cols[i])}, expected row {i} / column "
-                        f"{st.col_lo}",
-                        location=loc,
-                    )
-                    lane_ok = False
-                if i < kb:
-                    if nb == 0:
-                        report.add(
-                            "schedule-program-lane",
-                            f"lane node {s} has no below-rows but sits in the "
-                            f"leading k_below={kb} segment",
-                            location=loc,
-                        )
-                        lane_ok = False
-                    counts.append(nb)
-                elif nb:
-                    report.add(
-                        "schedule-program-lane",
-                        f"lane node {s} has {nb} below-rows but sits after "
-                        "the k_below split — its contribution would be lost",
-                        location=loc,
-                    )
-                    lane_ok = False
-            if lane_ok:
-                carr = np.array(counts, dtype=np.int64)
-                exp_starts = (
-                    np.concatenate(([0], np.cumsum(carr)[:-1])) if kb
-                    else np.empty(0, dtype=np.int64)
-                )
-                exp_rep = np.repeat(np.arange(kb, dtype=np.int64), carr)
-                exp_below = (
-                    np.concatenate(
-                        [steps[int(ones.nodes[i])].below for i in range(kb)]
-                    ).astype(np.int64) if kb else np.empty(0, dtype=np.int64)
-                )
-                if (
-                    not np.array_equal(ones.seg_starts, exp_starts)
-                    or not np.array_equal(ones.rep_idx, exp_rep)
-                    or not np.array_equal(ones.below_rows, exp_below)
-                ):
-                    report.add(
-                        "schedule-program-lane",
-                        "lane segment starts / owner indices / below rows do "
-                        "not decode to the plan's width-1 panels — the "
-                        "vectorized reduceat would sum the wrong segments",
-                        location=loc,
-                    )
-                for i in range(kb):
-                    s = int(ones.nodes[i])
-                    if int(program.contrib_off[s]) != ones.contrib_lo + int(
-                        exp_starts[i]
-                    ):
-                        report.add(
-                            "schedule-program-lane",
-                            f"lane node {s}'s contribution slice is not "
-                            "contiguous with the lane's — the one-subtract "
-                            "contribution write would land elsewhere",
-                            location=loc,
-                        )
-                        break
-
-        # --- bucket arrays must restate the plan's per-node facts.
-        for g in lvl.groups:
-            for i in range(g.nodes.size):
-                s = int(g.nodes[i])
-                st = steps[s]
-                nb = st.n - st.t
-                bad = (
-                    st.t != g.t
-                    or int(g.col_lo[i]) != st.col_lo
-                    or int(g.nb[i]) != nb
-                    or (g.t and int(g.top_off[i]) != int(program.node_top_off[s]))
-                    or (nb and int(g.below_off[i]) != int(program.node_below_off[s]))
-                    or (nb and int(g.contrib_off[i]) != int(program.contrib_off[s]))
-                )
-                if bad:
-                    report.add(
-                        "schedule-program-bucket",
-                        f"bucket t={g.t} misdescribes supernode {s} "
-                        "(width, columns, offsets or contribution slice)",
-                        location=loc,
-                    )
 
         if not layout_ok:
             continue  # the vector decodes below assume a clean layout
 
         # --- the level's top gather.
+        tw = width[members]
+        ramp = np.arange(int(tw.sum())) - np.repeat(np.cumsum(tw) - tw, tw)
         exp_top = np.full(lvl.top_total, -1, dtype=np.int64)
-        for s in members:
-            st = steps[s]
-            if st.t:
-                to = int(program.node_top_off[s])
-                exp_top[to:to + st.t] = np.arange(
-                    st.col_lo, st.col_hi, dtype=np.int64
-                )
+        exp_top[np.repeat(top_at, tw) + ramp] = np.repeat(col_lo[members], tw) + ramp
         if not np.array_equal(lvl.top_src, exp_top):
             report.add(
                 "schedule-program-gather",
@@ -857,79 +719,90 @@ def _check_program_structure(
 
         # --- the flattened contribution scatter, in the plan's
         # (parent ascending, child ascending) reduction order.
-        dst_parts: list[np.ndarray] = []
-        src_parts: list[np.ndarray] = []
-        for s in members:
-            st = steps[s]
-            for c, idx in zip(st.children, st.child_scatter):
-                nbc = steps[c].n - steps[c].t
-                if not nbc:
-                    continue
-                idx64 = idx.astype(np.int64)
-                dst_parts.append(np.where(
-                    idx64 < st.t,
-                    program.node_top_off[s] + idx64,
-                    program.node_below_off[s] + idx64 - st.t,
-                ))
-                src_parts.append(
-                    program.contrib_off[c] + np.arange(nbc, dtype=np.int64)
-                )
-        exp_dst = (np.concatenate(dst_parts) if dst_parts
-                   else np.empty(0, dtype=np.int64))
-        exp_src = (np.concatenate(src_parts) if src_parts
-                   else np.empty(0, dtype=np.int64))
-        if not np.array_equal(lvl.scatter_dst, exp_dst) or not np.array_equal(
-            lvl.scatter_src, exp_src
+        edges = [
+            (s, c, idx)
+            for s in members.tolist()
+            for c, idx in zip(steps[s].children, steps[s].child_scatter)
+            if below_count[c]
+        ]
+        if edges:
+            lens = np.array([idx.size for _, _, idx in edges], dtype=np.int64)
+            par = np.repeat([s for s, _, _ in edges], lens)
+            idx64 = np.concatenate([idx for _, _, idx in edges]).astype(np.int64)
+            exp_dst = idx64 + np.where(
+                idx64 < width[par],
+                program.node_top_off[par],
+                program.node_below_off[par] - width[par],
+            )
+            first = np.cumsum(lens) - lens
+            exp_src = np.arange(idx64.size) + np.repeat(
+                program.contrib_off[[c for _, c, _ in edges]] - first, lens
+            )
+        else:
+            exp_dst = exp_src = np.empty(0, dtype=np.int64)
+        starts = np.asarray(lvl.round_starts, dtype=np.int64)
+        nsc = int(lvl.scatter_dst.size)
+        widest_round = 0
+        if (
+            starts.size == 0
+            or starts[0] != 0
+            or starts[-1] != nsc
+            or np.any(np.diff(starts) < 0)
+            or lvl.scatter_src.size != nsc
         ):
             report.add(
-                "schedule-program-scatter",
-                "flattened scatter differs from the plan's deterministic "
-                "(parent-ascending, child-ascending) contribution replay — "
-                "results would depend on the program, not the structure",
+                "schedule-program-round",
+                f"round starts {lvl.round_starts} do not delimit the level's "
+                f"{nsc} replay entries",
                 location=loc,
             )
+        else:
+            widest_round = int(np.diff(starts).max(initial=0))
+            # A row named twice in one gather-add-assign round keeps only
+            # the last sum: within a round every destination must differ.
+            round_of = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+            keyed = np.sort(round_of * (lvl.size + 1) + lvl.scatter_dst)
+            if np.any(keyed[1:] == keyed[:-1]):
+                report.add(
+                    "schedule-program-round",
+                    "a replay round names one accumulator row twice — the "
+                    "earlier child contribution would be overwritten, not added",
+                    location=loc,
+                )
+            # Rounds run in order and a row appears at most once per round,
+            # so a stable sort by destination lists each row's additions in
+            # execution order; that must be the plan's order for the row.
+            ran = np.argsort(lvl.scatter_dst, kind="stable")
+            exp = np.argsort(exp_dst, kind="stable")
+            if not np.array_equal(lvl.scatter_dst[ran], exp_dst[exp]) or not np.array_equal(
+                lvl.scatter_src[ran], exp_src[exp]
+            ):
+                report.add(
+                    "schedule-program-scatter",
+                    "replay rounds differ from the plan's deterministic "
+                    "(parent-ascending, child-ascending) contribution replay — "
+                    "results would depend on the program, not the structure",
+                    location=loc,
+                )
 
-        # --- the backward gather: width-1 belows first, then buckets.
-        exp_g = np.full(int(lvl.gather_rows.size), -1, dtype=np.int64)
-        gather_ok = True
-        gpos = 0
-        if ones is not None:
-            for i in range(ones.k_below):
-                below = steps[int(ones.nodes[i])].below
-                if gpos + below.size > exp_g.size:
-                    gather_ok = False
-                    break
-                exp_g[gpos:gpos + below.size] = below
-                gpos += below.size
-        for g in lvl.groups:
-            if not g.t:
-                continue
-            for i in range(g.nodes.size):
-                nb = int(g.nb[i])
-                if not nb:
-                    continue
-                go = int(g.gather_off[i])
-                if go < 0 or go + nb > exp_g.size:
-                    gather_ok = False
-                    continue
-                exp_g[go:go + nb] = steps[int(g.nodes[i])].below
-        if (
-            not gather_ok
-            or np.any(exp_g < 0)
-            or not np.array_equal(lvl.gather_rows, exp_g)
-        ):
+        # --- the backward gather, in the accumulator's below order.
+        exp_g = np.full(lvl.size - lvl.top_total, -1, dtype=np.int64)
+        for s, go in zip(owners, (below_at - lvl.top_total).tolist()):
+            exp_g[go:go + below_count[s]] = steps[s].below
+        if not np.array_equal(lvl.gather_rows, exp_g):
             report.add(
                 "schedule-program-gather",
                 "backward gather vector does not fetch each panel's "
-                "below-rows at its declared offset",
+                "below-rows in the accumulator's below order",
                 location=loc,
             )
 
         # --- the arena sizing must cover this level.
         if (
             program.max_acc < lvl.size
-            or program.max_gather < int(lvl.scatter_src.size)
-            or program.max_gather < int(lvl.gather_rows.size)
+            or program.max_gather < max(widest_round, int(lvl.gather_rows.size))
+            or program.max_prod < max(widest_round, *(bkt.b * bkt.t for bkt in lvl.buckets))
+            or program.max_dot < max(bkt.k_below * bkt.t for bkt in lvl.buckets)
         ):
             report.add(
                 "schedule-program-workspace",

@@ -14,11 +14,13 @@ The central claims under test, mirroring the engine battery in
   digest as its plan's, and the certifier rejects mutated programs.
 """
 
+import dataclasses
 import gc
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from repro.exec import (
     backward_fused,
@@ -35,8 +37,8 @@ from repro.exec import (
     solve_fused,
 )
 from repro.exec.arena import build_fused_workspace
-from repro.exec.fused import _backward_levels, _forward_levels
-from repro.exec.plan import build_plan
+from repro.exec.fused import _backward_levels, _forward_levels, _replay_rounds
+from repro.exec.plan import Level, _rounds, build_plan
 from repro.numeric.supernodal import cholesky_supernodal
 from repro.numeric.trisolve import (
     backward_supernodal,
@@ -44,6 +46,13 @@ from repro.numeric.trisolve import (
     solve_supernodal,
 )
 from repro.symbolic.analyze import analyze
+
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_EMPTY_LEVEL = Level(
+    index=0, size=0, top_total=0, top_src=_NO_ROWS, scatter_dst=_NO_ROWS,
+    scatter_src=_NO_ROWS, round_starts=(0,), gather_rows=_NO_ROWS, buckets=(),
+)
 
 
 @pytest.fixture(autouse=True)
@@ -115,6 +124,54 @@ class TestBitwiseAgreement:
             assert np.array_equal(runs[0], other)
 
 
+    @pytest.mark.parametrize("nrhs", [1, 16])
+    def test_sparse_right_hand_sides_agree_to_the_byte(self, factored, rng, nrhs):
+        # Unit vectors and half-zero blocks push exact zeros of both signs
+        # through every product sum and leave whole subtrees at zero.
+        # array_equal calls -0.0 and +0.0 equal; the bytes do not.
+        a, sym, factor = factored
+        unit = np.zeros((a.n, nrhs))
+        unit[rng.integers(0, a.n, size=nrhs), np.arange(nrhs)] = -1.0
+        half = rng.normal(size=(a.n, nrhs))
+        half[rng.random(half.shape) < 0.5] = -0.0
+        for b in (unit, half):
+            assert solve_fused(factor, b).tobytes() == solve_supernodal(factor, b).tobytes()
+            y = forward_fused(factor, b)
+            assert y.tobytes() == forward_supernodal(factor, b).tobytes()
+
+
+class TestRoundReplay:
+    """The contribution replay without ``np.add.at``: same sums, same order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        multiplicities=strategies.lists(strategies.integers(1, 5), min_size=1, max_size=12),
+        m=strategies.sampled_from([1, 4, 16]),
+        seed=strategies.integers(0, 2**16),
+    )
+    def test_rounds_equal_in_order_scatter_add_bit_for_bit(self, multiplicities, m, seed):
+        rng = np.random.default_rng(seed)
+        nrows = len(multiplicities) + 2  # two rows nobody adds to
+        dst = rng.permutation(np.repeat(rng.permutation(nrows)[:-2], multiplicities))
+        src = rng.permutation(dst.size + 3)[: dst.size].astype(np.int64)
+        # magnitudes spread over many binades so the order of additions shows
+        contrib = rng.normal(size=(dst.size + 3, m)) * 10.0 ** rng.integers(-8, 8, (dst.size + 3, 1))
+        start = rng.normal(size=(nrows, m))
+
+        expect = start.copy()
+        np.add.at(expect, dst, contrib[src])
+
+        round_dst, round_src, round_starts = _rounds(dst.astype(np.int64), src)
+        assert len(round_starts) - 1 == max(multiplicities)
+        lvl = dataclasses.replace(
+            _EMPTY_LEVEL, size=nrows,
+            scatter_dst=round_dst, scatter_src=round_src, round_starts=round_starts,
+        )
+        acc = start.copy()
+        _replay_rounds(acc, contrib, lvl, np.empty((dst.size, m)), np.empty((dst.size, m)))
+        assert acc.tobytes() == expect.tobytes()
+
+
 class TestZeroAllocationSteadyState:
     def test_second_solve_reuses_arena_workspace(self, sym_grid8, rng):
         factor = cholesky_supernodal(sym_grid8)
@@ -131,26 +188,27 @@ class TestZeroAllocationSteadyState:
     def test_sweeps_allocate_no_per_node_arrays(self, sym_grid8, rng):
         # Drive the level loops directly on a leased workspace: with every
         # buffer preallocated, the hot path must allocate nothing beyond
-        # small constant-size temporaries (dtrsm's f2py return tuple and
-        # loop-iteration objects) — far below one per-node array.
+        # small constant-size temporaries (dtrsm's f2py return value, views
+        # and loop-iteration objects) — far below one per-node array, and
+        # below one bucket-wide product at sixteen columns.
         factor = cholesky_supernodal(sym_grid8)
-        prep = prepare_factor(factor)
         program = program_for(sym_grid8.stree)
         panels = fused_panels_for(factor)
-        y = rng.normal(size=(sym_grid8.n, 1))
-        ws = build_fused_workspace(program, 1)
-        _forward_levels(program, prep, panels, y, ws)  # warm every code path
-        _backward_levels(program, prep, panels, y, ws)
+        for m in (1, 16):
+            y = rng.normal(size=(sym_grid8.n, m))
+            ws = build_fused_workspace(program, m)
+            _forward_levels(program, panels, y, ws)  # warm every code path
+            _backward_levels(program, panels, y, ws)
 
-        tracemalloc.start()
-        _forward_levels(program, prep, panels, y, ws)
-        _backward_levels(program, prep, panels, y, ws)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < 16 * 1024, (
-            f"fused sweeps allocated {peak} bytes at peak — the zero-"
-            "allocation path regressed (a per-node np.zeros is back?)"
-        )
+            tracemalloc.start()
+            _forward_levels(program, panels, y, ws)
+            _backward_levels(program, panels, y, ws)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert peak < 16 * 1024, (
+                f"fused sweeps allocated {peak} bytes at peak with {m} columns — "
+                "the zero-allocation path regressed (a per-node np.zeros is back?)"
+            )
 
     def test_distinct_nrhs_lease_distinct_workspaces(self, sym_grid8, rng):
         factor = cholesky_supernodal(sym_grid8)

@@ -20,6 +20,7 @@ from repro.numeric.kernels import (
     rect_apply_t,
     solve_lower,
     solve_lower_t,
+    sum_terms,
 )
 
 WIDTHS = (2, 3, 4, 7, 16, 33)
@@ -83,6 +84,80 @@ def test_rect_apply_t_column_slice_invariant(nb, t, m):
         assert np.array_equal(wide[:, j : j + 1], narrow)
 
 
+# The rounding order of the two rectangle kernels is a property of numpy's
+# ``reduce`` / ``reduceat`` loops.  These are the explicit per-``k`` loops the
+# kernels used to be; the one-product kernels must keep their bits.
+def _rect_apply_oracle(rect, solved):
+    out = rect[:, 0:1] * solved[0:1]
+    for k in range(1, rect.shape[1]):
+        out += rect[:, k : k + 1] * solved[k : k + 1]
+    return out
+
+
+def _rect_apply_t_oracle(rect, xg):
+    seg0 = np.zeros(1, dtype=np.intp)
+    out = np.empty((rect.shape[1], xg.shape[1]))
+    for i in range(rect.shape[1]):
+        np.add.reduceat(rect[:, i : i + 1] * xg, seg0, axis=0, out=out[i : i + 1])
+    return out
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("nb", [1, 7, 8, 9, 40, 129, 4097])
+@pytest.mark.parametrize("t", [1, 2, 9, 48])
+def test_rect_kernels_keep_the_per_k_loops_bits(nb, t):
+    rng = _rng()
+    for m in (1, 4, 16):
+        wide = rng.normal(size=(nb, t + 2))
+        # zeros of both signs: an identity-initialised sum would lose -0.0
+        wide[rng.random(wide.shape) < 0.2] = -0.0
+        solved_pad = rng.normal(size=(t, m + 1))
+        solved_pad[rng.random(solved_pad.shape) < 0.3] = 0.0
+        xg_pad = rng.normal(size=(nb, m + 1))
+        for rect, solved, xg in (
+            (np.ascontiguousarray(wide[:, 1 : t + 1]),
+             np.ascontiguousarray(solved_pad[:, :m]), np.ascontiguousarray(xg_pad[:, :m])),
+            (wide[:, 1 : t + 1], solved_pad[:, :m], xg_pad[:, :m]),
+        ):
+            assert _same_bits(rect_apply(rect, solved), _rect_apply_oracle(rect, solved))
+            assert _same_bits(rect_apply_t(rect, xg), _rect_apply_t_oracle(rect, xg))
+
+
+def test_rect_apply_t_is_not_the_sequential_sum():
+    """Pin what the order is *not*, so the docs cannot drift back.
+
+    ``reduceat`` runs numpy's pairwise reduce loop; a strictly sequential
+    ascending-row sum differs in the last bits for ordinary data.
+    """
+    rng = _rng()
+    rect = rng.normal(size=(100, 1))
+    xg = rng.normal(size=(100, 8))
+    sequential = np.zeros((1, 8))
+    for row in rect * xg:
+        sequential += row
+    got = rect_apply_t(rect, xg)
+    np.testing.assert_allclose(got, sequential, rtol=1e-12)
+    assert not np.array_equal(got, sequential)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (9, 1, 1), (48, 1, 1), (9, 3, 1), (9, 1, 4), (5, 7, 16)])
+def test_sum_terms_is_the_ascending_sum_even_for_one_output(shape):
+    # A single output element leaves numpy's reduce only the summed axis to
+    # loop over, where it sums pairwise; sum_terms must not.
+    rng = _rng()
+    terms = rng.normal(size=shape)
+    terms[rng.random(shape) < 0.3] = -0.0
+    expect = terms[0].copy()
+    for k in range(1, shape[0]):
+        expect += terms[k]
+    out = np.full(shape[1:], np.nan)
+    assert sum_terms(terms.copy(), out) is out
+    assert _same_bits(out, expect)
+
+
 def test_rect_apply_workspace_matches_allocating_path():
     rng = _rng()
     rect = rng.normal(size=(40, 9))
@@ -92,6 +167,10 @@ def test_rect_apply_workspace_matches_allocating_path():
     got = rect_apply(rect, solved, out=out, tmp=tmp)
     assert got is out
     assert np.array_equal(out, rect_apply(rect, solved))
+    # a scratch with room for the whole (t, nb, m) term stack is used in place
+    big = np.full((40 * 9, 6), np.nan)
+    assert np.array_equal(rect_apply(rect, solved, tmp=big), out)
+    assert not np.isnan(big).any()
 
 
 def test_rect_apply_t_workspace_matches_allocating_path():

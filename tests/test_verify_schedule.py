@@ -168,6 +168,71 @@ class TestCertifyMutants:
         ), report.render()
 
 
+    # --- the level program's replay rounds and bucket lanes: reported, never raised
+
+    @staticmethod
+    def _certify_with_level(sym, plan, pick, mutate):
+        program = compile_level_program(plan)
+        li = next(i for i, lvl in enumerate(program.levels) if pick(lvl))
+        levels = list(program.levels)
+        levels[li] = mutate(levels[li])
+        mutant = dataclasses.replace(program, levels=tuple(levels))
+        return certify_level_program(mutant, plan, sym.stree).report
+
+    @staticmethod
+    def _two_rounds(lvl):
+        return len(lvl.round_starts) > 2 and lvl.round_starts[2] > lvl.round_starts[1]
+
+    def test_round_with_a_duplicated_destination_is_a_lost_update(self, sym, plan):
+        def mutate(lvl):
+            # Move the round boundary one entry to the right: the second
+            # round's first entry joins the first round, which already has
+            # an entry for the same accumulator row.
+            starts = lvl.round_starts
+            return dataclasses.replace(
+                lvl, round_starts=(starts[0], starts[1] + 1, *starts[2:])
+            )
+
+        report = self._certify_with_level(sym, plan, self._two_rounds, mutate)
+        assert report.rules() == {"schedule-program-round"}, report.render()
+
+    def test_rounds_swapped_for_one_row_reorder_its_sum(self, sym, plan):
+        def mutate(lvl):
+            dst, src = lvl.scatter_dst, lvl.scatter_src.copy()
+            second = lvl.round_starts[1]
+            first = int(np.flatnonzero(dst[:second] == dst[second])[0])
+            src[first], src[second] = src[second], src[first]
+            return dataclasses.replace(lvl, scatter_src=src)
+
+        report = self._certify_with_level(sym, plan, self._two_rounds, mutate)
+        assert report.rules() == {"schedule-program-scatter"}, report.render()
+
+    def test_malformed_round_starts_are_reported(self, sym, plan):
+        report = self._certify_with_level(
+            sym, plan, self._two_rounds,
+            lambda lvl: dataclasses.replace(lvl, round_starts=lvl.round_starts[:-1]),
+        )
+        assert "schedule-program-round" in report.rules(), report.render()
+
+    def test_shifted_segment_start_in_a_wide_bucket_is_flagged(self):
+        def wide(bkt):
+            return bkt.t > 1 and bkt.k_below > 1
+
+        def mutate(lvl):
+            buckets = list(lvl.buckets)
+            bi = next(i for i, bkt in enumerate(buckets) if wide(bkt))
+            seg = buckets[bi].seg_starts.copy()
+            seg[1] += 1  # the first rectangle's dot products swallow a foreign row
+            buckets[bi] = dataclasses.replace(buckets[bi], seg_starts=seg)
+            return dataclasses.replace(lvl, buckets=tuple(buckets))
+
+        sym = analyze(grid2d_laplacian(10))  # has width-2 and width-3 multi-node buckets
+        report = self._certify_with_level(
+            sym, build_plan(sym.stree), lambda lvl: any(map(wide, lvl.buckets)), mutate
+        )
+        assert report.rules() == {"schedule-program-lane"}, report.render()
+
+
 class TestLevelChainSharesThePlansConflicts:
     """The level-chain check re-uses the plan's ordering obligations."""
 
@@ -221,6 +286,8 @@ class TestLevelChainSharesThePlansConflicts:
             },
             "plan-permuted-reduction": {"schedule-reduction-order"},
             "program-swapped-scatter": {"schedule-program-scatter"},
+            "program-round-duplicate-destination": {"schedule-program-round"},
+            "program-round-order-swapped": {"schedule-program-scatter"},
         }
         cases = [c for c in known_bad_cases() if c.name.startswith(("plan-", "program-"))]
         assert {c.name: c.run().rules() for c in cases} == recorded
