@@ -66,6 +66,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
               f"levels={int(stree.bottom_up_levels().max()) + 1}")
         if rep.schedule_certificate:
             print(f"schedule certificate: {rep.schedule_certificate}")
+    print("set-up: " + "  ".join(
+        f"{stage} {seconds * 1e3:.1f} ms" for stage, seconds in solver.setup_seconds.items())
+        + "  (wall-clock)")
     print(f"  factorization : {rep.factor_seconds * 1e3:10.3f} ms  "
           f"({rep.factor_mflops:8.1f} MFLOPS, simulated)")
     print(f"  redistribute  : {rep.redistribute_seconds * 1e3:10.3f} ms  "

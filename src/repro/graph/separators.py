@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.graph.structure import Adjacency
 from repro.graph.traversal import bfs_levels, pseudo_peripheral
+from repro.util.segments import segment_ids
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,10 @@ class Separation:
 
 def _boundary_separator(g: Adjacency, side_mask: np.ndarray) -> Separation:
     """Make the vertices of ``side_mask`` adjacent to the other side the separator."""
+    source = segment_ids(g.indptr)
+    crossing = side_mask[source] & ~side_mask[g.indices]
     sep_mask = np.zeros(g.n, dtype=bool)
-    for v in np.flatnonzero(side_mask):
-        nb = g.neighbors(int(v))
-        if nb.size and bool(np.any(~side_mask[nb])):
-            sep_mask[v] = True
+    sep_mask[source[crossing]] = True
     left = np.flatnonzero(side_mask & ~sep_mask)
     right = np.flatnonzero(~side_mask)
     return Separation(left, np.flatnonzero(sep_mask), right)

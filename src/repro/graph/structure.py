@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.sparse.csc import SymCSC
+from repro.util.segments import ptr_from_counts, segment_ids
 from repro.util.validation import check_index
 
 
@@ -43,29 +44,26 @@ class Adjacency:
         given) and the mapping ``local -> global`` (a copy of *vertices*).
         """
         vertices = np.asarray(vertices, dtype=np.int64)
+        k = vertices.shape[0]
         local = -np.ones(self.n, dtype=np.int64)
-        local[vertices] = np.arange(vertices.shape[0])
-        sub_ptr = np.zeros(vertices.shape[0] + 1, dtype=np.int64)
-        chunks = []
-        for k, v in enumerate(vertices):
-            nb = local[self.neighbors(int(v))]
-            nb = nb[nb >= 0]
-            chunks.append(nb)
-            sub_ptr[k + 1] = sub_ptr[k] + nb.shape[0]
-        sub_idx = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        local[vertices] = np.arange(k)
+        # Gather every listed vertex's neighbour run in one take: position
+        # p of the flat gather belongs to the owner[p]-th listed vertex.
+        starts = self.indptr[vertices]
+        lengths = self.indptr[vertices + 1] - starts
+        owner = np.repeat(np.arange(k), lengths)
+        flat = np.arange(owner.shape[0]) + (starts - ptr_from_counts(lengths)[:-1])[owner]
+        nb = local[self.indices[flat]]
+        keep = nb >= 0
+        sub_ptr = ptr_from_counts(np.bincount(owner[keep], minlength=k))
         coords = self.coords[vertices] if self.coords is not None else None
-        return Adjacency(vertices.shape[0], sub_ptr, sub_idx, coords), vertices.copy()
+        return Adjacency(k, sub_ptr, nb[keep], coords), vertices.copy()
 
 
 def adjacency_from_matrix(a: SymCSC) -> Adjacency:
     """Adjacency of the full symmetric pattern of *a*, self-loops removed."""
     indptr, indices = a.pattern_full()
-    mask = np.ones(indices.shape[0], dtype=bool)
-    for v in range(a.n):
-        lo, hi = int(indptr[v]), int(indptr[v + 1])
-        mask[lo:hi] &= indices[lo:hi] != v
-    new_ptr = np.zeros(a.n + 1, dtype=np.int64)
-    for v in range(a.n):
-        lo, hi = int(indptr[v]), int(indptr[v + 1])
-        new_ptr[v + 1] = new_ptr[v] + int(mask[lo:hi].sum())
+    column = segment_ids(indptr)
+    mask = indices != column
+    new_ptr = ptr_from_counts(np.bincount(column[mask], minlength=a.n))
     return Adjacency(a.n, new_ptr, indices[mask], a.coords)

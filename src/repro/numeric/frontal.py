@@ -22,7 +22,7 @@ def dense_cholesky(a: np.ndarray) -> np.ndarray:
     of *a* is referenced)."""
     check_square(a.shape, "frontal block")
     try:
-        return np.linalg.cholesky(np.tril(a) + np.tril(a, -1).T)
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
 

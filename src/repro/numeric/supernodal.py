@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.numeric.frontal import dense_cholesky, trsm_lower
+from repro.numeric.frontal import NotPositiveDefiniteError, dense_cholesky, trsm_lower
 from repro.sparse.csc import LowerCSC
 from repro.symbolic.analyze import SymbolicFactor
 from repro.symbolic.stree import SupernodalTree
+from repro.util.segments import segment_ids
 
 
 @dataclass
@@ -47,77 +48,80 @@ class SupernodalFactor:
     def to_lower_csc(self, l_indptr: np.ndarray, l_indices: np.ndarray) -> LowerCSC:
         """Scatter the trapezoids into the simplicial CSC pattern."""
         data = np.zeros(int(l_indptr[-1]))
+        column = segment_ids(l_indptr)
         for sn, block in zip(self.stree.supernodes, self.blocks):
-            for local_j in range(sn.t):
-                j = sn.col_lo + local_j
-                lo, hi = int(l_indptr[j]), int(l_indptr[j + 1])
-                col_rows = l_indices[lo:hi]
-                #
-
-                # The supernode's rows from local_j down are a superset of
-                # this column's pattern (equality for fundamental
-                # supernodes); match by searchsorted on the below part.
-                sub_rows = sn.rows[local_j:]
-                positions = np.searchsorted(sub_rows, col_rows)
-                data[lo:hi] = block[local_j + positions, local_j]
+            lo, hi = int(l_indptr[sn.col_lo]), int(l_indptr[sn.col_hi])
+            # The supernode's rows are a superset of each of its columns'
+            # patterns (equality for fundamental supernodes).
+            data[lo:hi] = block[np.searchsorted(sn.rows, l_indices[lo:hi]),
+                                column[lo:hi] - sn.col_lo]
         return LowerCSC(n=self.n, indptr=l_indptr.copy(), indices=l_indices.copy(), data=data)
 
     def to_dense(self) -> np.ndarray:
         """Dense L (testing only)."""
         out = np.zeros((self.n, self.n))
         for sn, block in zip(self.stree.supernodes, self.blocks):
-            for local_j in range(sn.t):
-                out[sn.rows[local_j:], sn.col_lo + local_j] = block[local_j:, local_j]
-        return out
+            out[sn.rows, sn.col_lo : sn.col_hi] = block
+        # A diagonal block's strict upper triangle lands above the diagonal of L.
+        return np.tril(out)
 
 
 def cholesky_supernodal(sym: SymbolicFactor) -> SupernodalFactor:
-    """Multifrontal factorization of ``sym.a_perm``."""
+    """Multifrontal factorization of ``sym.a_perm``.
+
+    Only the lower triangle of a frontal matrix is ever read: the dense
+    Cholesky references the lower triangle of the pivot block, the
+    rectangle below it is lower by position, and the ascending relative
+    indices of extend-add carry a child's lower triangle onto the
+    parent's.  So A's entries are scattered into the lower triangle only
+    and nothing is symmetrised; what the upper triangle holds is never
+    looked at.
+    """
     a = sym.a_perm
     stree = sym.stree
+    supernodes, children = stree.supernodes, stree.children
+    # Local column of every stored entry of A inside its supernode's front
+    # (the local row is one searchsorted per supernode, below).
+    a_local_col = segment_ids(a.indptr)
+    a_local_col -= stree.col_lo[sym.partition.column_to_supernode()][a_local_col]
+
     blocks: list[np.ndarray] = [None] * stree.nsuper  # type: ignore[list-item]
-    # update matrix stack: update[s] = (rows, dense (k x k) lower part)
-    pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    # pending[s] = the (n-t) x (n-t) Schur complement of s, until its parent consumes it
+    pending: dict[int, np.ndarray] = {}
 
     for s in stree.topo_order():
-        sn = stree.supernodes[s]
-        n_s, t_s = sn.n, sn.t
+        sn = supernodes[s]
+        n_s, t_s, rows = sn.n, sn.t, sn.rows
         front = np.zeros((n_s, n_s))
-        rows = sn.rows
-        pos_of_global = {int(g): i for i, g in enumerate(rows)}
 
         # Assemble original-matrix columns (lower triangle only).
-        for local_j in range(t_s):
-            j = sn.col_lo + local_j
-            a_rows, a_vals = a.column(j)
-            for g, v in zip(a_rows, a_vals):
-                front[pos_of_global[int(g)], local_j] += v
+        # ``+ 0.0`` stores a -0.0 of A as the +0.0 that accumulating into
+        # the zeroed front would leave.
+        lo, hi = a.indptr.item(sn.col_lo), a.indptr.item(sn.col_hi)
+        a_local_row = rows.searchsorted(a.indices[lo:hi])
+        front[a_local_row, a_local_col[lo:hi]] = a.data[lo:hi] + 0.0
 
-        # Extend-add children's update matrices.
-        for c in stree.children[s]:
-            up_rows, up = pending.pop(c)
-            idx = np.fromiter(
-                (pos_of_global[int(g)] for g in up_rows), dtype=np.int64, count=up_rows.shape[0]
-            )
-            front[np.ix_(idx, idx)] += up
+        # Extend-add children's update matrices, in ascending child order.
+        for c in children[s]:
+            idx = rows.searchsorted(supernodes[c].below)
+            front[idx[:, None], idx] += pending.pop(c)
 
         # Factor the leading t columns of the frontal matrix.
-        diag = dense_cholesky(front[:t_s, :t_s])
-        below = trsm_lower(diag, front[t_s:, :t_s].T).T if n_s > t_s else front[t_s:, :t_s]
-        block = np.zeros((n_s, t_s))
-        block[:t_s, :] = np.tril(diag)
-        block[t_s:, :] = below
-        blocks[s] = block
-
-        # Schur complement for the parent (lower triangle suffices but we
-        # keep it full-symmetric for simple extend-add).
+        try:
+            diag = dense_cholesky(front[:t_s, :t_s])
+        except NotPositiveDefiniteError as exc:
+            raise NotPositiveDefiniteError(
+                f"supernode {s} (columns [{sn.col_lo}, {sn.col_hi}) of the permuted "
+                f"matrix) is not positive definite: {exc}"
+            ) from exc
+        block = np.empty((n_s, t_s))
+        block[:t_s] = diag
         if n_s > t_s:
-            trailing = front[t_s:, t_s:]
-            # Symmetrise the assembled trailing block: assembly only filled
-            # its lower triangle from A and children.
-            trailing = np.tril(trailing) + np.tril(trailing, -1).T
-            update = trailing - below @ below.T
-            pending[s] = (sn.below, update)
+            below = trsm_lower(diag, front[t_s:, :t_s].T).T
+            block[t_s:] = below
+            # Schur complement for the parent.
+            pending[s] = front[t_s:, t_s:] - below @ below.T
+        blocks[s] = block
 
     if pending:
         raise AssertionError("unconsumed update matrices — broken assembly tree")

@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.util.segments import segment_ids
 from repro.util.validation import check_index, require
 
 
@@ -90,10 +91,9 @@ class SymCSC:
     def to_dense(self) -> np.ndarray:
         """Full dense symmetric matrix (small matrices / testing only)."""
         out = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            rows, vals = self.column(j)
-            out[rows, j] = vals
-            out[j, rows] = vals
+        column = segment_ids(self.indptr)
+        out[self.indices, column] = self.data
+        out[column, self.indices] = self.data
         return out
 
     def to_scipy(self):
@@ -139,20 +139,9 @@ class SymCSC:
         require(perm.shape == (self.n,), "perm must have length n")
         inv = np.empty(self.n, dtype=np.int64)
         inv[perm] = np.arange(self.n)
-        rows, cols, vals = [], [], []
-        for j in range(self.n):
-            r, v = self.column(j)
-            rows.append(inv[r])
-            cols.append(np.full(r.shape, inv[j], dtype=np.int64))
-            vals.append(v)
+        column = segment_ids(self.indptr)
         coords = self.coords[perm] if self.coords is not None else None
-        return from_triplets(
-            self.n,
-            np.concatenate(rows),
-            np.concatenate(cols),
-            np.concatenate(vals),
-            coords=coords,
-        )
+        return from_triplets(self.n, inv[self.indices], inv[column], self.data, coords=coords)
 
 
 @dataclass(frozen=True)
@@ -178,9 +167,7 @@ class LowerCSC:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            rows, vals = self.column(j)
-            out[rows, j] = vals
+        out[self.indices, segment_ids(self.indptr)] = self.data
         return out
 
     def to_scipy(self):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse.csc import SymCSC
+from repro.util.segments import segment_ids
 
 NO_PARENT = -1
 
@@ -26,39 +27,32 @@ def elimination_tree(a: SymCSC) -> np.ndarray:
     says "row i has a nonzero in column j", which is exactly what the
     classic algorithm consumes when it reaches column i.
     """
-    n = a.n
-    parent = np.full(n, NO_PARENT, dtype=np.int64)
-    ancestor = np.full(n, NO_PARENT, dtype=np.int64)
-
-    # Build, for each row i, the list of columns j < i with A[i, j] != 0.
-    # Our storage is exactly that: column j holds rows i >= j.
-    row_cols: list[list[int]] = [[] for _ in range(n)]
-    for j in range(n):
-        rows, _ = a.column(j)
-        for i in rows:
-            if int(i) > j:
-                row_cols[int(i)].append(j)
-
-    for i in range(n):
-        for j in row_cols[i]:
-            # Walk from j to the root of its current virtual tree,
-            # compressing paths, and attach the root under i.
-            k = j
-            while ancestor[k] != NO_PARENT and ancestor[k] != i:
-                nxt = ancestor[k]
-                ancestor[k] = i
-                k = nxt
-            if ancestor[k] == NO_PARENT:
-                ancestor[k] = i
-                parent[k] = i
-    return parent
+    # For each row i, the columns j < i with A[i, j] != 0, ascending: the
+    # strictly-lower entries in a stable sort by row (CSC order is already
+    # column-ascending).
+    column = segment_ids(a.indptr)
+    strict = a.indices > column
+    rows, cols = a.indices[strict], column[strict]
+    by_row = np.argsort(rows, kind="stable")
+    parent = [NO_PARENT] * a.n
+    ancestor = [NO_PARENT] * a.n
+    # The union-find sweep is sequential by nature (every step reads the
+    # compression the previous one wrote), so it runs over plain lists.
+    for i, j in zip(rows[by_row].tolist(), cols[by_row].tolist()):
+        # Walk from j to the root of its current virtual tree,
+        # compressing paths, and attach the root under i.
+        k = j
+        while ancestor[k] != NO_PARENT and ancestor[k] != i:
+            nxt = ancestor[k]
+            ancestor[k] = i
+            k = nxt
+        if ancestor[k] == NO_PARENT:
+            ancestor[k] = i
+            parent[k] = i
+    return np.asarray(parent, dtype=np.int64)
 
 
 def is_valid_etree(parent: np.ndarray) -> bool:
-    """Check parent[j] > j or -1, and acyclicity (testing helper)."""
+    """True iff every ``parent[j]`` is -1 or in ``(j, n)`` — which also rules out cycles."""
     n = parent.shape[0]
-    for j in range(n):
-        p = int(parent[j])
-        if p != NO_PARENT and not (j < p < n):
-            return False
-    return True
+    return bool(np.all((parent == NO_PARENT) | ((parent > np.arange(n)) & (parent < n))))

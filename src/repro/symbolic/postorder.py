@@ -12,18 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ordering.permutation import Permutation
-from repro.symbolic.etree import NO_PARENT
+from repro.symbolic.etree import NO_PARENT, is_valid_etree
+from repro.util.segments import ptr_from_counts
 
 
 def children_lists(parent: np.ndarray) -> list[list[int]]:
     """Children of each node, each list sorted ascending."""
-    n = parent.shape[0]
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for j in range(n):
-        p = int(parent[j])
-        if p != NO_PARENT:
-            kids[p].append(j)
-    return kids
+    kids = np.flatnonzero(parent != NO_PARENT)
+    of = parent[kids]
+    ptr = ptr_from_counts(np.bincount(of, minlength=parent.shape[0])).tolist()
+    grouped = kids[np.argsort(of, kind="stable")].tolist()
+    return [grouped[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
 
 
 def postorder(parent: np.ndarray) -> Permutation:
@@ -34,9 +33,8 @@ def postorder(parent: np.ndarray) -> Permutation:
     """
     n = parent.shape[0]
     kids = children_lists(parent)
-    roots = [j for j in range(n) if parent[j] == NO_PARENT]
-    out = np.empty(n, dtype=np.int64)
-    k = 0
+    roots = np.flatnonzero(parent == NO_PARENT).tolist()
+    out: list[int] = []
     for root in roots:
         stack: list[tuple[int, int]] = [(root, 0)]
         while stack:
@@ -45,22 +43,18 @@ def postorder(parent: np.ndarray) -> Permutation:
                 stack.append((node, child_idx + 1))
                 stack.append((kids[node][child_idx], 0))
             else:
-                out[k] = node
-                k += 1
-    if k != n:
+                out.append(node)
+    if len(out) != n:
         raise ValueError("parent array does not describe a forest")
-    return Permutation(out)
+    return Permutation(np.asarray(out, dtype=np.int64))
 
 
 def relabel_tree(parent: np.ndarray, perm: Permutation) -> np.ndarray:
     """Parent array after renumbering nodes with *perm* (new <- old)."""
     inv = perm.inverse().perm
-    n = parent.shape[0]
-    out = np.full(n, NO_PARENT, dtype=np.int64)
-    for old in range(n):
-        p = int(parent[old])
-        if p != NO_PARENT:
-            out[inv[old]] = inv[p]
+    out = np.full(parent.shape[0], NO_PARENT, dtype=np.int64)
+    has_parent = parent != NO_PARENT
+    out[inv[has_parent]] = inv[parent[has_parent]]
     return out
 
 
@@ -70,27 +64,40 @@ def tree_levels(parent: np.ndarray) -> np.ndarray:
     Matches the paper's Figure 1 convention: the topmost (root) supernode is
     level 0 and levels grow downwards.
     """
-    n = parent.shape[0]
-    level = -np.ones(n, dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        p = int(parent[j])
-        if p == NO_PARENT:
-            level[j] = 0
-        else:
-            if level[p] < 0:
-                # Parents always have higher indices, so a reverse sweep
-                # sees every parent before its children.
-                raise ValueError("parent array must satisfy parent[j] > j")
-            level[j] = level[p] + 1
+    parent = np.asarray(parent, dtype=np.int64)
+    if not is_valid_etree(parent):
+        raise ValueError("parent array must satisfy parent[j] > j")
+    # Pointer jumping: ``level[j]`` counts the edges from j up to ``hop[j]``
+    # and every round doubles the hop, so ceil(log2(height)) rounds suffice.
+    level = (parent != NO_PARENT).astype(np.int64)
+    hop = parent.copy()
+    live = np.flatnonzero(hop != NO_PARENT)
+    while live.size:
+        via = hop[live]
+        level[live] += level[via]
+        hop[live] = hop[via]
+        live = live[hop[live] != NO_PARENT]
     return level
+
+
+def levels_deepest_first(level: np.ndarray):
+    """Yield the non-root nodes of a forest one depth at a time, deepest first.
+
+    *level* is :func:`tree_levels` of the forest.
+
+    Every node of one depth has its parent at the depth above, so a
+    bottom-up recurrence can fold a whole depth into the parents with one
+    array operation.
+    """
+    by_level = np.argsort(level, kind="stable")
+    ptr = np.searchsorted(level[by_level], np.arange(int(level.max(initial=0)) + 2))
+    for d in range(ptr.shape[0] - 2, 0, -1):
+        yield by_level[ptr[d] : ptr[d + 1]]
 
 
 def subtree_sizes(parent: np.ndarray) -> np.ndarray:
     """Number of nodes in the subtree rooted at each node (incl. itself)."""
-    n = parent.shape[0]
-    size = np.ones(n, dtype=np.int64)
-    for j in range(n):
-        p = int(parent[j])
-        if p != NO_PARENT:
-            size[p] += size[j]
+    size = np.ones(parent.shape[0], dtype=np.int64)
+    for nodes in levels_deepest_first(tree_levels(parent)):
+        np.add.at(size, parent[nodes], size[nodes])
     return size

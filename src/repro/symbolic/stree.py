@@ -15,7 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from repro.symbolic.etree import NO_PARENT
+from repro.symbolic.postorder import children_lists, levels_deepest_first, tree_levels
 from repro.symbolic.supernodes import SupernodePartition
+from repro.util.segments import ptr_from_counts, segment_ids
 from repro.util.validation import require
 
 
@@ -56,44 +58,58 @@ class Supernode:
 
 @dataclass
 class SupernodalTree:
-    """Supernodes plus their tree structure and per-node levels."""
+    """Supernodes plus their tree structure and per-node levels.
+
+    ``col_lo`` / ``col_hi`` / ``heights`` are the supernodes' column ranges
+    and trapezoid heights as vectors, read off once at construction; every
+    structure counter below is arithmetic on them.
+    """
 
     supernodes: list[Supernode]
     parent: np.ndarray
     children: list[list[int]] = field(init=False)
     level: np.ndarray = field(init=False)
+    col_lo: np.ndarray = field(init=False, repr=False)
+    col_hi: np.ndarray = field(init=False, repr=False)
+    heights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ns = len(self.supernodes)
         require(self.parent.shape[0] == ns, "parent array size mismatch")
-        for sn in self.supernodes:
+        shape = np.array(
+            [(sn.col_lo, sn.col_hi, sn.rows.shape[0]) for sn in self.supernodes],
+            dtype=np.int64,
+        ).reshape(ns, 3)
+        self.col_lo, self.col_hi, self.heights = shape.T
+        empty = np.flatnonzero(self.col_hi <= self.col_lo)
+        if empty.size:
             # No executor or compiler carries a lane for an empty panel.
-            require(sn.col_hi > sn.col_lo,
-                    f"supernode {sn.index} has no columns "
-                    f"(col_lo={sn.col_lo}, col_hi={sn.col_hi})")
-        self.children = [[] for _ in range(ns)]
-        for s in range(ns):
-            p = int(self.parent[s])
-            if p != NO_PARENT:
-                require(p > s, "supernodal tree parents must have higher indices")
-                self.children[p].append(s)
+            sn = self.supernodes[int(empty[0])]
+            raise ValueError(f"supernode {sn.index} has no columns "
+                             f"(col_lo={sn.col_lo}, col_hi={sn.col_hi})")
+        kids = np.flatnonzero(self.parent != NO_PARENT)
+        require(bool(np.all(self.parent[kids] > kids)),
+                "supernodal tree parents must have higher indices")
+        self.children = children_lists(self.parent)
         # Levels follow the paper's Figure 1: roots at level 0.
-        self.level = -np.ones(ns, dtype=np.int64)
-        for s in range(ns - 1, -1, -1):
-            p = int(self.parent[s])
-            self.level[s] = 0 if p == NO_PARENT else self.level[p] + 1
+        self.level = tree_levels(self.parent)
 
     @property
     def nsuper(self) -> int:
         return len(self.supernodes)
 
+    @property
+    def widths(self) -> np.ndarray:
+        """Supernode widths ``t`` as a vector."""
+        return self.col_hi - self.col_lo
+
     # Cached counters: read on every solve, and the tree is immutable once built.
     @cached_property
     def n(self) -> int:
-        return max((sn.col_hi for sn in self.supernodes), default=0)
+        return int(self.col_hi.max()) if self.nsuper else 0
 
     def roots(self) -> list[int]:
-        return [s for s in range(self.nsuper) if self.parent[s] == NO_PARENT]
+        return np.flatnonzero(self.parent == NO_PARENT).tolist()
 
     def bottom_up_levels(self) -> np.ndarray:
         """Per-supernode level counted from the leaves (leaves at 0).
@@ -105,9 +121,8 @@ class SupernodalTree:
         the roots (paper Figure 1).
         """
         out = np.zeros(self.nsuper, dtype=np.int64)
-        for s in range(self.nsuper):
-            if self.children[s]:
-                out[s] = 1 + max(int(out[c]) for c in self.children[s])
+        for nodes in levels_deepest_first(self.level):
+            np.maximum.at(out, self.parent[nodes], out[nodes] + 1)
         return out
 
     def topo_order(self) -> range:
@@ -120,17 +135,15 @@ class SupernodalTree:
 
     def factor_nnz(self) -> int:
         """Nonzeros of L counted through the trapezoids."""
-        total = 0
-        for sn in self.supernodes:
-            t, n = sn.t, sn.n
-            total += t * (t + 1) // 2 + (n - t) * t
-        return total
+        t, n = self.widths, self.heights
+        return int((t * (t + 1) // 2 + (n - t) * t).sum())
 
     @cached_property
     def _solve_flops_per_rhs(self) -> int:
-        from repro.util.flops import supernode_solve_flops
+        from repro.util.flops import gemm_flops, trsm_flops
 
-        return sum(supernode_solve_flops(sn.n, sn.t) for sn in self.supernodes)
+        t, n = self.widths, self.heights
+        return int((trsm_flops(t) + gemm_flops(n - t, t)).sum())
 
     def solve_flops(self, nrhs: int = 1) -> int:
         """Flops of one forward (or backward) triangular solve (linear in ``nrhs``)."""
@@ -138,13 +151,10 @@ class SupernodalTree:
 
     @cached_property
     def _factor_flops(self) -> int:
-        total = 0
-        for sn in self.supernodes:
-            t, n = sn.t, sn.n
-            # Dense t x t Cholesky + triangular solve for the below block
-            # + symmetric rank-t update of the (n-t) x (n-t) frontal part.
-            total += t**3 // 3 + (n - t) * t * t + (n - t) ** 2 * t
-        return total
+        t, n = self.widths, self.heights
+        # Dense t x t Cholesky + triangular solve for the below block
+        # + symmetric rank-t update of the (n-t) x (n-t) frontal part.
+        return int((t**3 // 3 + (n - t) * t * t + (n - t) ** 2 * t).sum())
 
     def factor_flops(self) -> int:
         """Flops of the supernodal Cholesky factorization."""
@@ -161,23 +171,39 @@ def build_supernodal_tree(
     The row structure of a supernode is the union of its columns' patterns
     restricted to rows ``>= col_hi`` (for fundamental supernodes this equals
     the first column's pattern; the union form also supports relaxed
-    amalgamation).  The tree parent of a supernode is the supernode owning
+    amalgamation) — one ``np.unique`` over ``supernode * n + row`` keys for
+    the whole tree.  The tree parent of a supernode is the supernode owning
     its smallest below-row.
     """
+    n, ns = partition.n, partition.nsuper
+    bounds = partition.boundaries
     col_to_sn = partition.column_to_supernode()
-    nodes: list[Supernode] = []
-    parent = np.full(partition.nsuper, NO_PARENT, dtype=np.int64)
-    for s in range(partition.nsuper):
-        lo, hi = partition.columns(s)
-        below: set[int] = set()
-        for j in range(lo, hi):
-            col_rows = l_indices[l_indptr[j] : l_indptr[j + 1]]
-            for i in col_rows:
-                if int(i) >= hi:
-                    below.add(int(i))
-        below_arr = np.asarray(sorted(below), dtype=np.int64)
-        rows = np.concatenate([np.arange(lo, hi, dtype=np.int64), below_arr])
-        nodes.append(Supernode(index=s, col_lo=lo, col_hi=hi, rows=rows))
-        if below_arr.size:
-            parent[s] = int(col_to_sn[below_arr[0]])
+    keys = col_to_sn[segment_ids(l_indptr)]  # owning supernode of every entry of L
+    below = l_indices >= bounds[1:][keys]
+    keys = keys[below]
+    keys *= n
+    keys += l_indices[below]
+    keys = np.unique(keys)
+    owner = keys // n
+    below_rows = keys - owner * n
+    nbelow = np.bincount(owner, minlength=ns)
+    below_ptr = ptr_from_counts(nbelow)[:-1]
+
+    parent = np.full(ns, NO_PARENT, dtype=np.int64)
+    has_below = nbelow > 0
+    parent[has_below] = col_to_sn[below_rows[below_ptr[has_below]]]
+
+    # All row lists live in one array, supernode after supernode: the
+    # supernode's own columns, then its sorted below-rows.
+    widths = np.diff(bounds)
+    ptr = ptr_from_counts(widths + nbelow)
+    rows = np.empty(int(ptr[-1]), dtype=np.int64)
+    columns = np.arange(n)
+    rows[ptr[col_to_sn] + columns - bounds[col_to_sn]] = columns
+    rows[(ptr[:-1] + widths - below_ptr)[owner] + np.arange(keys.shape[0])] = below_rows
+    ptr, bounds = ptr.tolist(), bounds.tolist()
+    nodes = [
+        Supernode(index=s, col_lo=bounds[s], col_hi=bounds[s + 1], rows=rows[ptr[s] : ptr[s + 1]])
+        for s in range(ns)
+    ]
     return SupernodalTree(supernodes=nodes, parent=parent)

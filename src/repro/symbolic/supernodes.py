@@ -59,11 +59,7 @@ class SupernodePartition:
 
     def column_to_supernode(self) -> np.ndarray:
         """Array mapping each column to its supernode index."""
-        out = np.empty(self.n, dtype=np.int64)
-        for s in range(self.nsuper):
-            lo, hi = self.columns(s)
-            out[lo:hi] = s
-        return out
+        return np.repeat(np.arange(self.nsuper), np.diff(self.boundaries))
 
 
 def find_supernodes(
@@ -80,25 +76,11 @@ def find_supernodes(
     """
     n = parent.shape[0]
     require(col_counts.shape[0] == n, "col_counts must match parent length")
-    nchildren = np.zeros(n, dtype=np.int64)
-    for j in range(n):
-        p = int(parent[j])
-        if p != NO_PARENT:
-            nchildren[p] += 1
-
-    starts = [0]
-    for j in range(1, n):
-        fundamental = (
-            int(parent[j - 1]) == j
-            and nchildren[j] == 1
-            and int(col_counts[j - 1]) == int(col_counts[j]) + 1
-        )
-        relaxed = (
-            relax > 0
-            and int(parent[j - 1]) == j
-            and nchildren[j] == 1
-            and 0 <= int(col_counts[j - 1]) - int(col_counts[j]) - 1 <= relax
-        )
-        if not (fundamental or relaxed):
-            starts.append(j)
-    return SupernodePartition(np.asarray(starts + [n], dtype=np.int64))
+    nchildren = np.bincount(parent[parent != NO_PARENT], minlength=n)
+    # Column j joins column j - 1 when it is that column's parent, has no
+    # other child, and the two patterns differ by at most the slack.
+    chain = (parent[:-1] == np.arange(1, n)) & (nchildren[1:] == 1)
+    slack = col_counts[:-1] - col_counts[1:] - 1
+    merge = chain & ((slack == 0) | ((relax > 0) & (slack >= 0) & (slack <= relax)))
+    starts = np.flatnonzero(~merge) + 1
+    return SupernodePartition(np.concatenate([[0], starts, [n]]).astype(np.int64))

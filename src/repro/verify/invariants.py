@@ -38,8 +38,10 @@ from repro.core.blocks import SupernodeBlocks
 from repro.mapping.subtree_subcube import ProcSet
 from repro.sparse.csc import LowerCSC, SymCSC
 from repro.symbolic.etree import NO_PARENT
+from repro.symbolic.postorder import subtree_sizes
 from repro.symbolic.stree import SupernodalTree
 from repro.symbolic.supernodes import SupernodePartition
+from repro.util.segments import run_starts, segment_ids
 from repro.verify.findings import Report
 
 _MAX_PER_RULE = 10  # cap repeated findings so huge bad inputs stay readable
@@ -113,30 +115,46 @@ def check_csc_arrays(
             )
     if not report.ok:
         return report  # structure too broken for per-column checks
-    for j in range(n):
-        lo, hi = int(indptr[j]), int(indptr[j + 1])
-        col = indices[lo:hi]
-        if col.shape[0] == 0:
-            continue
+    if not nnz:
+        return report
+    # Per-column facts as vectors; only the offending columns are visited.
+    cols = np.flatnonzero(steps > 0)
+    starts = indptr[cols]
+    lead = np.full(n, -1, dtype=np.int64)
+    lead[cols] = indices[starts]
+    lowest = np.zeros(n, dtype=np.int64)
+    lowest[cols] = np.minimum.reduceat(indices, starts)
+    this = np.arange(n)
+    diag_led = diagonal_first & (lead == this)
+    off_diag = diagonal_first & (steps > 0) & ~diag_led
+    above = (steps > 0) & (lowest < this)
+    # Neighbouring entries of one column, the leading diagonal excluded.
+    column = segment_ids(indptr)
+    gap = np.diff(indices)
+    pair = column[1:] == column[:-1]
+    pair[starts[diag_led[cols] & (starts < nnz - 1)]] = False
+    repeated = np.zeros(n, dtype=bool)
+    repeated[column[:-1][pair & (gap == 0)]] = True
+    descending = np.zeros(n, dtype=bool)
+    descending[column[:-1][pair & (gap < 0)]] = True
+    for j in np.flatnonzero(off_diag | above | repeated | descending).tolist():
         where = f"{name} column {j}"
-        if diagonal_first and int(col[0]) != j:
+        if off_diag[j]:
             out.add(
                 "csc-diagonal-first",
-                f"column {j} must start with its diagonal, got row {int(col[0])}",
+                f"column {j} must start with its diagonal, got row {int(lead[j])}",
                 location=where,
             )
-        if int(col.min()) < j:
+        if above[j]:
             out.add(
                 "csc-lower-triangular",
-                f"column {j} contains row {int(col.min())} above the diagonal",
+                f"column {j} contains row {int(lowest[j])} above the diagonal",
                 location=where,
             )
-        body = col[1:] if diagonal_first and int(col[0]) == j else col
-        if body.shape[0] > 1 and not bool(np.all(np.diff(body) > 0)):
-            if bool(np.any(np.diff(body) == 0)):
-                out.add("csc-duplicate-index", f"column {j} has duplicate row indices", location=where)
-            else:
-                out.add("csc-sorted-indices", f"column {j} row indices are not sorted", location=where)
+        if repeated[j]:
+            out.add("csc-duplicate-index", f"column {j} has duplicate row indices", location=where)
+        elif descending[j]:
+            out.add("csc-sorted-indices", f"column {j} row indices are not sorted", location=where)
     return report
 
 
@@ -154,14 +172,13 @@ def check_etree(parent: np.ndarray, *, name: str = "etree") -> Report:
     out = _Capped(report, name)
     parent = np.asarray(parent)
     n = parent.shape[0]
-    for j in range(n):
-        p = int(parent[j])
-        if p != NO_PARENT and not (j < p < n):
-            out.add(
-                "etree-parent-order",
-                f"parent[{j}] = {p} must be -1 or in ({j}, {n})",
-                location=f"{name} node {j}",
-            )
+    ordered = (parent > np.arange(n)) & (parent < n)
+    for j in np.flatnonzero((parent != NO_PARENT) & ~ordered).tolist():
+        out.add(
+            "etree-parent-order",
+            f"parent[{j}] = {int(parent[j])} must be -1 or in ({j}, {n})",
+            location=f"{name} node {j}",
+        )
     return report
 
 
@@ -182,37 +199,34 @@ def check_postordered(parent: np.ndarray, *, name: str = "etree") -> Report:
         report.extend(structural)
         return report
     n = parent.shape[0]
-    size = np.ones(n, dtype=np.int64)
-    children: list[list[int]] = [[] for _ in range(n)]
-    for j in range(n):
-        p = int(parent[j])
-        if p != NO_PARENT:
-            size[p] += size[j]
-            children[p].append(j)
-    first = np.arange(n, dtype=np.int64) - size + 1  # candidate first descendant
-    for j in range(n):
-        lo = int(first[j])
-        kids = sorted(children[j], key=lambda c: int(first[c]))
-        cursor = lo
-        for c in kids:
-            if int(first[c]) != cursor:
-                out.add(
-                    "etree-not-postordered",
-                    f"subtree of node {j} is not contiguous: child {c} covers "
-                    f"[{int(first[c])}, {c}] but columns [{cursor}, ...] were "
-                    "expected next",
-                    location=f"{name} node {j}",
-                )
-                break
-            cursor = c + 1
-        else:
-            if cursor != j:
-                out.add(
-                    "etree-not-postordered",
-                    f"children of node {j} cover [{lo}, {cursor - 1}] but its "
-                    f"subtree interval is [{lo}, {j - 1}]",
-                    location=f"{name} node {j}",
-                )
+    first = np.arange(n, dtype=np.int64) - subtree_sizes(parent) + 1  # candidate first descendant
+    # Each node's children in the order of their candidate intervals; the
+    # intervals must tile [first[j], j - 1] left to right.
+    kids = np.flatnonzero(parent != NO_PARENT)
+    kids = kids[np.lexsort((first[kids], parent[kids]))]
+    of = parent[kids]
+    head = run_starts(of)
+    cursor = np.where(head, first[of], np.roll(kids, 1) + 1)
+    misplaced = np.flatnonzero(first[kids] != cursor)
+    misplaced = misplaced[run_starts(of[misplaced])]
+    findings = {
+        int(of[k]): (
+            f"subtree of node {int(of[k])} is not contiguous: child {int(kids[k])} covers "
+            f"[{int(first[kids[k]])}, {int(kids[k])}] but columns [{int(cursor[k])}, ...] were "
+            "expected next"
+        )
+        for k in misplaced
+    }
+    last = np.flatnonzero(np.roll(head, -1))
+    for k in last[kids[last] + 1 != of[last]]:
+        j = int(of[k])
+        findings.setdefault(
+            j,
+            f"children of node {j} cover [{int(first[j])}, {int(kids[k])}] but its "
+            f"subtree interval is [{int(first[j])}, {j - 1}]",
+        )
+    for j in sorted(findings):
+        out.add("etree-not-postordered", findings[j], location=f"{name} node {j}")
     return report
 
 
@@ -241,19 +255,21 @@ def check_supernode_partition(
                 "supernode-coverage",
                 f"partition covers {int(b[-1])} columns but etree has {parent.shape[0]} nodes",
             )
-        for s in range(partition.nsuper):
+        m = min(int(b[-1]), parent.shape[0])
+        owner = partition.column_to_supernode()[:m]
+        j = np.arange(max(m - 1, 0))
+        broken = np.flatnonzero((owner[:-1] == owner[1:]) & (parent[j] != j + 1))
+        broken = broken[run_starts(owner[broken])]
+        for j in broken.tolist():
+            s = int(owner[j])
             lo, hi = partition.columns(s)
-            hi = min(hi, parent.shape[0])
-            for j in range(lo, hi - 1):
-                if int(parent[j]) != j + 1:
-                    out.add(
-                        "supernode-chain",
-                        f"supernode {s} spans columns [{lo}, {hi}) but "
-                        f"parent[{j}] = {int(parent[j])} != {j + 1}: columns "
-                        "are not an elimination-tree chain",
-                        location=f"{name} supernode {s}",
-                    )
-                    break
+            out.add(
+                "supernode-chain",
+                f"supernode {s} spans columns [{lo}, {min(hi, m)}) but "
+                f"parent[{j}] = {int(parent[j])} != {j + 1}: columns "
+                "are not an elimination-tree chain",
+                location=f"{name} supernode {s}",
+            )
     return report
 
 

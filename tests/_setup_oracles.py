@@ -1,0 +1,307 @@
+"""Loop implementations of the set-up stages, kept as test oracles.
+
+These are the per-column / per-entry bodies that ``src/repro`` ran before
+the set-up stages became array programs, moved here unchanged (methods
+turned into functions taking the object first).  They define what the
+array programs must reproduce *exactly*: the same permutation, the same
+patterns, the same supernode rows and every byte of every factor block.
+``tests/test_setup_equivalence.py`` compares the two; nothing under
+``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import numpy as np
+from scipy.linalg import solve_triangular
+
+from repro.graph.separators import Separation
+from repro.graph.structure import Adjacency
+from repro.numeric.supernodal import SupernodalFactor
+from repro.ordering.permutation import Permutation
+from repro.sparse.build import from_triplets
+from repro.sparse.csc import SymCSC
+from repro.symbolic.analyze import SymbolicFactor
+from repro.symbolic.etree import NO_PARENT
+from repro.symbolic.postorder import postorder
+from repro.symbolic.stree import Supernode, SupernodalTree
+from repro.symbolic.supernodes import SupernodePartition
+from repro.util.validation import require
+
+
+# ------------------------------------------------------------------- graph
+def adjacency_from_matrix(a: SymCSC) -> Adjacency:
+    indptr, indices = a.pattern_full()
+    mask = np.ones(indices.shape[0], dtype=bool)
+    for v in range(a.n):
+        lo, hi = int(indptr[v]), int(indptr[v + 1])
+        mask[lo:hi] &= indices[lo:hi] != v
+    new_ptr = np.zeros(a.n + 1, dtype=np.int64)
+    for v in range(a.n):
+        lo, hi = int(indptr[v]), int(indptr[v + 1])
+        new_ptr[v + 1] = new_ptr[v] + int(mask[lo:hi].sum())
+    return Adjacency(a.n, new_ptr, indices[mask], a.coords)
+
+
+def subgraph(g: Adjacency, vertices: np.ndarray) -> tuple[Adjacency, np.ndarray]:
+    vertices = np.asarray(vertices, dtype=np.int64)
+    local = -np.ones(g.n, dtype=np.int64)
+    local[vertices] = np.arange(vertices.shape[0])
+    sub_ptr = np.zeros(vertices.shape[0] + 1, dtype=np.int64)
+    chunks = []
+    for k, v in enumerate(vertices):
+        nb = local[g.neighbors(int(v))]
+        nb = nb[nb >= 0]
+        chunks.append(nb)
+        sub_ptr[k + 1] = sub_ptr[k] + nb.shape[0]
+    sub_idx = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    coords = g.coords[vertices] if g.coords is not None else None
+    return Adjacency(vertices.shape[0], sub_ptr, sub_idx, coords), vertices.copy()
+
+
+def _boundary_separator(g: Adjacency, side_mask: np.ndarray) -> Separation:
+    sep_mask = np.zeros(g.n, dtype=bool)
+    for v in np.flatnonzero(side_mask):
+        nb = g.neighbors(int(v))
+        if nb.size and bool(np.any(~side_mask[nb])):
+            sep_mask[v] = True
+    left = np.flatnonzero(side_mask & ~sep_mask)
+    right = np.flatnonzero(~side_mask)
+    return Separation(left, np.flatnonzero(sep_mask), right)
+
+
+# ------------------------------------------------------------------ sparse
+def permuted(a: SymCSC, perm: np.ndarray) -> SymCSC:
+    perm = np.asarray(perm, dtype=np.int64)
+    require(perm.shape == (a.n,), "perm must have length n")
+    inv = np.empty(a.n, dtype=np.int64)
+    inv[perm] = np.arange(a.n)
+    rows, cols, vals = [], [], []
+    for j in range(a.n):
+        r, v = a.column(j)
+        rows.append(inv[r])
+        cols.append(np.full(r.shape, inv[j], dtype=np.int64))
+        vals.append(v)
+    coords = a.coords[perm] if a.coords is not None else None
+    return from_triplets(
+        a.n,
+        np.concatenate(rows),
+        np.concatenate(cols),
+        np.concatenate(vals),
+        coords=coords,
+    )
+
+
+# ---------------------------------------------------------------- symbolic
+def elimination_tree(a: SymCSC) -> np.ndarray:
+    n = a.n
+    parent = np.full(n, NO_PARENT, dtype=np.int64)
+    ancestor = np.full(n, NO_PARENT, dtype=np.int64)
+
+    row_cols: list[list[int]] = [[] for _ in range(n)]
+    for j in range(n):
+        rows, _ = a.column(j)
+        for i in rows:
+            if int(i) > j:
+                row_cols[int(i)].append(j)
+
+    for i in range(n):
+        for j in row_cols[i]:
+            k = j
+            while ancestor[k] != NO_PARENT and ancestor[k] != i:
+                nxt = ancestor[k]
+                ancestor[k] = i
+                k = nxt
+            if ancestor[k] == NO_PARENT:
+                ancestor[k] = i
+                parent[k] = i
+    return parent
+
+
+def relabel_tree(parent: np.ndarray, perm: Permutation) -> np.ndarray:
+    inv = perm.inverse().perm
+    n = parent.shape[0]
+    out = np.full(n, NO_PARENT, dtype=np.int64)
+    for old in range(n):
+        p = int(parent[old])
+        if p != NO_PARENT:
+            out[inv[old]] = inv[p]
+    return out
+
+
+def symbolic_factor_pattern(a: SymCSC, parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = a.n
+    cols_of_row: list[list[int]] = [[] for _ in range(n)]
+    row_lists: list[list[int]] = [[] for _ in range(n)]
+    for k in range(n):
+        rows, _ = a.column(k)
+        for i in rows:
+            if int(i) > k:
+                row_lists[int(i)].append(k)
+
+    mark = np.full(n, -1, dtype=np.int64)
+    for i in range(n):
+        mark[i] = i
+        for k in row_lists[i]:
+            j = k
+            while j != NO_PARENT and j < i and mark[j] != i:
+                cols_of_row[i].append(j)
+                mark[j] = i
+                j = int(parent[j])
+
+    counts = np.ones(n, dtype=np.int64)  # diagonal entries
+    for i in range(n):
+        for j in cols_of_row[i]:
+            counts[j] += 1
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    fill = indptr[:-1].copy()
+    for j in range(n):
+        indices[fill[j]] = j  # diagonal leads each column
+        fill[j] += 1
+    for i in range(n):
+        for j in sorted(cols_of_row[i]):
+            indices[fill[j]] = i
+            fill[j] += 1
+    return indptr, indices
+
+
+def find_supernodes(
+    parent: np.ndarray, col_counts: np.ndarray, *, relax: int = 0
+) -> SupernodePartition:
+    n = parent.shape[0]
+    require(col_counts.shape[0] == n, "col_counts must match parent length")
+    nchildren = np.zeros(n, dtype=np.int64)
+    for j in range(n):
+        p = int(parent[j])
+        if p != NO_PARENT:
+            nchildren[p] += 1
+
+    starts = [0]
+    for j in range(1, n):
+        fundamental = (
+            int(parent[j - 1]) == j
+            and nchildren[j] == 1
+            and int(col_counts[j - 1]) == int(col_counts[j]) + 1
+        )
+        relaxed = (
+            relax > 0
+            and int(parent[j - 1]) == j
+            and nchildren[j] == 1
+            and 0 <= int(col_counts[j - 1]) - int(col_counts[j]) - 1 <= relax
+        )
+        if not (fundamental or relaxed):
+            starts.append(j)
+    return SupernodePartition(np.asarray(starts + [n], dtype=np.int64))
+
+
+def build_supernodal_tree(
+    l_indptr: np.ndarray, l_indices: np.ndarray, partition: SupernodePartition
+) -> SupernodalTree:
+    col_to_sn = np.empty(partition.n, dtype=np.int64)
+    for s in range(partition.nsuper):
+        lo, hi = partition.columns(s)
+        col_to_sn[lo:hi] = s
+    nodes: list[Supernode] = []
+    parent = np.full(partition.nsuper, NO_PARENT, dtype=np.int64)
+    for s in range(partition.nsuper):
+        lo, hi = partition.columns(s)
+        below: set[int] = set()
+        for j in range(lo, hi):
+            col_rows = l_indices[l_indptr[j] : l_indptr[j + 1]]
+            for i in col_rows:
+                if int(i) >= hi:
+                    below.add(int(i))
+        below_arr = np.asarray(sorted(below), dtype=np.int64)
+        rows = np.concatenate([np.arange(lo, hi, dtype=np.int64), below_arr])
+        nodes.append(Supernode(index=s, col_lo=lo, col_hi=hi, rows=rows))
+        if below_arr.size:
+            parent[s] = int(col_to_sn[below_arr[0]])
+    return SupernodalTree(supernodes=nodes, parent=parent)
+
+
+# ----------------------------------------------------------------- numeric
+def _dense_cholesky(a: np.ndarray) -> np.ndarray:
+    return np.linalg.cholesky(np.tril(a) + np.tril(a, -1).T)
+
+
+def _trsm_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if l.shape[0] == 0:
+        return b.copy()
+    return solve_triangular(l, b, lower=True, check_finite=False)
+
+
+def cholesky_supernodal(sym: SymbolicFactor) -> SupernodalFactor:
+    a = sym.a_perm
+    stree = sym.stree
+    blocks: list[np.ndarray] = [None] * stree.nsuper  # type: ignore[list-item]
+    pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    for s in stree.topo_order():
+        sn = stree.supernodes[s]
+        n_s, t_s = sn.n, sn.t
+        front = np.zeros((n_s, n_s))
+        rows = sn.rows
+        pos_of_global = {int(g): i for i, g in enumerate(rows)}
+
+        for local_j in range(t_s):
+            j = sn.col_lo + local_j
+            a_rows, a_vals = a.column(j)
+            for g, v in zip(a_rows, a_vals):
+                front[pos_of_global[int(g)], local_j] += v
+
+        for c in stree.children[s]:
+            up_rows, up = pending.pop(c)
+            idx = np.fromiter(
+                (pos_of_global[int(g)] for g in up_rows), dtype=np.int64, count=up_rows.shape[0]
+            )
+            front[np.ix_(idx, idx)] += up
+
+        diag = _dense_cholesky(front[:t_s, :t_s])
+        below = _trsm_lower(diag, front[t_s:, :t_s].T).T if n_s > t_s else front[t_s:, :t_s]
+        block = np.zeros((n_s, t_s))
+        block[:t_s, :] = np.tril(diag)
+        block[t_s:, :] = below
+        blocks[s] = block
+
+        if n_s > t_s:
+            trailing = front[t_s:, t_s:]
+            trailing = np.tril(trailing) + np.tril(trailing, -1).T
+            update = trailing - below @ below.T
+            pending[s] = (sn.below, update)
+
+    if pending:
+        raise AssertionError("unconsumed update matrices — broken assembly tree")
+    return SupernodalFactor(stree=stree, blocks=blocks)
+
+
+# ---------------------------------------------------------------- pipeline
+def order(a: SymCSC, method: str) -> Permutation:
+    """``repro.ordering.order`` driven over the three loop graph primitives."""
+    from repro.ordering import api
+
+    with mock.patch.object(Adjacency, "subgraph", subgraph), \
+            mock.patch("repro.graph.separators._boundary_separator", _boundary_separator), \
+            mock.patch("repro.ordering.api.adjacency_from_matrix", adjacency_from_matrix):
+        return api.order(a, method)
+
+
+def analyze(a: SymCSC, *, method: str = "nested_dissection", relax: int = 0) -> SymbolicFactor:
+    """``repro.symbolic.analyze`` with every rewritten stage replaced by its oracle."""
+    perm0 = order(a, method)
+    a1 = permuted(a, perm0.perm)
+    parent1 = elimination_tree(a1)
+    post = postorder(parent1)
+    if not np.array_equal(post.perm, np.arange(a.n)):
+        perm = Permutation(perm0.perm[post.perm])
+        a2 = permuted(a1, post.perm)
+        parent2 = relabel_tree(parent1, post)
+    else:
+        perm, a2, parent2 = perm0, a1, parent1
+    l_indptr, l_indices = symbolic_factor_pattern(a2, parent2)
+    partition = find_supernodes(parent2, np.diff(l_indptr), relax=relax)
+    stree = build_supernodal_tree(l_indptr, l_indices, partition)
+    return SymbolicFactor(perm=perm, a_perm=a2, etree_parent=parent2, l_indptr=l_indptr,
+                          l_indices=l_indices, partition=partition, stree=stree)

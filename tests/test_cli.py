@@ -1,5 +1,7 @@
 """CLI (`python -m repro`) smoke tests."""
 
+import re
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -29,6 +31,13 @@ class TestCommands:
         assert main(["solve", "--matrix", "grid2d", "--size", "8", "--p", "4"]) == 0
         out = capsys.readouterr().out
         assert "residual" in out and "FBsolve" in out
+
+    def test_solve_prints_the_set_up_stage_timers(self, capsys):
+        assert main(["solve", "--matrix", "grid2d", "--size", "8", "--p", "2"]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("set-up:"))
+        stages = re.findall(r"(\w+) ([0-9.]+) ms", line)
+        assert [name for name, _ in stages] == ["analyze", "cholesky", "mapping", "verify"]
+        assert all(float(ms) >= 0.0 for _, ms in stages)
 
     def test_solve_with_refinement(self, capsys):
         assert main(

@@ -175,6 +175,13 @@ class TestEndToEndSolver:
         x, rep = solver.solve(b)
         assert rep.residual < 1e-10
 
+    def test_prepare_records_its_stage_seconds(self):
+        solver = ParallelSparseSolver(grid2d_laplacian(6))
+        assert solver.setup_seconds is None
+        seconds = solver.prepare().setup_seconds
+        assert list(seconds) == ["analyze", "cholesky", "mapping", "verify"]
+        assert all(value >= 0.0 for value in seconds.values())
+
     def test_solution_matches_scipy(self, prepared_grid12, rng):
         from scipy.sparse.linalg import spsolve
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.numeric.trisolve import (
     solve_supernodal,
 )
 from repro.sparse.build import from_dense
+from repro.sparse.csc import SymCSC
 from repro.sparse.generators import fe_mesh_3d, grid2d_laplacian, random_spd
 from repro.symbolic.analyze import analyze
 
@@ -91,6 +94,22 @@ class TestSupernodalCholesky:
         ls = cholesky_simplicial(sym).to_dense()
         lf = cholesky_supernodal(sym).to_dense()
         np.testing.assert_allclose(lf, ls, atol=1e-11)
+
+    def test_failed_pivot_names_the_supernode_and_its_columns(self):
+        a = grid2d_laplacian(9)
+        victim = 40
+        data = a.data.copy()
+        data[a.indptr[victim]] *= -1.0  # the diagonal leads its column
+        sym = analyze(SymCSC(a.n, a.indptr, a.indices, data, a.coords))
+        with pytest.raises(NotPositiveDefiniteError) as caught:
+            cholesky_supernodal(sym)
+        named = re.search(r"supernode (\d+) \(columns \[(\d+), (\d+)\)", str(caught.value))
+        assert named, str(caught.value)
+        s, lo, hi = map(int, named.groups())
+        assert sym.partition.columns(s) == (lo, hi)
+        # Columns ahead of the victim factor as in the SPD matrix, so the
+        # first failing pivot is the negated entry's own column.
+        assert lo <= sym.perm.inverse().perm[victim] < hi
 
     def test_relaxed_supernodes_still_correct(self):
         a = grid2d_laplacian(10)

@@ -1,0 +1,241 @@
+"""The array-native set-up stages against their loop oracles, bit for bit.
+
+``tests/_setup_oracles.py`` holds the per-column / per-entry bodies the
+library ran before ordering, symbolic analysis and multifrontal assembly
+became array programs.  Nothing may differ: the permutation, the
+elimination tree, the pattern of L, the supernode partition, every
+supernode's rows and parent, and every byte (plus layout and dtype) of
+every factor block.  Factor-bit preservation leans on
+``np.linalg.cholesky`` referencing only the lower triangle of its input
+and on ``a @ a.T`` taking one BLAS route whatever surrounds it, which is
+why CI runs this file at the numpy / scipy floors too.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.solver import ParallelSparseSolver
+from repro.exec import fused_certificate_for
+from repro.experiments.matrices import get_workload
+from repro.graph.separators import _boundary_separator
+from repro.graph.structure import adjacency_from_matrix
+from repro.mapping.subtree_subcube import subtree_to_subcube
+from repro.numeric.supernodal import cholesky_supernodal
+from repro.ordering.api import METHODS
+from repro.sparse.build import from_triplets
+from repro.sparse.csc import SymCSC
+from repro.sparse.generators import (
+    fe_mesh_3d,
+    grid2d_laplacian,
+    grid3d_laplacian,
+    random_spd,
+)
+from repro.symbolic.analyze import analyze
+from repro.symbolic.etree import elimination_tree
+from repro.symbolic.pattern import symbolic_factor_pattern
+from repro.symbolic.postorder import relabel_tree
+from repro.symbolic.stree import build_supernodal_tree
+from repro.symbolic.supernodes import find_supernodes
+
+from tests import _setup_oracles as oracle
+
+random_spd_matrices = st.builds(
+    random_spd,
+    n=st.integers(2, 40),
+    density=st.floats(0.02, 0.6),
+    seed=st.integers(0, 2**16),
+)
+
+
+def disconnected() -> object:
+    """Two 2-D grids and an isolated vertex, no coordinates: the level-set
+    separator's empty-separator branch."""
+    parts = [grid2d_laplacian(4), grid2d_laplacian(3)]
+    rows, cols, vals, offset = [], [], [], 0
+    for part in parts:
+        column = np.repeat(np.arange(part.n), np.diff(part.indptr))
+        rows.append(part.indices + offset)
+        cols.append(column + offset)
+        vals.append(part.data)
+        offset += part.n
+    rows.append(np.array([offset]))
+    cols.append(np.array([offset]))
+    vals.append(np.array([2.0]))
+    return from_triplets(offset + 1, np.concatenate(rows), np.concatenate(cols),
+                         np.concatenate(vals))
+
+
+FIXED = {
+    "grid2d(7)": lambda: grid2d_laplacian(7),
+    "grid2d(12)": lambda: grid2d_laplacian(12),
+    "grid3d(4)": lambda: grid3d_laplacian(4),
+    "fe_mesh_3d(4)": lambda: fe_mesh_3d(4, seed=3),
+    "n=1": lambda: from_triplets(1, np.array([0]), np.array([0]), np.array([3.0])),
+    "diagonal": lambda: from_triplets(6, np.arange(6), np.arange(6), np.arange(1.0, 7.0)),
+    "disconnected": disconnected,
+}
+
+
+def assert_same_symbolic(new, old) -> None:
+    assert np.array_equal(new.perm.perm, old.perm.perm)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(new.a_perm, name), getattr(old.a_perm, name)), name
+    for name in ("etree_parent", "l_indptr", "l_indices"):
+        got, want = getattr(new, name), getattr(old, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert np.array_equal(new.partition.boundaries, old.partition.boundaries)
+    assert np.array_equal(new.stree.parent, old.stree.parent)
+    assert np.array_equal(new.stree.level, old.stree.level)
+    assert new.stree.children == old.stree.children
+    for got, want in zip(new.stree.supernodes, old.stree.supernodes, strict=True):
+        assert (got.index, got.col_lo, got.col_hi) == (want.index, want.col_lo, want.col_hi)
+        assert got.rows.dtype == np.int64 and got.rows.flags.c_contiguous
+        assert np.array_equal(got.rows, want.rows)
+
+
+def assert_same_blocks(new, old) -> None:
+    for got, want in zip(new.blocks, old.blocks, strict=True):
+        assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.owndata
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_pipeline_matches(a, method: str, relax: int):
+    new, old = analyze(a, method=method, relax=relax), oracle.analyze(a, method=method, relax=relax)
+    assert_same_symbolic(new, old)
+    new_factor, old_factor = cholesky_supernodal(new), oracle.cholesky_supernodal(old)
+    assert_same_blocks(new_factor, old_factor)
+    return (new, new_factor), (old, old_factor)
+
+
+# ---------------------------------------------------------------- pipeline
+@pytest.mark.parametrize("relax", [0, 2])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("name", FIXED)
+def test_pipeline_matches_the_loop_oracles(name, method, relax):
+    assert_pipeline_matches(FIXED[name](), method, relax)
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=random_spd_matrices)
+def test_pipeline_matches_on_random_spd(a):
+    for method in METHODS:
+        for relax in (0, 2):
+            assert_pipeline_matches(a, method, relax)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("build", [
+    lambda: get_workload("hsct21954").matrix(),
+    lambda: grid3d_laplacian(16),
+    lambda: grid2d_laplacian(96),
+    lambda: grid3d_laplacian(12),
+], ids=["hsct21954", "grid3d(16)", "grid2d(96)", "grid3d(12)"])
+def test_spine_matrices_keep_digest_and_answer(build):
+    a = build()
+    sides = assert_pipeline_matches(a, "nested_dissection", 0)
+    b = np.random.default_rng(20).standard_normal((a.n, 3))
+    digests, answers = [], []
+    for sym, factor in sides:
+        solver = ParallelSparseSolver(a, verify=False)
+        solver.symbolic, solver.factor = sym, factor
+        solver.assign = subtree_to_subcube(sym.stree, 1)
+        digests.append(fused_certificate_for(sym.stree).digest)
+        answers.append(solver.solve(b, backend="fused")[0].tobytes())
+    assert digests[0] == digests[1]
+    assert answers[0] == answers[1]
+
+
+# ------------------------------------------------------------------ stages
+@settings(max_examples=30, deadline=None)
+@given(a=random_spd_matrices, data=st.data())
+def test_graph_primitives(a, data):
+    g, want = adjacency_from_matrix(a), oracle.adjacency_from_matrix(a)
+    assert np.array_equal(g.indptr, want.indptr) and np.array_equal(g.indices, want.indices)
+    assert g.indices.dtype == want.indices.dtype
+
+    vertices = np.array(data.draw(st.lists(st.integers(0, a.n - 1), unique=True)), dtype=np.int64)
+    (sub, mapping), (sub_want, mapping_want) = g.subgraph(vertices), oracle.subgraph(g, vertices)
+    assert sub.n == sub_want.n and np.array_equal(mapping, mapping_want)
+    assert np.array_equal(sub.indptr, sub_want.indptr)
+    assert np.array_equal(sub.indices, sub_want.indices)
+    assert sub.indices.dtype == sub_want.indices.dtype
+
+    side = np.array(data.draw(st.lists(st.booleans(), min_size=a.n, max_size=a.n)))
+    sep, sep_want = _boundary_separator(g, side), oracle._boundary_separator(g, side)
+    for part in ("left", "separator", "right"):
+        assert np.array_equal(getattr(sep, part), getattr(sep_want, part)), part
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=random_spd_matrices, seed=st.integers(0, 2**16), relax=st.sampled_from([0, 2]))
+def test_symbolic_stages_under_a_random_symmetric_permutation(a, seed, relax):
+    # A random relabelling is not a postorder, so the pattern, supernode
+    # and tree stages see etrees the analyze() driver never hands them.
+    perm = np.random.default_rng(seed).permutation(a.n)
+    b, b_want = a.permuted(perm), oracle.permuted(a, perm)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(b, name), getattr(b_want, name)), name
+
+    parent = elimination_tree(b)
+    assert parent.dtype == np.int64 and np.array_equal(parent, oracle.elimination_tree(b))
+
+    indptr, indices = symbolic_factor_pattern(b, parent)
+    indptr_want, indices_want = oracle.symbolic_factor_pattern(b, parent)
+    assert np.array_equal(indptr, indptr_want) and np.array_equal(indices, indices_want)
+
+    counts = np.diff(indptr)
+    partition = find_supernodes(parent, counts, relax=relax)
+    want = oracle.find_supernodes(parent, counts, relax=relax)
+    assert np.array_equal(partition.boundaries, want.boundaries)
+
+    stree = build_supernodal_tree(indptr, indices, partition)
+    stree_want = oracle.build_supernodal_tree(indptr, indices, partition)
+    assert np.array_equal(stree.parent, stree_want.parent)
+    for got, sn in zip(stree.supernodes, stree_want.supernodes, strict=True):
+        assert np.array_equal(got.rows, sn.rows)
+
+
+def test_a_stored_negative_zero_factors_like_an_accumulated_one(sym_grid8):
+    # Builders never store -0.0 (summing duplicates into zeros clears the
+    # sign), but a hand-made SymCSC can; accumulation into a zeroed front
+    # stored it as +0.0, and the sign would survive into the factor block.
+    a = sym_grid8.a_perm
+    data = a.data.copy()
+    data[a.indptr[0] + 1] = -0.0
+    sym = dataclasses.replace(sym_grid8, a_perm=SymCSC(a.n, a.indptr, a.indices, data))
+    assert_same_blocks(cholesky_supernodal(sym), oracle.cholesky_supernodal(sym))
+
+
+def test_relabel_tree_matches(sym_grid8):
+    from repro.ordering.permutation import Permutation
+
+    parent = sym_grid8.etree_parent
+    perm = Permutation(np.random.default_rng(5).permutation(parent.shape[0]))
+    assert np.array_equal(relabel_tree(parent, perm), oracle.relabel_tree(parent, perm))
+
+
+# ------------------------------------------------------------------ memory
+@pytest.mark.parametrize("build", [lambda: grid2d_laplacian(48), lambda: grid3d_laplacian(10)],
+                         ids=["grid2d(48)", "grid3d(10)"])
+def test_factorization_high_water_mark_stays_within_a_tenth_of_the_oracle(build):
+    """Updates are released when consumed and the index vectors are O(nnz(A))."""
+    sym = analyze(build())
+
+    def high_water(factorize) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            factorize(sym)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert high_water(cholesky_supernodal) <= 1.10 * high_water(oracle.cholesky_supernodal)
