@@ -38,7 +38,7 @@ from repro.mapping.subtree_subcube import ProcSet, subtree_to_subcube
 from repro.numeric.supernodal import SupernodalFactor, cholesky_supernodal
 from repro.sparse.csc import SymCSC
 from repro.symbolic.analyze import SymbolicFactor, analyze
-from repro.util.validation import check_power_of_two, require
+from repro.util.validation import as_real_rhs, check_power_of_two, require
 
 
 @dataclass
@@ -297,7 +297,7 @@ class ParallelSparseSolver:
         require(backend == "sim" or backend in REAL_BACKENDS,
                 f"backend must be 'sim' or one of {REAL_BACKENDS}, "
                 f"got {backend!r}")
-        bvec = np.asarray(bvec, dtype=np.float64)
+        bvec = as_real_rhs(bvec, "bvec")
         squeeze = bvec.ndim == 1
         bmat = bvec[:, None] if squeeze else bvec
         require(bmat.shape[0] == self.a.n, "rhs size mismatch")

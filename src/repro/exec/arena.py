@@ -22,8 +22,8 @@ Two workspace shapes live here:
 * :class:`FusedWorkspace` — the level-sized scratch of the fused backend,
   carved by :func:`build_fused_workspace` from a
   :class:`~repro.exec.plan.LevelProgram` (one accumulator the size of the
-  widest level, one contribution arena for the whole tree, plus gather /
-  product / reduction scratch at their program-wide maxima).
+  widest level, one contribution arena for the whole tree, plus gather
+  and replay-round scratch at their program-wide maxima).
 """
 
 from __future__ import annotations
@@ -127,8 +127,7 @@ class FusedWorkspace:
     acc: np.ndarray      # widest level's packed accumulator (backward: its tops)
     contrib: np.ndarray  # whole-tree contribution arena
     gather: np.ndarray   # a round's scatter sources (forward) / x[below] rows (backward)
-    prod: np.ndarray     # a bucket's product terms, b * t rows / the rows a round updates
-    dot: np.ndarray      # a bucket's solved tops k-major (forward) / reduceat output (backward)
+    prod: np.ndarray     # the accumulator rows a replay round updates
 
 
 def build_fused_workspace(program: LevelProgram, m: int) -> FusedWorkspace:
@@ -138,5 +137,4 @@ def build_fused_workspace(program: LevelProgram, m: int) -> FusedWorkspace:
         contrib=np.empty((program.contrib_total, m)),
         gather=np.empty((program.max_gather, m)),
         prod=np.empty((program.max_prod, m)),
-        dot=np.empty((program.max_dot, m)),
     )

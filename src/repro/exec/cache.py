@@ -26,8 +26,8 @@ nothing is rebuilt that can be reused:
   (``program_for(..., certify=True)`` raises
   :class:`repro.verify.VerificationError` on any finding, and repeated
   certified solves pay for the proof exactly once per structure);
-  :func:`fused_panels_for` caches the packed width-1 panel values per
-  numeric factor.
+  :func:`fused_panels_for` caches the packed panel values (per-bucket
+  diagonals, one sparse rectangle block per level) per numeric factor.
 
 All caches are thread-safe and observable (:func:`exec_cache_stats`),
 and :func:`clear_exec_caches` resets them (tests, benchmarks).
@@ -199,7 +199,7 @@ def fused_certificate_for(stree: SupernodalTree) -> "ScheduleCertificate":
 
 
 def fused_panels_for(factor: SupernodalFactor) -> "FusedPanels":
-    """The cached packed width-1 panel values of *factor* (built once)."""
+    """The cached packed panel values of *factor* (built once)."""
     def build() -> "FusedPanels":
         from repro.exec.fused import build_fused_panels
 

@@ -14,25 +14,31 @@ the dense kernels (``exec.engine.*`` against ``exec.fused.*`` in
   destination repeats inside a round and a row's rounds follow the plan's
   (parent ascending, child ascending) order, so every row receives
   exactly the plan's deterministic ascending-child sum;
-* every (level, width) bucket is one vectorized lane: the diagonal solve
-  (one broadcast divide at width 1, one ``dtrsm`` per node above — a
+* every (level, width) bucket is one vectorized lane for the diagonal
+  solve: one broadcast divide at width 1, one ``dtrsm`` per node above (a
   *batched* triangular solve would have to reassociate the arithmetic
-  and break bitwise agreement), then for all of the bucket's rectangles
-  at once one replicating ``take``, one broadcast product and one
-  reduction — :func:`repro.numeric.kernels.sum_terms` over ``k``
-  forward, ``np.add.reduceat`` over the below segments backward.  These
-  are the two calls :func:`~repro.numeric.kernels.rect_apply` /
-  :func:`~repro.numeric.kernels.rect_apply_t` make for one rectangle, so
-  each node's rows round exactly as they do there — and a plain GEMM
+  and break bitwise agreement);
+* all of the level's rectangles are **one compiled sparse product**.
+  :func:`build_fused_panels` lowers them to a single CSR block ``F`` whose
+  rows are the accumulator's below rows and whose columns are its tops,
+  so forward the level's contributions are ``acc[tt:] - F @ acc[:tt]``
+  and backward its tops lose ``F.T @ x[below]`` — ``F.T`` being the CSC
+  view of the same three arrays.  No term stack is materialised.  Per
+  output row scipy's loop starts from zero and adds one ``a * x`` at a
+  time in ascending storage order, every operand column independently:
+  exactly what :func:`~repro.numeric.kernels.rect_apply` /
+  :func:`~repro.numeric.kernels.rect_apply_t` compute for one rectangle,
+  so each node's rows round as they do there — whereas a plain GEMM
   would round differently at different NRHS widths, which would break
   the serving layer's coalescing-transparency guarantee.
 
-Every buffer comes from a :class:`~repro.exec.arena.FusedWorkspace`
-leased from the prepared factor's arena, so a steady-state solve
-performs no per-node allocations at all.  All dense math matches the
-canonical kernels in :mod:`repro.numeric.kernels` op for op; solutions
-are bitwise identical to the ``serial`` reference (and to the engine
-baseline, :func:`repro.exec.engine.solve_exec`).
+Every buffer the sweeps write comes from a
+:class:`~repro.exec.arena.FusedWorkspace` leased from the prepared
+factor's arena (scipy allocates each level's product), so a steady-state
+solve performs no per-node allocations at all.  All dense math matches
+the canonical kernels in :mod:`repro.numeric.kernels` op for op;
+solutions are bitwise identical to the ``serial`` reference (and to the
+engine baseline, :func:`repro.exec.engine.solve_exec`).
 
 Gathers call ``ndarray.take`` directly (``np.take`` reaches the same C
 routine through a Python-level ``fromnumeric`` wrapper, several hundred
@@ -49,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
+from scipy.sparse import csc_array, csr_array
 
 from repro.exec.arena import FusedWorkspace, build_fused_workspace
 from repro.exec.cache import (
@@ -58,46 +65,82 @@ from repro.exec.cache import (
     program_for,
 )
 from repro.exec.plan import Level, LevelProgram
-from repro.numeric.kernels import sum_terms
 from repro.numeric.supernodal import SupernodalFactor
 from repro.numeric.trisolve import as_rhs_matrix
 
 
 @dataclass(frozen=True)
 class FusedPanels:
-    """Panel values packed per bucket, indexed ``[level][bucket]``.
+    """Panel values packed in the program's layout — its value-side complement.
 
-    ``diag`` holds a width-1 bucket's diagonal scalars as one ``(k, 1)``
-    column and a wider bucket's ``t x t`` triangles as a tuple (bucket
-    node order; views of the prepared factor).  ``rect`` stacks the
-    rectangles of the bucket's below-owning nodes as ``(b, t, 1)`` (a view
-    of the factor's block where there is only one) — the value-side
-    complement of the structure-only :class:`LevelProgram`.
+    ``diag[level][bucket]`` holds a width-1 bucket's diagonal scalars as
+    one ``(k, 1)`` column and a wider bucket's ``t x t`` triangles as a
+    tuple (bucket node order; views of the prepared factor).
+
+    ``rect[level]`` is the level's rectangles as one CSR matrix of shape
+    ``(size - top_total, top_total)``: row ``j`` is below row ``j`` of the
+    level accumulator, its ``t`` entries sit at the columns of its
+    owner's tops, ascending.  ``rect_t[level]`` is the transpose as a CSC
+    view over the same three arrays, for the backward sweep.
     """
 
     diag: tuple[tuple[np.ndarray | tuple[np.ndarray, ...], ...], ...]
-    rect: tuple[tuple[np.ndarray, ...], ...]
+    rect: tuple[csr_array, ...]
+    rect_t: tuple[csc_array, ...]
+
+
+def _level_rectangles(program: LevelProgram, prep: PreparedFactor) -> tuple[csr_array, ...]:
+    """Lower every level's rectangles to the CSR block its sweeps multiply by.
+
+    Rows are the level accumulator's below rows.  A below row of a
+    width-``t`` bucket holds ``t`` entries, at the accumulator columns of
+    its owner's tops (from ``top_lo + rep_idx * t``, ascending); the
+    values are the factor's rectangles in the same (below) order.
+    """
+    buckets = [bkt for lvl in program.levels for bkt in lvl.buckets]
+    rows = [bkt.b for bkt in buckets]
+    nnz = sum(bkt.b * bkt.t for bkt in buckets)
+    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    # per below row, program order: its entry count, its first column and
+    # where its entries start
+    width = np.repeat(np.array([bkt.t for bkt in buckets], dtype=index), rows)
+    first = np.concatenate([bkt.rep_idx for bkt in buckets], dtype=index)
+    first *= width
+    first += np.repeat(np.array([bkt.top_lo for bkt in buckets], dtype=index), rows)
+    ptr = np.zeros(width.size + 1, dtype=index)
+    np.cumsum(width, out=ptr[1:])
+
+    # Every level gets arrays of its own: scipy copies a block handed to it
+    # as a slice of something larger, which would double the peak.
+    blocks = []
+    row = 0
+    for lvl in program.levels:
+        nb = lvl.size - lvl.top_total
+        indptr = ptr[row : row + nb + 1] - ptr[row]
+        # entry e of row r sits at column first[r] + (e - indptr[r])
+        indices = np.repeat(first[row : row + nb] - indptr[:-1], width[row : row + nb])
+        indices += np.arange(indices.size, dtype=index)
+        owners = [s for bkt in lvl.buckets for s in bkt.nodes[: bkt.k_below].tolist()]
+        data = np.concatenate([prep.rect[s].reshape(-1) for s in owners] or [np.empty(0)])
+        blocks.append(csr_array((data, indices, indptr), shape=(nb, lvl.top_total)))
+        row += nb
+    return tuple(blocks)
 
 
 def build_fused_panels(program: LevelProgram, prep: PreparedFactor) -> FusedPanels:
-    """Pack the panel values of *prep* in *program*'s bucket layout."""
-    diag, rect = [], []
+    """Pack the panel values of *prep* in *program*'s level and bucket layout."""
+    diag = []
     for lvl in program.levels:
-        d_lvl, r_lvl = [], []
+        d_lvl = []
         for bkt in lvl.buckets:
             nodes = bkt.nodes.tolist()
             if bkt.t == 1:
                 d_lvl.append(np.array([prep.diag[s][0, 0] for s in nodes])[:, None])
             else:
                 d_lvl.append(tuple(prep.diag[s] for s in nodes))
-            parts = [prep.rect[s] for s in nodes[: bkt.k_below]]
-            if len(parts) == 1:  # nothing to stack: keep the factor's own block
-                r_lvl.append(parts[0][:, :, None])
-            else:
-                r_lvl.append(np.concatenate(parts or [np.empty((0, bkt.t))])[:, :, None])
         diag.append(tuple(d_lvl))
-        rect.append(tuple(r_lvl))
-    return FusedPanels(diag=tuple(diag), rect=tuple(rect))
+    rect = _level_rectangles(program, prep)
+    return FusedPanels(diag=tuple(diag), rect=rect, rect_t=tuple(r.T for r in rect))
 
 
 # ------------------------------------------------------------------ sweeps
@@ -128,38 +171,29 @@ def _forward_levels(
     ws: FusedWorkspace,
 ) -> None:
     """In-place forward elimination over the (n, m) block, level by level."""
-    m = y.shape[1]
     contrib = ws.contrib
-    for lvl, diags, rects in zip(program.levels, panels.diag, panels.rect):
+    for lvl, diags, rect in zip(program.levels, panels.diag, panels.rect):
         tt = lvl.top_total
+        nb = lvl.size - tt
         acc = ws.acc[: lvl.size]
-        if lvl.size > tt:
+        tops = acc[:tt]
+        if nb:
             acc[tt:] = 0.0
-        y.take(lvl.top_src, axis=0, out=acc[:tt], mode="clip")
+        y.take(lvl.top_src, axis=0, out=tops, mode="clip")
         _replay_rounds(acc, contrib, lvl, ws.gather, ws.prod)
-        for bkt, diag, rect in zip(lvl.buckets, diags, rects):
+        for bkt, diag in zip(lvl.buckets, diags):
             t = bkt.t
-            tops = acc[bkt.top_lo : bkt.top_lo + bkt.k * t]
+            lane = tops[bkt.top_lo : bkt.top_lo + bkt.k * t]
             if t == 1:
-                np.divide(tops, diag, out=tops)
+                np.divide(lane, diag, out=lane)
             else:
                 for i, d in enumerate(diag):
-                    tops[i * t : (i + 1) * t] = dtrsm(
-                        1.0, d, tops[i * t : (i + 1) * t], lower=1, overwrite_b=1)
-            b = bkt.b
-            if b:
-                # terms[k, j] = rect[j, k] * solved[owner(j)][k]: lay the
-                # solved tops out k-major so one take replicates them.
-                kb = bkt.k_below
-                solved = ws.dot[: kb * t].reshape(t, kb, m)
-                np.copyto(solved, tops[: kb * t].reshape(kb, t, m).transpose(1, 0, 2))
-                terms = ws.prod[: b * t].reshape(t, b, m)
-                solved.take(bkt.rep_idx, axis=1, out=terms, mode="clip")
-                np.multiply(terms, rect.transpose(1, 0, 2), out=terms)
-                out = contrib[bkt.contrib_lo : bkt.contrib_lo + b]
-                np.subtract(acc[bkt.below_lo : bkt.below_lo + b],
-                            sum_terms(terms, out), out=out)
-        y[lvl.top_src] = acc[:tt]
+                    lane[i * t : (i + 1) * t] = dtrsm(
+                        1.0, d, lane[i * t : (i + 1) * t], lower=1, overwrite_b=1)
+        if nb:
+            c_lo = lvl.buckets[0].contrib_lo  # the buckets' slices are consecutive
+            np.subtract(acc[tt:], rect @ tops, out=contrib[c_lo : c_lo + nb])
+        y[lvl.top_src] = tops
 
 
 def _backward_levels(
@@ -169,35 +203,27 @@ def _backward_levels(
     ws: FusedWorkspace,
 ) -> None:
     """In-place backward substitution over the (n, m) block, root level first."""
-    m = x.shape[1]
-    for lvl, diags, rects in zip(
-        reversed(program.levels), reversed(panels.diag), reversed(panels.rect)
+    for lvl, diags, rect_t in zip(
+        reversed(program.levels), reversed(panels.diag), reversed(panels.rect_t)
     ):
-        tt = lvl.top_total
-        x.take(lvl.top_src, axis=0, out=ws.acc[:tt], mode="clip")
+        tops = ws.acc[: lvl.top_total]
+        x.take(lvl.top_src, axis=0, out=tops, mode="clip")
         ngr = lvl.gather_rows.size
         if ngr:
-            x.take(lvl.gather_rows, axis=0, out=ws.gather[:ngr], mode="clip")
-        for bkt, diag, rect in zip(lvl.buckets, diags, rects):
+            below = ws.gather[:ngr]
+            x.take(lvl.gather_rows, axis=0, out=below, mode="clip")
+            np.subtract(tops, rect_t @ below, out=tops)
+        for bkt, diag in zip(lvl.buckets, diags):
             t = bkt.t
-            tops = ws.acc[bkt.top_lo : bkt.top_lo + bkt.k * t]
-            b = bkt.b
-            if b:
-                go = bkt.below_lo - tt
-                kt = bkt.k_below * t
-                terms = ws.prod[: b * t].reshape(b, t, m)
-                np.multiply(rect, ws.gather[go : go + b, None, :], out=terms)
-                np.add.reduceat(terms, bkt.seg_starts, axis=0,
-                                out=ws.dot[:kt].reshape(-1, t, m))
-                np.subtract(tops[:kt], ws.dot[:kt], out=tops[:kt])
+            lane = tops[bkt.top_lo : bkt.top_lo + bkt.k * t]
             if t == 1:
-                np.divide(tops, diag, out=tops)
+                np.divide(lane, diag, out=lane)
             else:
                 for i, d in enumerate(diag):
-                    tops[i * t : (i + 1) * t] = dtrsm(
-                        1.0, d, tops[i * t : (i + 1) * t],
+                    lane[i * t : (i + 1) * t] = dtrsm(
+                        1.0, d, lane[i * t : (i + 1) * t],
                         lower=1, trans_a=1, overwrite_b=1)
-        x[lvl.top_src] = ws.acc[:tt]
+        x[lvl.top_src] = tops
 
 
 # ------------------------------------------------------------------ public

@@ -29,8 +29,9 @@ structure:
 as a :class:`LevelProgram`: per elimination-tree level one packed
 accumulator, the child-contribution replay split into duplicate-free
 *rounds*, and one :class:`LevelBucket` per panel width — a vectorized
-lane whose tops, belows and contribution slices are contiguous, so a
-bucket's rectangles are one product and one reduction.
+lane whose tops, belows and contribution slices are contiguous, bucket
+after bucket, so a level's rectangles lower to one sparse block
+(:func:`repro.exec.fused.build_fused_panels`).
 
 Plans and programs depend only on the symbolic structure (never on
 numeric values), so they are cached per structure by
@@ -333,9 +334,8 @@ class LevelProgram:
     its level's accumulator (-1 where absent); ``contrib_off`` its slice
     of the tree-wide contribution arena.  The ``max_*`` fields size the
     reusable :class:`~repro.exec.arena.FusedWorkspace` buffers: the
-    largest level, the largest replay round or backward gather, the
-    largest bucket product (``b * t`` rows, or a replay round if that is
-    longer) and the most below-owning top rows of a bucket.
+    largest level, the largest replay round or backward gather, and the
+    largest replay round alone (the rows it updates).
     """
 
     levels: tuple[Level, ...]
@@ -349,7 +349,6 @@ class LevelProgram:
     max_acc: int
     max_gather: int
     max_prod: int
-    max_dot: int
 
     @property
     def nlevels(self) -> int:
@@ -407,7 +406,7 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
 
     levels: list[Level] = []
     ccur = 0
-    max_acc = max_gather = max_prod = max_dot = 0
+    max_acc = max_gather = max_prod = 0
 
     for li in range(nlev):
         nodes = by_level[li]
@@ -430,7 +429,6 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
         buckets: list[LevelBucket] = []
         for t, owners, members in lanes:
             counts = np.array([steps[s].n - t for s in owners], dtype=np.int64)
-            b = int(counts.sum())
             buckets.append(LevelBucket(
                 t=t,
                 nodes=np.array(members, dtype=np.int64),
@@ -446,8 +444,6 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
                 contrib_off[s] = ccur
                 pos += nb
                 ccur += nb
-            max_prod = max(max_prod, b * t)
-            max_dot = max(max_dot, len(owners) * t)
         size = pos
 
         # --- one gather feeding every top of the level ---
@@ -508,5 +504,4 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
         max_acc=max_acc,
         max_gather=max_gather,
         max_prod=max_prod,
-        max_dot=max_dot,
     )

@@ -17,44 +17,50 @@ This module is that single source of truth:
   hand-rolled sweep, so the rounding of the triangular solve is the
   same function of the values everywhere.
 * :func:`rect_apply` / :func:`rect_apply_t` — the rectangle products
-  ``R @ solved`` and ``R.T @ xg``.  These used to be plain GEMM calls,
-  but BLAS ``dgemm`` picks different internal kernels for different
+  ``R @ solved`` and ``R.T @ xg``.  A plain GEMM is barred: BLAS
+  ``dgemm`` picks different internal kernels for different
   right-hand-side widths, so column ``j`` of an ``(nb, t) @ (t, 16)``
   product is *not* bitwise equal to the ``(nb, t) @ (t, 1)`` product of
   the same column (measured on OpenBLAS; ``dtrsm`` does not have this
   problem).  The serving layer (:mod:`repro.serve`) coalesces
   independent single-column requests into wide batches and promises the
   packed result is indistinguishable from solving each column alone —
-  so the canonical kernels accumulate in an order that is a fixed
-  function of each *column*, never of the batch width.  Each is one
-  broadcast product and one numpy reduction, and the fused backend makes
-  the same two calls on a whole (level, width) bucket of rectangles:
+  so the canonical order is a fixed function of each *column*, never of
+  the batch width.  It is the order of a compiled **sparse** product —
+  per output row a zero start, then one term at a time, ascending, each
+  product rounded before it is added:
 
-  - ``rect_apply`` forms all rank-1 terms ``R[:, k] * solved[k, :]`` as
-    one ``(t, nb, m)`` stack and sums it over ``k`` with
-    :func:`sum_terms`: strictly sequential, ascending ``k``, starting
-    from the ``k = 0`` term (signed zeros survive);
-  - ``rect_apply_t`` forms ``R[:, i] * xg`` for every ``i`` as one
-    ``(nb, t, m)`` stack and reduces it over the rows with a one-segment
-    ``np.add.reduceat``.  That is **not** a sequential sum: ``reduceat``
-    runs numpy's reduce inner loop along the segment — the first product
-    plus numpy's pairwise sum of the rest (eight interleaved partial
-    sums, blocks of at most 128 terms, halved recursively above that) —
-    an order that is a fixed function of the segment length ``nb`` alone,
-    the same for every output row, column, stride and batch width.  It
-    differs from the strictly sequential sum in the last bits for most
-    ``nb >= 3``; a BLAS ``dot`` would differ from both.  The fused
-    backend reduces a bucket with one ``reduceat`` over its segments, so
-    each segment sees exactly this order.
+  - ``rect_apply``: output row ``i`` starts at ``+0.0`` and receives
+    ``rect[i, k] * solved[k, :]`` for ``k = 0, 1, …, t - 1`` in that
+    order (scipy's CSR row loop);
+  - ``rect_apply_t``: output row ``k`` starts at ``+0.0`` and receives
+    ``rect[i, k] * xg[i, :]`` for ``i = 0, 1, …, nb - 1`` in that order
+    (the CSC column loop over the *same* three arrays — the transpose is
+    a reinterpretation, no value moves).
 
-  Every multi-column kernel is therefore **column-slice invariant**:
-  column ``j`` of the ``m``-column result equals the 1-column result on
-  ``operand[:, j:j+1]`` bit for bit, for every ``m``.
+  Both are strictly sequential ascending sums from a zero start, so a
+  row whose terms are all ``-0.0`` comes out ``+0.0``.  Every column of
+  the operand is carried through the same sequence independently of its
+  neighbours, which makes every multi-column kernel **column-slice
+  invariant**: column ``j`` of the ``m``-column result equals the
+  1-column result on ``operand[:, j:j+1]`` bit for bit, for every ``m``.
 
-Both orders are properties of numpy's ``reduce`` / ``reduceat`` loops,
-not of this module, so ``tests/test_kernels.py`` pins them against
-explicit per-``k`` loops (values and signs of zero) and CI repeats that
-on the oldest supported numpy.
+  The order has two realisations, kept bitwise equal by the tests.  The
+  fused backend lowers all of a level's rectangles to one
+  ``scipy.sparse`` block and runs scipy's ``csr_matvec(s)`` /
+  ``csc_matvec(s)`` loop once per level
+  (:func:`repro.exec.fused.build_fused_panels`).  The two kernels here
+  serve one dense rectangle at a time (the serial walker, the engine
+  baseline), where scipy's constructor would cost four times the
+  product and a kept operator a kilobyte per rectangle: they form the
+  terms as one broadcast product and sum them with :func:`_ascending_sum`
+  — numpy's reduce over the leading axis, the same sequence.
+
+Both are properties of library loops (scipy's ``*_matvec(s)``, numpy's
+outer-axis ``reduce``), not of this module, so ``tests/test_kernels.py``
+pins each against explicit per-``k`` Python loops (values and signs of
+zero, every width) and against the other, and CI repeats that at the
+oldest supported numpy and scipy.
 
 Anything not covered here (elementwise adds/subtracts/multiplies, row
 gathers/scatters) is column-slice invariant and bitwise reproducible by
@@ -65,9 +71,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
-
-#: The single-segment index set for :func:`rect_apply_t`'s ``reduceat``.
-_SEG0 = np.zeros(1, dtype=np.intp)
 
 
 def solve_lower(diag: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -89,33 +92,26 @@ def solve_lower_t(diag: np.ndarray, top: np.ndarray) -> np.ndarray:
     return dtrsm(1.0, diag, top, lower=1, trans_a=1)
 
 
-def sum_terms(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = terms[0] + terms[1] + ...``, ascending over the leading axis.
+def _ascending_sum(terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = ((+0.0 + terms[0]) + terms[1]) + ...`` over the leading axis.
 
-    *terms* is a C-contiguous ``(t, ...)`` stack, *out* has its trailing
-    shape.  The leading axis has the largest stride, so numpy's reduce
-    walks it outermost: it copies ``terms[0]`` (``initial=None`` — an
-    identity-initialised sum would turn ``-0.0`` into ``+0.0``) and adds
-    each later term elementwise, so every output element sees the same
-    ascending sequence whatever else is in the stack.  The exception is
-    a single output element: the summed axis is then the only loop left,
-    numpy would run its pairwise inner loop along it, and one column
-    alone would round differently from the same column inside a block —
-    that case takes the sequential ``accumulate`` (in place; *terms* is
-    scratch either way).
+    *terms* is a C-contiguous ``(count, ...)`` stack, *out* has its
+    trailing shape.  The leading axis has the largest stride, so numpy's
+    reduce walks it outermost: it fills *out* with the initial ``+0.0``
+    and adds each term elementwise, so every output element sees the
+    same ascending sequence whatever else is in the stack.  The
+    exception is a single output element: the summed axis is then the
+    only loop left, numpy would run its pairwise inner loop along it, and
+    one column alone would round differently from the same column inside
+    a block — that case takes the sequential ``accumulate`` (in place;
+    *terms* is scratch), whose first-term start differs from the zero
+    start only in turning an all-``-0.0`` sum into ``-0.0``, which the
+    final ``+ 0.0`` undoes.
     """
-    if out.size == 1:
+    if out.size == 1 and len(terms):
         np.add.accumulate(terms, axis=0, out=terms)
-        out[...] = terms[-1]
-        return out
-    return np.add.reduce(terms, axis=0, out=out, initial=None)
-
-
-def _product_rows(tmp: np.ndarray | None, rows: int, m: int) -> np.ndarray:
-    """``(rows, m)`` scratch for a product stack: *tmp* if it has the room."""
-    if tmp is not None and tmp.shape[0] >= rows:
-        return tmp[:rows]
-    return np.empty((rows, m))
+        return np.add(terms[-1], 0.0, out=out)
+    return np.add.reduce(terms, axis=0, out=out, initial=0.0)
 
 
 def rect_apply(
@@ -127,24 +123,22 @@ def rect_apply(
     """``rect @ solved`` with a width-invariant accumulation order.
 
     *rect* is ``(nb, t)``, *solved* ``(t, m)``; returns the ``(nb, m)``
-    product as the ascending-``k`` sum of rank-1 terms
-    ``rect[:, k] * solved[k, :]`` (:func:`sum_terms`).  Each term is an
-    elementwise broadcast product and each add is elementwise, so column
-    ``j`` of the result depends only on ``solved[:, j]`` — never on ``m``.
+    product, row ``i`` the zero-started ascending-``k`` sum of
+    ``rect[i, k] * solved[k, :]`` — the CSR product of the module
+    docstring, so column ``j`` of the result depends only on
+    ``solved[:, j]``, never on ``m``.
 
-    ``out`` (``(nb, m)``) receives the product; ``tmp`` holds the term
-    stack when it has ``nb * t`` rows of ``m`` columns.  Both are
-    allocated when omitted (or, for ``tmp``, too small).
+    ``out`` (``(nb, m)``) receives the product when given.  ``tmp`` is
+    accepted and ignored (the term stack is allocated per call); the
+    argument goes once ``benchmarks/spine`` stops passing it.
     """
     nb, t = rect.shape
     m = solved.shape[1]
     if out is None:
         out = np.empty((nb, m))
-    if t == 1:  # a single term is its own sum
-        return np.multiply(rect, solved, out=out)
-    terms = _product_rows(tmp, t * nb, m).reshape(t, nb, m)
+    terms = np.empty((t, nb, m))
     np.multiply(rect.T[:, :, None], solved[:, None, :], out=terms)
-    return sum_terms(terms, out)
+    return _ascending_sum(terms, out)
 
 
 def rect_apply_t(
@@ -156,14 +150,10 @@ def rect_apply_t(
     """``rect.T @ xg`` with a width-invariant accumulation order.
 
     *rect* is ``(nb, t)``, *xg* the gathered ancestor rows ``(nb, m)``;
-    returns the ``(t, m)`` product where row ``i`` is the dot of
-    rectangle column ``i`` against *xg*, the products reduced by
-    ``np.add.reduceat`` over one segment — numpy's reduce inner loop
-    (first product plus a pairwise sum of the rest; see the module
-    docstring), a fixed function of ``nb`` per output element and the
-    same reduction the fused backend applies per segment of a
-    bucket-wide product (a BLAS ``dot`` would not agree bitwise).
-    Column-slice invariant for the same reason as :func:`rect_apply`.
+    returns the ``(t, m)`` product, row ``k`` the zero-started
+    ascending-``i`` sum of ``rect[i, k] * xg[i, :]`` — the CSC product
+    over the arrays :func:`rect_apply` reads as CSR.  Column-slice
+    invariant for the same reason.
 
     ``out`` (``(t, m)``) and ``tmp`` follow :func:`rect_apply`.
     """
@@ -171,7 +161,6 @@ def rect_apply_t(
     m = xg.shape[1]
     if out is None:
         out = np.empty((t, m))
-    terms = _product_rows(tmp, nb * t, m).reshape(nb, t, m)
+    terms = np.empty((nb, t, m))
     np.multiply(rect[:, :, None], xg[:, None, :], out=terms)
-    np.add.reduceat(terms, _SEG0, axis=0, out=out[None])
-    return out
+    return _ascending_sum(terms, out)

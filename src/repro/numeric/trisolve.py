@@ -22,11 +22,10 @@ The forward sweep deliberately uses the *hierarchical contribution* form
 scattering each rectangle straight into ``y``: that is the one summation
 order every schedule of the level program can reproduce, so serial and
 fused results (and the engine baseline's) are **bitwise identical** — same canonical
-kernels (:mod:`repro.numeric.kernels`), same operands, same order: the
-forward rectangle product sums its rank-1 terms sequentially in ascending
-``k``; the backward one reduces each column of products in the order of
-numpy's one-segment ``reduceat`` (first product plus a pairwise sum of the
-rest — fixed by the number of below-rows, not sequential).
+kernels (:mod:`repro.numeric.kernels`), same operands, same order: both
+rectangle products are zero-started, strictly sequential ascending sums
+(forward over the panel's columns ``k``, backward over its below-rows),
+the order of the compiled sparse product the fused backend runs per level.
 Simplicial variants over :class:`LowerCSC` serve as independent references.
 """
 
@@ -37,10 +36,11 @@ import numpy as np
 from repro.numeric.kernels import rect_apply, rect_apply_t, solve_lower, solve_lower_t
 from repro.numeric.supernodal import SupernodalFactor
 from repro.sparse.csc import LowerCSC
+from repro.util.validation import as_real_rhs
 
 
 def _as_matrix(b: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
-    b = np.asarray(b, dtype=np.float64)
+    b = as_real_rhs(b, "b")
     if b.shape[0] != n:
         raise ValueError(f"rhs has {b.shape[0]} rows, expected {n}")
     if b.ndim == 1:
@@ -54,7 +54,9 @@ def as_rhs_matrix(b: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     """Coerce *b* to a fresh float64 ``(n, nrhs)`` block.
 
     Returns ``(matrix, squeeze)`` where ``squeeze`` records whether the
-    caller passed a plain vector and should get one back.  Shared by the
+    caller passed a plain vector and should get one back.  Complex input
+    raises :class:`TypeError`, a 0-d or wrongly sized one
+    :class:`ValueError`, before anything is copied.  Shared by the
     serial solvers here and the real execution backends in
     :mod:`repro.exec`, so every backend normalises right-hand sides the
     same way.
@@ -86,18 +88,12 @@ def backward_simplicial(l: LowerCSC, b: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------- supernodal
-def _term_scratch(f: SupernodalFactor, m: int) -> np.ndarray:
-    """One product-term buffer big enough for every rectangle of *f* at *m* columns."""
-    return np.empty((max(sn.t * (sn.n - sn.t) for sn in f.stree.supernodes), m))
-
-
 def forward_supernodal(f: SupernodalFactor, b: np.ndarray) -> np.ndarray:
     """Supernodal forward elimination ``L y = b`` (leaves -> root)."""
     y, squeeze = _as_matrix(b, f.n)
     stree = f.stree
     m = y.shape[1]
     contrib: list[np.ndarray | None] = [None] * stree.nsuper
-    terms = _term_scratch(f, m)
     for s in stree.topo_order():
         sn = stree.supernodes[s]
         block = f.blocks[s]
@@ -113,7 +109,7 @@ def forward_supernodal(f: SupernodalFactor, b: np.ndarray) -> np.ndarray:
         solved = solve_lower(block[:t, :t], acc[:t])
         y[sn.col_lo : sn.col_hi] = solved
         if sn.n > t:
-            contrib[s] = acc[t:] - rect_apply(block[t:, :t], solved, tmp=terms)
+            contrib[s] = acc[t:] - rect_apply(block[t:, :t], solved)
     return y[:, 0] if squeeze else y
 
 
@@ -121,14 +117,13 @@ def backward_supernodal(f: SupernodalFactor, b: np.ndarray) -> np.ndarray:
     """Supernodal backward substitution ``L^T x = b`` (root -> leaves)."""
     x, squeeze = _as_matrix(b, f.n)
     stree = f.stree
-    terms = _term_scratch(f, x.shape[1])
     for s in reversed(stree.topo_order()):
         sn = stree.supernodes[s]
         block = f.blocks[s]
         t = sn.t
         top = x[sn.col_lo : sn.col_hi]
         if sn.n > t:
-            top = top - rect_apply_t(block[t:, :t], x[sn.below], tmp=terms)
+            top = top - rect_apply_t(block[t:, :t], x[sn.below])
         x[sn.col_lo : sn.col_hi] = solve_lower_t(block[:t, :t], top)
     return x[:, 0] if squeeze else x
 

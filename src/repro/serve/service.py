@@ -188,8 +188,10 @@ class SolveService:
         ``w <= max_batch``; the future resolves to the same shape.  The
         result is bitwise identical to the standalone fused solve of
         *b*, whatever batch it lands in.  Raises
-        :class:`~repro.serve.batcher.QueueFullError` under backpressure
-        and :class:`RuntimeError` once the service is closing.
+        :class:`~repro.serve.batcher.QueueFullError` under backpressure,
+        :class:`RuntimeError` once the service is closing, and — before
+        anything is queued — :class:`TypeError` for complex input and
+        :class:`ValueError` for a 0-d or wrongly sized one.
         """
         with self._cond:
             entry = self._entries.get(key)

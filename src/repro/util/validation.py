@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 
 def require(condition: bool, message: str) -> None:
     """Raise :class:`ValueError` with *message* unless *condition* holds."""
@@ -57,3 +59,19 @@ def as_int(value: Any, name: str) -> int:
     if out != value:
         raise ValueError(f"{name} must be integral, got {value!r}")
     return out
+
+
+def as_real_rhs(value: Any, name: str) -> np.ndarray:
+    """*value* as a float64 array of at least one dimension.
+
+    A right-hand side arrives from outside the program: complex input is a
+    :class:`TypeError` (a float64 cast would drop the imaginary part behind
+    a warning) and a 0-d one a :class:`ValueError`, both naming *name*,
+    before anything is packed or copied.
+    """
+    arr = np.asarray(value)
+    if np.iscomplexobj(arr):
+        raise TypeError(f"{name} must be real, got complex dtype {arr.dtype}")
+    if arr.ndim == 0:
+        raise ValueError(f"{name} must be a vector or an (n, nrhs) block, got a 0-d value")
+    return np.asarray(arr, dtype=np.float64)

@@ -801,8 +801,7 @@ def _check_program_structure(
         if (
             program.max_acc < lvl.size
             or program.max_gather < max(widest_round, int(lvl.gather_rows.size))
-            or program.max_prod < max(widest_round, *(bkt.b * bkt.t for bkt in lvl.buckets))
-            or program.max_dot < max(bkt.k_below * bkt.t for bkt in lvl.buckets)
+            or program.max_prod < widest_round
         ):
             report.add(
                 "schedule-program-workspace",

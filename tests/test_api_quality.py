@@ -119,9 +119,30 @@ class TestOptionSurface:
 
 
 class TestImportHygiene:
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
     def test_all_modules_importable_in_isolation(self):
         # importing any module must not raise (no hidden cycles)
         assert len(all_modules()) > 40
+
+    def test_no_private_scipy_sparse_import(self):
+        # The rectangle order is scipy's compiled loop reached through the
+        # public ``@``; ``scipy.sparse._sparsetools`` and friends move
+        # between releases.
+        private = re.compile(r"^\s*(?:from|import)\s+scipy\.sparse\._|"
+                             r"^\s*from\s+scipy\.sparse\s+import\s+[^#\n]*\b_", re.M)
+        offenders = sorted(
+            str(path.relative_to(self.SRC))
+            for path in self.SRC.rglob("*.py")
+            if private.search(path.read_text())
+        )
+        assert not offenders, f"private scipy.sparse imports in {offenders}"
+
+    def test_fused_backend_has_no_term_stack_reduction_left(self):
+        # Replace, not fork: the per-bucket take / multiply / reduce path is gone.
+        text = (self.SRC / "repro" / "exec" / "fused.py").read_text()
+        for word in ("reduceat", "sum_terms"):
+            assert word not in text, f"exec/fused.py still mentions {word}"
 
 
 class TestDocReferences:

@@ -1,10 +1,14 @@
 """Edge cases and robustness across the whole pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core.solver import ParallelSparseSolver
 from repro.machine.presets import cray_t3d
+from repro.numeric.trisolve import as_rhs_matrix
+from repro.serve import FakeClock, SolveService
 from repro.sparse.build import from_dense, from_triplets
 from repro.sparse.generators import grid2d_laplacian, random_spd
 from repro.symbolic.analyze import analyze
@@ -95,6 +99,56 @@ class TestExtremeParameters:
         solver = ParallelSparseSolver(a, p=2, relax=10_000).prepare()
         _, rep = solver.solve(rng.normal(size=a.n))
         assert rep.residual < 1e-10
+
+
+class TestRightHandSideContract:
+    """A right-hand side is outside input: rejected by type before any packing."""
+
+    @pytest.fixture(scope="class")
+    def solver(self):
+        return ParallelSparseSolver(grid2d_laplacian(4), p=1).prepare()
+
+    @pytest.mark.parametrize("backend", ["sim", "serial", "fused"])
+    def test_solve_rejects_a_zero_dimensional_rhs(self, solver, backend):
+        with pytest.raises(ValueError, match="bvec must be a vector or an"):
+            solver.solve(np.float64(3.0), backend=backend)
+        with pytest.raises(ValueError, match="bvec"):
+            solver.solve(3.0, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["sim", "serial", "fused"])
+    def test_solve_rejects_complex_input_instead_of_dropping_the_imaginary_part(
+        self, solver, backend
+    ):
+        b = np.ones(solver.a.n) + 1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way either
+            with pytest.raises(TypeError, match="bvec must be real, got complex dtype complex128"):
+                solver.solve(b, backend=backend)
+            with pytest.raises(TypeError, match="bvec must be real"):
+                solver.solve([[1 + 2j]] * solver.a.n, backend=backend)
+
+    def test_as_rhs_matrix_names_the_argument(self):
+        with pytest.raises(ValueError, match="b must be a vector or an"):
+            as_rhs_matrix(np.array(1.0), 4)
+        with pytest.raises(TypeError, match="b must be real"):
+            as_rhs_matrix(np.zeros(4, dtype=np.complex64), 4)
+        # what was accepted stays accepted, as a fresh float64 block
+        block, squeeze = as_rhs_matrix(np.arange(4, dtype=np.float32), 4)
+        assert squeeze and block.dtype == np.float64 and block.shape == (4, 1)
+        ints, squeeze = as_rhs_matrix([[1, 2], [3, 4]], 2)
+        assert not squeeze and ints.dtype == np.float64 and ints.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_submit_rejects_before_anything_is_queued(self, solver):
+        with SolveService(clock=FakeClock()) as service:
+            service.register("default", solver)
+            with pytest.raises(ValueError, match="b must be a vector or an"):
+                service.submit(np.float64(1.0))
+            with pytest.raises(TypeError, match="b must be real"):
+                service.submit(np.ones(solver.a.n, dtype=np.complex128))
+            assert service.report().submitted == 0
+            good = service.submit(np.ones(solver.a.n))
+            service.drain()
+            assert np.all(np.isfinite(good.result(timeout=5)))
 
 
 class TestNumericalEdges:

@@ -37,7 +37,12 @@ from repro.exec import (
     solve_fused,
 )
 from repro.exec.arena import build_fused_workspace
-from repro.exec.fused import _backward_levels, _forward_levels, _replay_rounds
+from repro.exec.fused import (
+    _backward_levels,
+    _forward_levels,
+    _replay_rounds,
+    build_fused_panels,
+)
 from repro.exec.plan import Level, _rounds, build_plan
 from repro.numeric.supernodal import cholesky_supernodal
 from repro.numeric.trisolve import (
@@ -45,6 +50,7 @@ from repro.numeric.trisolve import (
     forward_supernodal,
     solve_supernodal,
 )
+from repro.sparse.generators import fe_mesh_3d, grid2d_laplacian, grid3d_laplacian, random_spd
 from repro.symbolic.analyze import analyze
 
 
@@ -172,6 +178,76 @@ class TestRoundReplay:
         assert acc.tobytes() == expect.tobytes()
 
 
+def _assert_lowering_matches_the_factor(a):
+    """Every level's ``F`` densified == the block matrix assembled from ``prep.rect``."""
+    sym = analyze(a)
+    factor = cholesky_supernodal(sym)
+    program = program_for(sym.stree)
+    prep = prepare_factor(factor)
+    panels = build_fused_panels(program, prep)
+    assert len(panels.rect) == len(panels.rect_t) == program.nlevels
+    for lvl, f, ft in zip(program.levels, panels.rect, panels.rect_t):
+        tt, nb = lvl.top_total, lvl.size - lvl.top_total
+        assert f.format == "csr" and f.shape == (nb, tt)
+        assert ft.format == "csc" and ft.shape == (tt, nb)
+        for ours, theirs in ((ft.data, f.data), (ft.indices, f.indices), (ft.indptr, f.indptr)):
+            assert np.shares_memory(ours, theirs) or ours.size == 0
+        assert f.indices.dtype == np.int32 and f.indptr.dtype == np.int32
+        assert f.indptr[0] == 0 and f.indptr[-1] == f.indices.size == f.data.size
+        assert np.all((f.indices >= 0) & (f.indices < max(tt, 1)))
+
+        expect = np.zeros((nb, tt))
+        entries = 0
+        for s in np.flatnonzero(program.node_level == lvl.index).tolist():
+            rect = prep.rect[s]
+            if rect.shape[0]:
+                row = program.node_below_off[s] - tt
+                col = program.node_top_off[s]
+                expect[row : row + rect.shape[0], col : col + rect.shape[1]] = rect
+                entries += rect.size
+        # one stored entry per (below row, k) — zeros of the factor included —
+        # each row's columns ascending and therefore distinct
+        assert f.nnz == entries
+        for j in range(nb):
+            assert np.all(np.diff(f.indices[f.indptr[j] : f.indptr[j + 1]]) == 1)
+        assert np.array_equal(f.toarray(), expect)
+        assert np.array_equal(ft.toarray(), expect.T)
+
+
+class TestRectangleLowering:
+    """``build_fused_panels``: one CSR block per level, the factor's values in place."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: grid2d_laplacian(6), lambda: grid3d_laplacian(4), lambda: fe_mesh_3d(4, seed=219)],
+        ids=["grid2d(6)", "grid3d(4)", "fe_mesh_3d(4)"],
+    )
+    def test_level_blocks_are_the_factor_rectangles(self, build):
+        _assert_lowering_matches_the_factor(build())
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        a=strategies.builds(
+            random_spd,
+            n=strategies.integers(2, 40),
+            density=strategies.floats(0.02, 0.6),
+            seed=strategies.integers(0, 2**16),
+        )
+    )
+    def test_level_blocks_on_random_patterns(self, a):
+        clear_exec_caches()
+        _assert_lowering_matches_the_factor(a)
+
+    def test_single_supernode_has_an_empty_block(self):
+        a = random_spd(1, seed=0)
+        sym = analyze(a)
+        factor = cholesky_supernodal(sym)
+        panels = fused_panels_for(factor)
+        assert [f.shape for f in panels.rect] == [(0, 1)]
+        b = np.array([[3.0, -0.0]])
+        assert solve_fused(factor, b).tobytes() == solve_supernodal(factor, b).tobytes()
+
+
 class TestZeroAllocationSteadyState:
     def test_second_solve_reuses_arena_workspace(self, sym_grid8, rng):
         factor = cholesky_supernodal(sym_grid8)
@@ -188,9 +264,9 @@ class TestZeroAllocationSteadyState:
     def test_sweeps_allocate_no_per_node_arrays(self, sym_grid8, rng):
         # Drive the level loops directly on a leased workspace: with every
         # buffer preallocated, the hot path must allocate nothing beyond
-        # small constant-size temporaries (dtrsm's f2py return value, views
-        # and loop-iteration objects) — far below one per-node array, and
-        # below one bucket-wide product at sixteen columns.
+        # small short-lived temporaries (dtrsm's f2py return value, the one
+        # product block scipy returns per level, views and loop-iteration
+        # objects) — nothing that grows with the node count, no term stack.
         factor = cholesky_supernodal(sym_grid8)
         program = program_for(sym_grid8.stree)
         panels = fused_panels_for(factor)

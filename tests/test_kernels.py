@@ -1,29 +1,30 @@
-"""Column-slice invariance of the canonical dense kernels.
+"""The canonical kernels: their accumulation order and column-slice invariance.
 
 The serving layer's transparency promise — a request's answer is bitwise
 identical whatever batch it lands in — reduces to one property of the
 kernels in :mod:`repro.numeric.kernels`: column ``j`` of every
 ``m``-column result equals the 1-column result on column ``j`` alone,
-bit for bit, for every ``m``.  These tests pin that property directly,
-including the empirical fact that motivated :func:`rect_apply` /
-:func:`rect_apply_t` existing at all: BLAS ``dtrsm`` IS width-invariant
-on this machine, while a plain GEMM is not guaranteed to be.
+bit for bit, for every ``m``.  For the rectangle kernels that follows from
+their order — per output row a zero-started, strictly ascending sum of
+separately rounded products.  Two library loops realise it: numpy's
+outer-axis ``reduce`` inside ``rect_apply`` / ``rect_apply_t`` (one
+rectangle at a time: serial walker, engine baseline) and scipy's compiled
+``csr_matvec(s)`` / ``csc_matvec(s)`` (one block per level: the fused
+program).  These tests pin both against explicit Python loops and against
+each other, and the empirical fact the triangles rest on: BLAS ``dtrsm``
+IS width-invariant on this machine, while a plain GEMM is not guaranteed
+to be.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
-from repro.numeric.kernels import (
-    rect_apply,
-    rect_apply_t,
-    solve_lower,
-    solve_lower_t,
-    sum_terms,
-)
+from repro.numeric.kernels import rect_apply, rect_apply_t, solve_lower, solve_lower_t
 
-WIDTHS = (2, 3, 4, 7, 16, 33)
+WIDTHS = (1, 2, 3, 4, 7, 16, 17, 33)
 
 
 def _rng():
@@ -36,6 +37,11 @@ def _lower(rng, t):
     return diag
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# ------------------------------------------------------------------ triangles
 @pytest.mark.parametrize("t", [1, 2, 5, 17, 64])
 @pytest.mark.parametrize("m", WIDTHS)
 def test_solve_lower_column_slice_invariant(t, m):
@@ -60,160 +66,6 @@ def test_solve_lower_t_column_slice_invariant(t, m):
         assert np.array_equal(wide[:, j : j + 1], narrow)
 
 
-@pytest.mark.parametrize("nb,t", [(1, 1), (3, 1), (7, 2), (20, 5), (64, 17), (150, 33)])
-@pytest.mark.parametrize("m", WIDTHS)
-def test_rect_apply_column_slice_invariant(nb, t, m):
-    rng = _rng()
-    rect = rng.normal(size=(nb, t))
-    solved = rng.normal(size=(t, m))
-    wide = rect_apply(rect, solved)
-    for j in range(m):
-        narrow = rect_apply(rect, solved[:, j : j + 1])
-        assert np.array_equal(wide[:, j : j + 1], narrow)
-
-
-@pytest.mark.parametrize("nb,t", [(1, 1), (3, 1), (7, 2), (20, 5), (64, 17), (150, 33)])
-@pytest.mark.parametrize("m", WIDTHS)
-def test_rect_apply_t_column_slice_invariant(nb, t, m):
-    rng = _rng()
-    rect = rng.normal(size=(nb, t))
-    xg = rng.normal(size=(nb, m))
-    wide = rect_apply_t(rect, xg)
-    for j in range(m):
-        narrow = rect_apply_t(rect, xg[:, j : j + 1])
-        assert np.array_equal(wide[:, j : j + 1], narrow)
-
-
-# The rounding order of the two rectangle kernels is a property of numpy's
-# ``reduce`` / ``reduceat`` loops.  These are the explicit per-``k`` loops the
-# kernels used to be; the one-product kernels must keep their bits.
-def _rect_apply_oracle(rect, solved):
-    out = rect[:, 0:1] * solved[0:1]
-    for k in range(1, rect.shape[1]):
-        out += rect[:, k : k + 1] * solved[k : k + 1]
-    return out
-
-
-def _rect_apply_t_oracle(rect, xg):
-    seg0 = np.zeros(1, dtype=np.intp)
-    out = np.empty((rect.shape[1], xg.shape[1]))
-    for i in range(rect.shape[1]):
-        np.add.reduceat(rect[:, i : i + 1] * xg, seg0, axis=0, out=out[i : i + 1])
-    return out
-
-
-def _same_bits(a, b):
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
-@pytest.mark.parametrize("nb", [1, 7, 8, 9, 40, 129, 4097])
-@pytest.mark.parametrize("t", [1, 2, 9, 48])
-def test_rect_kernels_keep_the_per_k_loops_bits(nb, t):
-    rng = _rng()
-    for m in (1, 4, 16):
-        wide = rng.normal(size=(nb, t + 2))
-        # zeros of both signs: an identity-initialised sum would lose -0.0
-        wide[rng.random(wide.shape) < 0.2] = -0.0
-        solved_pad = rng.normal(size=(t, m + 1))
-        solved_pad[rng.random(solved_pad.shape) < 0.3] = 0.0
-        xg_pad = rng.normal(size=(nb, m + 1))
-        for rect, solved, xg in (
-            (np.ascontiguousarray(wide[:, 1 : t + 1]),
-             np.ascontiguousarray(solved_pad[:, :m]), np.ascontiguousarray(xg_pad[:, :m])),
-            (wide[:, 1 : t + 1], solved_pad[:, :m], xg_pad[:, :m]),
-        ):
-            assert _same_bits(rect_apply(rect, solved), _rect_apply_oracle(rect, solved))
-            assert _same_bits(rect_apply_t(rect, xg), _rect_apply_t_oracle(rect, xg))
-
-
-def test_rect_apply_t_is_not_the_sequential_sum():
-    """Pin what the order is *not*, so the docs cannot drift back.
-
-    ``reduceat`` runs numpy's pairwise reduce loop; a strictly sequential
-    ascending-row sum differs in the last bits for ordinary data.
-    """
-    rng = _rng()
-    rect = rng.normal(size=(100, 1))
-    xg = rng.normal(size=(100, 8))
-    sequential = np.zeros((1, 8))
-    for row in rect * xg:
-        sequential += row
-    got = rect_apply_t(rect, xg)
-    np.testing.assert_allclose(got, sequential, rtol=1e-12)
-    assert not np.array_equal(got, sequential)
-
-
-@pytest.mark.parametrize("shape", [(1, 1, 1), (9, 1, 1), (48, 1, 1), (9, 3, 1), (9, 1, 4), (5, 7, 16)])
-def test_sum_terms_is_the_ascending_sum_even_for_one_output(shape):
-    # A single output element leaves numpy's reduce only the summed axis to
-    # loop over, where it sums pairwise; sum_terms must not.
-    rng = _rng()
-    terms = rng.normal(size=shape)
-    terms[rng.random(shape) < 0.3] = -0.0
-    expect = terms[0].copy()
-    for k in range(1, shape[0]):
-        expect += terms[k]
-    out = np.full(shape[1:], np.nan)
-    assert sum_terms(terms.copy(), out) is out
-    assert _same_bits(out, expect)
-
-
-def test_rect_apply_workspace_matches_allocating_path():
-    rng = _rng()
-    rect = rng.normal(size=(40, 9))
-    solved = rng.normal(size=(9, 6))
-    out = np.full((40, 6), np.nan)
-    tmp = np.full((40, 6), np.nan)
-    got = rect_apply(rect, solved, out=out, tmp=tmp)
-    assert got is out
-    assert np.array_equal(out, rect_apply(rect, solved))
-    # a scratch with room for the whole (t, nb, m) term stack is used in place
-    big = np.full((40 * 9, 6), np.nan)
-    assert np.array_equal(rect_apply(rect, solved, tmp=big), out)
-    assert not np.isnan(big).any()
-
-
-def test_rect_apply_t_workspace_matches_allocating_path():
-    rng = _rng()
-    rect = rng.normal(size=(40, 9))
-    xg = rng.normal(size=(40, 6))
-    out = np.full((9, 6), np.nan)
-    tmp = np.full((40, 6), np.nan)
-    got = rect_apply_t(rect, xg, out=out, tmp=tmp)
-    assert got is out
-    assert np.array_equal(out, rect_apply_t(rect, xg))
-
-
-def test_rect_apply_t_width1_matches_unit_dot():
-    """The t=1 rectangle path is the one-segment ``reduceat`` dot, bit for bit.
-
-    ``unit_dot`` was a second kernel with this body; the width-1 panels of
-    the serial walker and the engine now go through ``rect_apply_t`` and
-    must keep producing its bits (the fused width-1 lane reduces level-wide
-    segments the same way).
-    """
-    def unit_dot(rect, xg):
-        return np.add.reduceat(rect * xg, np.zeros(1, dtype=np.intp), axis=0)
-
-    rng = _rng()
-    for nb in (1, 2, 7, 8, 9, 127, 128, 129, 1000, 4097):
-        for m in (1, 4, 31):
-            wide = rng.normal(size=(nb, 3))
-            xg = rng.normal(size=(nb, m))
-            for rect in (np.ascontiguousarray(wide[:, 1:2]), wide[:, 1:2]):
-                assert np.array_equal(rect_apply_t(rect, xg), unit_dot(rect, xg))
-
-
-def test_rect_apply_matches_gemm_to_rounding():
-    """Fixed-order accumulation is still the same product numerically."""
-    rng = _rng()
-    rect = rng.normal(size=(50, 12))
-    solved = rng.normal(size=(12, 8))
-    np.testing.assert_allclose(rect_apply(rect, solved), rect @ solved, rtol=1e-13)
-    xg = rng.normal(size=(50, 8))
-    np.testing.assert_allclose(rect_apply_t(rect, xg), rect.T @ xg, rtol=1e-13)
-
-
 def test_dtrsm_width_invariance_assumption_holds():
     """Pin the empirical BLAS fact the design note in kernels.py relies on.
 
@@ -234,3 +86,193 @@ def test_dtrsm_width_invariance_assumption_holds():
             for j in (0, 11, 23):
                 narrow = dtrsm(1.0, diag, top[:, j : j + 1], lower=1, trans_a=trans)
                 assert np.array_equal(wide[:, j : j + 1], narrow)
+
+
+# ------------------------------------------------------------------ rectangle oracles
+# The order, spelled out: every output row starts at +0.0 and takes its
+# terms one at a time, ascending, each product rounded before it is added.
+def _rect_apply_oracle(rect, solved):
+    out = np.zeros((rect.shape[0], solved.shape[1]))
+    for k in range(rect.shape[1]):
+        term = rect[:, k : k + 1] * solved[k : k + 1]
+        out = out + term
+    return out
+
+
+def _rect_apply_t_oracle(rect, xg):
+    out = np.zeros((rect.shape[1], xg.shape[1]))
+    for i in range(rect.shape[0]):
+        term = rect[i][:, None] * xg[i][None, :]
+        out = out + term
+    return out
+
+
+def _as_csr(rect):
+    """*rect* row by row as CSR — what the fused program multiplies by, for one node."""
+    nb, t = rect.shape
+    return csr_array(
+        (np.ascontiguousarray(rect).reshape(-1), np.tile(np.arange(t, dtype=np.int32), nb),
+         np.arange(0, nb * t + 1, t, dtype=np.int32)),
+        shape=(nb, t),
+    )
+
+
+def _operands(rng, nb, t, m):
+    """``(rect, solved, xg)`` as strided views of padded blocks, and as contiguous copies."""
+    wide = rng.normal(size=(nb, t + 2))
+    wide[rng.random(wide.shape) < 0.2] = -0.0  # zeros of both signs
+    solved_pad = rng.normal(size=(t, m + 1))
+    solved_pad[rng.random(solved_pad.shape) < 0.3] = 0.0
+    xg_pad = rng.normal(size=(nb, m + 1))
+    xg_pad[rng.random(xg_pad.shape) < 0.3] = -0.0
+    strided = (wide[:, 1 : t + 1], solved_pad[:, :m], xg_pad[:, :m])
+    return [strided, tuple(np.ascontiguousarray(a) for a in strided)]
+
+
+@pytest.mark.parametrize("nb", [0, 1, 7, 8, 9, 40, 129, 4097])
+@pytest.mark.parametrize("t", [1, 2, 9, 48])
+def test_rect_kernels_keep_the_per_k_loops_bits(nb, t):
+    rng = _rng()
+    for m in (1, 2, 3, 7, 16, 17):
+        for rect, solved, xg in _operands(rng, nb, t, m):
+            f = _as_csr(rect)
+            forward = _rect_apply_oracle(rect, solved)
+            assert _same_bits(rect_apply(rect, solved), forward)
+            assert _same_bits(f @ solved, forward)
+            backward = _rect_apply_t_oracle(rect, xg)
+            assert _same_bits(rect_apply_t(rect, xg), backward)
+            assert _same_bits(f.T @ xg, backward)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (9, 1, 1), (48, 1, 1), (9, 3, 1), (9, 1, 4), (5, 7, 16)])
+def test_sum_terms_is_the_ascending_sum_even_for_one_output(shape):
+    # A single output element leaves a reduction only the summed axis to
+    # loop over — where numpy's reduce sums pairwise and scipy takes its
+    # one-column routine; the sum of the terms must stay sequential there.
+    rng = _rng()
+    terms = rng.normal(size=shape)
+    terms[rng.random(shape) < 0.3] = -0.0
+    expect = np.zeros(shape[1:])
+    for k in range(shape[0]):
+        expect = expect + terms[k]
+    t, nb, m = shape
+    ones = np.ones((t, 1))
+    for j in range(m):  # terms[k, :, j] = rect[:, k] * 1 forward, = rect[k, :] * 1 backward
+        rows = terms[:, :, j]
+        assert _same_bits(rect_apply(np.ascontiguousarray(rows.T), ones), expect[:, j : j + 1])
+        assert _same_bits(_as_csr(rows.T) @ ones, expect[:, j : j + 1])
+        assert _same_bits(rect_apply_t(rows, ones), expect[:, j : j + 1])
+        assert _same_bits(_as_csr(rows).T @ ones, expect[:, j : j + 1])
+
+
+@pytest.mark.parametrize("m", WIDTHS)
+def test_all_negative_zero_terms_sum_to_positive_zero(m):
+    # A sum started from its first term would keep -0.0; one started from
+    # +0.0 cannot, and that is the order all three executions share.
+    rect = np.full((5, 3), -0.0)
+    ones = np.ones((3, m))
+    forward = rect_apply(rect, ones)
+    assert not forward.any() and not np.signbit(forward).any()
+    backward = rect_apply_t(rect, np.ones((5, m)))
+    assert not backward.any() and not np.signbit(backward).any()
+    # a single -0.0 term per row (t = 1) is no exception
+    assert not np.signbit(rect_apply(rect[:, :1], ones[:1])).any()
+
+
+@pytest.mark.parametrize("nb,t", [(1, 1), (3, 1), (7, 2), (20, 5), (64, 17), (150, 33)])
+@pytest.mark.parametrize("m", WIDTHS)
+def test_rect_apply_column_slice_invariant(nb, t, m):
+    rng = _rng()
+    rect = rng.normal(size=(nb, t))
+    solved = rng.normal(size=(t, m))
+    wide = rect_apply(rect, solved)
+    for j in range(m):
+        assert _same_bits(wide[:, j : j + 1], rect_apply(rect, solved[:, j : j + 1]))
+
+
+@pytest.mark.parametrize("nb,t", [(1, 1), (3, 1), (7, 2), (20, 5), (64, 17), (150, 33)])
+@pytest.mark.parametrize("m", WIDTHS)
+def test_rect_apply_t_column_slice_invariant(nb, t, m):
+    rng = _rng()
+    rect = rng.normal(size=(nb, t))
+    xg = rng.normal(size=(nb, m))
+    wide = rect_apply_t(rect, xg)
+    for j in range(m):
+        assert _same_bits(wide[:, j : j + 1], rect_apply_t(rect, xg[:, j : j + 1]))
+
+
+def test_rect_apply_t_width1_matches_unit_dot():
+    """The t=1 rectangle path is the zero-started sequential dot, bit for bit.
+
+    Width-1 panels are most of a grid factor and their below-rows the
+    longest sums of the backward sweep, so the order is pinned on long
+    columns too: one running sum per right-hand side, ascending rows.
+    """
+    def unit_dot(rect, xg):
+        out = np.zeros((1, xg.shape[1]))
+        for i in range(rect.shape[0]):
+            out = out + rect[i, 0] * xg[i : i + 1]
+        return out
+
+    rng = _rng()
+    for nb in (1, 2, 7, 8, 9, 127, 128, 129, 1000, 4097):
+        for m in (1, 4, 31):
+            wide = rng.normal(size=(nb, 3))
+            xg = rng.normal(size=(nb, m))
+            for rect in (np.ascontiguousarray(wide[:, 1:2]), wide[:, 1:2]):
+                assert _same_bits(rect_apply_t(rect, xg), unit_dot(rect, xg))
+
+
+@pytest.mark.parametrize("m", WIDTHS)
+def test_csc_view_of_the_same_arrays_is_the_transposed_product(m):
+    """What the fused backend relies on: ``F.T`` moves no value and keeps the order."""
+    rng = _rng()
+    nb, t = 40, 9
+    rect = rng.normal(size=(nb, t))
+    rect[rng.random(rect.shape) < 0.2] = -0.0
+    solved = rng.normal(size=(t, m))
+    xg = rng.normal(size=(nb, m))
+    f = _as_csr(rect)
+    ft = f.T
+    assert ft.format == "csc" and ft.shape == (t, nb)
+    for ours, theirs in ((ft.data, f.data), (ft.indices, f.indices), (ft.indptr, f.indptr)):
+        assert np.shares_memory(ours, theirs)
+    assert np.shares_memory(f.data, rect)
+    assert _same_bits(f @ solved, rect_apply(rect, solved))
+    assert _same_bits(ft @ xg, rect_apply_t(rect, xg))
+    assert _same_bits(ft @ xg, _rect_apply_t_oracle(rect, xg))
+
+
+def test_rect_apply_workspace_matches_allocating_path():
+    rng = _rng()
+    rect = rng.normal(size=(40, 9))
+    solved = rng.normal(size=(9, 6))
+    out = np.full((40, 6), np.nan)
+    tmp = np.full((40, 6), np.nan)
+    got = rect_apply(rect, solved, out=out, tmp=tmp)
+    assert got is out
+    assert _same_bits(out, rect_apply(rect, solved))
+    assert np.isnan(tmp).all()  # accepted for the spine's sake, never touched
+
+
+def test_rect_apply_t_workspace_matches_allocating_path():
+    rng = _rng()
+    rect = rng.normal(size=(40, 9))
+    xg = rng.normal(size=(40, 6))
+    out = np.full((9, 6), np.nan)
+    tmp = np.full((40, 6), np.nan)
+    got = rect_apply_t(rect, xg, out=out, tmp=tmp)
+    assert got is out
+    assert _same_bits(out, rect_apply_t(rect, xg))
+    assert np.isnan(tmp).all()
+
+
+def test_rect_apply_matches_gemm_to_rounding():
+    """Fixed-order accumulation is still the same product numerically."""
+    rng = _rng()
+    rect = rng.normal(size=(50, 12))
+    solved = rng.normal(size=(12, 8))
+    np.testing.assert_allclose(rect_apply(rect, solved), rect @ solved, rtol=1e-13)
+    xg = rng.normal(size=(50, 8))
+    np.testing.assert_allclose(rect_apply_t(rect, xg), rect.T @ xg, rtol=1e-13)
+
