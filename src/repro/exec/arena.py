@@ -19,11 +19,12 @@ Two workspace shapes live here:
   arenas for the thread-pool engine baseline, carved by
   :func:`build_engine_workspace` from an :class:`~repro.exec.plan.ExecPlan` (per-node slices are disjoint,
   so concurrent tasks write without synchronisation);
-* :class:`FusedWorkspace` — the level-sized scratch of the fused backend,
-  carved by :func:`build_fused_workspace` from a
-  :class:`~repro.exec.plan.LevelProgram` (one accumulator the size of the
-  widest level, one contribution arena for the whole tree, plus gather
-  and replay-round scratch at their program-wide maxima).
+* :class:`FusedWorkspace` — the scratch of the fused backend, carved by
+  :func:`build_fused_workspace` from a
+  :class:`~repro.exec.plan.LevelProgram`: one ``[y | contrib]`` block
+  (the solution rows, then the whole tree's contribution arena — the
+  operand of every level's replay operator) and one backward gather
+  buffer the size of the widest level.
 """
 
 from __future__ import annotations
@@ -118,23 +119,21 @@ def build_engine_workspace(plan: ExecPlan, m: int) -> EngineWorkspace:
 class FusedWorkspace:
     """Scratch buffers for one fused solve at a fixed NRHS.
 
-    All are ``(rows, m)`` float64 blocks sized at the program-wide maxima;
-    each level or bucket uses leading slices.  ``contrib`` is the only
-    tree-sized buffer — it persists across levels because parents consume
-    children's contribution blocks from it.
+    Both are ``(rows, m)`` float64 blocks.  ``xc`` is ``[y | contrib]``:
+    the ``n`` solution rows the sweeps run on, then the contribution
+    arena, which persists across levels because parents consume their
+    children's blocks from it.  ``acc`` is sized at the widest level; the
+    backward sweep gathers each level's ``[tops | belows]`` into its
+    leading rows (the forward accumulator is the replay product).
     """
 
-    acc: np.ndarray      # widest level's packed accumulator (backward: its tops)
-    contrib: np.ndarray  # whole-tree contribution arena
-    gather: np.ndarray   # a round's scatter sources (forward) / x[below] rows (backward)
-    prod: np.ndarray     # the accumulator rows a replay round updates
+    acc: np.ndarray  # widest level's [tops | belows] (backward gather)
+    xc: np.ndarray   # [y | contrib]: solution rows, then the contribution arena
 
 
 def build_fused_workspace(program: LevelProgram, m: int) -> FusedWorkspace:
     """Size a :class:`FusedWorkspace` for *program* at *m* right-hand sides."""
     return FusedWorkspace(
         acc=np.empty((program.max_acc, m)),
-        contrib=np.empty((program.contrib_total, m)),
-        gather=np.empty((program.max_gather, m)),
-        prod=np.empty((program.max_prod, m)),
+        xc=np.empty((program.n + program.contrib_total, m)),
     )

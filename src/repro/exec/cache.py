@@ -15,11 +15,11 @@ nothing is rebuilt that can be reused:
   key, same eviction) — the digest a certified level program must earn.
 * :func:`prepare_factor` caches a :class:`PreparedFactor` per numeric
   factor: contiguous diagonal/rectangle views of each trapezoid plus a
-  one-time singularity screen, so a zero or non-finite diagonal raises a
-  clean :class:`ValueError` *before* any task is dispatched (never a
-  wrong answer or a hung pool).  Each prepared factor owns a
-  :class:`~repro.exec.arena.WorkspaceArena`, so the solve workspaces
-  share the factor's lifetime and eviction.
+  one-time, one-pass singularity screen over every pivot, so a zero or
+  non-finite diagonal raises a clean :class:`ValueError` *before* any
+  task is dispatched (never a wrong answer or a hung pool).  Each
+  prepared factor owns a :class:`~repro.exec.arena.WorkspaceArena`, so
+  the solve workspaces share the factor's lifetime and eviction.
 * :func:`program_for` caches the compiled
   :class:`~repro.exec.plan.LevelProgram` per structure, and
   :func:`fused_certificate_for` its schedule certificate
@@ -130,7 +130,9 @@ class PreparedFactor:
     ``diag[s]`` is the ``t x t`` lower-triangular diagonal block and
     ``rect[s]`` the ``(n - t) x t`` below-diagonal rectangle of supernode
     ``s`` — both C-contiguous views into the factor's trapezoids (no data
-    is copied).  Construction validates every diagonal entry, so holding a
+    is copied).  ``pivots`` holds every diagonal entry of ``L`` in column
+    order (the fused backend's width-1 lanes read their divisors from
+    it).  Construction validates every pivot, so holding a
     ``PreparedFactor`` certifies the factor is cleanly solvable.
 
     ``arena`` pools the solve workspaces of every backend that runs
@@ -140,26 +142,34 @@ class PreparedFactor:
 
     diag: list[np.ndarray]
     rect: list[np.ndarray]
+    pivots: np.ndarray
     arena: WorkspaceArena = field(default_factory=WorkspaceArena, repr=False)
 
 
 def _prepare(factor: SupernodalFactor) -> PreparedFactor:
+    stree = factor.stree
     diag: list[np.ndarray] = []
     rect: list[np.ndarray] = []
-    for s, (sn, block) in enumerate(zip(factor.stree.supernodes, factor.blocks)):
+    for sn, block in zip(stree.supernodes, factor.blocks):
         t = sn.t
-        d = block[:t, :t]
-        dvals = np.diagonal(d)
-        if np.any(dvals == 0.0) or not np.all(np.isfinite(dvals)):
-            bad = int(np.flatnonzero((dvals == 0.0) | ~np.isfinite(dvals))[0])
-            raise ValueError(
-                f"singular or non-finite diagonal in supernode {s} "
-                f"(global column {sn.col_lo + bad}): triangular solve is "
-                "undefined for this factor"
-            )
-        diag.append(d)
+        diag.append(block[:t, :t])
         rect.append(block[t:, :t])
-    return PreparedFactor(diag=diag, rect=rect)
+    # One screen over every pivot, supernode after supernode; the first
+    # bad one names its supernode and global column.
+    flat = np.concatenate([d.diagonal() for d in diag]) if diag else np.empty(0)
+    width = stree.col_hi - stree.col_lo
+    first = np.cumsum(width) - width  # each supernode's first pivot in flat
+    bad = np.flatnonzero((flat == 0.0) | ~np.isfinite(flat))
+    if bad.size:
+        s = int(np.searchsorted(first, bad[0], side="right")) - 1
+        raise ValueError(
+            f"singular or non-finite diagonal in supernode {s} "
+            f"(global column {int(stree.col_lo[s] + bad[0] - first[s])}): "
+            "triangular solve is undefined for this factor"
+        )
+    pivots = np.empty(flat.size)
+    pivots[np.repeat(stree.col_lo - first, width) + np.arange(flat.size)] = flat
+    return PreparedFactor(diag=diag, rect=rect, pivots=pivots)
 
 
 def prepare_factor(factor: SupernodalFactor) -> PreparedFactor:

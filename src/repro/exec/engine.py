@@ -165,7 +165,7 @@ def _forward_mat(
                 t = st.t
                 acc = ws.acc[acc_off[s]:acc_off[s + 1]]
                 acc[t:] = 0.0
-                acc[:t] = y[st.col_lo:st.col_hi]
+                np.add(y[st.col_lo:st.col_hi], 0.0, out=acc[:t])  # zero start
                 for c, idx in zip(st.children, st.child_scatter):
                     c0, c1 = con_off[c], con_off[c + 1]
                     if c1 > c0:

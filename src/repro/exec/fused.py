@@ -5,52 +5,61 @@ one scatter loop per supernode.  On fine-grained elimination trees
 (2-D/3-D grid problems are ~85% width-1 supernodes) that overhead dwarfs
 the dense kernels (``exec.engine.*`` against ``exec.fused.*`` in
 ``benchmarks/spine/README.md``).  This module executes the
-:class:`~repro.exec.plan.LevelProgram` compiled from the plan — per level:
+:class:`~repro.exec.plan.LevelProgram` compiled from the plan over one
+workspace block ``xc = [y | contrib]`` — the ``n`` solution rows, then
+the tree-wide contribution arena — per level a handful of calls:
 
-* one ``take`` gathers every panel top of the level into the packed
-  accumulator (and one fancy assignment writes the solved tops back);
-* the child contributions are replayed round by round — ``take`` the
-  sources, ``take`` the destination rows, add, assign back.  No
-  destination repeats inside a round and a row's rounds follow the plan's
-  (parent ascending, child ascending) order, so every row receives
-  exactly the plan's deterministic ascending-child sum;
+* the level's gather and extend-add are **one compiled sparse product**,
+  ``acc = replay @ xc``: row ``i`` of the level's structure-only operator
+  lists a top's own right-hand-side row, then every child contribution
+  the row receives in the plan's (parent ascending, child ascending)
+  order, all with coefficient 1.0.  scipy's row loop starts each row at
+  +0.0 and adds ``1.0 * x`` (exact) one term at a time in storage order,
+  so every row receives exactly the plan's deterministic ascending-child
+  sum — the serial walker's, which starts its accumulators at +0.0 too;
 * every (level, width) bucket is one vectorized lane for the diagonal
   solve: one broadcast divide at width 1, one ``dtrsm`` per node above (a
   *batched* triangular solve would have to reassociate the arithmetic
-  and break bitwise agreement);
-* all of the level's rectangles are **one compiled sparse product**.
+  and break bitwise agreement).  The wide diagonal blocks are stored
+  Fortran-ordered, so f2py hands them to BLAS without a copy;
+* all of the level's rectangles are **one compiled sparse product** too.
   :func:`build_fused_panels` lowers them to a single CSR block ``F`` whose
   rows are the accumulator's below rows and whose columns are its tops,
-  so forward the level's contributions are ``acc[tt:] - F @ acc[:tt]``
-  and backward its tops lose ``F.T @ x[below]`` — ``F.T`` being the CSC
-  view of the same three arrays.  No term stack is materialised.  Per
-  output row scipy's loop starts from zero and adds one ``a * x`` at a
-  time in ascending storage order, every operand column independently:
-  exactly what :func:`~repro.numeric.kernels.rect_apply` /
+  so forward the level's contributions are ``acc[tt:] - F @ acc[:tt]``,
+  written straight into the arena, and backward its tops lose
+  ``F.T @ x[below]`` — ``F.T`` being the CSC view of the same three
+  arrays.  No term stack is materialised.  Per output row scipy's loop
+  starts from zero and adds one ``a * x`` at a time in ascending storage
+  order, every operand column independently: exactly what
+  :func:`~repro.numeric.kernels.rect_apply` /
   :func:`~repro.numeric.kernels.rect_apply_t` compute for one rectangle,
   so each node's rows round as they do there — whereas a plain GEMM
   would round differently at different NRHS widths, which would break
-  the serving layer's coalescing-transparency guarantee.
+  the serving layer's coalescing-transparency guarantee;
+* one fancy assignment writes the solved tops back.  Backward, one
+  ``take`` through the level's ``gather_rows`` fetches its tops and its
+  below rows together.
 
 Every buffer the sweeps write comes from a
 :class:`~repro.exec.arena.FusedWorkspace` leased from the prepared
-factor's arena (scipy allocates each level's product), so a steady-state
-solve performs no per-node allocations at all.  All dense math matches
-the canonical kernels in :mod:`repro.numeric.kernels` op for op;
-solutions are bitwise identical to the ``serial`` reference (and to the
-engine baseline, :func:`repro.exec.engine.solve_exec`).
+factor's arena (scipy allocates each level's two products), so a
+steady-state solve performs no per-node allocations at all.  All dense
+math matches the canonical kernels in :mod:`repro.numeric.kernels` op
+for op; solutions are bitwise identical to the ``serial`` reference (and
+to the engine baseline, :func:`repro.exec.engine.solve_exec`).
 
-Gathers call ``ndarray.take`` directly (``np.take`` reaches the same C
-routine through a Python-level ``fromnumeric`` wrapper, several hundred
-times per solve) and with ``mode="clip"``: under the default
-``mode="raise"`` numpy builds the result in a temporary and copies it
-into ``out``, which costs more than the gather.  Every index vector is
-in range by construction — the compiler derives them from the plan and
-the certifier re-derives each one (``schedule-program-*``).
+The backward gather calls ``ndarray.take`` directly (``np.take`` reaches
+the same C routine through a Python-level ``fromnumeric`` wrapper) and
+with ``mode="clip"``: under the default ``mode="raise"`` numpy builds the
+result in a temporary and copies it into ``out``, which costs more than
+the gather.  Every index vector and operator is in range by construction
+— the compiler derives them from the plan and the certifier re-derives
+each one (``schedule-program-*``).
 """
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +73,9 @@ from repro.exec.cache import (
     prepare_factor,
     program_for,
 )
-from repro.exec.plan import Level, LevelProgram
+from repro.exec.plan import LevelProgram
 from repro.numeric.supernodal import SupernodalFactor
-from repro.numeric.trisolve import as_rhs_matrix
+from repro.numeric.trisolve import as_rhs_matrix, rhs_view
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,9 @@ class FusedPanels:
 
     ``diag[level][bucket]`` holds a width-1 bucket's diagonal scalars as
     one ``(k, 1)`` column and a wider bucket's ``t x t`` triangles as a
-    tuple (bucket node order; views of the prepared factor).
+    tuple (bucket node order; Fortran-ordered copies, which ``dtrsm``
+    takes as they are — a C-ordered triangle would be copied on every
+    call).
 
     ``rect[level]`` is the level's rectangles as one CSR matrix of shape
     ``(size - top_total, top_total)``: row ``j`` is below row ``j`` of the
@@ -133,67 +144,38 @@ def build_fused_panels(program: LevelProgram, prep: PreparedFactor) -> FusedPane
     for lvl in program.levels:
         d_lvl = []
         for bkt in lvl.buckets:
-            nodes = bkt.nodes.tolist()
-            if bkt.t == 1:
-                d_lvl.append(np.array([prep.diag[s][0, 0] for s in nodes])[:, None])
+            if bkt.t == 1:  # the tops' rows are the nodes' columns
+                cols = lvl.gather_rows[bkt.top_lo : bkt.top_lo + bkt.k]
+                d_lvl.append(prep.pivots[cols][:, None])
             else:
-                d_lvl.append(tuple(prep.diag[s] for s in nodes))
+                d_lvl.append(tuple(np.asfortranarray(prep.diag[s]) for s in bkt.nodes.tolist()))
         diag.append(tuple(d_lvl))
     rect = _level_rectangles(program, prep)
     return FusedPanels(diag=tuple(diag), rect=rect, rect_t=tuple(r.T for r in rect))
 
 
 # ------------------------------------------------------------------ sweeps
-def _replay_rounds(
-    acc: np.ndarray, contrib: np.ndarray, lvl: Level, gather: np.ndarray, rows: np.ndarray
-) -> None:
-    """``acc[dst] += contrib[src]`` for one level, duplicate destinations in order.
-
-    Inside a round no destination repeats, so gather / add / assign loses
-    no update; a row named by several rounds receives them in round order,
-    which the compiler made the plan's order: the result of an in-order,
-    entry-at-a-time scatter-add at a fraction of its cost.
-    """
-    lo = 0
-    for hi in lvl.round_starts[1:]:
-        dst = lvl.scatter_dst[lo:hi]
-        contrib.take(lvl.scatter_src[lo:hi], axis=0, out=gather[: hi - lo], mode="clip")
-        acc.take(dst, axis=0, out=rows[: hi - lo], mode="clip")
-        np.add(rows[: hi - lo], gather[: hi - lo], out=rows[: hi - lo])
-        acc[dst] = rows[: hi - lo]
-        lo = hi
-
-
-def _forward_levels(
-    program: LevelProgram,
-    panels: FusedPanels,
-    y: np.ndarray,
-    ws: FusedWorkspace,
-) -> None:
-    """In-place forward elimination over the (n, m) block, level by level."""
-    contrib = ws.contrib
+def _forward_levels(program: LevelProgram, panels: FusedPanels, ws: FusedWorkspace) -> None:
+    """In-place forward elimination over ``ws.xc = [y | contrib]``, level by level."""
+    xc = ws.xc
+    n = program.n
     for lvl, diags, rect in zip(program.levels, panels.diag, panels.rect):
         tt = lvl.top_total
-        nb = lvl.size - tt
-        acc = ws.acc[: lvl.size]
+        acc = lvl.replay @ xc
         tops = acc[:tt]
-        if nb:
-            acc[tt:] = 0.0
-        y.take(lvl.top_src, axis=0, out=tops, mode="clip")
-        _replay_rounds(acc, contrib, lvl, ws.gather, ws.prod)
         for bkt, diag in zip(lvl.buckets, diags):
-            t = bkt.t
-            lane = tops[bkt.top_lo : bkt.top_lo + bkt.k * t]
+            lo, t = bkt.top_lo, bkt.t
             if t == 1:
+                lane = tops[lo : lo + diag.shape[0]]
                 np.divide(lane, diag, out=lane)
             else:
-                for i, d in enumerate(diag):
-                    lane[i * t : (i + 1) * t] = dtrsm(
-                        1.0, d, lane[i * t : (i + 1) * t], lower=1, overwrite_b=1)
-        if nb:
-            c_lo = lvl.buckets[0].contrib_lo  # the buckets' slices are consecutive
-            np.subtract(acc[tt:], rect @ tops, out=contrib[c_lo : c_lo + nb])
-        y[lvl.top_src] = tops
+                for d in diag:
+                    tops[lo : lo + t] = dtrsm(1.0, d, tops[lo : lo + t], lower=1, overwrite_b=1)
+                    lo += t
+        if lvl.size > tt:
+            c_lo = n + lvl.buckets[0].contrib_lo  # the buckets' slices are consecutive
+            np.subtract(acc[tt:], rect @ tops, out=xc[c_lo : c_lo + lvl.size - tt])
+        xc[lvl.gather_rows[:tt]] = tops
 
 
 def _backward_levels(
@@ -206,24 +188,23 @@ def _backward_levels(
     for lvl, diags, rect_t in zip(
         reversed(program.levels), reversed(panels.diag), reversed(panels.rect_t)
     ):
-        tops = ws.acc[: lvl.top_total]
-        x.take(lvl.top_src, axis=0, out=tops, mode="clip")
-        ngr = lvl.gather_rows.size
-        if ngr:
-            below = ws.gather[:ngr]
-            x.take(lvl.gather_rows, axis=0, out=below, mode="clip")
-            np.subtract(tops, rect_t @ below, out=tops)
+        tt = lvl.top_total
+        acc = ws.acc[: lvl.size]
+        x.take(lvl.gather_rows, axis=0, out=acc, mode="clip")
+        tops = acc[:tt]
+        if lvl.size > tt:
+            np.subtract(tops, rect_t @ acc[tt:], out=tops)
         for bkt, diag in zip(lvl.buckets, diags):
-            t = bkt.t
-            lane = tops[bkt.top_lo : bkt.top_lo + bkt.k * t]
+            lo, t = bkt.top_lo, bkt.t
             if t == 1:
+                lane = tops[lo : lo + diag.shape[0]]
                 np.divide(lane, diag, out=lane)
             else:
-                for i, d in enumerate(diag):
-                    lane[i * t : (i + 1) * t] = dtrsm(
-                        1.0, d, lane[i * t : (i + 1) * t],
-                        lower=1, trans_a=1, overwrite_b=1)
-        x[lvl.top_src] = tops
+                for d in diag:
+                    tops[lo : lo + t] = dtrsm(
+                        1.0, d, tops[lo : lo + t], lower=1, trans_a=1, overwrite_b=1)
+                    lo += t
+        x[lvl.gather_rows[:tt]] = tops
 
 
 # ------------------------------------------------------------------ public
@@ -243,6 +224,15 @@ def _resolve_program(
     return program, build_fused_panels(program, prep)
 
 
+def _lease(
+    prep: PreparedFactor, program: LevelProgram, m: int
+) -> AbstractContextManager[FusedWorkspace]:
+    """Lease the fused workspace of *program* at *m* columns from *prep*'s arena."""
+    return prep.arena.lease(
+        ("fused", id(program), m), lambda: build_fused_workspace(program, m)
+    )
+
+
 def forward_fused(
     factor: SupernodalFactor,
     b: np.ndarray,
@@ -256,12 +246,12 @@ def forward_fused(
     """
     prep = prepare_factor(factor)
     program, panels = _resolve_program(factor, prep, program)
-    y, squeeze = as_rhs_matrix(b, factor.n)
-    m = y.shape[1]
-    with prep.arena.lease(
-        ("fused", id(program), m), lambda: build_fused_workspace(program, m)
-    ) as ws:
-        _forward_levels(program, panels, y, ws)
+    b, squeeze = rhs_view(b, factor.n)
+    with _lease(prep, program, b.shape[1]) as ws:
+        y = ws.xc[: factor.n]
+        y[...] = b
+        _forward_levels(program, panels, ws)
+        y = y.copy()
     return y[:, 0] if squeeze else y
 
 
@@ -275,10 +265,7 @@ def backward_fused(
     prep = prepare_factor(factor)
     program, panels = _resolve_program(factor, prep, program)
     x, squeeze = as_rhs_matrix(b, factor.n)
-    m = x.shape[1]
-    with prep.arena.lease(
-        ("fused", id(program), m), lambda: build_fused_workspace(program, m)
-    ) as ws:
+    with _lease(prep, program, x.shape[1]) as ws:
         _backward_levels(program, panels, x, ws)
     return x[:, 0] if squeeze else x
 
@@ -291,16 +278,17 @@ def solve_fused(
 ) -> np.ndarray:
     """Full ``A x = b`` solve (forward then backward) on the fused backend.
 
-    Both sweeps run inside one workspace lease, so a steady-state solve
-    against a prepared factor performs no per-node allocations.
+    Both sweeps run inside one workspace lease, on its solution rows, so
+    a steady-state solve against a prepared factor performs no per-node
+    allocations.
     """
     prep = prepare_factor(factor)
     program, panels = _resolve_program(factor, prep, program)
-    x, squeeze = as_rhs_matrix(b, factor.n)
-    m = x.shape[1]
-    with prep.arena.lease(
-        ("fused", id(program), m), lambda: build_fused_workspace(program, m)
-    ) as ws:
-        _forward_levels(program, panels, x, ws)
+    b, squeeze = rhs_view(b, factor.n)
+    with _lease(prep, program, b.shape[1]) as ws:
+        x = ws.xc[: factor.n]
+        x[...] = b
+        _forward_levels(program, panels, ws)
         _backward_levels(program, panels, x, ws)
+        x = x.copy()
     return x[:, 0] if squeeze else x

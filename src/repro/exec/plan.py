@@ -27,10 +27,12 @@ structure:
 
 :func:`compile_level_program` then lays a plan out for the fused backend
 as a :class:`LevelProgram`: per elimination-tree level one packed
-accumulator, the child-contribution replay split into duplicate-free
-*rounds*, and one :class:`LevelBucket` per panel width — a vectorized
-lane whose tops, belows and contribution slices are contiguous, bucket
-after bucket, so a level's rectangles lower to one sparse block
+accumulator, the level's whole extend-add compiled into one
+structure-only ``scipy.sparse`` CSR operator ``replay`` (row ``i`` lists
+what accumulator row ``i`` sums, in the plan's order, all coefficients
+1.0), and one :class:`LevelBucket` per panel width — a vectorized lane
+whose tops, belows and contribution slices are contiguous, bucket after
+bucket, so a level's rectangles lower to one sparse block
 (:func:`repro.exec.fused.build_fused_panels`).
 
 Plans and programs depend only on the symbolic structure (never on
@@ -43,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from repro.symbolic.etree import NO_PARENT
 from repro.symbolic.stree import SupernodalTree
@@ -295,27 +298,29 @@ class Level:
     """One fully-packed elimination-tree level of a :class:`LevelProgram`.
 
     The level accumulator is laid out ``[tops | belows]``, bucket after
-    bucket in ascending width.  ``top_src`` gathers the right-hand-side
-    rows of every top in one ``take`` (and scatters the solved tops
-    back).  ``scatter_dst``/``scatter_src`` replay every child
-    contribution of the level: the plan's (parent ascending, child
-    ascending, row ascending) order, split by how many earlier entries
-    hit the same accumulator row into *rounds* stored back to back
-    (``round_starts`` delimits them).  No row appears twice in a round, so
-    a round is one gather-add-assign, and running the rounds in order
-    gives every row its additions in the plan's order.  ``gather_rows``
-    drives the backward sweep's single gather of already-solved ancestor
-    entries, in the accumulator's below order.
+    bucket in ascending width.  ``gather_rows`` names, per accumulator
+    row, the solution row it stands for: a top's own column, a below
+    row's ancestor row.  Its first ``top_total`` entries are where the
+    solved tops are written back; the backward sweep gathers the whole
+    vector in one ``take``.
+
+    ``replay`` is the level's extend-add as one structure-only CSR
+    operator of shape ``(size, n + contrib_total)`` over the fused
+    workspace ``[y | contrib]`` (solution rows, then the tree-wide
+    contribution arena).  Row ``i`` lists what accumulator row ``i``
+    sums: a top row first its own right-hand-side row (column
+    ``gather_rows[i]``), then every row its child contributions (columns
+    ``n + arena row``) in the plan's (parent ascending, child ascending,
+    row ascending) order; every coefficient is exactly 1.0.  scipy's row
+    loop starts each row at +0.0 and adds ``1.0 * x`` term by term in
+    storage order, so the product is the plan's in-order sum.
     """
 
     index: int
     size: int
     top_total: int
-    top_src: np.ndarray
-    scatter_dst: np.ndarray
-    scatter_src: np.ndarray
-    round_starts: tuple[int, ...]
     gather_rows: np.ndarray
+    replay: csr_array
     buckets: tuple[LevelBucket, ...]
 
 
@@ -332,10 +337,10 @@ class LevelProgram:
 
     ``node_top_off``/``node_below_off`` give each supernode's rows inside
     its level's accumulator (-1 where absent); ``contrib_off`` its slice
-    of the tree-wide contribution arena.  The ``max_*`` fields size the
-    reusable :class:`~repro.exec.arena.FusedWorkspace` buffers: the
-    largest level, the largest replay round or backward gather, and the
-    largest replay round alone (the rows it updates).
+    of the tree-wide contribution arena, which follows the ``n`` solution
+    rows in the fused workspace.  ``max_acc`` (the largest level) sizes
+    the backward sweep's gather buffer in the reusable
+    :class:`~repro.exec.arena.FusedWorkspace`.
     """
 
     levels: tuple[Level, ...]
@@ -347,8 +352,6 @@ class LevelProgram:
     n: int
     nsuper: int
     max_acc: int
-    max_gather: int
-    max_prod: int
 
     @property
     def nlevels(self) -> int:
@@ -359,24 +362,25 @@ def _concat(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-def _rounds(dst: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Reorder one level's replay into duplicate-free rounds.
+def _replay_operator(
+    size: int, top_src: np.ndarray, dst: np.ndarray, src: np.ndarray, ncols: int
+) -> csr_array:
+    """One level's extend-add as a structure-only CSR operator.
 
-    An entry's round is the number of earlier entries with the same
-    destination; a stable sort by round keeps the plan's order inside
-    each round and, per destination, across rounds.
+    *dst*/*src* list the replay entries (accumulator row, workspace
+    column) in the plan's order; every top row ``i`` gets its own
+    right-hand-side column ``top_src[i]`` ahead of them.  A stable sort
+    by row keeps each row's entries in that order.
     """
-    if not dst.size:
-        return dst, src, (0,)
-    by_dst = np.argsort(dst, kind="stable")
-    sorted_dst = dst[by_dst]
-    first = np.flatnonzero(np.concatenate(([True], sorted_dst[1:] != sorted_dst[:-1])))
-    run = np.diff(first, append=dst.size)
-    rank = np.empty(dst.size, dtype=np.int64)
-    rank[by_dst] = np.arange(dst.size) - np.repeat(first, run)
-    by_round = np.argsort(rank, kind="stable")
-    starts = np.concatenate(([0], np.cumsum(np.bincount(rank))))
-    return dst[by_round], src[by_round], tuple(starts.tolist())
+    rows = np.concatenate((np.arange(top_src.size), dst))
+    cols = np.concatenate((top_src, src))
+    order = np.argsort(rows, kind="stable")
+    index = np.int32 if max(ncols, rows.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(size + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    return csr_array(
+        (np.ones(rows.size), cols[order].astype(index), indptr), shape=(size, ncols)
+    )
 
 
 def compile_level_program(plan: ExecPlan) -> LevelProgram:
@@ -384,8 +388,8 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
 
     Per level the supernodes are bucketed by panel width, every bucket a
     vectorized lane (:class:`LevelBucket`), and every child-contribution
-    edge of the plan is flattened into one pair of int64 gather/scatter
-    vectors that keeps, per accumulator row, the plan's ascending-child
+    edge of the plan is flattened into the level's ``replay`` operator,
+    which keeps, per accumulator row, the plan's ascending-child
     reduction order — so the fused execution is bitwise identical to the
     per-node walker.
     """
@@ -399,6 +403,9 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
     node_below_off = np.full(ns, -1, dtype=np.int64)
     contrib_off = np.full(ns, -1, dtype=np.int64)
     width = np.array([st.t for st in steps], dtype=np.int64)
+    col_lo = np.array([st.col_lo for st in steps], dtype=np.int64)
+    # the fused workspace: n solution rows, then the whole contribution arena
+    ncols = n + sum(st.n - st.t for st in steps)
 
     by_level: list[list[int]] = [[] for _ in range(nlev)]
     for s in range(ns):
@@ -406,7 +413,7 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
 
     levels: list[Level] = []
     ccur = 0
-    max_acc = max_gather = max_prod = 0
+    max_acc = 0
 
     for li in range(nlev):
         nodes = by_level[li]
@@ -437,7 +444,7 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
                 below_lo=pos,
                 contrib_lo=ccur,
                 seg_starts=(np.cumsum(counts) - counts).astype(np.intp),
-                rep_idx=np.repeat(np.arange(len(owners), dtype=np.int64), counts),
+                rep_idx=np.repeat(np.arange(len(owners), dtype=np.int32), counts),
             ))
             for s, nb in zip(owners, counts.tolist()):
                 node_below_off[s] = pos
@@ -446,11 +453,13 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
                 ccur += nb
         size = pos
 
-        # --- one gather feeding every top of the level ---
-        top_src = _concat([
-            np.arange(steps[s].col_lo, steps[s].col_hi, dtype=np.int64)
-            for bkt in buckets for s in bkt.nodes.tolist()
-        ])
+        # --- per accumulator row, the solution row it stands for: tops
+        # their own columns, belows their ancestor rows ---
+        tops = np.concatenate([bkt.nodes for bkt in buckets])
+        gather_rows = np.concatenate([
+            np.repeat(col_lo[tops] - node_top_off[tops], width[tops]) + np.arange(top_total),
+            *(steps[s].below for bkt in buckets for s in bkt.nodes[: bkt.k_below].tolist()),
+        ], dtype=np.int64)
 
         # --- flatten the level's child-contribution edges ---
         edges = [  # parents ascending; children ascend within each
@@ -463,34 +472,25 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
         parent = np.repeat(np.array([s for s, _, _ in edges], dtype=np.int64), lens)
         child = np.repeat(np.array([c for _, c, _ in edges], dtype=np.int64), lens)
         row = _concat([idx for _, _, idx in edges]).astype(np.int64)
-        scatter_dst, scatter_src, round_starts = _rounds(
+        replay = _replay_operator(
+            size,
+            gather_rows[:top_total],
             row + np.where(row < width[parent], node_top_off[parent],
                            node_below_off[parent] - width[parent]),
             # a child's rows are consecutive in the arena: offset + position in its block
-            contrib_off[child] + np.arange(row.size) - np.repeat(np.cumsum(lens) - lens, lens),
+            n + contrib_off[child] + np.arange(row.size) - np.repeat(np.cumsum(lens) - lens, lens),
+            ncols,
         )
-
-        # --- backward gather rows, in the accumulator's below order ---
-        gather_rows = _concat([
-            steps[s].below.astype(np.int64)
-            for bkt in buckets for s in bkt.nodes[: bkt.k_below].tolist()
-        ])
 
         levels.append(Level(
             index=li,
             size=size,
             top_total=top_total,
-            top_src=top_src,
-            scatter_dst=scatter_dst,
-            scatter_src=scatter_src,
-            round_starts=round_starts,
             gather_rows=gather_rows,
+            replay=replay,
             buckets=tuple(buckets),
         ))
-        widest_round = int(np.diff(round_starts).max(initial=0))
         max_acc = max(max_acc, size)
-        max_gather = max(max_gather, widest_round, int(gather_rows.size))
-        max_prod = max(max_prod, widest_round)
 
     return LevelProgram(
         levels=tuple(levels),
@@ -502,6 +502,4 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
         n=n,
         nsuper=ns,
         max_acc=max_acc,
-        max_gather=max_gather,
-        max_prod=max_prod,
     )

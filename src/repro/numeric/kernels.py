@@ -62,6 +62,16 @@ pins each against explicit per-``k`` Python loops (values and signs of
 zero, every width) and against the other, and CI repeats that at the
 oldest supported numpy and scipy.
 
+The extend-add follows the same rule: every accumulator row is a
+zero-started, in-order sum.  The fused backend computes a level's
+accumulators as one structure-only CSR product (``replay @ [y |
+contrib]``, all coefficients 1.0, so every product is exact), whose row
+loop starts at +0.0; the serial walker and the engine baseline therefore
+start a node's top rows as ``np.add(y[cols], 0.0)`` and its below rows
+at 0.0 before adding the children's contributions in ascending child
+order.  A plain copy would keep a ``-0.0`` right-hand-side entry that
+the product turns into ``+0.0``.
+
 Anything not covered here (elementwise adds/subtracts/multiplies, row
 gathers/scatters) is column-slice invariant and bitwise reproducible by
 construction.

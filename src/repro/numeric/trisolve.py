@@ -26,6 +26,13 @@ kernels (:mod:`repro.numeric.kernels`), same operands, same order: both
 rectangle products are zero-started, strictly sequential ascending sums
 (forward over the panel's columns ``k``, backward over its below-rows),
 the order of the compiled sparse product the fused backend runs per level.
+The same goes for the extend-add: every accumulator row starts at +0.0
+and then receives its own right-hand-side entry (top rows only) and its
+children's contributions in ascending child order — ``np.add(y[cols],
+0.0)`` rather than a plain copy, because the fused backend's replay
+operator starts each row at +0.0 too, and ``+0.0 + -0.0`` is ``+0.0``:
+a ``-0.0`` right-hand-side entry must come out of both executions with
+the same sign.
 Simplicial variants over :class:`LowerCSC` serve as independent references.
 """
 
@@ -39,14 +46,22 @@ from repro.sparse.csc import LowerCSC
 from repro.util.validation import as_real_rhs
 
 
-def _as_matrix(b: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
+def rhs_view(b: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
+    """*b* as a float64 ``(n, nrhs)`` block, validated but not copied.
+
+    Returns ``(matrix, squeeze)`` where ``squeeze`` records whether the
+    caller passed a plain vector (then ``matrix`` is its one-column
+    view).  Complex input raises :class:`TypeError`, a 0-d, 3-d or
+    wrongly sized one :class:`ValueError`.  For a caller that copies the
+    block into a buffer of its own (the fused backend's workspace).
+    """
     b = as_real_rhs(b, "b")
     if b.shape[0] != n:
         raise ValueError(f"rhs has {b.shape[0]} rows, expected {n}")
     if b.ndim == 1:
-        return b[:, None].copy(), True
+        return b[:, None], True
     if b.ndim == 2:
-        return b.copy(), False
+        return b, False
     raise ValueError("rhs must be a vector or a 2-D block of vectors")
 
 
@@ -61,13 +76,14 @@ def as_rhs_matrix(b: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     :mod:`repro.exec`, so every backend normalises right-hand sides the
     same way.
     """
-    return _as_matrix(b, n)
+    view, squeeze = rhs_view(b, n)
+    return view.copy(), squeeze
 
 
 # ----------------------------------------------------------------- simplicial
 def forward_simplicial(l: LowerCSC, b: np.ndarray) -> np.ndarray:
     """Solve ``L y = b`` column by column (reference implementation)."""
-    y, squeeze = _as_matrix(b, l.n)
+    y, squeeze = as_rhs_matrix(b, l.n)
     for j in range(l.n):
         rows, vals = l.column(j)
         y[j] /= vals[0]
@@ -78,7 +94,7 @@ def forward_simplicial(l: LowerCSC, b: np.ndarray) -> np.ndarray:
 
 def backward_simplicial(l: LowerCSC, b: np.ndarray) -> np.ndarray:
     """Solve ``L^T x = b`` column by column (reference implementation)."""
-    x, squeeze = _as_matrix(b, l.n)
+    x, squeeze = as_rhs_matrix(b, l.n)
     for j in range(l.n - 1, -1, -1):
         rows, vals = l.column(j)
         if rows.shape[0] > 1:
@@ -90,7 +106,7 @@ def backward_simplicial(l: LowerCSC, b: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------- supernodal
 def forward_supernodal(f: SupernodalFactor, b: np.ndarray) -> np.ndarray:
     """Supernodal forward elimination ``L y = b`` (leaves -> root)."""
-    y, squeeze = _as_matrix(b, f.n)
+    y, squeeze = as_rhs_matrix(b, f.n)
     stree = f.stree
     m = y.shape[1]
     contrib: list[np.ndarray | None] = [None] * stree.nsuper
@@ -99,7 +115,7 @@ def forward_supernodal(f: SupernodalFactor, b: np.ndarray) -> np.ndarray:
         block = f.blocks[s]
         t = sn.t
         acc = np.zeros((sn.n, m))
-        acc[:t] = y[sn.col_lo : sn.col_hi]
+        np.add(y[sn.col_lo : sn.col_hi], 0.0, out=acc[:t])
         for c in stree.children[s]:
             u = contrib[c]
             if u is not None:
@@ -115,7 +131,7 @@ def forward_supernodal(f: SupernodalFactor, b: np.ndarray) -> np.ndarray:
 
 def backward_supernodal(f: SupernodalFactor, b: np.ndarray) -> np.ndarray:
     """Supernodal backward substitution ``L^T x = b`` (root -> leaves)."""
-    x, squeeze = _as_matrix(b, f.n)
+    x, squeeze = as_rhs_matrix(b, f.n)
     stree = f.stree
     for s in reversed(stree.topo_order()):
         sn = stree.supernodes[s]

@@ -224,46 +224,74 @@ def _certify_mutated_level(pick, mutate) -> Report:
     return certify_level_program(mutated, plan, stree).report
 
 
+def _summing_row(lvl, n: int) -> int | None:
+    """The first accumulator row of *lvl* that sums two or more child contributions."""
+    op = lvl.replay
+    row_of = np.repeat(np.arange(lvl.size), np.diff(op.indptr))
+    replayed = np.bincount(row_of[op.indices >= n], minlength=lvl.size)
+    rows = np.flatnonzero(replayed >= 2)
+    return int(rows[0]) if rows.size else None
+
+
+def _certify_mutated_operator(mutate) -> Report:
+    """Certify the pristine program with one replay operator mutated.
+
+    ``mutate(ptr, idx, val, lo)`` edits copies of the ``(indptr, indices,
+    data)`` of the first level with a row that sums two child
+    contributions and returns the three arrays; ``lo`` is that row's
+    second-to-last entry (its last two entries are both contributions).
+    """
+    plan, _ = _plan_and_tree()
+    n = max(st.col_hi for st in plan.steps)
+
+    def mutate_level(lvl):
+        op = lvl.replay.copy()
+        lo = int(op.indptr[_summing_row(lvl, n) + 1]) - 2
+        op.indptr, op.indices, op.data = mutate(op.indptr, op.indices, op.data, lo)
+        return dataclasses.replace(lvl, replay=op)
+
+    return _certify_mutated_level(lambda lvl: _summing_row(lvl, n) is not None, mutate_level)
+
+
 def _program_swapped_scatter() -> Report:
-    # Swap two entries of a level's scatter-source vector: every
-    # contribution row still lands exactly once, but two child rows trade
-    # places — silently wrong values with a structurally plausible layout.
-    def mutate(lvl):
-        src = lvl.scatter_src.copy()
-        src[0], src[1] = src[1], src[0]
-        return dataclasses.replace(lvl, scatter_src=src)
+    # Two contributions bound for different accumulator rows trade places:
+    # every child row still lands exactly once, but on the wrong row —
+    # silently wrong values with a structurally plausible operator.
+    def mutate(ptr, idx, val, lo):
+        idx[[lo, -1]] = idx[[-1, lo]]  # the level's last entry is a contribution
+        return ptr, idx, val
 
-    return _certify_mutated_level(lambda lvl: lvl.scatter_src.size >= 2, mutate)
-
-
-def _has_second_round(lvl) -> bool:
-    return len(lvl.round_starts) > 2 and lvl.round_starts[2] > lvl.round_starts[1]
+    return _certify_mutated_operator(mutate)
 
 
-def _program_round_duplicate_destination() -> Report:
-    # Merge the second replay round into the first: a row two children
-    # contribute to is then named twice in one gather-add-assign, and the
-    # assignment keeps only the later sum — a lost update.  The entries and
-    # their order are untouched, so only the round rule can see it.
-    def mutate(lvl):
-        starts = lvl.round_starts
-        return dataclasses.replace(lvl, round_starts=(starts[0], *starts[2:]))
+def _program_replay_row_swapped() -> Report:
+    # Two contributions of one accumulator row trade places in its operator
+    # row: every contribution still lands exactly once, on the right row,
+    # but the row sums its children out of order — different rounding.
+    def mutate(ptr, idx, val, lo):
+        idx[[lo, lo + 1]] = idx[[lo + 1, lo]]
+        return ptr, idx, val
 
-    return _certify_mutated_level(_has_second_round, mutate)
+    return _certify_mutated_operator(mutate)
 
 
-def _program_round_order_swapped() -> Report:
-    # One row's first- and second-round contributions trade rounds: every
-    # round stays duplicate-free and every entry still lands once, but that
-    # row sums its children in descending order — different rounding.
-    def mutate(lvl):
-        dst, src = lvl.scatter_dst, lvl.scatter_src.copy()
-        second = lvl.round_starts[1]
-        first = int(np.flatnonzero(dst[:second] == dst[second])[0])
-        src[first], src[second] = src[second], src[first]
-        return dataclasses.replace(lvl, scatter_src=src)
+def _program_replay_entry_dropped() -> Report:
+    # One contribution entry is deleted from its operator row: the row's
+    # extend-add silently misses a child's update — a lost update.
+    def mutate(ptr, idx, val, lo):
+        return ptr - (ptr > lo), np.delete(idx, lo), np.delete(val, lo)
 
-    return _certify_mutated_level(_has_second_round, mutate)
+    return _certify_mutated_operator(mutate)
+
+
+def _program_replay_coefficient_two() -> Report:
+    # One coefficient becomes 2.0: the structure is untouched, but one
+    # child contribution is added twice over.
+    def mutate(ptr, idx, val, lo):
+        val[lo] = 2.0
+        return ptr, idx, val
+
+    return _certify_mutated_operator(mutate)
 
 
 _BAD_SOURCE = '''\
@@ -366,21 +394,27 @@ def known_bad_cases() -> list[BadCase]:
         ),
         BadCase(
             "program-swapped-scatter",
-            "a fused level program whose scatter replays child rows out of place",
+            "a fused level program whose replay operator routes child rows out of place",
             frozenset({"schedule-program-scatter"}),
             _program_swapped_scatter,
         ),
         BadCase(
-            "program-round-duplicate-destination",
-            "a replay round that names one accumulator row twice — a lost update",
-            frozenset({"schedule-program-round"}),
-            _program_round_duplicate_destination,
+            "program-replay-row-swapped",
+            "a replay operator row that sums its child contributions out of order",
+            frozenset({"schedule-program-scatter"}),
+            _program_replay_row_swapped,
         ),
         BadCase(
-            "program-round-order-swapped",
-            "one row's contributions replayed in the wrong round order",
+            "program-replay-entry-dropped",
+            "a replay operator that drops one child contribution — a lost update",
             frozenset({"schedule-program-scatter"}),
-            _program_round_order_swapped,
+            _program_replay_entry_dropped,
+        ),
+        BadCase(
+            "program-replay-coefficient-two",
+            "a replay operator that adds one child contribution twice over",
+            frozenset({"schedule-program-scatter"}),
+            _program_replay_coefficient_two,
         ),
         BadCase(
             "forbidden-source-constructs",

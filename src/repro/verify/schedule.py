@@ -34,13 +34,15 @@ properties the engine's docstrings promise:
    for schedule equivalence by comparing two hex strings.
 
 :func:`certify_level_program` extends the proof to the fused backend's
-:class:`~repro.exec.plan.LevelProgram`: the program's flat index vectors
-(accumulator layout, one lane per (level, width) bucket, contribution
-replay rounds, backward gather) are decoded back against the plan's steps
-— rules prefixed ``schedule-program-``; for the rounds: no destination
-twice inside a round, and per destination the plan's order across rounds
-— and the same obligations are checked against the
-level chain, each node standing in its ``program.node_level``.  A
+:class:`~repro.exec.plan.LevelProgram`: the program's flat layout and
+operators (accumulator layout, one lane per (level, width) bucket, the
+per-level replay operator, the merged gather vector) are decoded back
+against the plan's steps — rules prefixed ``schedule-program-``; for a
+replay operator: its ``(indptr, indices)`` equal the plan's rows entry
+for entry (``-scatter``; its top rows' leading self-entries are
+``-gather``'s) and every coefficient is exactly 1.0 — and the same
+obligations are checked against the level chain, each node standing in
+its ``program.node_level``.  A
 certified program earns its plan's digest: the fused backend provably
 executes the plan's schedule.
 
@@ -558,10 +560,10 @@ def _check_program_structure(
 ) -> None:
     """Decode the program against the plan it claims to compile.
 
-    The fused executor trusts the program's flat index vectors blindly —
-    this check re-derives, from the plan's steps alone, what every vector
-    must contain, so a mutated layout, scatter, gather or lane can never
-    certify.  Nothing here consults ``compile_level_program``: the
+    The fused executor trusts the program's index vectors and replay
+    operators blindly — this check re-derives, from the plan's steps
+    alone, what every one must contain, so a mutated layout, operator,
+    gather or lane can never certify.  Nothing here consults ``compile_level_program``: the
     compiler's output is judged against the plan, not against itself.
     """
     steps = plan.steps
@@ -632,6 +634,16 @@ def _check_program_structure(
     width = np.array([st.t for st in steps], dtype=np.int64)
     below_count = np.array([st.n - st.t for st in steps], dtype=np.int64)
     col_lo = np.array([st.col_lo for st in steps], dtype=np.int64)
+    # the workspace the replay operators read: n solution rows, then the arena
+    n = max((st.col_hi for st in steps), default=0)
+    ncols = n + program.contrib_total
+    if program.n != n:
+        report.add(
+            "schedule-program-shape",
+            f"program declares {program.n} solution rows but the plan's "
+            f"columns end at {n} — contributions would land in the wrong rows",
+            location=loc0,
+        )
 
     # Contribution arena: the per-node slices must tile [0, contrib_total).
     has_below = below_count > 0
@@ -705,20 +717,34 @@ def _check_program_structure(
         if not layout_ok:
             continue  # the vector decodes below assume a clean layout
 
-        # --- the level's top gather.
+        # --- per accumulator row, the solution row it stands for: each
+        # panel's own columns for its tops, its below-rows for its belows.
         tw = width[members]
         ramp = np.arange(int(tw.sum())) - np.repeat(np.cumsum(tw) - tw, tw)
         exp_top = np.full(lvl.top_total, -1, dtype=np.int64)
         exp_top[np.repeat(top_at, tw) + ramp] = np.repeat(col_lo[members], tw) + ramp
-        if not np.array_equal(lvl.top_src, exp_top):
+        exp_g = np.full(lvl.size - lvl.top_total, -1, dtype=np.int64)
+        for s, go in zip(owners, (below_at - lvl.top_total).tolist()):
+            exp_g[go:go + below_count[s]] = steps[s].below
+        rows = lvl.gather_rows
+        if rows.size != lvl.size or not np.array_equal(rows[: lvl.top_total], exp_top):
             report.add(
                 "schedule-program-gather",
-                "top gather vector does not fetch each panel's own columns",
+                "gather vector's top rows do not name each panel's own "
+                "columns — solved tops would be written to the wrong rows",
+                location=loc,
+            )
+        if rows.size != lvl.size or not np.array_equal(rows[lvl.top_total :], exp_g):
+            report.add(
+                "schedule-program-gather",
+                "backward gather vector does not fetch each panel's "
+                "below-rows in the accumulator's below order",
                 location=loc,
             )
 
-        # --- the flattened contribution scatter, in the plan's
-        # (parent ascending, child ascending) reduction order.
+        # --- the replay operator: every top row first reads its own
+        # right-hand-side row, then every row its child contributions in the
+        # plan's (parent ascending, child ascending, row ascending) order.
         edges = [
             (s, c, idx)
             for s in members.tolist()
@@ -735,74 +761,64 @@ def _check_program_structure(
                 program.node_below_off[par] - width[par],
             )
             first = np.cumsum(lens) - lens
-            exp_src = np.arange(idx64.size) + np.repeat(
+            exp_src = n + np.arange(idx64.size) + np.repeat(
                 program.contrib_off[[c for _, c, _ in edges]] - first, lens
             )
         else:
             exp_dst = exp_src = np.empty(0, dtype=np.int64)
-        starts = np.asarray(lvl.round_starts, dtype=np.int64)
-        nsc = int(lvl.scatter_dst.size)
-        widest_round = 0
-        if (
-            starts.size == 0
-            or starts[0] != 0
-            or starts[-1] != nsc
-            or np.any(np.diff(starts) < 0)
-            or lvl.scatter_src.size != nsc
+        dst = np.concatenate((np.arange(lvl.top_total), exp_dst))
+        order = np.argsort(dst, kind="stable")
+        exp_ptr = np.zeros(lvl.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=lvl.size), out=exp_ptr[1:])
+        exp_idx = np.concatenate((exp_top, exp_src))[order]
+        op = lvl.replay
+        if op.shape != (lvl.size, ncols):
+            report.add(
+                "schedule-program-workspace",
+                f"replay operator is {op.shape[0]} x {op.shape[1]}, not "
+                f"{lvl.size} x {ncols} (the level over the [y | contrib] workspace)",
+                location=loc,
+            )
+        elif (
+            op.format != "csr"
+            or not np.array_equal(op.indptr, exp_ptr)
+            or op.indices.size != exp_idx.size
         ):
             report.add(
-                "schedule-program-round",
-                f"round starts {lvl.round_starts} do not delimit the level's "
-                f"{nsc} replay entries",
+                "schedule-program-scatter",
+                "replay operator rows do not hold the plan's contribution "
+                "entries — a contribution would be lost, doubled or misrouted",
                 location=loc,
             )
         else:
-            widest_round = int(np.diff(starts).max(initial=0))
-            # A row named twice in one gather-add-assign round keeps only
-            # the last sum: within a round every destination must differ.
-            round_of = np.repeat(np.arange(starts.size - 1), np.diff(starts))
-            keyed = np.sort(round_of * (lvl.size + 1) + lvl.scatter_dst)
-            if np.any(keyed[1:] == keyed[:-1]):
+            self_at = exp_ptr[: lvl.top_total]  # each top row's first entry
+            if not np.array_equal(op.indices[self_at], exp_idx[self_at]):
                 report.add(
-                    "schedule-program-round",
-                    "a replay round names one accumulator row twice — the "
-                    "earlier child contribution would be overwritten, not added",
+                    "schedule-program-gather",
+                    "replay operator's top rows do not start from each "
+                    "panel's own right-hand-side rows",
                     location=loc,
                 )
-            # Rounds run in order and a row appears at most once per round,
-            # so a stable sort by destination lists each row's additions in
-            # execution order; that must be the plan's order for the row.
-            ran = np.argsort(lvl.scatter_dst, kind="stable")
-            exp = np.argsort(exp_dst, kind="stable")
-            if not np.array_equal(lvl.scatter_dst[ran], exp_dst[exp]) or not np.array_equal(
-                lvl.scatter_src[ran], exp_src[exp]
-            ):
+            replayed = np.ones(exp_idx.size, dtype=bool)
+            replayed[self_at] = False
+            if not np.array_equal(op.indices[replayed], exp_idx[replayed]):
                 report.add(
                     "schedule-program-scatter",
-                    "replay rounds differ from the plan's deterministic "
+                    "replay operator differs from the plan's deterministic "
                     "(parent-ascending, child-ascending) contribution replay — "
                     "results would depend on the program, not the structure",
                     location=loc,
                 )
+            if op.data.size != exp_idx.size or np.any(op.data != 1.0):
+                report.add(
+                    "schedule-program-scatter",
+                    "replay operator has a coefficient other than exactly 1.0 "
+                    "— the extend-add would scale a contribution",
+                    location=loc,
+                )
 
-        # --- the backward gather, in the accumulator's below order.
-        exp_g = np.full(lvl.size - lvl.top_total, -1, dtype=np.int64)
-        for s, go in zip(owners, (below_at - lvl.top_total).tolist()):
-            exp_g[go:go + below_count[s]] = steps[s].below
-        if not np.array_equal(lvl.gather_rows, exp_g):
-            report.add(
-                "schedule-program-gather",
-                "backward gather vector does not fetch each panel's "
-                "below-rows in the accumulator's below order",
-                location=loc,
-            )
-
-        # --- the arena sizing must cover this level.
-        if (
-            program.max_acc < lvl.size
-            or program.max_gather < max(widest_round, int(lvl.gather_rows.size))
-            or program.max_prod < widest_round
-        ):
+        # --- the backward gather buffer must cover this level.
+        if program.max_acc < lvl.size:
             report.add(
                 "schedule-program-workspace",
                 f"declared workspace maxima cannot hold level {lvl.index}",
@@ -821,8 +837,9 @@ def certify_level_program(
 
     Extends :func:`certify_plan` in three moves: first the plan itself is
     certified (a faithful compilation of a broken plan is still broken);
-    then the program's flat layout, lane, scatter and gather vectors are
-    decoded back against the plan's steps (rules ``schedule-program-*``);
+    then the program's flat layout, lanes, replay operators and gather
+    vectors are decoded back against the plan's steps (rules
+    ``schedule-program-*``);
     finally the plan's ordering obligations are checked against the level
     chain, each node standing in its ``program.node_level`` — level ``i``
     before ``i + 1`` forward, reversed backward — proving the level

@@ -138,6 +138,18 @@ class TestImportHygiene:
         )
         assert not offenders, f"private scipy.sparse imports in {offenders}"
 
+    def test_no_replay_round_left(self):
+        # Replace, not fork: a level's extend-add is its replay operator; the
+        # duplicate-free rounds and their vectors are gone.
+        words = ("round_starts", "scatter_dst", "scatter_src", "_replay_rounds")
+        offenders = sorted(
+            f"{path.relative_to(self.SRC)}: {word}"
+            for path in self.SRC.rglob("*.py")
+            for word in words
+            if word in path.read_text()
+        )
+        assert not offenders, f"replay-round code left in {offenders}"
+
     def test_fused_backend_has_no_term_stack_reduction_left(self):
         # Replace, not fork: the per-bucket take / multiply / reduce path is gone.
         text = (self.SRC / "repro" / "exec" / "fused.py").read_text()

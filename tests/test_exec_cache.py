@@ -15,7 +15,7 @@ from repro.exec import (
     prepare_factor,
 )
 from repro.exec.plan import build_plan
-from repro.numeric.supernodal import cholesky_supernodal
+from repro.numeric.supernodal import SupernodalFactor, cholesky_supernodal
 from repro.sparse.generators import grid2d_laplacian
 from repro.symbolic.analyze import analyze
 from repro.verify.schedule import certify_plan
@@ -120,3 +120,26 @@ def test_fused_certificate_memoized_and_evicted():
     del sym
     gc.collect()
     assert exec_cache_stats()["fused_cert_entries"] == 0
+
+
+@pytest.mark.parametrize("bad", [0.0, float("nan")], ids=["zero", "nan"])
+def test_screen_names_the_first_bad_pivot_of_a_middle_supernode(bad):
+    # The one-pass screen must report what a node-by-node screen would:
+    # the first bad supernode and the global column of its first bad pivot.
+    base = cholesky_supernodal(analyze(grid2d_laplacian(8)))
+    stree = base.stree
+    wide = [s for s, sn in enumerate(stree.supernodes) if sn.t >= 3]
+    s = wide[len(wide) // 2]
+    blocks = [blk.copy() for blk in base.blocks]
+    blocks[s][2, 2] = bad  # its third pivot ...
+    blocks[s + 1][0, 0] = bad  # ... ahead of a later supernode's first
+    broken = SupernodalFactor(stree=stree, blocks=blocks)
+    col = stree.supernodes[s].col_lo + 2
+    message = (
+        f"singular or non-finite diagonal in supernode {s} (global column {col}): "
+        "triangular solve is undefined for this factor"
+    )
+    with pytest.raises(ValueError) as info:
+        prepare_factor(broken)
+    assert str(info.value) == message
+    assert 0 < s < stree.nsuper - 1

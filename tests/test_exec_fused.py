@@ -37,13 +37,8 @@ from repro.exec import (
     solve_fused,
 )
 from repro.exec.arena import build_fused_workspace
-from repro.exec.fused import (
-    _backward_levels,
-    _forward_levels,
-    _replay_rounds,
-    build_fused_panels,
-)
-from repro.exec.plan import Level, _rounds, build_plan
+from repro.exec.fused import _backward_levels, _forward_levels, build_fused_panels
+from repro.exec.plan import build_plan
 from repro.numeric.supernodal import cholesky_supernodal
 from repro.numeric.trisolve import (
     backward_supernodal,
@@ -52,13 +47,6 @@ from repro.numeric.trisolve import (
 )
 from repro.sparse.generators import fe_mesh_3d, grid2d_laplacian, grid3d_laplacian, random_spd
 from repro.symbolic.analyze import analyze
-
-
-_NO_ROWS = np.empty(0, dtype=np.int64)
-_EMPTY_LEVEL = Level(
-    index=0, size=0, top_total=0, top_src=_NO_ROWS, scatter_dst=_NO_ROWS,
-    scatter_src=_NO_ROWS, round_starts=(0,), gather_rows=_NO_ROWS, buckets=(),
-)
 
 
 @pytest.fixture(autouse=True)
@@ -144,38 +132,6 @@ class TestBitwiseAgreement:
             assert solve_fused(factor, b).tobytes() == solve_supernodal(factor, b).tobytes()
             y = forward_fused(factor, b)
             assert y.tobytes() == forward_supernodal(factor, b).tobytes()
-
-
-class TestRoundReplay:
-    """The contribution replay without ``np.add.at``: same sums, same order."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        multiplicities=strategies.lists(strategies.integers(1, 5), min_size=1, max_size=12),
-        m=strategies.sampled_from([1, 4, 16]),
-        seed=strategies.integers(0, 2**16),
-    )
-    def test_rounds_equal_in_order_scatter_add_bit_for_bit(self, multiplicities, m, seed):
-        rng = np.random.default_rng(seed)
-        nrows = len(multiplicities) + 2  # two rows nobody adds to
-        dst = rng.permutation(np.repeat(rng.permutation(nrows)[:-2], multiplicities))
-        src = rng.permutation(dst.size + 3)[: dst.size].astype(np.int64)
-        # magnitudes spread over many binades so the order of additions shows
-        contrib = rng.normal(size=(dst.size + 3, m)) * 10.0 ** rng.integers(-8, 8, (dst.size + 3, 1))
-        start = rng.normal(size=(nrows, m))
-
-        expect = start.copy()
-        np.add.at(expect, dst, contrib[src])
-
-        round_dst, round_src, round_starts = _rounds(dst.astype(np.int64), src)
-        assert len(round_starts) - 1 == max(multiplicities)
-        lvl = dataclasses.replace(
-            _EMPTY_LEVEL, size=nrows,
-            scatter_dst=round_dst, scatter_src=round_src, round_starts=round_starts,
-        )
-        acc = start.copy()
-        _replay_rounds(acc, contrib, lvl, np.empty((dst.size, m)), np.empty((dst.size, m)))
-        assert acc.tobytes() == expect.tobytes()
 
 
 def _assert_lowering_matches_the_factor(a):
@@ -264,20 +220,21 @@ class TestZeroAllocationSteadyState:
     def test_sweeps_allocate_no_per_node_arrays(self, sym_grid8, rng):
         # Drive the level loops directly on a leased workspace: with every
         # buffer preallocated, the hot path must allocate nothing beyond
-        # small short-lived temporaries (dtrsm's f2py return value, the one
-        # product block scipy returns per level, views and loop-iteration
+        # small short-lived temporaries (dtrsm's f2py return value, the two
+        # product blocks scipy returns per level, views and loop-iteration
         # objects) — nothing that grows with the node count, no term stack.
         factor = cholesky_supernodal(sym_grid8)
         program = program_for(sym_grid8.stree)
         panels = fused_panels_for(factor)
         for m in (1, 16):
-            y = rng.normal(size=(sym_grid8.n, m))
             ws = build_fused_workspace(program, m)
-            _forward_levels(program, panels, y, ws)  # warm every code path
+            y = ws.xc[: sym_grid8.n]
+            y[...] = rng.normal(size=(sym_grid8.n, m))
+            _forward_levels(program, panels, ws)  # warm every code path
             _backward_levels(program, panels, y, ws)
 
             tracemalloc.start()
-            _forward_levels(program, panels, y, ws)
+            _forward_levels(program, panels, ws)
             _backward_levels(program, panels, y, ws)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
@@ -308,10 +265,9 @@ class TestProgramCompilation:
             assert np.array_equal(prog.node_level, ref.node_level)
             assert len(prog.levels) == len(ref.levels)
             for la, lb in zip(prog.levels, ref.levels):
-                assert np.array_equal(la.top_src, lb.top_src)
-                assert np.array_equal(la.scatter_dst, lb.scatter_dst)
-                assert np.array_equal(la.scatter_src, lb.scatter_src)
                 assert np.array_equal(la.gather_rows, lb.gather_rows)
+                assert np.array_equal(la.replay.indptr, lb.replay.indptr)
+                assert np.array_equal(la.replay.indices, lb.replay.indices)
 
     def test_program_and_panels_memoized(self, sym_grid8):
         factor = cholesky_supernodal(sym_grid8)
@@ -355,15 +311,19 @@ class TestFusedCertifier:
 
         plan = plan_for(sym_grid8.stree)
         program = compile_level_program(plan)
-        li = next(
-            i for i, lvl in enumerate(program.levels)
-            if lvl.scatter_src.size >= 2
+        # a row that sums two child contributions: swapping them reorders its sum
+        li, row = next(
+            (i, r) for i, lvl in enumerate(program.levels)
+            for r in range(lvl.size)
+            if np.count_nonzero(lvl.replay.indices[
+                lvl.replay.indptr[r] : lvl.replay.indptr[r + 1]] >= program.n) >= 2
         )
         lvl = program.levels[li]
-        src = lvl.scatter_src.copy()
-        src[0], src[1] = src[1], src[0]
+        replay = lvl.replay.copy()
+        lo = int(replay.indptr[row + 1]) - 2
+        replay.indices[lo], replay.indices[lo + 1] = replay.indices[lo + 1], replay.indices[lo]
         levels = list(program.levels)
-        levels[li] = dataclasses.replace(lvl, scatter_src=src)
+        levels[li] = dataclasses.replace(lvl, replay=replay)
         bad = dataclasses.replace(program, levels=tuple(levels))
         cert = certify_level_program(bad, plan, sym_grid8.stree)
         assert not cert.ok

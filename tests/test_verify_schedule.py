@@ -20,7 +20,7 @@ from repro.sparse.generators import grid2d_laplacian, grid3d_laplacian, random_s
 from repro.symbolic.analyze import analyze
 from repro.verify import VerificationError
 from repro.verify import schedule
-from repro.verify.corpus import known_bad_cases
+from repro.verify.corpus import _summing_row, known_bad_cases
 from repro.verify.gate import run_schedule_certification
 from repro.verify.schedule import (
     certify_level_program,
@@ -168,7 +168,7 @@ class TestCertifyMutants:
         ), report.render()
 
 
-    # --- the level program's replay rounds and bucket lanes: reported, never raised
+    # --- the level program's replay operators and bucket lanes: reported, never raised
 
     @staticmethod
     def _certify_with_level(sym, plan, pick, mutate):
@@ -179,44 +179,88 @@ class TestCertifyMutants:
         mutant = dataclasses.replace(program, levels=tuple(levels))
         return certify_level_program(mutant, plan, sym.stree).report
 
-    @staticmethod
-    def _two_rounds(lvl):
-        return len(lvl.round_starts) > 2 and lvl.round_starts[2] > lvl.round_starts[1]
+    def _mutate_operator(self, sym, plan, mutate):
+        """Certify with ``mutate(ptr, idx, val, lo)`` applied to copies of one
+        level's replay operator arrays; ``lo`` is a summing row's
+        second-to-last entry."""
+        n = sym.n
 
-    def test_round_with_a_duplicated_destination_is_a_lost_update(self, sym, plan):
-        def mutate(lvl):
-            # Move the round boundary one entry to the right: the second
-            # round's first entry joins the first round, which already has
-            # an entry for the same accumulator row.
-            starts = lvl.round_starts
-            return dataclasses.replace(
-                lvl, round_starts=(starts[0], starts[1] + 1, *starts[2:])
-            )
+        def edit(lvl):
+            op = lvl.replay.copy()
+            lo = int(op.indptr[_summing_row(lvl, n) + 1]) - 2
+            op.indptr, op.indices, op.data = mutate(op.indptr, op.indices, op.data, lo)
+            return dataclasses.replace(lvl, replay=op)
 
-        report = self._certify_with_level(sym, plan, self._two_rounds, mutate)
-        # The widened round is also one row longer than the scratch the
-        # program declares for its widest round (max_prod is exact).
-        assert report.rules() == {
-            "schedule-program-round", "schedule-program-workspace"
-        }, report.render()
+        return self._certify_with_level(
+            sym, plan, lambda lvl: _summing_row(lvl, n) is not None, edit
+        )
 
-    def test_rounds_swapped_for_one_row_reorder_its_sum(self, sym, plan):
-        def mutate(lvl):
-            dst, src = lvl.scatter_dst, lvl.scatter_src.copy()
-            second = lvl.round_starts[1]
-            first = int(np.flatnonzero(dst[:second] == dst[second])[0])
-            src[first], src[second] = src[second], src[first]
-            return dataclasses.replace(lvl, scatter_src=src)
-
-        report = self._certify_with_level(sym, plan, self._two_rounds, mutate)
+    def test_dropped_replay_entry_is_a_lost_update(self, sym, plan):
+        report = self._mutate_operator(
+            sym, plan,
+            lambda ptr, idx, val, lo: (ptr - (ptr > lo), np.delete(idx, lo), np.delete(val, lo)),
+        )
         assert report.rules() == {"schedule-program-scatter"}, report.render()
 
-    def test_malformed_round_starts_are_reported(self, sym, plan):
-        report = self._certify_with_level(
-            sym, plan, self._two_rounds,
-            lambda lvl: dataclasses.replace(lvl, round_starts=lvl.round_starts[:-1]),
+    def test_replay_row_swapped_reorders_its_sum(self, sym, plan):
+        def mutate(ptr, idx, val, lo):
+            idx[[lo, lo + 1]] = idx[[lo + 1, lo]]
+            return ptr, idx, val
+
+        report = self._mutate_operator(sym, plan, mutate)
+        assert report.rules() == {"schedule-program-scatter"}, report.render()
+
+    def test_replay_coefficient_other_than_one_is_flagged(self, sym, plan):
+        def mutate(ptr, idx, val, lo):
+            val[lo] = 2.0
+            return ptr, idx, val
+
+        report = self._mutate_operator(sym, plan, mutate)
+        assert report.rules() == {"schedule-program-scatter"}, report.render()
+
+    def test_malformed_replay_indptr_is_reported(self, sym, plan):
+        report = self._mutate_operator(
+            sym, plan, lambda ptr, idx, val, lo: (ptr[:-1], idx, val)
         )
-        assert "schedule-program-round" in report.rules(), report.render()
+        assert report.rules() == {"schedule-program-scatter"}, report.render()
+
+    def test_top_row_from_a_foreign_rhs_row_is_a_gather_finding(self, sym, plan):
+        def mutate(lvl):
+            op = lvl.replay.copy()
+            idx = op.indices.copy()
+            idx[0] += 1  # the first top reads its neighbour's column
+            op.indices = idx
+            return dataclasses.replace(lvl, replay=op)
+
+        report = self._certify_with_level(sym, plan, lambda lvl: lvl.top_total >= 2, mutate)
+        assert report.rules() == {"schedule-program-gather"}, report.render()
+
+    def test_merged_backward_gather_is_checked_in_both_halves(self, sym, plan):
+        def shift(lo):
+            def mutate(lvl):
+                rows = lvl.gather_rows.copy()
+                rows[lo(lvl)] += 1
+                return dataclasses.replace(lvl, gather_rows=rows)
+            return mutate
+
+        pick = lambda lvl: lvl.size > lvl.top_total  # noqa: E731
+        for lo in (lambda lvl: 0, lambda lvl: lvl.top_total):
+            report = self._certify_with_level(sym, plan, pick, shift(lo))
+            assert report.rules() == {"schedule-program-gather"}, report.render()
+
+    def test_misshapen_replay_operator_is_a_workspace_finding(self, sym, plan):
+        from scipy.sparse import csr_array
+
+        def mutate(lvl):
+            op = lvl.replay
+            narrow = csr_array((op.data, op.indices, op.indptr), shape=(lvl.size, op.shape[1] - 1))
+            return dataclasses.replace(lvl, replay=narrow)
+
+        report = self._certify_with_level(
+            sym, plan, lambda lvl: lvl.replay.indices.max(initial=0) < lvl.replay.shape[1] - 1,
+            mutate,
+        )
+        assert report.rules() == {"schedule-program-workspace"}, report.render()
 
     def test_shifted_segment_start_in_a_wide_bucket_is_flagged(self):
         def wide(bkt):
@@ -290,8 +334,9 @@ class TestLevelChainSharesThePlansConflicts:
             },
             "plan-permuted-reduction": {"schedule-reduction-order"},
             "program-swapped-scatter": {"schedule-program-scatter"},
-            "program-round-duplicate-destination": {"schedule-program-round"},
-            "program-round-order-swapped": {"schedule-program-scatter"},
+            "program-replay-row-swapped": {"schedule-program-scatter"},
+            "program-replay-entry-dropped": {"schedule-program-scatter"},
+            "program-replay-coefficient-two": {"schedule-program-scatter"},
         }
         cases = [c for c in known_bad_cases() if c.name.startswith(("plan-", "program-"))]
         assert {c.name: c.run().rules() for c in cases} == recorded
