@@ -1,7 +1,5 @@
 """Scalability analysis (paper Section 3).
 
-* :mod:`repro.analysis.metrics` — speedup, efficiency, the overhead
-  function ``T_o = p T_P - T_S``, and MFLOPS accounting.
 * :mod:`repro.analysis.models` — the paper's closed-form parallel-time
   models (Equations 1-2), the dense triangular solver model, and the
   Figure 5 communication-overhead / isoefficiency table.
@@ -11,7 +9,6 @@
   problem classes, Equations 5 and 9).
 """
 
-from repro.analysis.metrics import efficiency, mflops, overhead, speedup
 from repro.analysis.models import (
     Figure5Row,
     dense_trisolve_model,
@@ -22,10 +19,6 @@ from repro.analysis.models import (
 from repro.analysis.isoefficiency import fit_growth_exponent, isoefficiency_curve
 
 __all__ = [
-    "efficiency",
-    "mflops",
-    "overhead",
-    "speedup",
     "Figure5Row",
     "dense_trisolve_model",
     "figure5_table",

@@ -23,7 +23,6 @@ from repro.core.solver import ParallelSparseSolver, SolveReport, TrisolveRun
 from repro.core.factor_model import serial_factor_time, parallel_factor_time
 from repro.core.parallel_factor import simulated_factor_time
 from repro.core.dense import dense_backward, dense_forward, dense_trisolve_time
-from repro.core.tuning import TuningResult, tune_block_size
 from repro.core.forward_2d import parallel_forward_2d
 from repro.core.spmd_forward import make_forward_program, spmd_forward
 from repro.core.spmd_backward import make_backward_program, spmd_backward
@@ -43,8 +42,6 @@ __all__ = [
     "dense_forward",
     "dense_backward",
     "dense_trisolve_time",
-    "TuningResult",
-    "tune_block_size",
     "parallel_forward_2d",
     "make_forward_program",
     "spmd_forward",

@@ -18,9 +18,9 @@ algorithm as a task graph for the event simulator:
 
 The graph is *timing-only* (no numeric thunks — numerics come from the
 serial multifrontal code, which is what the solvers consume); its
-makespan gives the Figure 7 factorization column, replacing the coarse
-closed-form of :mod:`repro.core.factor_model` when
-``ParallelSparseSolver(factor_time_mode="simulate")`` is selected.
+makespan is the higher-fidelity check on the coarse closed form of
+:mod:`repro.core.factor_model` that the solver reports (the calibration
+benchmark compares the two).
 """
 
 from __future__ import annotations

@@ -122,7 +122,8 @@ class ParallelSparseSolver:
     variant :
         "column" or "row" priority for the pipelined forward solver.
     relax :
-        Supernode amalgamation slack (see
+        Most artificial zeros per column that supernode amalgamation may
+        add (0: fundamental supernodes; see
         :func:`repro.symbolic.find_supernodes`).
     verify :
         When true (the default), :meth:`prepare` runs the cheap static
@@ -139,15 +140,14 @@ class ParallelSparseSolver:
     ordering: str = "nested_dissection"
     variant: str = "column"
     relax: int = 0
-    factor_time_mode: str = "model"  # "model" (closed form) | "simulate"
     verify: bool = True
 
     # Filled by prepare():
-    symbolic: SymbolicFactor | None = None
-    factor: SupernodalFactor | None = None
-    assign: list[ProcSet] | None = None
+    symbolic: SymbolicFactor | None = field(default=None, init=False)
+    factor: SupernodalFactor | None = field(default=None, init=False)
+    assign: list[ProcSet] | None = field(default=None, init=False)
     setup_seconds: dict[str, float] | None = field(default=None, init=False, repr=False)
-    _factor_seconds: float | None = field(default=None, repr=False)
+    _factor_seconds: float | None = field(default=None, init=False, repr=False)
     _redistribute_seconds: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -218,31 +218,20 @@ class ParallelSparseSolver:
     def factorization_seconds(self) -> float:
         """Factorization time on p processors (serial sum at p=1).
 
-        ``factor_time_mode="model"`` uses the closed-form critical-path
-        model; ``"simulate"`` runs the full 2-D block-cyclic task graph
-        through the event simulator (slower, higher fidelity).  The result
-        is cached per solver instance.
+        At p > 1 this is the closed-form critical-path model of
+        :mod:`repro.core.factor_model` (the event-simulated task graph,
+        :func:`repro.core.parallel_factor.simulated_factor_time`, is its
+        higher-fidelity check).  The result is cached per solver instance.
         """
-        if self._factor_seconds is not None:
-            return self._factor_seconds
-        sym, _, assign = self._require_prepared()
-        if self.p == 1:
-            out = serial_factor_time(self.spec, sym.stree)
-        elif self.factor_time_mode == "simulate":
-            from repro.core.parallel_factor import simulated_factor_time
-
-            out, _ = simulated_factor_time(
-                self.spec, sym.stree, assign, b=self.b, nproc=self.p
-            )
-        elif self.factor_time_mode == "model":
-            out = parallel_factor_time(self.spec, sym.stree, assign, b=self.b)
-        else:
-            raise ValueError(
-                f"factor_time_mode must be 'model' or 'simulate', got "
-                f"{self.factor_time_mode!r}"
-            )
-        self._factor_seconds = out
-        return out
+        if self._factor_seconds is None:
+            sym, _, assign = self._require_prepared()
+            if self.p == 1:
+                self._factor_seconds = serial_factor_time(self.spec, sym.stree)
+            else:
+                self._factor_seconds = parallel_factor_time(
+                    self.spec, sym.stree, assign, b=self.b
+                )
+        return self._factor_seconds
 
     def redistribution_seconds(self) -> float:
         """Simulated 2-D -> 1-D factor redistribution time (cached per instance)."""

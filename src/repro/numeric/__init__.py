@@ -10,6 +10,8 @@
   substitution in both simplicial and supernodal forms; the supernodal
   versions are also what each processor runs on its private subtree below
   level log2(p).
+* :func:`condest` — Hager-Higham 1-norm condition estimate from the
+  supernodal factor, for reporting accuracy next to the residual.
 """
 
 from repro.numeric.simplicial import cholesky_simplicial
@@ -22,7 +24,6 @@ from repro.numeric.trisolve import (
     solve_supernodal,
 )
 from repro.numeric.frontal import dense_cholesky, trsm_lower, trsm_lower_t
-from repro.numeric.ldlt import LDLTFactor, ldlt_simplicial, ldlt_solve
 from repro.numeric.condest import condest, inverse_norm_estimate, one_norm
 
 __all__ = [
@@ -37,9 +38,6 @@ __all__ = [
     "dense_cholesky",
     "trsm_lower",
     "trsm_lower_t",
-    "LDLTFactor",
-    "ldlt_simplicial",
-    "ldlt_solve",
     "condest",
     "inverse_norm_estimate",
     "one_norm",

@@ -2,8 +2,8 @@
 
 Defines the compressed-sparse-column structures used throughout the solver
 (:class:`SymCSC` for the SPD input matrix, :class:`LowerCSC` for triangular
-factors), triplet assembly, Matrix-Market-style I/O, and the workload
-generators that stand in for the paper's Harwell-Boeing test matrices.
+factors), triplet assembly, and the workload generators that stand in for
+the paper's Harwell-Boeing test matrices.
 """
 
 from repro.sparse.csc import LowerCSC, SymCSC
@@ -22,7 +22,6 @@ from repro.sparse.generators import (
     random_spd,
     model_problem,
 )
-from repro.sparse.io import read_matrix_market, write_matrix_market
 
 __all__ = [
     "LowerCSC",
@@ -40,6 +39,4 @@ __all__ = [
     "fe_mesh_3d",
     "random_spd",
     "model_problem",
-    "read_matrix_market",
-    "write_matrix_market",
 ]

@@ -5,9 +5,10 @@ Everything that can be computed from the *pattern* of the reordered matrix:
 * the elimination tree (Liu's algorithm with path compression);
 * its postordering (which makes supernode columns contiguous);
 * the fill pattern of the Cholesky factor L;
-* fundamental supernodes and the supernodal elimination tree, whose nodes
-  are the dense trapezoidal blocks (width t, height n) that the paper's
-  pipelined solvers operate on.
+* fundamental supernodes (optionally relaxed by amalgamation) and the
+  supernodal elimination tree, whose nodes are the dense trapezoidal
+  blocks (width t, height n) that the paper's pipelined solvers operate
+  on.
 
 The one-call driver is :func:`analyze`.
 """
@@ -18,7 +19,6 @@ from repro.symbolic.pattern import symbolic_factor_pattern
 from repro.symbolic.supernodes import find_supernodes, SupernodePartition
 from repro.symbolic.stree import SupernodalTree, Supernode, build_supernodal_tree
 from repro.symbolic.analyze import SymbolicFactor, analyze
-from repro.symbolic.stats import TreeStats, subtree_imbalance, tree_stats, work_per_processor
 
 __all__ = [
     "elimination_tree",
@@ -33,8 +33,4 @@ __all__ = [
     "build_supernodal_tree",
     "SymbolicFactor",
     "analyze",
-    "TreeStats",
-    "subtree_imbalance",
-    "tree_stats",
-    "work_per_processor",
 ]

@@ -7,10 +7,15 @@ pattern (paper Section 2.1).  Equivalently, on a postordered tree:
 ``parent(j) == j + 1``, node ``j+1`` has exactly one child, and
 ``count(j) == count(j+1) + 1``.
 
-The optional *relaxation* merges a child supernode into its parent when
-doing so introduces at most ``relax`` artificial zeros per column — the
-standard amalgamation trick that fattens tiny supernodes so the dense
-kernels (and the pipelined parallel algorithm) get reasonable block sizes.
+The optional *relaxation* (amalgamation) fattens tiny supernodes so the
+dense kernels and the level schedule get fewer, wider blocks.  On a chain
+``parent(j-1) == j`` the pattern of column ``j-1`` below ``j`` is a subset
+of column ``j``'s, so letting ``j`` join costs each earlier column of the
+supernode ``count(j) - count(j-1) + 1`` artificial zeros.  The first
+column carries the sum over every merge after it, so the supernode grows
+column by column only while that sum stays at most ``relax``: no column
+holds more than ``relax`` artificial zeros.  ``relax=0`` gives the
+fundamental supernodes.
 """
 
 from __future__ import annotations
@@ -70,17 +75,30 @@ def find_supernodes(
 ) -> SupernodePartition:
     """Fundamental supernodes, optionally relaxed by amalgamation.
 
-    *parent* must be a postordered elimination tree (children < parent and
-    subtrees contiguous); *col_counts* is nnz per column of L including the
-    diagonal.
+    Each column of a relaxed supernode holds at most *relax* artificial
+    zeros (module docstring).  *parent* must be a postordered elimination
+    tree (children < parent and subtrees contiguous); *col_counts* is nnz
+    per column of L including the diagonal.
     """
     n = parent.shape[0]
     require(col_counts.shape[0] == n, "col_counts must match parent length")
+    require(relax >= 0, f"relax must be >= 0, got {relax}")
     nchildren = np.bincount(parent[parent != NO_PARENT], minlength=n)
     # Column j joins column j - 1 when it is that column's parent, has no
-    # other child, and the two patterns differ by at most the slack.
+    # other child, and (fundamental) the two patterns agree below j.
     chain = (parent[:-1] == np.arange(1, n)) & (nchildren[1:] == 1)
     slack = col_counts[:-1] - col_counts[1:] - 1
-    merge = chain & ((slack == 0) | ((relax > 0) & (slack >= 0) & (slack <= relax)))
+    if relax == 0:
+        merge = chain & (slack == 0)
+    else:
+        # Relaxed: -slack artificial zeros per earlier column, summed over
+        # the supernode's merges so far.
+        extra = (-slack).tolist()
+        joins = [False] * (n - 1)
+        zeros = 0
+        for k in np.flatnonzero(chain).tolist():
+            zeros = (zeros if k and joins[k - 1] else 0) + extra[k]
+            joins[k] = zeros <= relax
+        merge = np.array(joins, dtype=bool)
     starts = np.flatnonzero(~merge) + 1
     return SupernodePartition(np.concatenate([[0], starts, [n]]).astype(np.int64))

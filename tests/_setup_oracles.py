@@ -180,20 +180,16 @@ def find_supernodes(
             nchildren[p] += 1
 
     starts = [0]
+    zeros = 0  # artificial zeros in the first column of the current supernode
     for j in range(1, n):
-        fundamental = (
-            int(parent[j - 1]) == j
-            and nchildren[j] == 1
-            and int(col_counts[j - 1]) == int(col_counts[j]) + 1
-        )
-        relaxed = (
-            relax > 0
-            and int(parent[j - 1]) == j
-            and nchildren[j] == 1
-            and 0 <= int(col_counts[j - 1]) - int(col_counts[j]) - 1 <= relax
-        )
-        if not (fundamental or relaxed):
+        chain = int(parent[j - 1]) == j and nchildren[j] == 1
+        # Column j joining adds this many zeros to every earlier column.
+        extra = int(col_counts[j]) - int(col_counts[j - 1]) + 1
+        if chain and zeros + extra <= relax:
+            zeros += extra
+        else:
             starts.append(j)
+            zeros = 0
     return SupernodePartition(np.asarray(starts + [n], dtype=np.int64))
 
 

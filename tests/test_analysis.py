@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from repro.analysis.isoefficiency import (
@@ -8,7 +7,6 @@ from repro.analysis.isoefficiency import (
     fit_growth_exponent,
     isoefficiency_curve,
 )
-from repro.analysis.metrics import efficiency, mflops, overhead, speedup
 from repro.analysis.models import (
     dense_trisolve_model,
     figure5_table,
@@ -19,29 +17,6 @@ from repro.analysis.models import (
 )
 from repro.machine.presets import cray_t3d
 from repro.machine.spec import MachineSpec
-
-
-class TestMetrics:
-    def test_speedup(self):
-        assert speedup(10.0, 2.0) == 5.0
-
-    def test_efficiency(self):
-        assert efficiency(10.0, 2.0, 5) == 1.0
-
-    def test_overhead_zero_for_perfect(self):
-        assert overhead(10.0, 2.5, 4) == pytest.approx(0.0)
-
-    def test_overhead_positive_otherwise(self):
-        assert overhead(10.0, 3.0, 4) == pytest.approx(2.0)
-
-    def test_mflops(self):
-        assert mflops(3e6, 1.5) == 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            speedup(0.0, 1.0)
-        with pytest.raises(ValueError):
-            efficiency(1.0, 1.0, 0)
 
 
 class TestClosedFormModels:

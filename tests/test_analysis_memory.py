@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from repro.analysis.memory import (
@@ -35,6 +34,19 @@ class TestFactorStorage:
         a = fe_mesh_2d(24, seed=8)
         stree = analyze(a).stree
         assert memory_balance(stree, subtree_to_subcube(stree, 8)) < 2.0
+
+    def test_every_processor_gets_work(self):
+        stree = analyze(fe_mesh_2d(20, seed=1)).stree
+        assert factor_words_per_processor(stree, subtree_to_subcube(stree, 16)).min() > 0
+
+    def test_paper_claim_imbalance_saturates(self):
+        """Section 3.1: imbalance overheads 'saturate at 3 to 4 processors
+        ... and do not continue to increase' -- the imbalance at p=32 is not
+        much worse than at p=4."""
+        stree = analyze(fe_mesh_2d(32, seed=5)).stree
+        i4 = memory_balance(stree, subtree_to_subcube(stree, 4))
+        i32 = memory_balance(stree, subtree_to_subcube(stree, 32))
+        assert i32 < i4 * 2.5
 
     def test_mismatched_assignment(self, sym_grid8):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """API quality gates: docstrings everywhere, clean exports, no cycles, live doc paths."""
 
+import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -116,6 +118,10 @@ class TestOptionSurface:
             assert list(inspect.signature(func).parameters) == names, func.__qualname__
         assert REAL_BACKENDS == ("serial", "fused")
         assert not hasattr(ParallelSparseSolver, "serving")
+        init_fields = [f.name for f in dataclasses.fields(ParallelSparseSolver) if f.init]
+        assert init_fields == [
+            "a", "p", "spec", "b", "ordering", "variant", "relax", "verify",
+        ]
 
 
 class TestImportHygiene:
@@ -155,6 +161,89 @@ class TestImportHygiene:
         text = (self.SRC / "repro" / "exec" / "fused.py").read_text()
         for word in ("reduceat", "sum_terms"):
             assert word not in text, f"exec/fused.py still mentions {word}"
+
+
+class TestModuleCensus:
+    """Every module names a user outside the tests, or it goes.
+
+    A module is used when a file under ``src/``, ``benchmarks/`` or
+    ``examples/`` other than itself imports it, or imports one of the
+    public names it defines (also through a package).  Package
+    ``__init__`` files do not count: a re-export only makes a name
+    reachable, it does not use it.
+    """
+
+    ROOT = Path(__file__).resolve().parent.parent
+    SRC = ROOT / "src"
+    #: Modules that stay without such a user, each with the reason.
+    ALLOWED = {
+        "repro.numeric.condest": "the condition estimate that accuracy reporting "
+        "(ROADMAP item 4) prints next to the residual",
+        "repro.numeric.simplicial": "the reference oracle the supernodal factor "
+        "is tested against",
+    }
+
+    @staticmethod
+    def _module_name(path: Path, root: Path) -> str:
+        parts = list(path.relative_to(root).with_suffix("").parts)
+        return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+    @staticmethod
+    def _defined_names(tree: ast.Module) -> set[str]:
+        names: set[str] = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+        return {n for n in names if not n.startswith("_")}
+
+    @staticmethod
+    def _imports(path: Path, module: str):
+        """``(module, name)`` pairs that *path* imports; name None for ``import m``."""
+        package = module.split(".")[:-1]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield alias.name, None
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:  # relative: anchor at the importing file's package
+                    anchor = package[: len(package) - node.level + 1]
+                    base = ".".join(anchor + ([base] if base else []))
+                for alias in node.names:
+                    yield base, alias.name
+
+    def test_every_module_has_a_user_outside_the_tests(self):
+        modules = {}  # dotted name -> public names it defines
+        for path in sorted((self.SRC / "repro").rglob("*.py")):
+            if path.name not in ("__init__.py", "__main__.py"):
+                modules[self._module_name(path, self.SRC)] = self._defined_names(
+                    ast.parse(path.read_text())
+                )
+        used: set[str] = set()
+        for root, top in ((self.SRC, "repro"), (self.ROOT, "benchmarks"), (self.ROOT, "examples")):
+            for path in sorted((root / top).rglob("*.py")):
+                if path.name == "__init__.py":
+                    continue
+                me = self._module_name(path, root)
+                for base, name in self._imports(path, me):
+                    hits = {base} if name is None else {base, f"{base}.{name}"}
+                    if name is not None and base.startswith("repro"):
+                        package = importlib.import_module(base)
+                        if hasattr(package, "__path__") and hasattr(package, name):
+                            obj = getattr(package, name)
+                            hits.update(
+                                m for m, defined in modules.items()
+                                if m.startswith(base + ".") and name in defined
+                                and getattr(importlib.import_module(m), name) is obj
+                            )
+                    used.update(hits - {me})
+        unused = sorted(set(modules) - used - set(self.ALLOWED))
+        assert not unused, f"modules with no user outside tests/ (delete or allowlist): {unused}"
+        stale = sorted(m for m in self.ALLOWED if m in used or m not in modules)
+        assert not stale, f"allowlist entries that are used or gone: {stale}"
 
 
 class TestDocReferences:

@@ -64,6 +64,14 @@ class TestCommands:
         # carry the determinism certificate of its certified program.
         assert "schedule certificate:" in out
 
+    def test_solve_block_reaches_the_block_size(self, capsys):
+        lines = []
+        for block in ("2", "8"):
+            assert main(["solve", "--size", "16", "--p", "4", "--block", block]) == 0
+            out = capsys.readouterr().out
+            lines.append(next(ln for ln in out.splitlines() if "forward" in ln))
+        assert lines[0] != lines[1]
+
     def test_solve_invalid_backend_rejected(self):
         for backend in ("gpu", "threads"):
             with pytest.raises(SystemExit):

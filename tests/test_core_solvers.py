@@ -228,6 +228,28 @@ class TestEndToEndSolver:
         assert rep.residual < 1e-10
 
 
+class TestSimulatorKnobEffects:
+    """``variant`` and ``b`` shape only the simulated schedule; each must move it."""
+
+    @staticmethod
+    def _report(a, **knobs):
+        return ParallelSparseSolver(a, **knobs).prepare().solve(np.ones(a.n))[1]
+
+    def test_variant_changes_the_forward_makespan(self):
+        a = grid3d_laplacian(8)
+        row = self._report(a, p=2, variant="row")
+        column = self._report(a, p=2, variant="column")
+        assert row.forward.seconds != column.forward.seconds
+        assert row.backward.seconds == column.backward.seconds  # forward-only knob
+
+    def test_block_size_changes_both_makespans(self):
+        a = grid2d_laplacian(16)
+        small = self._report(a, p=4, b=2)
+        large = self._report(a, p=4, b=8)
+        assert small.forward.seconds != large.forward.seconds
+        assert small.backward.seconds != large.backward.seconds
+
+
 class TestFactorModel:
     def test_serial_equals_parallel_at_p1(self, prepared_grid12):
         from repro.core.factor_model import parallel_factor_time, serial_factor_time

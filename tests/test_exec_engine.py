@@ -17,7 +17,6 @@ from repro.core.solver import ParallelSparseSolver
 from repro.exec import clear_exec_caches, plan_for, prepare_factor, solve_exec
 from repro.exec import engine as engine_mod
 from repro.exec.engine import _run_task_graph, resolve_workers
-from repro.numeric.serialize import load_factor, save_factor
 from repro.numeric.supernodal import SupernodalFactor, cholesky_supernodal
 from repro.numeric.trisolve import (
     backward_supernodal,
@@ -122,10 +121,10 @@ class TestEdgeCases:
         x = solve_exec(factor, np.array([8.0]), workers=2)
         assert np.allclose(x, [2.0])
 
-    def test_empty_supernode_is_rejected(self, sym_grid8, tmp_path):
+    def test_empty_supernode_is_rejected(self):
         # No constructor builds a zero-width supernode, so no executor carries
-        # a lane for one: a hand-built tree and a tampered factor file both
-        # fail at SupernodalTree construction.
+        # a lane for one: a hand-built tree fails at SupernodalTree
+        # construction.
         with pytest.raises(ValueError, match="supernode 1 has no columns"):
             SupernodalTree(
                 supernodes=[
@@ -135,13 +134,6 @@ class TestEdgeCases:
                 ],
                 parent=np.array([NO_PARENT, NO_PARENT, NO_PARENT]),
             )
-        path = tmp_path / "factor.npz"
-        save_factor(cholesky_supernodal(sym_grid8), path)
-        data = dict(np.load(path))
-        data["col_hi"][3] = data["col_lo"][3]
-        np.savez(path, **data)
-        with pytest.raises(ValueError, match="supernode 3 has no columns"):
-            load_factor(path)
 
     def test_multi_rhs_wide_block(self, sym_grid8, rng):
         factor = cholesky_supernodal(sym_grid8)

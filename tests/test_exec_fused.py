@@ -81,6 +81,15 @@ class TestBitwiseAgreement:
                 x_fused, solve_exec(factor, b, workers=workers, plan=plan)
             ), f"fused is not bitwise identical to the engine at workers={workers}"
 
+    def test_relaxed_partition_agrees_to_the_byte(self, rng):
+        # Amalgamation widens supernodes with stored zeros; the certified
+        # program over that tree still reproduces the reference walker.
+        sym = analyze(grid3d_laplacian(8), relax=2)
+        factor = cholesky_supernodal(sym)
+        b = rng.normal(size=(sym.n, 3))
+        assert np.array_equal(solve_fused(factor, b), solve_supernodal(factor, b))
+        assert fused_certificate_for(sym.stree).ok
+
     @pytest.mark.parametrize("grain", [0, 256, 4096])
     def test_bitwise_across_plan_grains(self, factored, rng, grain):
         # The level program is grain-invariant by construction; a program

@@ -176,3 +176,25 @@ class TestOrderAPI:
         b = rng.normal(size=grid8.n)
         x, rep = solver.solve(b)
         assert rep.residual < 1e-10
+
+
+class TestEliminationTreeShape:
+    """Nested dissection gives the almost balanced trees of the paper's
+    Section 3.1; RCM gives long chains."""
+
+    @staticmethod
+    def _leaves(stree):
+        return sum(1 for kids in stree.children if not kids)
+
+    def test_nd_tree_is_bushy(self):
+        stree = analyze(grid2d_laplacian(16)).stree
+        assert self._leaves(stree) > stree.nsuper // 10
+
+    def test_rcm_tree_is_chainlike(self):
+        a = grid2d_laplacian(16)
+        rcm = analyze(a, method="rcm").stree
+        assert self._leaves(rcm) < self._leaves(analyze(a).stree) / 2
+
+    def test_top_separator_order_sqrt_n(self):
+        stree = analyze(grid2d_laplacian(20)).stree
+        assert max(stree.supernodes[r].t for r in stree.roots()) <= 3 * 20

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from repro.sparse.build import from_dense, from_triplets
-from repro.sparse.generators import grid2d_laplacian, random_spd
+from repro.sparse.build import from_dense
+from repro.sparse.generators import grid2d_laplacian, grid3d_laplacian, random_spd
 from repro.symbolic.analyze import analyze
 from repro.symbolic.etree import NO_PARENT, elimination_tree, is_valid_etree
 from repro.symbolic.pattern import column_counts, symbolic_factor_pattern
@@ -189,10 +189,36 @@ class TestSupernodes:
                 assert colj == {i for i in first if i >= j}
 
     def test_relaxation_reduces_supernode_count(self):
-        a = grid2d_laplacian(10)
+        a = grid3d_laplacian(8)
         strict = analyze(a, relax=0).partition.nsuper
-        relaxed = analyze(a, relax=4).partition.nsuper
-        assert relaxed <= strict
+        relaxed = analyze(a, relax=2).partition.nsuper
+        assert relaxed < strict
+
+    @pytest.mark.parametrize("relax", [1, 2, 8])
+    @pytest.mark.parametrize(
+        "matrix_fn",
+        [lambda: grid2d_laplacian(20), lambda: grid3d_laplacian(8)],
+        ids=["grid2d20", "grid3d8"],
+    )
+    def test_relaxation_bounds_artificial_zeros_per_column(self, matrix_fn, relax):
+        # The true column counts are relax=0's; a column of a supernode is
+        # dense from its diagonal down to the supernode's last column, then
+        # holds every below-row.
+        a = matrix_fn()
+        counts = np.diff(analyze(a, relax=0).l_indptr)
+        stree = analyze(a, relax=relax).stree
+        zeros = np.concatenate([
+            np.arange(sn.n, sn.n - sn.t, -1) - counts[sn.col_lo : sn.col_hi]
+            for sn in stree.supernodes
+        ])
+        assert zeros.min() == 0
+        assert 0 < zeros.max() <= relax
+
+    def test_relax_must_be_non_negative(self):
+        a = grid2d_laplacian(4)
+        parent = elimination_tree(a)
+        with pytest.raises(ValueError, match="relax"):
+            find_supernodes(parent, column_counts(a, parent), relax=-1)
 
 
 class TestSupernodalTree:
