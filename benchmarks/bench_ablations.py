@@ -10,7 +10,6 @@
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import write_artifact
 from repro.core.solver import ParallelSparseSolver

@@ -11,7 +11,6 @@ bench pins the anchors stated in EXPERIMENTS.md:
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import write_artifact
 from repro.core.factor_model import parallel_factor_time

@@ -9,7 +9,6 @@ matched work.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import write_artifact
 from repro.core.dense import dense_trisolve_time

@@ -7,11 +7,9 @@ side, and is amortised with more right-hand sides.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import write_artifact
 from repro.experiments.fig7 import fig7_rows
-from repro.machine.presets import cray_t3d
 from repro.mapping.layouts import BlockCyclic1D, BlockCyclic2D
 from repro.mapping.redistribution import redistribute_supernode
 from repro.mapping.subtree_subcube import ProcSet

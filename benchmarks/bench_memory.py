@@ -8,14 +8,11 @@ distribution, and the multifrontal working peak is a small multiple of
 the factor size.
 """
 
-import pytest
-
 from benchmarks.conftest import write_artifact
 from repro.analysis.memory import (
     factor_words_per_processor,
     memory_balance,
     multifrontal_peak_words,
-    peak_to_factor_ratio,
 )
 from repro.experiments.matrices import prepared
 from repro.mapping.subtree_subcube import subtree_to_subcube

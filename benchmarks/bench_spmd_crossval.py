@@ -9,7 +9,6 @@ modeling bug in one of them.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import write_artifact
 from repro.core.backward import parallel_backward

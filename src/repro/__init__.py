@@ -19,7 +19,7 @@ Quickstart::
 """
 
 from repro.core.solver import ParallelSparseSolver, SolveReport, TrisolveRun
-from repro.machine.presets import cray_t3d, ideal_machine, laptop_like
+from repro.machine.presets import cray_t3d
 from repro.machine.spec import MachineSpec
 from repro.sparse.generators import (
     fe_mesh_2d,
@@ -40,8 +40,6 @@ __all__ = [
     "TrisolveRun",
     "MachineSpec",
     "cray_t3d",
-    "ideal_machine",
-    "laptop_like",
     "SymCSC",
     "LowerCSC",
     "grid2d_laplacian",

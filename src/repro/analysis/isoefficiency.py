@@ -21,12 +21,6 @@ from repro.util.validation import require
 Runner = Callable[[int, int], tuple[float, float, float]]
 
 
-def efficiency_of(runner: Runner, size: int, p: int) -> float:
-    """Parallel efficiency of the runner at (size, p)."""
-    _, ts, tp = runner(size, p)
-    return ts / (p * tp)
-
-
 def isoefficiency_curve(
     runner: Runner,
     ps: Sequence[int],
@@ -34,22 +28,21 @@ def isoefficiency_curve(
     *,
     size_lo: int,
     size_hi: int,
-    tol: float = 0.02,
-    max_iter: int = 48,
 ) -> list[tuple[int, float, float]]:
     """For each p, bisect the size parameter until efficiency ~= target_e.
 
     Returns a list of ``(p, W, achieved_efficiency)``.  Efficiency is
     assumed to increase with problem size at fixed p (true for all the
     scalable systems in the paper).  Sizes are integers (e.g. grid edge
-    length); the bisection returns the best integer found.
+    length); the bisection stops within 0.02 of the target or after 48
+    steps and returns the best integer found.
     """
     require(0.0 < target_e < 1.0, "target efficiency must be in (0, 1)")
     out: list[tuple[int, float, float]] = []
     for p in ps:
         lo, hi = size_lo, size_hi
         best: tuple[int, float, float] | None = None
-        for _ in range(max_iter):
+        for _ in range(48):
             mid = (lo + hi) // 2
             if mid == 0 or hi - lo <= 1:
                 break
@@ -57,7 +50,7 @@ def isoefficiency_curve(
             e = ts / (p * tp)
             if best is None or abs(e - target_e) < abs(best[2] - target_e):
                 best = (mid, w, e)
-            if abs(e - target_e) <= tol:
+            if abs(e - target_e) <= 0.02:
                 break
             if e < target_e:
                 lo = mid

@@ -75,10 +75,3 @@ def multifrontal_peak_words(stree: SupernodalTree) -> int:
         live += upd - front
         update_words[s] = upd
     return peak
-
-
-def peak_to_factor_ratio(stree: SupernodalTree) -> float:
-    """Multifrontal peak over final factor size — the classic overhead of
-    the method (≈1-3 for nested-dissection-ordered meshes)."""
-    factor = stree.factor_nnz()
-    return multifrontal_peak_words(stree) / factor if factor else 0.0

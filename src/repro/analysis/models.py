@@ -32,67 +32,39 @@ from repro.machine.spec import MachineSpec
 
 
 # --------------------------------------------------------------------- T_P
-def sparse_trisolve_model_2d(
-    spec: MachineSpec,
-    n: int,
-    p: int,
-    *,
-    nrhs: int = 1,
-    b: int = 8,
-    c_work: float = 3.0,
-    c_sep: float = 20.0,
-    c_p: float = 0.05,
-) -> float:
-    """Equation 1 with explicit machine constants.
+# The free constants of the paper's O-terms, calibrated once against the
+# event simulation on model meshes (see ``benchmarks/bench_scaling_laws.py``;
+# log-log correlation > 0.99): _C_WORK scales the W/p term (W ~ 2 nnz(L) ~
+# c N log N for nested-dissection-ordered 5/9-point meshes), _C_SEP the
+# separator pipeline-drain term, and _C_P the O(p) startup term (small
+# because the implementation trims idle ring segments).
+_C_WORK, _C_SEP, _C_P = 3.0, 20.0, 0.05
 
-    The three coefficients are the free constants of the paper's O-terms,
-    calibrated once against the event simulation on model meshes (see
-    ``benchmarks/bench_scaling_laws.py``; log-log correlation > 0.99):
-    ``c_work`` scales the W/p term (W ~ 2 nnz(L) ~ c N log N for
-    nested-dissection-ordered 5/9-point meshes), ``c_sep`` the O(sqrt N)
-    pipeline-drain term, and ``c_p`` the O(p) startup term (small because
-    the implementation trims idle ring segments).
-    """
+
+def sparse_trisolve_model_2d(
+    spec: MachineSpec, n: int, p: int, *, nrhs: int = 1, b: int = 8
+) -> float:
+    """Equation 1 with explicit machine constants."""
     if p < 1 or n < 1:
         raise ValueError("n and p must be >= 1")
-    work_flops = c_work * 2.0 * n * math.log2(max(n, 2)) * nrhs
+    work_flops = _C_WORK * 2.0 * n * math.log2(max(n, 2)) * nrhs
     t_work = work_flops * spec.t_flop * spec.flop_efficiency(nrhs) / p
-    t_sep = c_sep * math.sqrt(n) * nrhs * spec.t_w  # t-term: pipeline drain
-    t_pipe = c_p * (b * nrhs * spec.t_w + spec.t_s) * p  # q-term over levels
+    t_sep = _C_SEP * math.sqrt(n) * nrhs * spec.t_w  # t-term: pipeline drain
+    t_pipe = _C_P * (b * nrhs * spec.t_w + spec.t_s) * p  # q-term over levels
     return t_work + t_sep + t_pipe
 
 
 def sparse_trisolve_model_3d(
-    spec: MachineSpec,
-    n: int,
-    p: int,
-    *,
-    nrhs: int = 1,
-    b: int = 8,
-    c_work: float = 3.0,
-    c_sep: float = 20.0,
-    c_p: float = 0.05,
-) -> float:
-    """Equation 2 with explicit machine constants (see the 2-D variant for
-    the meaning and calibration of the coefficients)."""
-    if p < 1 or n < 1:
-        raise ValueError("n and p must be >= 1")
-    work_flops = c_work * 2.0 * float(n) ** (4.0 / 3.0) * nrhs
-    t_work = work_flops * spec.t_flop * spec.flop_efficiency(nrhs) / p
-    t_sep = c_sep * float(n) ** (2.0 / 3.0) * nrhs * spec.t_w
-    t_pipe = c_p * (b * nrhs * spec.t_w + spec.t_s) * p
-    return t_work + t_sep + t_pipe
-
-
-def dense_trisolve_model(
     spec: MachineSpec, n: int, p: int, *, nrhs: int = 1, b: int = 8
 ) -> float:
-    """1-D block-cyclic dense triangular solve: T ~ N^2/p + b(p-1) + N."""
+    """Equation 2 with explicit machine constants."""
     if p < 1 or n < 1:
         raise ValueError("n and p must be >= 1")
-    t_work = float(n) * n * nrhs * spec.t_flop * spec.flop_efficiency(nrhs) / p
-    t_comm = (spec.t_s + spec.t_w * b * nrhs) * (p - 1) + spec.t_w * n * nrhs
-    return t_work + t_comm
+    work_flops = _C_WORK * 2.0 * float(n) ** (4.0 / 3.0) * nrhs
+    t_work = work_flops * spec.t_flop * spec.flop_efficiency(nrhs) / p
+    t_sep = _C_SEP * float(n) ** (2.0 / 3.0) * nrhs * spec.t_w
+    t_pipe = _C_P * (b * nrhs * spec.t_w + spec.t_s) * p
+    return t_work + t_sep + t_pipe
 
 
 # ------------------------------------------------------------------- Fig. 5
@@ -154,18 +126,3 @@ def figure5_table() -> list[Figure5Row]:
             overall_iso="O(p^{3/2})",
         ),
     ]
-
-
-# --------------------------------------------------------------- overheads
-def trisolve_overhead_2d(spec: MachineSpec, n: int, p: int, **kw) -> float:
-    """``T_o = p T_P - T_S`` under the Equation-1 model."""
-    tp = sparse_trisolve_model_2d(spec, n, p, **kw)
-    ts = sparse_trisolve_model_2d(spec, n, 1, **kw)
-    return p * tp - ts
-
-
-def trisolve_overhead_3d(spec: MachineSpec, n: int, p: int, **kw) -> float:
-    """``T_o = p T_P - T_S`` under the Equation-2 model."""
-    tp = sparse_trisolve_model_3d(spec, n, p, **kw)
-    ts = sparse_trisolve_model_3d(spec, n, 1, **kw)
-    return p * tp - ts

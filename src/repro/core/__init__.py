@@ -22,7 +22,7 @@ from repro.core.backward import parallel_backward
 from repro.core.solver import ParallelSparseSolver, SolveReport, TrisolveRun
 from repro.core.factor_model import serial_factor_time, parallel_factor_time
 from repro.core.parallel_factor import simulated_factor_time
-from repro.core.dense import dense_backward, dense_forward, dense_trisolve_time
+from repro.core.dense import dense_forward, dense_trisolve_time
 from repro.core.forward_2d import parallel_forward_2d
 from repro.core.spmd_forward import make_forward_program, spmd_forward
 from repro.core.spmd_backward import make_backward_program, spmd_backward
@@ -40,7 +40,6 @@ __all__ = [
     "parallel_factor_time",
     "simulated_factor_time",
     "dense_forward",
-    "dense_backward",
     "dense_trisolve_time",
     "parallel_forward_2d",
     "make_forward_program",

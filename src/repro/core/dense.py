@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backward import build_backward_graph
 from repro.core.forward import build_forward_graph
 from repro.machine.events import SimResult, simulate
 from repro.machine.spec import MachineSpec
@@ -56,24 +55,6 @@ def dense_forward(
     graph, out = build_forward_graph(
         factor, assign, spec, rhs, b=b, variant=variant, nproc=p
     )
-    sim = simulate(graph, spec)
-    squeeze = np.asarray(rhs).ndim == 1
-    return (out[:, 0] if squeeze else out), sim
-
-
-def dense_backward(
-    l: np.ndarray,
-    rhs: np.ndarray,
-    spec: MachineSpec,
-    p: int,
-    *,
-    b: int = 8,
-) -> tuple[np.ndarray, SimResult]:
-    """Solve dense ``L^T x = rhs`` with the pipelined 1-D algorithm."""
-    check_power_of_two(p, "p")
-    factor = _as_single_supernode_factor(l)
-    assign = [ProcSet(0, p)]
-    graph, out = build_backward_graph(factor, assign, spec, rhs, b=b, nproc=p)
     sim = simulate(graph, spec)
     squeeze = np.asarray(rhs).ndim == 1
     return (out[:, 0] if squeeze else out), sim

@@ -89,7 +89,6 @@ class ExecTask:
     index: int
     root: int
     nodes: tuple[int, ...]
-    flops1: int
 
 
 @dataclass(frozen=True)
@@ -194,11 +193,10 @@ def build_plan(stree: SupernodalTree, *, grain: int = DEFAULT_GRAIN) -> ExecPlan
     steps = _node_steps(stree)
     node_level = stree.bottom_up_levels()
 
-    # Solve flops per RHS of each node and of each whole subtree.
-    flops1 = np.array(
+    # Solve flops per RHS of each whole subtree.
+    subtree = np.array(
         [supernode_solve_flops(sn.n, sn.t, 1) for sn in stree.supernodes], dtype=np.int64
     )
-    subtree = flops1.copy()
     for s in range(ns):
         p = int(stree.parent[s])
         if p != NO_PARENT:
@@ -222,14 +220,7 @@ def build_plan(stree: SupernodalTree, *, grain: int = DEFAULT_GRAIN) -> ExecPlan
     for ti, r in enumerate(sorted(members)):
         nodes = members[r]  # ascending by construction
         task_of[nodes] = ti
-        tasks.append(
-            ExecTask(
-                index=ti,
-                root=r,
-                nodes=tuple(nodes),
-                flops1=int(flops1[nodes].sum()),
-            )
-        )
+        tasks.append(ExecTask(index=ti, root=r, nodes=tuple(nodes)))
 
     ntasks = len(tasks)
     task_parent = np.full(ntasks, -1, dtype=np.int64)
@@ -268,11 +259,11 @@ class LevelBucket:
     below-rows first, then the trivial ones, each part ascending.  Their
     tops are contiguous in the level accumulator (``t`` rows per node from
     ``top_lo``, in this order) and the first ``k_below`` of them own
-    contiguous below segments from ``below_lo``: ``seg_starts`` are the
-    segment starts, ``rep_idx`` the owner position in ``[0, k_below)`` of
-    every stacked below row.  The same ``b`` rows, in the same order, are
-    the bucket's slice of the contribution arena (from ``contrib_lo``) and
-    of the level's backward gather (from ``below_lo - top_total``).
+    contiguous below segments from ``below_lo``: ``rep_idx`` is the owner
+    position in ``[0, k_below)`` of every stacked below row.  The same
+    ``b`` rows, in the same order, are the bucket's slice of the
+    contribution arena (from ``contrib_lo``) and of the level's backward
+    gather (from ``below_lo - top_total``).
     """
 
     t: int
@@ -281,7 +272,6 @@ class LevelBucket:
     top_lo: int             # first accumulator row of the k * t tops
     below_lo: int           # first accumulator row of the stacked belows
     contrib_lo: int         # first contribution-arena row of the same rows
-    seg_starts: np.ndarray  # (k_below,) segment starts into the stacked belows
     rep_idx: np.ndarray     # (b,) owner position per stacked below row
 
     @property
@@ -443,7 +433,6 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
                 top_lo=int(node_top_off[members[0]]),
                 below_lo=pos,
                 contrib_lo=ccur,
-                seg_starts=(np.cumsum(counts) - counts).astype(np.intp),
                 rep_idx=np.repeat(np.arange(len(owners), dtype=np.int32), counts),
             ))
             for s, nb in zip(owners, counts.tolist()):

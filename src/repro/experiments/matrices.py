@@ -94,8 +94,3 @@ def prepared(
 
     solver.assign = subtree_to_subcube(base.symbolic.stree, p)
     return solver
-
-
-def clear_cache() -> None:
-    """Drop all cached factorizations (mainly for tests)."""
-    _PREPARED.clear()

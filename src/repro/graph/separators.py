@@ -75,8 +75,9 @@ def levelset_separator(g: Adjacency) -> Separation:
     level = bfs_levels(g, root)
     reach = level >= 0
     if not bool(reach.all()):
-        # Disconnected: the smaller piece separates trivially with an empty
-        # separator; callers recurse into components independently.
+        # Disconnected: the component of the lowest vertex splits off with
+        # an empty separator; nested dissection then orders the components
+        # one by one.
         left = np.flatnonzero(reach)
         right = np.flatnonzero(~reach)
         return Separation(left, np.empty(0, dtype=np.int64), right)
@@ -105,15 +106,3 @@ def find_separator(g: Adjacency) -> Separation:
     if g.coords is not None:
         return geometric_bisection(g)
     return levelset_separator(g)
-
-
-def is_valid_separation(g: Adjacency, s: Separation) -> bool:
-    """True iff no edge joins ``s.left`` and ``s.right`` (testing helper)."""
-    in_left = np.zeros(g.n, dtype=bool)
-    in_left[s.left] = True
-    in_right = np.zeros(g.n, dtype=bool)
-    in_right[s.right] = True
-    for v in s.left:
-        if bool(np.any(in_right[g.neighbors(int(v))])):
-            return False
-    return True

@@ -33,10 +33,6 @@ class Adjacency:
         check_index(v, self.n, "vertex")
         return int(self.indptr[v + 1] - self.indptr[v])
 
-    @property
-    def nedges(self) -> int:
-        return int(self.indptr[-1]) // 2
-
     def subgraph(self, vertices: np.ndarray) -> tuple["Adjacency", np.ndarray]:
         """Induced subgraph on *vertices*.
 

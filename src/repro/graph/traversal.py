@@ -34,18 +34,18 @@ def bfs_levels(g: Adjacency, root: int) -> np.ndarray:
     return level
 
 
-def pseudo_peripheral(g: Adjacency, start: int = 0, *, max_sweeps: int = 8) -> int:
+def pseudo_peripheral(g: Adjacency, start: int = 0) -> int:
     """Find a vertex of (near-)maximal eccentricity by repeated BFS.
 
     The classic George-Liu heuristic: BFS from *start*, move to a
     minimum-degree vertex of the last level, repeat until the eccentricity
-    stops growing.  Such a vertex seeds long, thin level structures, which
-    makes level-set separators small.
+    stops growing (at most 8 sweeps).  Such a vertex seeds long, thin
+    level structures, which makes level-set separators small.
     """
     check_index(start, g.n, "start")
     v = start
     ecc = -1
-    for _ in range(max_sweeps):
+    for _ in range(8):
         level = bfs_levels(g, v)
         reach = level >= 0
         new_ecc = int(level[reach].max())

@@ -18,9 +18,8 @@ from repro.machine.collectives import (
     broadcast_time,
     all_to_all_personalized_time,
     reduce_time,
-    gather_time,
 )
-from repro.machine.presets import cray_t3d, ideal_machine, laptop_like
+from repro.machine.presets import cray_t3d
 from repro.machine.trace import gantt, processor_stats, utilisation_summary
 from repro.machine.spmd import Env, DeadlockError, SpmdResult, run_spmd
 
@@ -38,10 +37,7 @@ __all__ = [
     "broadcast_time",
     "all_to_all_personalized_time",
     "reduce_time",
-    "gather_time",
     "cray_t3d",
-    "ideal_machine",
-    "laptop_like",
     "gantt",
     "processor_stats",
     "utilisation_summary",

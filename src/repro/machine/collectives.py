@@ -36,13 +36,6 @@ def reduce_time(spec: MachineSpec, q: int, m: float) -> float:
     return broadcast_time(spec, q, m)
 
 
-def gather_time(spec: MachineSpec, q: int, m: float) -> float:
-    """All-to-one gather of *m* words per proc: t_s log q + t_w m (q - 1)."""
-    if q <= 1 or m <= 0:
-        return 0.0
-    return spec.t_s * _log2(q) + spec.t_w * m * (q - 1)
-
-
 def all_to_all_personalized_time(
     spec: MachineSpec, q: int, m: float, *, algorithm: str = "pairwise"
 ) -> float:

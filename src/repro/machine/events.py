@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.machine.spec import MachineSpec
-from repro.machine.topology import Topology, make_topology
+from repro.machine.topology import make_topology
 from repro.util.validation import check_positive, require
 
 
@@ -86,9 +86,6 @@ class TaskGraph:
     def ntasks(self) -> int:
         return len(self.tasks)
 
-    def total_work(self) -> float:
-        return sum(t.cost for t in self.tasks)
-
 
 @dataclass
 class MessageRecord:
@@ -113,10 +110,6 @@ class SimResult:
     nproc: int
 
     @property
-    def total_busy(self) -> float:
-        return sum(self.busy)
-
-    @property
     def comm_volume_words(self) -> float:
         return sum(m.words for m in self.messages)
 
@@ -124,50 +117,13 @@ class SimResult:
     def message_count(self) -> int:
         return len(self.messages)
 
-    def efficiency(self, serial_time: float) -> float:
-        """Parallel efficiency relative to a given serial time."""
-        if self.makespan <= 0:
-            return 1.0
-        return serial_time / (self.nproc * self.makespan)
 
-    def idle_fraction(self) -> float:
-        """Average fraction of the makespan each processor sat idle."""
-        if self.makespan <= 0:
-            return 0.0
-        return 1.0 - self.total_busy / (self.nproc * self.makespan)
-
-
-def critical_path(graph: TaskGraph, spec: MachineSpec, topo: Topology | None = None) -> float:
-    """Length of the longest cost+message path (infinite-processor bound)."""
-    topo = topo or make_topology(spec.topology, graph.nproc)
-    n = graph.ntasks
-    best = [0.0] * n
-    incoming: list[list[_Edge]] = [[] for _ in range(n)]
-    for e in graph.edges:
-        incoming[e.dst].append(e)
-    # Task ids are required to be topologically ordered by construction
-    # (builders add tasks bottom-up); verify cheaply.
-    for e in graph.edges:
-        require(e.src < e.dst, "task ids must be topologically ordered (src < dst)")
-    for tid in range(n):
-        t = graph.tasks[tid]
-        ready = 0.0
-        for e in incoming[tid]:
-            src = graph.tasks[e.src]
-            delay = 0.0
-            if src.proc != t.proc:
-                delay = spec.message_time(e.words, topo.hops(src.proc, t.proc))
-            ready = max(ready, best[e.src] + delay)
-        best[tid] = ready + t.cost
-    return max(best, default=0.0)
-
-
-def simulate(graph: TaskGraph, spec: MachineSpec, *, execute: bool = True) -> SimResult:
+def simulate(graph: TaskGraph, spec: MachineSpec) -> SimResult:
     """Run the event-driven simulation; returns timing and message stats.
 
-    When *execute* is true, each task's ``run`` thunk is invoked at
-    dispatch (in an order consistent with the DAG), so the simulation also
-    produces the real numeric results of the algorithm being simulated.
+    Each task's ``run`` thunk is invoked at dispatch (in an order
+    consistent with the DAG), so the simulation also produces the real
+    numeric results of the algorithm being simulated.
     """
     topo = make_topology(spec.topology, graph.nproc)
     n = graph.ntasks

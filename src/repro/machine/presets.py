@@ -32,29 +32,3 @@ def cray_t3d() -> MachineSpec:
         blas3_factor=0.20,  # BLAS-3 ~5x faster per flop than BLAS-1/2
         topology="hypercube",
     )
-
-
-def ideal_machine() -> MachineSpec:
-    """Zero-overhead communication; isolates load balance / critical path."""
-    return MachineSpec(
-        t_flop=1.0e-7,
-        t_s=0.0,
-        t_w=0.0,
-        t_h=0.0,
-        t_call=0.0,
-        blas3_factor=1.0,
-        topology="full",
-    )
-
-
-def laptop_like() -> MachineSpec:
-    """A modern-node preset: fast flops, relatively slower network."""
-    return MachineSpec(
-        t_flop=5.0e-10,  # 2 GFLOPS scalar
-        t_s=2.0e-6,
-        t_w=4.0e-9,
-        t_h=1.0e-8,
-        t_call=5.0e-7,
-        blas3_factor=0.10,
-        topology="mesh3d",
-    )

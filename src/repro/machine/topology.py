@@ -25,9 +25,6 @@ class Topology:
     def hops(self, src: int, dst: int) -> int:
         raise NotImplementedError
 
-    def diameter(self) -> int:
-        return max(self.hops(0, d) for d in range(self.p))
-
 
 @dataclass(frozen=True)
 class FullyConnected(Topology):

@@ -79,18 +79,13 @@ def utilisation_summary(graph: TaskGraph, sim: SimResult) -> str:
     return "\n".join(lines)
 
 
-def gantt(
-    graph: TaskGraph,
-    sim: SimResult,
-    *,
-    width: int = 100,
-    label_chars: int = 1,
-) -> str:
+def gantt(graph: TaskGraph, sim: SimResult, *, width: int = 100) -> str:
     """ASCII Gantt chart: one row per processor, time left to right.
 
-    Each task paints its label's first ``label_chars`` characters over its
-    time span; '.' is idle.  Overlapping zero-cost tasks are invisible
-    (they occupy no time), which is the desired behaviour for relays.
+    Each task paints its label's first character over its time span
+    ('#' when unlabelled); '.' is idle.  Overlapping zero-cost tasks are
+    invisible (they occupy no time), which is the desired behaviour for
+    relays.
     """
     check_positive(width, "width")
     require(sim.makespan > 0, "empty simulation")
@@ -101,9 +96,9 @@ def gantt(
             continue
         lo = int(sim.start[tid] * scale)
         hi = max(int(sim.finish[tid] * scale), lo + 1)
-        mark = (task.label[: label_chars] or "#") if task.label else "#"
+        mark = task.label[0] if task.label else "#"
         for c in range(lo, min(hi, width)):
-            rows[task.proc][c] = mark[0]
+            rows[task.proc][c] = mark
     header = f"time 0 .. {sim.makespan * 1e3:.3f} ms ({width} cols)"
     return "\n".join([header] + [f"P{p:<3d} " + "".join(r) for p, r in enumerate(rows)])
 

@@ -100,7 +100,3 @@ class BlockCyclic2D:
 
     def owner_of_item(self, i: int, j: int) -> int:
         return self.owner_of_block(i // self.b, j // self.b)
-
-    def words_per_proc(self) -> float:
-        """Average words of the trapezoid held per processor."""
-        return self.n * self.t / self.procs.size

@@ -56,9 +56,7 @@ def redistribute_supernode(
     return pieces, traffic
 
 
-def redistribution_time(
-    spec: MachineSpec, n: int, t: int, procs: ProcSet, *, algorithm: str = "pairwise"
-) -> float:
+def redistribution_time(spec: MachineSpec, n: int, t: int, procs: ProcSet) -> float:
     """Simulated time to convert one supernode from 2-D to 1-D layout.
 
     Each grid row of ``qc`` processors transposes its ``(n/qr) x t`` strip:
@@ -73,15 +71,13 @@ def redistribution_time(
     if qc == 1:
         return 0.0  # already row-partitioned
     words_per_proc = n * t / q
-    return all_to_all_personalized_time(spec, qc, words_per_proc, algorithm=algorithm)
+    return all_to_all_personalized_time(spec, qc, words_per_proc)
 
 
 def total_redistribution_time(
     spec: MachineSpec,
     stree: SupernodalTree,
     assign: list[ProcSet],
-    *,
-    algorithm: str = "pairwise",
 ) -> float:
     """Simulated time to redistribute every shared supernode.
 
@@ -94,7 +90,7 @@ def total_redistribution_time(
         procs = assign[s]
         if procs.size == 1:
             continue
-        cost = redistribution_time(spec, sn.n, sn.t, procs, algorithm=algorithm)
+        cost = redistribution_time(spec, sn.n, sn.t, procs)
         lvl = int(stree.level[s])
         per_level[lvl] = max(per_level.get(lvl, 0.0), cost)
     return sum(per_level.values())

@@ -147,8 +147,3 @@ def _assign_group(
     lo, hi = procs.halves()
     _assign_group(left, lo, work, assign, stack)
     _assign_group(right, hi, work, assign, stack)
-
-
-def level_of_parallelism(assign: list[ProcSet]) -> int:
-    """Number of supernodes processed by more than one processor."""
-    return sum(1 for ps in assign if ps.size > 1)

@@ -15,7 +15,6 @@ from repro.numeric.supernodal import SupernodalFactor
 from repro.numeric.trisolve import solve_supernodal
 from repro.sparse.csc import SymCSC
 from repro.symbolic.analyze import SymbolicFactor
-from repro.util.validation import check_positive
 
 
 def one_norm(a: SymCSC) -> float:
@@ -30,19 +29,16 @@ def one_norm(a: SymCSC) -> float:
     return float(sums.max()) if a.n else 0.0
 
 
-def inverse_norm_estimate(
-    sym: SymbolicFactor, factor: SupernodalFactor, *, max_iter: int = 8
-) -> float:
-    """Hager's power-iteration estimate of ``||A^{-1}||_1``.
+def inverse_norm_estimate(sym: SymbolicFactor, factor: SupernodalFactor) -> float:
+    """Hager's power-iteration estimate of ``||A^{-1}||_1`` (at most 8 steps).
 
     Because A is symmetric, one solve per iteration suffices (the
     transpose solve equals the solve).
     """
-    check_positive(max_iter, "max_iter")
     n = sym.n
     x = np.full(n, 1.0 / n)
     est = 0.0
-    for _ in range(max_iter):
+    for _ in range(8):
         y = solve_supernodal(factor, x)
         new_est = float(np.abs(y).sum())
         xi = np.sign(y)

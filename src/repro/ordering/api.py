@@ -13,22 +13,21 @@ from repro.sparse.csc import SymCSC
 METHODS = ("nested_dissection", "minimum_degree", "amd", "rcm", "natural")
 
 
-def order(a: SymCSC, method: str = "nested_dissection", **kwargs) -> Permutation:
+def order(a: SymCSC, method: str = "nested_dissection") -> Permutation:
     """Compute a fill-reducing permutation of *a*.
 
     ``method`` is one of ``nested_dissection`` (default; what the paper's
-    analysis assumes), ``minimum_degree``, ``rcm``, or ``natural``.
-    Additional keyword arguments are forwarded to the chosen algorithm.
+    analysis assumes), ``minimum_degree``, ``amd``, ``rcm``, or ``natural``.
     """
     if method == "natural":
         return Permutation.identity(a.n)
     g = adjacency_from_matrix(a)
     if method == "nested_dissection":
-        return nested_dissection(g, **kwargs)
+        return nested_dissection(g)
     if method == "minimum_degree":
-        return minimum_degree(g, **kwargs)
+        return minimum_degree(g)
     if method == "amd":
-        return approximate_minimum_degree(g, **kwargs)
+        return approximate_minimum_degree(g)
     if method == "rcm":
-        return reverse_cuthill_mckee(g, **kwargs)
+        return reverse_cuthill_mckee(g)
     raise ValueError(f"unknown ordering method {method!r}; options: {METHODS}")

@@ -18,14 +18,11 @@ from repro.graph.structure import Adjacency
 from repro.ordering.permutation import Permutation
 
 
-def minimum_degree(g: Adjacency, *, tie_break: str = "index") -> Permutation:
+def minimum_degree(g: Adjacency) -> Permutation:
     """Return a minimum-degree permutation (new <- old) of the graph.
 
-    ``tie_break`` is "index" (deterministic, lowest vertex number wins) —
-    kept as a parameter so experiments can add randomised tie-breaking.
+    Ties go to the lowest vertex number, so the order is deterministic.
     """
-    if tie_break != "index":
-        raise ValueError(f"unsupported tie_break {tie_break!r}")
     n = g.n
     adj: list[set[int]] = [set(map(int, g.neighbors(v))) for v in range(n)]
     eliminated = np.zeros(n, dtype=bool)

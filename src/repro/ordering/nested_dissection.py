@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.graph.separators import find_separator
 from repro.graph.structure import Adjacency
+from repro.graph.traversal import connected_components
 from repro.ordering.minimum_degree import minimum_degree
 from repro.ordering.permutation import Permutation
 from repro.util.validation import check_positive
@@ -53,14 +54,16 @@ def _dissect(
     depth: int,
 ) -> None:
     if g.n <= leaf_size or (max_depth is not None and depth >= max_depth):
-        local = minimum_degree(g)
-        out.extend(int(to_global[v]) for v in local.perm)
+        _order_leaf(g, to_global, out)
         return
     sep = find_separator(g)
     if sep.left.size == 0 or sep.right.size == 0:
         # Separator failed to split (e.g. a clique): fall back to MD here.
-        local = minimum_degree(g)
-        out.extend(int(to_global[v]) for v in local.perm)
+        _order_leaf(g, to_global, out)
+        return
+    if g.coords is None and sep.separator.size == 0:
+        # The level-set separator found g disconnected.
+        _dissect_components(g, to_global, out, leaf_size, max_depth, depth)
         return
     for side in (sep.left, sep.right):
         sub, mapping = g.subgraph(side)
@@ -71,3 +74,40 @@ def _dissect(
         sub, mapping = g.subgraph(sep.separator)
         local = minimum_degree(sub)
         out.extend(int(to_global[sep.separator[v]]) for v in local.perm)
+
+
+def _dissect_components(
+    g: Adjacency,
+    to_global: np.ndarray,
+    out: list[int],
+    leaf_size: int,
+    max_depth: int | None,
+    depth: int,
+) -> None:
+    """Order a disconnected *g* one component at a time, in a loop.
+
+    Components go in order of their lowest vertex.  Component ``k`` is
+    dissected at ``depth + k + 1``; the rest, components ``k + 1`` on,
+    stand at ``depth + k + 1`` too, and once they fit a leaf or reach
+    ``max_depth`` minimum degree orders them together.  This is what
+    peeling one component and recursing on the rest gives, without a
+    frame per component.
+    """
+    labels = connected_components(g)
+    last = int(labels.max())
+    for k in range(last):
+        sub, mapping = g.subgraph(np.flatnonzero(labels == k))
+        _dissect(sub, to_global[mapping], out, leaf_size, max_depth, depth + k + 1)
+        rest = np.flatnonzero(labels > k)
+        if k + 1 < last and (
+            rest.size <= leaf_size or (max_depth is not None and depth + k + 1 >= max_depth)
+        ):
+            sub, mapping = g.subgraph(rest)
+            _order_leaf(sub, to_global[mapping], out)
+            return
+    sub, mapping = g.subgraph(np.flatnonzero(labels == last))
+    _dissect(sub, to_global[mapping], out, leaf_size, max_depth, depth + last)
+
+
+def _order_leaf(g: Adjacency, to_global: np.ndarray, out: list[int]) -> None:
+    out.extend(int(to_global[v]) for v in minimum_degree(g).perm)

@@ -42,15 +42,6 @@ class Permutation:
         inv[self.perm] = np.arange(self.n)
         return Permutation(inv)
 
-    def compose(self, inner: "Permutation") -> "Permutation":
-        """Apply *inner* first, then self: result[new] = inner[self.perm[new]].
-
-        If ``inner`` maps old -> mid and ``self`` maps mid -> new, the
-        composition maps old -> new.
-        """
-        require(inner.n == self.n, "size mismatch in composition")
-        return Permutation(inner.perm[self.perm])
-
     def apply_to_vector(self, x: np.ndarray) -> np.ndarray:
         """Return x reordered into the new numbering (``out[new] = x[old]``)."""
         return np.asarray(x)[self.perm]

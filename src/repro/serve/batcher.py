@@ -117,9 +117,8 @@ class Coalescer:
         flushed regardless of width.
     idle_wait :
         Flush when no request (for that factor) has arrived for this
-        long; defaults to ``max_wait / 4``, pass ``0`` to flush the
-        moment the dispatcher sees an empty arrival gap, or ``None`` to
-        disable the idle rule entirely.
+        long; pass ``0`` to flush the moment the dispatcher sees an empty
+        arrival gap, or ``None`` to disable the idle rule entirely.
     max_queue :
         Backpressure bound on total queued columns across all factors;
         defaults to ``16 * max_batch``.
@@ -131,15 +130,13 @@ class Coalescer:
         clock: Clock,
         max_batch: int = 16,
         max_wait: float = 2e-3,
-        idle_wait: float | None = -1.0,
+        idle_wait: float | None = 0.5e-3,
         max_queue: int | None = None,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_wait < 0:
             raise ValueError(f"max_wait must be >= 0, got {max_wait}")
-        if idle_wait is not None and idle_wait == -1.0:
-            idle_wait = max_wait / 4.0
         if idle_wait is not None and idle_wait < 0:
             raise ValueError(f"idle_wait must be >= 0 or None, got {idle_wait}")
         self._clock = clock
@@ -192,10 +189,6 @@ class Coalescer:
     @property
     def pending_columns(self) -> int:
         return self._pending_columns
-
-    @property
-    def pending_requests(self) -> int:
-        return sum(len(kq.requests) for kq in self._queues.values())
 
     @property
     def empty(self) -> bool:

@@ -76,7 +76,7 @@ class SolveService:
         *,
         max_batch: int = 16,
         max_wait: float = 2e-3,
-        idle_wait: float | None = -1.0,
+        idle_wait: float | None = 0.5e-3,
         max_queue: int | None = None,
         clock: Clock | None = None,
     ):
@@ -108,10 +108,6 @@ class SolveService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def close(self, *, timeout: float | None = 30.0) -> None:
         """Stop accepting requests, drain every pending one, stop the thread.

@@ -12,7 +12,6 @@ from repro.sparse.ops import (
     matvec,
     residual_norm,
     relative_residual,
-    lower_triangular_matvec,
 )
 from repro.sparse.generators import (
     grid2d_laplacian,
@@ -32,7 +31,6 @@ __all__ = [
     "matvec",
     "residual_norm",
     "relative_residual",
-    "lower_triangular_matvec",
     "grid2d_laplacian",
     "grid3d_laplacian",
     "fe_mesh_2d",

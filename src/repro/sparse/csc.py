@@ -174,6 +174,3 @@ class LowerCSC:
         from scipy import sparse
 
         return sparse.csc_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
-
-    def transpose_dense(self) -> np.ndarray:
-        return self.to_dense().T

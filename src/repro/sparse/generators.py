@@ -80,12 +80,13 @@ def grid3d_laplacian(k: int) -> SymCSC:
     return _assemble_spd(k**3, rows, cols, vals, coords)
 
 
-def fe_mesh_2d(k: int, *, seed: int = 0, jitter: float = 0.25) -> SymCSC:
+def fe_mesh_2d(k: int, *, seed: int = 0) -> SymCSC:
     """9-point (Moore-neighbourhood) FE-like mesh on a k x k grid.
 
-    Randomised negative element weights and jittered coordinates give the
-    irregular, denser-per-row structure typical of 2-D structural matrices
-    such as BCSSTK15 while staying in the 2-D neighbourhood-graph class.
+    Randomised negative element weights and coordinates jittered by up to
+    0.25 give the irregular, denser-per-row structure typical of 2-D
+    structural matrices such as BCSSTK15 while staying in the 2-D
+    neighbourhood-graph class.
     """
     check_positive(k, "grid dimension k")
     rng = np.random.default_rng(seed)
@@ -101,15 +102,16 @@ def fe_mesh_2d(k: int, *, seed: int = 0, jitter: float = 0.25) -> SymCSC:
     vals = -rng.uniform(0.5, 1.5, rows.shape[0])
     xx, yy = np.meshgrid(np.arange(k, dtype=float), np.arange(k, dtype=float), indexing="ij")
     coords = np.column_stack([xx.ravel(), yy.ravel()])
-    coords += rng.uniform(-jitter, jitter, coords.shape)
+    coords += rng.uniform(-0.25, 0.25, coords.shape)
     return _assemble_spd(k * k, rows, cols, vals, coords)
 
 
-def fe_mesh_3d(k: int, *, seed: int = 0, jitter: float = 0.2) -> SymCSC:
+def fe_mesh_3d(k: int, *, seed: int = 0) -> SymCSC:
     """Denser 3-D FE-like mesh: 7-point plus in-plane diagonals, randomised.
 
-    The 3-D analogue of :func:`fe_mesh_2d`; a stand-in for irregular 3-D
-    structural matrices such as COPTER2 / HSCT21954.
+    The 3-D analogue of :func:`fe_mesh_2d` (coordinates jittered by up to
+    0.2); a stand-in for irregular 3-D structural matrices such as
+    COPTER2 / HSCT21954.
     """
     check_positive(k, "grid dimension k")
     rng = np.random.default_rng(seed)
@@ -130,7 +132,7 @@ def fe_mesh_3d(k: int, *, seed: int = 0, jitter: float = 0.2) -> SymCSC:
         indexing="ij",
     )
     coords = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
-    coords += rng.uniform(-jitter, jitter, coords.shape)
+    coords += rng.uniform(-0.2, 0.2, coords.shape)
     return _assemble_spd(k**3, rows, cols, vals, coords)
 
 
@@ -169,8 +171,11 @@ def graded_mesh_2d(k: int, *, grading: float = 2.0, seed: int = 0) -> SymCSC:
     check_positive(k, "grid dimension k")
     if grading < 1.0:
         raise ValueError(f"grading must be >= 1, got {grading}")
-    base = fe_mesh_2d(k, seed=seed, jitter=0.0)
-    coords = base.coords / max(k - 1, 1)
+    # fe_mesh_2d draws its weights before its coordinate jitter, so only the
+    # coordinates differ from the jittered mesh: here the plain lattice, graded.
+    base = fe_mesh_2d(k, seed=seed)
+    xx, yy = np.meshgrid(np.arange(k, dtype=float), np.arange(k, dtype=float), indexing="ij")
+    coords = np.column_stack([xx.ravel(), yy.ravel()]) / max(k - 1, 1)
     graded = coords**grading * max(k - 1, 1)
     return SymCSC(
         n=base.n,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.csc import LowerCSC, SymCSC
+from repro.sparse.csc import SymCSC
 
 
 def matvec(a: SymCSC, x: np.ndarray) -> np.ndarray:
@@ -22,11 +22,6 @@ def matvec(a: SymCSC, x: np.ndarray) -> np.ndarray:
     :class:`SymCSC` assembles once (cached on it).
     """
     return a._full @ np.asarray(x, dtype=np.float64)
-
-
-def lower_triangular_matvec(l: LowerCSC, x: np.ndarray) -> np.ndarray:
-    """``L @ x`` for a lower-triangular CSC matrix."""
-    return l.to_scipy() @ np.asarray(x, dtype=np.float64)
 
 
 def residual_norm(a: SymCSC, x: np.ndarray, b: np.ndarray) -> float:

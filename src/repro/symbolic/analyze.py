@@ -65,10 +65,9 @@ def analyze(
     *,
     method: str = "nested_dissection",
     relax: int = 0,
-    order_kwargs: dict | None = None,
 ) -> SymbolicFactor:
     """Run ordering + symbolic factorization + supernode analysis on *a*."""
-    perm0 = compute_order(a, method, **(order_kwargs or {}))
+    perm0 = compute_order(a, method)
     a1 = a.permuted(perm0.perm)
     parent1 = elimination_tree(a1)
     post = postorder(parent1)

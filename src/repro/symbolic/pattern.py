@@ -74,9 +74,3 @@ def symbolic_factor_pattern(
     indices[indptr[:-1]] = np.arange(n)  # diagonal leads each column
     indices[slot] = keys
     return indptr, indices
-
-
-def column_counts(a: SymCSC, parent: np.ndarray) -> np.ndarray:
-    """nnz of each column of L (including the diagonal)."""
-    indptr, _ = symbolic_factor_pattern(a, parent)
-    return np.diff(indptr)

@@ -4,14 +4,7 @@ Nothing in here knows about sparse matrices or the machine model; these are
 leaf helpers used across every other subpackage.
 """
 
-from repro.util.blocks import (
-    block_count,
-    block_of,
-    block_owner_cyclic,
-    block_range,
-    cyclic_blocks_of_owner,
-    split_blocks,
-)
+from repro.util.blocks import block_count, block_range
 from repro.util.validation import (
     check_index,
     check_positive,
@@ -29,11 +22,7 @@ from repro.util.flops import (
 
 __all__ = [
     "block_count",
-    "block_of",
-    "block_owner_cyclic",
     "block_range",
-    "cyclic_blocks_of_owner",
-    "split_blocks",
     "check_index",
     "check_positive",
     "check_power_of_two",

@@ -3,8 +3,8 @@
 The pipelined triangular solvers partition the rows (forward) or columns
 (backward) of each trapezoidal supernode among ``q`` processors in a
 block-cyclic fashion with block size ``b`` (paper Section 2, Figure 3).
-These helpers centralise the index algebra: global row -> block, block ->
-owner, owner -> list of blocks, block -> half-open global range.
+These helpers centralise the index algebra: the block count and
+block -> half-open global range.
 """
 
 from __future__ import annotations
@@ -18,11 +18,6 @@ def block_count(n: int, b: int) -> int:
     return -(-n // b)
 
 
-def block_of(index: int, b: int) -> int:
-    """Block number containing global *index*."""
-    return index // b
-
-
 def block_range(block: int, b: int, n: int) -> tuple[int, int]:
     """Half-open global index range ``[lo, hi)`` of *block* within ``n`` items."""
     lo = block * b
@@ -30,19 +25,3 @@ def block_range(block: int, b: int, n: int) -> tuple[int, int]:
     if lo >= n:
         raise IndexError(f"block {block} starts at {lo} >= n={n}")
     return lo, hi
-
-
-def block_owner_cyclic(block: int, q: int) -> int:
-    """Owner of *block* under a cyclic distribution over ``q`` processors."""
-    check_positive(q, "processor count q")
-    return block % q
-
-
-def cyclic_blocks_of_owner(owner: int, nblocks: int, q: int) -> list[int]:
-    """All block numbers owned by *owner* under a cyclic distribution."""
-    return list(range(owner, nblocks, q))
-
-
-def split_blocks(n: int, b: int) -> list[tuple[int, int]]:
-    """Half-open ranges of all blocks of size ``b`` covering ``n`` items."""
-    return [block_range(k, b, n) for k in range(block_count(n, b))]

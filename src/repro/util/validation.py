@@ -53,14 +53,6 @@ def check_square(shape: tuple[int, ...], name: str = "matrix") -> None:
         raise ValueError(f"{name} must be square, got shape {shape!r}")
 
 
-def as_int(value: Any, name: str) -> int:
-    """Coerce numpy/python integers to ``int``, rejecting non-integral input."""
-    out = int(value)
-    if out != value:
-        raise ValueError(f"{name} must be integral, got {value!r}")
-    return out
-
-
 def as_real_rhs(value: Any, name: str) -> np.ndarray:
     """*value* as a float64 array of at least one dimension.
 

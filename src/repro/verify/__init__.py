@@ -8,8 +8,7 @@ layouts must conform to the supernode partition.  This package checks all
 of them *before* anything executes:
 
 * :mod:`repro.verify.comm` — SPMD communication linter
-  (:func:`lint_spmd`) and task-graph schedule checker
-  (:func:`lint_task_graph`); finds guaranteed deadlock cycles, unmatched
+  (:func:`lint_spmd`); finds guaranteed deadlock cycles, unmatched
   sends/receives, tag mismatches and receive races without running the
   timing simulator.
 * :mod:`repro.verify.invariants` — structural checkers for CSC matrices,
@@ -35,7 +34,7 @@ Checkers report :class:`Finding` records through :class:`Report`
 :class:`VerificationError` carrying the full report).
 """
 
-from repro.verify.comm import lint_spmd, lint_task_graph, spmd_deadlock_rules
+from repro.verify.comm import lint_spmd
 from repro.verify.findings import (
     Finding,
     Report,
@@ -75,8 +74,6 @@ __all__ = [
     "plan_digest",
     "run_schedule_certification",
     "lint_spmd",
-    "lint_task_graph",
-    "spmd_deadlock_rules",
     "check_assignment",
     "check_block_cyclic_conformance",
     "check_csc",

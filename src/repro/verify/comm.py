@@ -1,4 +1,4 @@
-"""Static SPMD communication linter and task-graph schedule checker.
+"""Static SPMD communication linter.
 
 :func:`lint_spmd` walks a rank program (the same generator-coroutine shape
 :func:`repro.machine.spmd.run_spmd` executes) through a *timing-free
@@ -30,20 +30,14 @@ so every finding is a *guaranteed* property of the program:
 
 Each finding carries the real source location (``file:line``) of the
 suspended ``yield``, read off the generator frame.
-
-:func:`lint_task_graph` performs the analogous static checks on
-:class:`~repro.machine.events.TaskGraph` schedules: dependency cycles
-(which the event simulator only reports *after* running to quiescence)
-and task-id orderings that break the critical-path analysis.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.machine.events import TaskGraph
 from repro.machine.spec import MachineSpec
 from repro.machine.spmd import Barrier, Compute, Env, Program, Recv, Send
 from repro.util.validation import check_positive
@@ -59,17 +53,6 @@ class _SentMessage:
     words: float
     location: str
     seq: int
-
-
-@dataclass
-class CommTrace:
-    """What the logical walk observed (useful for tests and reporting)."""
-
-    steps: list[int] = field(default_factory=list)
-    sends: int = 0
-    recvs: int = 0
-    barriers: int = 0
-    finished: list[bool] = field(default_factory=list)
 
 
 def _frame_location(gen: Any, fallback: str) -> str:
@@ -301,64 +284,3 @@ def _report_stuck(
             f"{never or absent} will never reach",
             location=next(iter(sorted(barrier_loc.values())), "<barrier>"),
         )
-
-
-def spmd_deadlock_rules() -> frozenset[str]:
-    """Rule ids that imply :func:`repro.machine.spmd.run_spmd` would raise
-    :class:`~repro.machine.spmd.DeadlockError` on the same program."""
-    return frozenset(
-        {"spmd-deadlock-cycle", "spmd-unmatched-recv", "spmd-barrier-mismatch"}
-    )
-
-
-# ---------------------------------------------------------------- task graphs
-def lint_task_graph(graph: TaskGraph) -> Report:
-    """Static checks on a task-graph schedule.
-
-    * ``graph-cycle`` — the dependency DAG has a cycle; the event
-      simulator would run to quiescence and *then* raise, the linter
-      names the offending tasks up front.
-    * ``graph-task-order`` (warning) — an edge with ``src >= dst``:
-      legal for :func:`~repro.machine.events.simulate` but rejected by
-      :func:`~repro.machine.events.critical_path`, which assumes
-      builders append tasks bottom-up.
-    """
-    report = Report()
-    n = graph.ntasks
-    indeg = [0] * n
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for e in graph.edges:
-        indeg[e.dst] += 1
-        succs[e.src].append(e.dst)
-        if e.src >= e.dst:
-            report.add(
-                "graph-task-order",
-                f"edge {e.src} -> {e.dst} violates the bottom-up id order "
-                "(src < dst) assumed by critical_path()",
-                location=f"task {e.src}",
-                severity=Severity.WARNING,
-            )
-    # Kahn peeling; whatever survives lies on (or downstream of) a cycle.
-    queue = deque(t for t in range(n) if indeg[t] == 0)
-    seen = 0
-    indeg_work = indeg[:]
-    while queue:
-        t = queue.popleft()
-        seen += 1
-        for d in succs[t]:
-            indeg_work[d] -= 1
-            if indeg_work[d] == 0:
-                queue.append(d)
-    if seen != n:
-        stuck = [t for t in range(n) if indeg_work[t] > 0]
-        labels = ", ".join(
-            f"{t}({graph.tasks[t].label})" if graph.tasks[t].label else str(t)
-            for t in stuck[:12]
-        )
-        report.add(
-            "graph-cycle",
-            f"dependency cycle: {n - seen} task(s) can never become ready "
-            f"(involved or starved: {labels}{'...' if len(stuck) > 12 else ''})",
-            location=f"task {stuck[0]}" if stuck else "<graph>",
-        )
-    return report

@@ -19,11 +19,10 @@ from typing import Callable, Generator
 
 import numpy as np
 
-from repro.machine.events import TaskGraph
 from repro.machine.spmd import Env
 from repro.mapping.subtree_subcube import ProcSet
 from repro.symbolic.supernodes import SupernodePartition
-from repro.verify.comm import lint_spmd, lint_task_graph
+from repro.verify.comm import lint_spmd
 from repro.verify.findings import Report
 from repro.verify.invariants import (
     check_assignment,
@@ -66,18 +65,6 @@ def _tag_skew(rank: int, env: Env) -> Generator:
         yield env.send(1, data=42, words=1, tag=1)
     else:
         _ = yield env.recv(0, tag=2)
-
-
-def _racy_channel(rank: int, env: Env) -> Generator:
-    """Two in-flight messages on one channel when the first recv matches."""
-    if rank == 0:
-        yield env.send(1, data="a", words=1, tag=5)
-        yield env.send(1, data="b", words=1, tag=5)
-        yield env.recv(1, tag=6)
-    else:
-        first = yield env.recv(0, tag=5)
-        _ = yield env.recv(0, tag=5)
-        yield env.send(0, data=first, words=1, tag=6)
 
 
 def _barrier_skip(rank: int, env: Env) -> Generator:
@@ -124,17 +111,6 @@ def _bad_mapping() -> Report:
     report = check_assignment(stree, assign, 2, name="bad-mapping")
     report.extend(check_block_cyclic_conformance(stree, assign, b=2, name="bad-mapping"))
     return report
-
-
-def _cyclic_graph() -> Report:
-    g = TaskGraph(nproc=2)
-    a = g.add_task(0, 1.0, label="a")
-    b = g.add_task(1, 1.0, label="b")
-    c = g.add_task(0, 1.0, label="c")
-    g.add_edge(a, b)
-    g.add_edge(b, c)
-    g.add_edge(c, a)  # cycle: the simulator would stall at runtime
-    return lint_task_graph(g)
 
 
 # ----------------------------------------------------- execution-plan mutants
@@ -363,12 +339,6 @@ def known_bad_cases() -> list[BadCase]:
             _bad_mapping,
         ),
         BadCase(
-            "task-graph-cycle",
-            "cyclic task dependencies that would stall the event simulator",
-            frozenset({"graph-cycle"}),
-            _cyclic_graph,
-        ),
-        BadCase(
             "plan-dropped-dependency",
             "a task's dependency count misses one child — premature start race",
             frozenset({"schedule-dep-count", "schedule-race"}),
@@ -425,13 +395,3 @@ def known_bad_cases() -> list[BadCase]:
             _bad_source,
         ),
     ]
-
-
-def racy_program_case() -> BadCase:
-    """A warning-level case (receive race): flagged, but not gate-fatal."""
-    return BadCase(
-        "spmd-recv-race",
-        "two in-flight messages on one channel at match time",
-        frozenset({"spmd-recv-race"}),
-        lambda: lint_spmd(_racy_channel, 2),
-    )

@@ -84,9 +84,6 @@ class Report:
         """The distinct rule identifiers present in this report."""
         return {f.rule for f in self.findings}
 
-    def by_rule(self, rule: str) -> list[Finding]:
-        return [f for f in self.findings if f.rule == rule]
-
     def raise_if_errors(self, context: str = "verification failed") -> None:
         """Raise :class:`VerificationError` when any ERROR finding exists."""
         if not self.ok:

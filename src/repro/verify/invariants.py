@@ -71,7 +71,6 @@ def check_csc_arrays(
     indices: np.ndarray,
     data: np.ndarray | None = None,
     *,
-    diagonal_first: bool = True,
     name: str = "csc",
 ) -> Report:
     """Validate raw CSC arrays describing a lower-triangular pattern.
@@ -125,8 +124,8 @@ def check_csc_arrays(
     lowest = np.zeros(n, dtype=np.int64)
     lowest[cols] = np.minimum.reduceat(indices, starts)
     this = np.arange(n)
-    diag_led = diagonal_first & (lead == this)
-    off_diag = diagonal_first & (steps > 0) & ~diag_led
+    diag_led = lead == this
+    off_diag = (steps > 0) & ~diag_led
     above = (steps > 0) & (lowest < this)
     # Neighbouring entries of one column, the leading diagonal excluded.
     column = segment_ids(indptr)

@@ -699,7 +699,6 @@ def _check_program_structure(
                 or np.any(width[bkt.nodes] != t)
                 or np.any((below_count[bkt.nodes] > 0) != (at < kb))
                 or not np.array_equal(program.node_top_off[bkt.nodes], bkt.top_lo + t * at)
-                or not np.array_equal(bkt.seg_starts, seg)
                 or not np.array_equal(bkt.rep_idx, np.repeat(at[:kb], counts))
                 or not np.array_equal(program.node_below_off[own], bkt.below_lo + seg)
                 or not np.array_equal(program.contrib_off[own], bkt.contrib_lo + seg)
@@ -708,9 +707,9 @@ def _check_program_structure(
                 report.add(
                     "schedule-program-lane",
                     f"bucket t={t} misdescribes its panels (width, below-owning "
-                    "nodes first, top / below / contribution offsets, segment "
-                    "starts or owner indices) — the bucket-wide product would "
-                    "reduce the wrong segments",
+                    "nodes first, top / below / contribution offsets or owner "
+                    "indices) — the bucket-wide product would reduce the wrong "
+                    "segments",
                     location=loc,
                 )
 

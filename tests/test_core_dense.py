@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from repro.core.dense import dense_backward, dense_forward, dense_trisolve_time
-from repro.machine.presets import cray_t3d, ideal_machine
+from repro.core.backward import parallel_backward
+from repro.core.dense import _as_single_supernode_factor, dense_forward, dense_trisolve_time
+from repro.machine.presets import cray_t3d
+from repro.mapping.subtree_subcube import ProcSet
 
 
 @pytest.fixture(scope="module")
@@ -41,8 +43,10 @@ class TestDenseForward:
 class TestDenseBackward:
     @pytest.mark.parametrize("p", [1, 2, 4, 8])
     def test_matches_scipy(self, dense_l, p, rng):
+        """The pipelined backward sweep over the dense triangle as one supernode."""
         b = rng.normal(size=(dense_l.shape[0], 2))
-        x, _ = dense_backward(dense_l, b, cray_t3d(), p, b=4)
+        factor = _as_single_supernode_factor(dense_l)
+        x, _ = parallel_backward(factor, [ProcSet(0, p)], cray_t3d(), b, b=4, nproc=p)
         np.testing.assert_allclose(
             x, solve_triangular(dense_l, b, lower=True, trans="T"), atol=1e-10
         )
@@ -59,7 +63,7 @@ class TestDenseScalability:
     def test_ideal_machine_near_critical_path(self):
         """With free communication, the pipeline's makespan approaches the
         2n-step wavefront bound (paper Figure 3a)."""
-        spec = ideal_machine()
+        spec = cray_t3d().with_(t_s=0.0, t_w=0.0, t_h=0.0, t_call=0.0)
         t1 = dense_trisolve_time(64, spec, 1, b=4)
         t16 = dense_trisolve_time(64, spec, 16, b=4)
         assert t16 < t1 / 4  # far better than 4x on 16 procs

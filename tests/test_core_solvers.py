@@ -7,7 +7,7 @@ from repro.core.backward import parallel_backward
 from repro.core.blocks import SupernodeBlocks
 from repro.core.forward import parallel_forward
 from repro.core.solver import ParallelSparseSolver
-from repro.machine.presets import cray_t3d, ideal_machine
+from repro.machine.presets import cray_t3d
 from repro.mapping.subtree_subcube import ProcSet, subtree_to_subcube
 from repro.numeric.trisolve import backward_supernodal, forward_supernodal
 from repro.sparse.generators import fe_mesh_2d, grid2d_laplacian, grid3d_laplacian, random_spd
@@ -114,7 +114,7 @@ class TestSimulatedScaling:
         """With zero-cost communication, adding processors cannot slow the
         solve (up to scheduling ties)."""
         a = grid2d_laplacian(16)
-        spec = ideal_machine()
+        spec = cray_t3d().with_(t_s=0.0, t_w=0.0, t_h=0.0, t_call=0.0)
         base = ParallelSparseSolver(a, p=1, spec=spec).prepare()
         b = np.ones(a.n)
         times = []

@@ -5,7 +5,6 @@ tests re-run each pipeline stage twice and require bit-identical outputs.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.forward import parallel_forward
 from repro.core.solver import ParallelSparseSolver

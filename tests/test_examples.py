@@ -1,10 +1,7 @@
 """The examples must actually run (the fast ones, as smoke tests)."""
 
 import runpy
-import sys
 from pathlib import Path
-
-import pytest
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 

@@ -7,6 +7,7 @@ from repro.exec import build_plan, clear_exec_caches, exec_cache_stats, plan_for
 from repro.exec.plan import DEFAULT_GRAIN
 from repro.symbolic.analyze import analyze
 from repro.symbolic.etree import NO_PARENT
+from repro.util.flops import supernode_solve_flops
 from repro.verify.schedule import certify_plan
 
 
@@ -54,9 +55,14 @@ class TestPlanStructure:
     def test_aggregated_subtrees_stay_below_grain(self, sym_grid3d5):
         grain = 512
         plan = build_plan(sym_grid3d5.stree, grain=grain)
+        supernodes = sym_grid3d5.stree.supernodes
         for task in plan.tasks:
             if len(task.nodes) > 1:
-                assert task.flops1 <= grain
+                flops = sum(
+                    supernode_solve_flops(supernodes[s].n, supernodes[s].t, 1)
+                    for s in task.nodes
+                )
+                assert flops <= grain
 
     def test_negative_grain_rejected(self, sym_grid8):
         with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 """Smoke + shape tests for the experiment drivers (using small workloads;
 the full paper-scale runs live in benchmarks/)."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.models import figure5_table

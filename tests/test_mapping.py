@@ -9,7 +9,6 @@ from repro.mapping.redistribution import (
     total_redistribution_time,
 )
 from repro.mapping.subtree_subcube import ProcSet, subtree_to_subcube
-from repro.symbolic.analyze import analyze
 
 
 class TestProcSet:
@@ -130,10 +129,6 @@ class TestBlockCyclic2D:
         }
         assert owners <= set(range(8))
         assert len(owners) == 8  # all procs used for a big enough block grid
-
-    def test_words_per_proc(self):
-        lay = BlockCyclic2D(n=16, t=8, b=2, procs=ProcSet(0, 8))
-        assert lay.words_per_proc() == 16 * 8 / 8
 
 
 class TestRedistribution:

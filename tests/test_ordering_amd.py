@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.graph.structure import adjacency_from_matrix

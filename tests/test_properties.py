@@ -5,19 +5,19 @@ pipeline stage must uphold its contract for all of them.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.solver import ParallelSparseSolver
-from repro.graph.separators import find_separator, is_valid_separation
+from repro.graph.separators import find_separator
 from repro.graph.structure import adjacency_from_matrix
-from repro.machine.events import TaskGraph, critical_path, simulate
+from repro.machine.events import TaskGraph, simulate
 from repro.machine.spec import MachineSpec
 from repro.numeric.supernodal import cholesky_supernodal
 from repro.ordering.api import order
 from repro.sparse.build import from_triplets
 from repro.symbolic.analyze import analyze
 from repro.symbolic.etree import NO_PARENT
+from tests._oracles import critical_path, is_valid_separation
 
 SLOW = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -128,8 +128,9 @@ def test_simulator_invariants(g):
     r = simulate(g, spec)
     # makespan bounds
     assert r.makespan >= critical_path(g, spec) - 1e-9
-    assert r.makespan >= g.total_work() / g.nproc - 1e-9
-    assert r.makespan <= g.total_work() + sum(
+    work = sum(t.cost for t in g.tasks)
+    assert r.makespan >= work / g.nproc - 1e-9
+    assert r.makespan <= work + sum(
         spec.message_time(e.words) for e in g.edges
     ) + 1e-9
     # per-task causality

@@ -126,9 +126,14 @@ def test_arrivals_push_the_idle_deadline_back():
     assert batch.trigger == "idle" and len(batch.requests) == 2
 
 
-def test_default_idle_wait_is_quarter_of_max_wait():
-    c = make_coalescer(FakeClock(), max_wait=2.0, idle_wait=-1.0)
-    assert c.idle_wait == 0.5
+def test_default_idle_wait_flushes_after_half_a_millisecond():
+    clk = FakeClock()
+    c = Coalescer(clock=clk, max_batch=4)
+    c.offer(make_request(seq=0))
+    clk.advance(0.4e-3)
+    assert c.take_ready() is None
+    clk.advance(0.2e-3)  # past 0.5 ms of quiet, well before the 2 ms deadline
+    assert c.take_ready().trigger == "idle"
 
 
 def test_idle_none_disables_the_rule():

@@ -124,7 +124,8 @@ def test_solver_serving_context_manager(rng):
             got = fut.result(timeout=0)
             x, _ = solver.solve(b, check=False, backend="fused")
             assert np.array_equal(got, x)
-    assert service.closed
+    with pytest.raises(RuntimeError, match="closed"):
+        service.submit(rhs[0])
 
 
 def test_serving_requires_prepared_solver():

@@ -42,7 +42,7 @@ def factors():
 
 def _soak_once(factors, seed):
     """One full soak run; returns {(thread, i): solution} for stability checks."""
-    service = SolveService(max_batch=16, max_wait=5e-4)
+    service = SolveService(max_batch=16, max_wait=5e-4, idle_wait=1.25e-4)
     for key, factor in factors.items():
         service.register(key, factor)
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from repro.sparse.build import from_dense, from_triplets
-from repro.sparse.csc import LowerCSC, SymCSC
+from repro.sparse.build import from_dense, from_scipy, from_triplets
+from repro.sparse.csc import LowerCSC
 
 
 @pytest.fixture()
@@ -86,7 +86,6 @@ class TestLowerCSC:
         expect = np.array([[2.0, 0, 0], [0, 3.0, 0], [-1.0, 0, 1.5]])
         np.testing.assert_allclose(l.to_dense(), expect)
         np.testing.assert_allclose(l.to_scipy().toarray(), expect)
-        np.testing.assert_allclose(l.transpose_dense(), expect.T)
 
     def test_validation_rejects_bad_indptr(self):
         with pytest.raises(ValueError):
@@ -145,3 +144,38 @@ class TestFromDense:
         m[0, 1] = m[1, 0] = 1e-15
         a = from_dense(m, tol=1e-12)
         assert a.nnz_lower == 3
+
+
+class TestFromScipy:
+    @pytest.fixture()
+    def spd(self):
+        rng = np.random.default_rng(2024)
+        m = rng.normal(size=(12, 12))
+        m[np.abs(m) < 1.0] = 0.0  # keep it sparse
+        dense = m + m.T
+        return dense + np.diag(np.abs(dense).sum(axis=1) + 1.0)
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    def test_round_trips_against_from_dense(self, spd, fmt):
+        from scipy import sparse
+
+        got = from_scipy(sparse.csr_matrix(spd).asformat(fmt))
+        want = from_dense(spd)
+        assert got.n == want.n
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_array_equal(got.to_dense(), spd)
+
+    def test_rejects_non_square(self):
+        from scipy import sparse
+
+        with pytest.raises(ValueError, match="square"):
+            from_scipy(sparse.csr_matrix(np.ones((2, 3))))
+
+    def test_rejects_non_symmetric(self, spd):
+        from scipy import sparse
+
+        skewed = spd.copy()
+        skewed[0, 5] += 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            from_scipy(sparse.csr_matrix(skewed))

@@ -95,6 +95,10 @@ class TestRandomSPD:
     def test_no_coords(self):
         assert random_spd(20, seed=0).coords is None
 
+    def test_density_controls_fill(self):
+        sparse, dense = (random_spd(60, density=d, seed=1) for d in (0.05, 0.5))
+        assert dense.nnz_lower > 3 * sparse.nnz_lower
+
     def test_rejects_bad_density(self):
         with pytest.raises(ValueError):
             random_spd(10, density=0.0)

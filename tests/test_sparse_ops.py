@@ -4,12 +4,7 @@ import pytest
 from repro.numeric.simplicial import cholesky_simplicial
 from repro.sparse.build import from_dense
 from repro.sparse.csc import LowerCSC, SymCSC
-from repro.sparse.ops import (
-    lower_triangular_matvec,
-    matvec,
-    relative_residual,
-    residual_norm,
-)
+from repro.sparse.ops import matvec, relative_residual, residual_norm
 
 
 @pytest.fixture()
@@ -62,6 +57,8 @@ class TestMatvec:
 
 
 class TestLowerTriangularMatvec:
+    """``L @ x`` through the factor's scipy view, ``LowerCSC.to_scipy``."""
+
     def test_matches_dense(self, grid8, rng):
         from repro.symbolic.analyze import analyze
 
@@ -69,7 +66,7 @@ class TestLowerTriangularMatvec:
         l = cholesky_simplicial(sym)
         x = rng.normal(size=(grid8.n, 2))
         np.testing.assert_allclose(
-            lower_triangular_matvec(l, x), l.to_dense() @ x, atol=1e-12
+            l.to_scipy() @ x, l.to_dense() @ x, atol=1e-12
         )
 
     def test_empty_column(self, rng):
@@ -80,14 +77,14 @@ class TestLowerTriangularMatvec:
             data=np.array([2.0, 0.5, 1.5]),
         )
         x = rng.normal(size=(3, 4))
-        np.testing.assert_allclose(lower_triangular_matvec(l, x), l.to_dense() @ x)
+        np.testing.assert_allclose(l.to_scipy() @ x, l.to_dense() @ x)
 
     def test_vector_shape(self, grid8, rng):
         from repro.symbolic.analyze import analyze
 
         sym = analyze(grid8)
         l = cholesky_simplicial(sym)
-        assert lower_triangular_matvec(l, rng.normal(size=grid8.n)).shape == (grid8.n,)
+        assert (l.to_scipy() @ rng.normal(size=grid8.n)).shape == (grid8.n,)
 
 
 class TestResiduals:

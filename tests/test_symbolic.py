@@ -5,7 +5,7 @@ from repro.sparse.build import from_dense
 from repro.sparse.generators import grid2d_laplacian, grid3d_laplacian, random_spd
 from repro.symbolic.analyze import analyze
 from repro.symbolic.etree import NO_PARENT, elimination_tree, is_valid_etree
-from repro.symbolic.pattern import column_counts, symbolic_factor_pattern
+from repro.symbolic.pattern import symbolic_factor_pattern
 from repro.symbolic.postorder import (
     children_lists,
     postorder,
@@ -109,11 +109,6 @@ class TestPattern:
         indptr, indices = symbolic_factor_pattern(a, parent)
         assert int(indptr[-1]) == 9  # 5 diag + 4 subdiag, no fill
 
-    def test_counts_match_pattern(self, grid8):
-        parent = elimination_tree(grid8)
-        indptr, _ = symbolic_factor_pattern(grid8, parent)
-        np.testing.assert_array_equal(column_counts(grid8, parent), np.diff(indptr))
-
     def test_columns_diag_first_sorted(self, sym_grid8):
         for j in range(sym_grid8.n):
             lo, hi = sym_grid8.l_indptr[j], sym_grid8.l_indptr[j + 1]
@@ -164,7 +159,7 @@ class TestSupernodes:
         m = rng.normal(size=(5, 5))
         a = from_dense(m @ m.T + 5 * np.eye(5))
         parent = elimination_tree(a)
-        counts = column_counts(a, parent)
+        counts = np.diff(symbolic_factor_pattern(a, parent)[0])
         part = find_supernodes(parent, counts)
         assert part.nsuper == 1
 
@@ -172,7 +167,7 @@ class TestSupernodes:
         dense = np.diag([4.0] * 5) + np.diag([-1.0] * 4, 1) + np.diag([-1.0] * 4, -1)
         a = from_dense(dense)
         parent = elimination_tree(a)
-        part = find_supernodes(parent, column_counts(a, parent))
+        part = find_supernodes(parent, np.diff(symbolic_factor_pattern(a, parent)[0]))
         # every interior column has count 2 (diag + subdiag), so the
         # count(j) == count(j+1) + 1 rule only merges the last two columns
         assert part.nsuper == 4
@@ -218,7 +213,7 @@ class TestSupernodes:
         a = grid2d_laplacian(4)
         parent = elimination_tree(a)
         with pytest.raises(ValueError, match="relax"):
-            find_supernodes(parent, column_counts(a, parent), relax=-1)
+            find_supernodes(parent, np.diff(symbolic_factor_pattern(a, parent)[0]), relax=-1)
 
 
 class TestSupernodalTree:

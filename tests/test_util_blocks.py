@@ -1,14 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.blocks import (
-    block_count,
-    block_of,
-    block_owner_cyclic,
-    block_range,
-    cyclic_blocks_of_owner,
-    split_blocks,
-)
+from repro.util.blocks import block_count, block_range
 
 
 class TestBlockCount:
@@ -38,30 +31,16 @@ class TestBlockRange:
             block_range(4, 4, 13)
 
 
-class TestCyclicOwnership:
-    def test_round_robin(self):
-        assert [block_owner_cyclic(k, 3) for k in range(6)] == [0, 1, 2, 0, 1, 2]
-
-    def test_blocks_of_owner(self):
-        assert cyclic_blocks_of_owner(1, 7, 3) == [1, 4]
-
-    def test_owners_partition_blocks(self):
-        blocks = set()
-        for owner in range(4):
-            blocks.update(cyclic_blocks_of_owner(owner, 10, 4))
-        assert blocks == set(range(10))
-
-
 class TestSplitBlocks:
     def test_covers_everything(self):
-        ranges = split_blocks(13, 5)
+        ranges = [block_range(k, 5, 13) for k in range(block_count(13, 5))]
         assert ranges == [(0, 5), (5, 10), (10, 13)]
 
 
 @given(n=st.integers(1, 500), b=st.integers(1, 64))
 def test_blocks_tile_range_exactly(n, b):
     """Property: blocks are disjoint, ordered, and cover [0, n)."""
-    ranges = split_blocks(n, b)
+    ranges = [block_range(k, b, n) for k in range(block_count(n, b))]
     assert ranges[0][0] == 0
     assert ranges[-1][1] == n
     for (lo1, hi1), (lo2, _) in zip(ranges, ranges[1:]):
@@ -73,6 +52,5 @@ def test_blocks_tile_range_exactly(n, b):
 
 @given(i=st.integers(0, 10_000), b=st.integers(1, 64))
 def test_block_of_inverts_range(i, b):
-    k = block_of(i, b)
-    lo, hi = k * b, (k + 1) * b
+    lo, hi = block_range(i // b, b, i + 1)
     assert lo <= i < hi

@@ -1,7 +1,6 @@
 import pytest
 
 from repro.util.validation import (
-    as_int,
     check_index,
     check_positive,
     check_power_of_two,
@@ -68,12 +67,3 @@ class TestCheckSquare:
     def test_rejects_non_square(self, shape):
         with pytest.raises(ValueError):
             check_square(shape)
-
-
-class TestAsInt:
-    def test_exact(self):
-        assert as_int(5.0, "k") == 5
-
-    def test_rejects_fractional(self):
-        with pytest.raises(ValueError):
-            as_int(5.5, "k")

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.machine.events import TaskGraph
+from repro.machine.events import TaskGraph, simulate
 from repro.machine.presets import cray_t3d
 from repro.machine.spmd import DeadlockError, Env, run_spmd
-from repro.verify.comm import lint_spmd, lint_task_graph, spmd_deadlock_rules
+from repro.verify.comm import lint_spmd
 from repro.verify.findings import Severity
+
+#: Rules that imply :func:`repro.machine.spmd.run_spmd` would raise
+#: :class:`~repro.machine.spmd.DeadlockError` on the same program.
+DEADLOCK_RULES = frozenset(
+    {"spmd-deadlock-cycle", "spmd-unmatched-recv", "spmd-barrier-mismatch"}
+)
 
 
 # ------------------------------------------------------------ rank programs
@@ -87,7 +93,7 @@ def test_head_to_head_deadlock_cycle():
     report = lint_spmd(head_to_head, 2)
     assert not report.ok
     assert "spmd-deadlock-cycle" in report.rules()
-    (finding,) = report.by_rule("spmd-deadlock-cycle")
+    (finding,) = [f for f in report if f.rule == "spmd-deadlock-cycle"]
     # The location points at this very test file's blocked yield.
     assert "test_verify_comm.py" in finding.location
 
@@ -95,7 +101,7 @@ def test_head_to_head_deadlock_cycle():
 def test_ring_deadlock_reports_the_whole_cycle():
     report = lint_spmd(ring_deadlock, 4)
     assert "spmd-deadlock-cycle" in report.rules()
-    (finding,) = report.by_rule("spmd-deadlock-cycle")
+    (finding,) = [f for f in report if f.rule == "spmd-deadlock-cycle"]
     for rank in range(4):
         assert f"rank {rank} waits" in finding.message
 
@@ -103,21 +109,21 @@ def test_ring_deadlock_reports_the_whole_cycle():
 def test_orphan_send_is_unmatched():
     report = lint_spmd(orphan_send, 2)
     assert report.rules() == {"spmd-unmatched-send"}
-    (finding,) = report.by_rule("spmd-unmatched-send")
+    (finding,) = [f for f in report if f.rule == "spmd-unmatched-send"]
     assert "tag 3" in finding.message
 
 
 def test_dead_sender_blocks_receiver_forever():
     report = lint_spmd(dead_sender, 2)
     assert "spmd-unmatched-recv" in report.rules()
-    (finding,) = report.by_rule("spmd-unmatched-recv")
+    (finding,) = [f for f in report if f.rule == "spmd-unmatched-recv"]
     assert "terminated" in finding.message
 
 
 def test_tag_skew_names_both_tags():
     report = lint_spmd(tag_skew, 2)
     assert "spmd-tag-mismatch" in report.rules()
-    (finding,) = report.by_rule("spmd-tag-mismatch")
+    (finding,) = [f for f in report if f.rule == "spmd-tag-mismatch"]
     assert "tag 2" in finding.message and "[1]" in finding.message
 
 
@@ -125,7 +131,7 @@ def test_receive_race_is_warning_only():
     report = lint_spmd(racy_channel, 2)
     assert report.ok, "a race is a warning, not a gate failure"
     assert "spmd-recv-race" in report.rules()
-    (finding,) = report.by_rule("spmd-recv-race")
+    (finding,) = [f for f in report if f.rule == "spmd-recv-race"]
     assert finding.severity is Severity.WARNING
 
 
@@ -153,14 +159,14 @@ def test_linter_agrees_with_runtime_deadlock_reporter(program, size):
     """Every program the linter calls deadlocked must raise DeadlockError
     when actually run, and vice versa for the clean program below."""
     report = lint_spmd(program, size)
-    assert report.rules() & spmd_deadlock_rules(), report.render()
+    assert report.rules() & DEADLOCK_RULES, report.render()
     with pytest.raises(DeadlockError):
         run_spmd(program, size, cray_t3d())
 
 
 def test_linter_agrees_with_runtime_on_clean_program():
     report = lint_spmd(clean_exchange, 2)
-    assert not (report.rules() & spmd_deadlock_rules())
+    assert not (report.rules() & DEADLOCK_RULES)
     result = run_spmd(clean_exchange, 2, cray_t3d())
     assert result.returns == [10, 0]
 
@@ -174,28 +180,21 @@ def test_orphan_send_runs_clean_at_runtime_but_lints_dirty():
 
 # -------------------------------------------------------------- task graphs
 def test_task_graph_cycle_detected():
+    """The event simulator itself refuses a cyclic task graph."""
     g = TaskGraph(nproc=2)
     a = g.add_task(0, 1.0, label="a")
     b = g.add_task(1, 1.0, label="b")
     g.add_edge(a, b)
     g.add_edge(b, a)
-    report = lint_task_graph(g)
-    assert "graph-cycle" in report.rules()
+    with pytest.raises(RuntimeError, match="cyclic graph"):
+        simulate(g, cray_t3d())
 
 
 def test_task_graph_order_warning():
+    """An edge against the id order is legal for the simulator."""
     g = TaskGraph(nproc=1)
     a = g.add_task(0, 1.0)
     b = g.add_task(0, 1.0)
-    g.add_edge(b, a)  # legal for simulate(), breaks critical_path()
-    report = lint_task_graph(g)
-    assert report.ok
-    assert "graph-task-order" in report.rules()
-
-
-def test_task_graph_clean():
-    g = TaskGraph(nproc=2)
-    a = g.add_task(0, 1.0)
-    b = g.add_task(1, 1.0)
-    g.add_edge(a, b, words=8)
-    assert lint_task_graph(g).ok
+    g.add_edge(b, a)
+    r = simulate(g, cray_t3d())
+    assert r.start[a] >= r.finish[b]

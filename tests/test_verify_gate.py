@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.verify.__main__ import main as verify_main
-from repro.verify.corpus import known_bad_cases, racy_program_case
+from repro.verify.corpus import known_bad_cases
 from repro.verify.gate import (
     run_bad_corpus,
     run_gate,
@@ -48,13 +48,6 @@ def test_every_bad_case_fires_its_expected_rule(case):
     )
     for finding in report.errors():
         assert finding.location, "every error must name a location"
-
-
-def test_racy_case_warns_without_failing():
-    case = racy_program_case()
-    report = case.run()
-    assert report.ok
-    assert case.expect_rules <= report.rules()
 
 
 def test_bad_corpus_reports_errors_but_no_regressions():

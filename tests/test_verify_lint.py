@@ -61,7 +61,7 @@ def test_assert_with_message_is_fine():
 
 def test_unused_import_is_warning():
     report = lint_source("import os\n")
-    (finding,) = report.by_rule("lint-unused-import")
+    (finding,) = [f for f in report if f.rule == "lint-unused-import"]
     assert finding.severity is Severity.WARNING
     assert report.ok
 
@@ -84,11 +84,11 @@ def test_noqa_suppresses_the_line():
 
 def test_syntax_error_reported_not_raised():
     report = lint_source("def f(:\n", filename="broken.py")
-    (finding,) = report.by_rule("lint-syntax-error")
+    (finding,) = [f for f in report if f.rule == "lint-syntax-error"]
     assert finding.location.startswith("broken.py:")
 
 
 def test_findings_carry_file_and_line():
     report = lint_source("import numpy as np\n\n\nx = np.random.rand(2)\n", filename="m.py")
-    (finding,) = report.by_rule("lint-unseeded-random")
+    (finding,) = [f for f in report if f.rule == "lint-unseeded-random"]
     assert finding.location == "m.py:4"

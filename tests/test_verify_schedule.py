@@ -160,7 +160,7 @@ class TestCertifyMutants:
         dropped = task_children[tp].pop(0)
         mutant = dataclasses.replace(plan, task_children=task_children)
         report = certify_plan(mutant, sym.stree).report
-        races = report.by_rule("schedule-race")
+        races = [f for f in report if f.rule == "schedule-race"]
         assert races
         assert any(
             f"tasks {min(dropped, tp)} and {max(dropped, tp)}" in f.message
@@ -262,16 +262,16 @@ class TestCertifyMutants:
         )
         assert report.rules() == {"schedule-program-workspace"}, report.render()
 
-    def test_shifted_segment_start_in_a_wide_bucket_is_flagged(self):
+    def test_owner_index_shifted_in_a_wide_bucket_is_flagged(self):
         def wide(bkt):
             return bkt.t > 1 and bkt.k_below > 1
 
         def mutate(lvl):
             buckets = list(lvl.buckets)
             bi = next(i for i, bkt in enumerate(buckets) if wide(bkt))
-            seg = buckets[bi].seg_starts.copy()
-            seg[1] += 1  # the first rectangle's dot products swallow a foreign row
-            buckets[bi] = dataclasses.replace(buckets[bi], seg_starts=seg)
+            rep = buckets[bi].rep_idx.copy()
+            rep[np.argmax(rep == 1)] = 0  # the first rectangle swallows a foreign row
+            buckets[bi] = dataclasses.replace(buckets[bi], rep_idx=rep)
             return dataclasses.replace(lvl, buckets=tuple(buckets))
 
         sym = analyze(grid2d_laplacian(10))  # has width-2 and width-3 multi-node buckets
