@@ -91,9 +91,10 @@ def test_ordering_ablation(benchmark, out_dir):
         a = fe_mesh_2d(32, seed=12)
         out = {}
         for method in ("nested_dissection", "rcm"):
-            base = ParallelSparseSolver(a, p=1, spec=cray_t3d(), ordering=method).prepare()
+            base = ParallelSparseSolver(
+                a, p=1, spec=cray_t3d(), ordering=method, relax=0).prepare()
             rep1 = _solve_time(base)
-            par = ParallelSparseSolver(a, p=16, spec=cray_t3d(), ordering=method)
+            par = ParallelSparseSolver(a, p=16, spec=cray_t3d(), ordering=method, relax=0)
             par.symbolic, par.factor = base.symbolic, base.factor
             par.assign = subtree_to_subcube(base.symbolic.stree, 16)
             rep16 = _solve_time(par)

@@ -22,12 +22,12 @@ PS = (1, 2, 4, 8, 16, 32)
 
 def _sparse_times(ps):
     a = grid3d_laplacian(10)  # N = 1000
-    base = ParallelSparseSolver(a, p=1, spec=cray_t3d()).prepare()
+    base = ParallelSparseSolver(a, p=1, spec=cray_t3d(), relax=0).prepare()
     rng = np.random.default_rng(33)
     b = rng.normal(size=(a.n, 1))
     times = {}
     for p in ps:
-        solver = ParallelSparseSolver(a, p=p, spec=cray_t3d())
+        solver = ParallelSparseSolver(a, p=p, spec=cray_t3d(), relax=0)
         solver.symbolic, solver.factor = base.symbolic, base.factor
         solver.assign = subtree_to_subcube(base.symbolic.stree, p)
         _, rep = solver.solve(b, check=False)
@@ -80,7 +80,7 @@ def test_top_supernode_dominates_3d(benchmark, out_dir):
 
     def run():
         a = grid3d_laplacian(10)
-        sym = ParallelSparseSolver(a, p=1).prepare().symbolic
+        sym = ParallelSparseSolver(a, p=1, relax=0).prepare().symbolic
         stree = sym.stree
         root = max(stree.roots(), key=lambda s: stree.supernodes[s].t)
         sn = stree.supernodes[root]

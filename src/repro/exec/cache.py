@@ -14,10 +14,11 @@ nothing is rebuilt that can be reused:
   :class:`~repro.verify.schedule.ScheduleCertificate` alongside it (same
   key, same eviction) — the digest a certified level program must earn.
 * :func:`prepare_factor` caches a :class:`PreparedFactor` per numeric
-  factor: contiguous diagonal/rectangle views of each trapezoid plus a
-  one-time, one-pass singularity screen over every pivot, so a zero or
-  non-finite diagonal raises a clean :class:`ValueError` *before* any
-  task is dispatched (never a wrong answer or a hung pool).  Each
+  factor: contiguous diagonal/rectangle views of each trapezoid and the
+  diagonal blocks' inverses, behind a one-time, one-pass singularity
+  screen over every pivot, so a zero or non-finite diagonal raises a
+  clean :class:`ValueError` *before* any task is dispatched (never a
+  wrong answer or a hung pool).  Each
   prepared factor owns a :class:`~repro.exec.arena.WorkspaceArena`, so
   the solve workspaces share the factor's lifetime and eviction.
 * :func:`program_for` caches the compiled
@@ -26,8 +27,9 @@ nothing is rebuilt that can be reused:
   (``program_for(..., certify=True)`` raises
   :class:`repro.verify.VerificationError` on any finding, and repeated
   certified solves pay for the proof exactly once per structure);
-  :func:`fused_panels_for` caches the packed panel values (per-bucket
-  diagonals, one sparse rectangle block per level) per numeric factor.
+  :func:`fused_panels_for` caches the packed panel values (one sparse
+  block-diagonal inverse and one sparse rectangle block per level) per
+  numeric factor.
 
 All caches are thread-safe and observable (:func:`exec_cache_stats`),
 and :func:`clear_exec_caches` resets them (tests, benchmarks).
@@ -130,9 +132,10 @@ class PreparedFactor:
     ``diag[s]`` is the ``t x t`` lower-triangular diagonal block and
     ``rect[s]`` the ``(n - t) x t`` below-diagonal rectangle of supernode
     ``s`` — both C-contiguous views into the factor's trapezoids (no data
-    is copied).  ``pivots`` holds every diagonal entry of ``L`` in column
-    order (the fused backend's width-1 lanes read their divisors from
-    it).  Construction validates every pivot, so holding a
+    is copied).  ``inv[s]`` is the diagonal block's inverse the solves
+    apply (the factor's own, see
+    :meth:`~repro.numeric.supernodal.SupernodalFactor.diagonal_inverses`,
+    whose one-pass screen validates every pivot first), so holding a
     ``PreparedFactor`` certifies the factor is cleanly solvable.
 
     ``arena`` pools the solve workspaces of every backend that runs
@@ -142,34 +145,19 @@ class PreparedFactor:
 
     diag: list[np.ndarray]
     rect: list[np.ndarray]
-    pivots: np.ndarray
+    inv: list[np.ndarray]
     arena: WorkspaceArena = field(default_factory=WorkspaceArena, repr=False)
 
 
 def _prepare(factor: SupernodalFactor) -> PreparedFactor:
-    stree = factor.stree
+    inv = factor.diagonal_inverses()  # screens every pivot first
     diag: list[np.ndarray] = []
     rect: list[np.ndarray] = []
-    for sn, block in zip(stree.supernodes, factor.blocks):
+    for sn, block in zip(factor.stree.supernodes, factor.blocks):
         t = sn.t
         diag.append(block[:t, :t])
         rect.append(block[t:, :t])
-    # One screen over every pivot, supernode after supernode; the first
-    # bad one names its supernode and global column.
-    flat = np.concatenate([d.diagonal() for d in diag]) if diag else np.empty(0)
-    width = stree.col_hi - stree.col_lo
-    first = np.cumsum(width) - width  # each supernode's first pivot in flat
-    bad = np.flatnonzero((flat == 0.0) | ~np.isfinite(flat))
-    if bad.size:
-        s = int(np.searchsorted(first, bad[0], side="right")) - 1
-        raise ValueError(
-            f"singular or non-finite diagonal in supernode {s} "
-            f"(global column {int(stree.col_lo[s] + bad[0] - first[s])}): "
-            "triangular solve is undefined for this factor"
-        )
-    pivots = np.empty(flat.size)
-    pivots[np.repeat(stree.col_lo - first, width) + np.arange(flat.size)] = flat
-    return PreparedFactor(diag=diag, rect=rect, pivots=pivots)
+    return PreparedFactor(diag=diag, rect=rect, inv=inv)
 
 
 def prepare_factor(factor: SupernodalFactor) -> PreparedFactor:

@@ -22,10 +22,11 @@ those probes and this module can be deleted whole.
 
 Forward elimination passes contributions up the assembly tree exactly
 like the multifrontal factorization passes update matrices: node ``s``
-computes ``contrib[s] = acc[t:] - R_s @ solved`` over its below-rows and
-the parent scatters it through plan-precomputed indices.  Backward
+computes ``solved = inv_s @ acc[:t]`` (its diagonal block's inverse) and
+``contrib[s] = acc[t:] - R_s @ solved`` over its below-rows, and the
+parent scatters it through plan-precomputed indices.  Backward
 substitution needs no reduction at all: node ``s`` gathers already-solved
-ancestor entries ``x[below]`` and solves its transposed triangle.
+ancestor entries ``x[below]`` and applies its transposed inverse.
 
 Accumulator and contribution blocks live in a flat
 :class:`~repro.exec.arena.EngineWorkspace` leased from the prepared
@@ -48,7 +49,7 @@ import numpy as np
 from repro.exec.arena import build_engine_workspace
 from repro.exec.cache import PreparedFactor, plan_for, prepare_factor
 from repro.exec.plan import ExecPlan
-from repro.numeric.kernels import rect_apply, rect_apply_t, solve_lower, solve_lower_t
+from repro.numeric.kernels import rect_apply, rect_apply_t, tri_apply, tri_apply_t
 from repro.numeric.supernodal import SupernodalFactor
 from repro.numeric.trisolve import as_rhs_matrix
 from repro.util.validation import require
@@ -152,7 +153,7 @@ def _forward_mat(
     """In-place forward elimination ``L y = b`` over the (n, m) block."""
     m = y.shape[1]
     steps = plan.steps
-    diag, rect = prep.diag, prep.rect
+    inv, rect = prep.inv, prep.rect
 
     with prep.arena.lease(
         ("engine", id(plan), m), lambda: build_engine_workspace(plan, m)
@@ -170,7 +171,7 @@ def _forward_mat(
                     c0, c1 = con_off[c], con_off[c + 1]
                     if c1 > c0:
                         acc[idx] += ws.contrib[c0:c1]
-                solved = solve_lower(diag[s], acc[:t])
+                solved = tri_apply(inv[s], acc[:t])
                 y[st.col_lo:st.col_hi] = solved
                 if st.n > t:
                     np.subtract(acc[t:], rect_apply(rect[s], solved),
@@ -189,7 +190,7 @@ def _backward_mat(
 ) -> np.ndarray:
     """In-place backward substitution ``L^T x = y`` over the (n, m) block."""
     steps = plan.steps
-    diag, rect = prep.diag, prep.rect
+    inv, rect = prep.inv, prep.rect
 
     def run_task(ti: int) -> None:
         for s in reversed(plan.tasks[ti].nodes):
@@ -197,7 +198,7 @@ def _backward_mat(
             top = x[st.col_lo:st.col_hi]
             if st.n > st.t:
                 top = top - rect_apply_t(rect[s], x[st.below])
-            x[st.col_lo:st.col_hi] = solve_lower_t(diag[s], top)
+            x[st.col_lo:st.col_hi] = tri_apply_t(inv[s], top)
 
     ndeps, dependents = plan.backward_deps()
     _run_task_graph(plan.ntasks, ndeps, dependents, run_task, pool)

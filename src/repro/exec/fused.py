@@ -2,7 +2,7 @@
 
 A per-node executor's hot path is Python dispatch: one loop iteration and
 one scatter loop per supernode.  On fine-grained elimination trees
-(2-D/3-D grid problems are ~85% width-1 supernodes) that overhead dwarfs
+(unrelaxed 2-D/3-D grid trees are ~85% width-1 supernodes) that overhead dwarfs
 the dense kernels (``exec.engine.*`` against ``exec.fused.*`` in
 ``benchmarks/spine/README.md``).  This module executes the
 :class:`~repro.exec.plan.LevelProgram` compiled from the plan over one
@@ -17,15 +17,20 @@ the tree-wide contribution arena — per level a handful of calls:
   +0.0 and adds ``1.0 * x`` (exact) one term at a time in storage order,
   so every row receives exactly the plan's deterministic ascending-child
   sum — the serial walker's, which starts its accumulators at +0.0 too;
-* every (level, width) bucket is one vectorized lane for the diagonal
-  solve: one broadcast divide at width 1, one ``dtrsm`` per node above (a
-  *batched* triangular solve would have to reassociate the arithmetic
-  and break bitwise agreement).  The wide diagonal blocks are stored
-  Fortran-ordered, so f2py hands them to BLAS without a copy;
+* the level's diagonal solves are **one compiled sparse product** too,
+  ``tops = D @ acc[:tt]``: :func:`build_fused_panels` stores the inverses
+  of all of the level's diagonal blocks as one block-diagonal CSR
+  operator ``D`` (``1 / pivot`` at width 1, ``tril(L_ss⁻¹)`` above, lower
+  triangle only), and backward applies ``D.T``, the CSC view of the same
+  three arrays.  Per output row scipy's loop is the zero-started
+  ascending sum of :func:`~repro.numeric.kernels.tri_apply` /
+  :func:`~repro.numeric.kernels.tri_apply_t`, which the serial walker and
+  the engine run node by node.  No per-bucket and no per-node loop is
+  left in the sweeps, and no BLAS call;
 * all of the level's rectangles are **one compiled sparse product** too.
   :func:`build_fused_panels` lowers them to a single CSR block ``F`` whose
   rows are the accumulator's below rows and whose columns are its tops,
-  so forward the level's contributions are ``acc[tt:] - F @ acc[:tt]``,
+  so forward the level's contributions are ``acc[tt:] - F @ tops``,
   written straight into the arena, and backward its tops lose
   ``F.T @ x[below]`` — ``F.T`` being the CSC view of the same three
   arrays.  No term stack is materialised.  Per output row scipy's loop
@@ -38,11 +43,17 @@ the tree-wide contribution arena — per level a handful of calls:
   the serving layer's coalescing-transparency guarantee;
 * one fancy assignment writes the solved tops back.  Backward, one
   ``take`` through the level's ``gather_rows`` fetches its tops and its
-  below rows together.
+  below rows together, the tops lose ``F.T @ below`` and ``D.T`` solves
+  them straight into the scatter.
+
+Forward, a level is ``acc = replay @ xc``, ``tops = D @ acc[:tt]``,
+``contrib = acc[tt:] - F @ tops`` and the scatter; backward the ``take``,
+``tops -= F.T @ below`` and ``x[rows] = D.T @ tops`` — four calls a level
+each way, whatever the level's width.
 
 Every buffer the sweeps write comes from a
 :class:`~repro.exec.arena.FusedWorkspace` leased from the prepared
-factor's arena (scipy allocates each level's two products), so a
+factor's arena (scipy allocates each level's three products), so a
 steady-state solve performs no per-node allocations at all.  All dense
 math matches the canonical kernels in :mod:`repro.numeric.kernels` op
 for op; solutions are bitwise identical to the ``serial`` reference (and
@@ -63,7 +74,6 @@ from contextlib import AbstractContextManager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
 from scipy.sparse import csc_array, csr_array
 
 from repro.exec.arena import FusedWorkspace, build_fused_workspace
@@ -82,22 +92,51 @@ from repro.numeric.trisolve import as_rhs_matrix, rhs_view
 class FusedPanels:
     """Panel values packed in the program's layout — its value-side complement.
 
-    ``diag[level][bucket]`` holds a width-1 bucket's diagonal scalars as
-    one ``(k, 1)`` column and a wider bucket's ``t x t`` triangles as a
-    tuple (bucket node order; Fortran-ordered copies, which ``dtrsm``
-    takes as they are — a C-ordered triangle would be copied on every
-    call).
+    ``diag[level]`` is the level's diagonal-block inverses as one
+    block-diagonal CSR matrix of shape ``(top_total, top_total)``: the
+    ``t`` rows of a width-``t`` top hold, at the columns of the same top,
+    row ``i`` of ``tril(L_ss⁻¹)`` from column 0 to ``i`` (the lower
+    triangle only).  ``diag_t[level]`` is the transpose as a CSC view over
+    the same three arrays, for the backward sweep.
 
     ``rect[level]`` is the level's rectangles as one CSR matrix of shape
     ``(size - top_total, top_total)``: row ``j`` is below row ``j`` of the
     level accumulator, its ``t`` entries sit at the columns of its
-    owner's tops, ascending.  ``rect_t[level]`` is the transpose as a CSC
-    view over the same three arrays, for the backward sweep.
+    owner's tops, ascending.  ``rect_t[level]`` is its CSC transpose.
     """
 
-    diag: tuple[tuple[np.ndarray | tuple[np.ndarray, ...], ...], ...]
+    diag: tuple[csr_array, ...]
+    diag_t: tuple[csc_array, ...]
     rect: tuple[csr_array, ...]
     rect_t: tuple[csc_array, ...]
+
+
+def _level_diagonals(program: LevelProgram, prep: PreparedFactor) -> tuple[csr_array, ...]:
+    """Lower every level's diagonal-block inverses to one block-diagonal CSR.
+
+    Each top row ``i`` of a width-``t`` node holds ``i + 1`` entries, at the
+    node's first ``i + 1`` top columns; the values are each inverse's
+    lower triangle, row by row, node after node in the level's top order.
+    """
+    blocks = []
+    for lvl in program.levels:
+        tt = lvl.top_total
+        index = np.int32 if tt * (tt + 1) // 2 <= np.iinfo(np.int32).max else np.int64
+        width = np.concatenate([np.full(bkt.k, bkt.t, dtype=index) for bkt in lvl.buckets])
+        start = np.repeat(np.cumsum(width, dtype=index) - width, width)  # per row
+        count = np.arange(1, tt + 1, dtype=index) - start  # i + 1
+        indptr = np.zeros(tt + 1, dtype=index)
+        np.cumsum(count, out=indptr[1:])
+        indices = np.repeat(start - indptr[:-1], count)
+        indices += np.arange(indices.size, dtype=index)
+        data = []
+        for bkt in lvl.buckets:
+            rows, cols = np.tril_indices(bkt.t)
+            stack = np.stack([prep.inv[s] for s in bkt.nodes.tolist()])
+            data.append(stack[:, rows, cols].reshape(-1))
+        blocks.append(csr_array((np.concatenate(data) if data else np.empty(0), indices, indptr),
+                                shape=(tt, tt)))
+    return tuple(blocks)
 
 
 def _level_rectangles(program: LevelProgram, prep: PreparedFactor) -> tuple[csr_array, ...]:
@@ -139,19 +178,11 @@ def _level_rectangles(program: LevelProgram, prep: PreparedFactor) -> tuple[csr_
 
 
 def build_fused_panels(program: LevelProgram, prep: PreparedFactor) -> FusedPanels:
-    """Pack the panel values of *prep* in *program*'s level and bucket layout."""
-    diag = []
-    for lvl in program.levels:
-        d_lvl = []
-        for bkt in lvl.buckets:
-            if bkt.t == 1:  # the tops' rows are the nodes' columns
-                cols = lvl.gather_rows[bkt.top_lo : bkt.top_lo + bkt.k]
-                d_lvl.append(prep.pivots[cols][:, None])
-            else:
-                d_lvl.append(tuple(np.asfortranarray(prep.diag[s]) for s in bkt.nodes.tolist()))
-        diag.append(tuple(d_lvl))
+    """Pack the panel values of *prep* in *program*'s level layout."""
+    diag = _level_diagonals(program, prep)
     rect = _level_rectangles(program, prep)
-    return FusedPanels(diag=tuple(diag), rect=rect, rect_t=tuple(r.T for r in rect))
+    return FusedPanels(diag=diag, diag_t=tuple(d.T for d in diag),
+                       rect=rect, rect_t=tuple(r.T for r in rect))
 
 
 # ------------------------------------------------------------------ sweeps
@@ -159,19 +190,10 @@ def _forward_levels(program: LevelProgram, panels: FusedPanels, ws: FusedWorkspa
     """In-place forward elimination over ``ws.xc = [y | contrib]``, level by level."""
     xc = ws.xc
     n = program.n
-    for lvl, diags, rect in zip(program.levels, panels.diag, panels.rect):
+    for lvl, diag, rect in zip(program.levels, panels.diag, panels.rect):
         tt = lvl.top_total
         acc = lvl.replay @ xc
-        tops = acc[:tt]
-        for bkt, diag in zip(lvl.buckets, diags):
-            lo, t = bkt.top_lo, bkt.t
-            if t == 1:
-                lane = tops[lo : lo + diag.shape[0]]
-                np.divide(lane, diag, out=lane)
-            else:
-                for d in diag:
-                    tops[lo : lo + t] = dtrsm(1.0, d, tops[lo : lo + t], lower=1, overwrite_b=1)
-                    lo += t
+        tops = diag @ acc[:tt]
         if lvl.size > tt:
             c_lo = n + lvl.buckets[0].contrib_lo  # the buckets' slices are consecutive
             np.subtract(acc[tt:], rect @ tops, out=xc[c_lo : c_lo + lvl.size - tt])
@@ -185,8 +207,8 @@ def _backward_levels(
     ws: FusedWorkspace,
 ) -> None:
     """In-place backward substitution over the (n, m) block, root level first."""
-    for lvl, diags, rect_t in zip(
-        reversed(program.levels), reversed(panels.diag), reversed(panels.rect_t)
+    for lvl, diag_t, rect_t in zip(
+        reversed(program.levels), reversed(panels.diag_t), reversed(panels.rect_t)
     ):
         tt = lvl.top_total
         acc = ws.acc[: lvl.size]
@@ -194,17 +216,7 @@ def _backward_levels(
         tops = acc[:tt]
         if lvl.size > tt:
             np.subtract(tops, rect_t @ acc[tt:], out=tops)
-        for bkt, diag in zip(lvl.buckets, diags):
-            lo, t = bkt.top_lo, bkt.t
-            if t == 1:
-                lane = tops[lo : lo + diag.shape[0]]
-                np.divide(lane, diag, out=lane)
-            else:
-                for d in diag:
-                    tops[lo : lo + t] = dtrsm(
-                        1.0, d, tops[lo : lo + t], lower=1, trans_a=1, overwrite_b=1)
-                    lo += t
-        x[lvl.gather_rows[:tt]] = tops
+        x[lvl.gather_rows[:tt]] = diag_t @ tops
 
 
 # ------------------------------------------------------------------ public

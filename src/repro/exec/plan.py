@@ -30,10 +30,10 @@ as a :class:`LevelProgram`: per elimination-tree level one packed
 accumulator, the level's whole extend-add compiled into one
 structure-only ``scipy.sparse`` CSR operator ``replay`` (row ``i`` lists
 what accumulator row ``i`` sums, in the plan's order, all coefficients
-1.0), and one :class:`LevelBucket` per panel width — a vectorized lane
-whose tops, belows and contribution slices are contiguous, bucket after
-bucket, so a level's rectangles lower to one sparse block
-(:func:`repro.exec.fused.build_fused_panels`).
+1.0), and one :class:`LevelBucket` per panel width, whose tops, belows
+and contribution slices are contiguous, bucket after bucket, so a
+level's diagonal inverses and its rectangles each lower to one sparse
+block (:func:`repro.exec.fused.build_fused_panels`).
 
 Plans and programs depend only on the symbolic structure (never on
 numeric values), so they are cached per structure by
@@ -253,7 +253,7 @@ def build_plan(stree: SupernodalTree, *, grain: int = DEFAULT_GRAIN) -> ExecPlan
 # --------------------------------------------------------------- level program
 @dataclass(frozen=True, slots=True)
 class LevelBucket:
-    """The vectorized lane of one (level, panel width) pair.
+    """The panels of one (level, panel width) pair, laid out contiguously.
 
     ``nodes`` lists the level's width-``t`` supernodes — those with
     below-rows first, then the trivial ones, each part ascending.  Their
@@ -319,11 +319,10 @@ class LevelProgram:
     """A flat, vectorized compilation of an :class:`ExecPlan`.
 
     Per elimination-tree level every supernode panel's position is fixed
-    at compile time, so the fused backend executes a level as a handful of
-    whole-level and whole-bucket array ops instead of per-node Python
-    dispatch.  The program depends only on ``plan.steps`` and
-    ``plan.node_level`` — both grain-invariant — so one program serves
-    every grain of the structure.
+    at compile time, so the fused backend executes a level as four
+    whole-level calls instead of per-node Python dispatch.  The program
+    depends only on ``plan.steps`` and ``plan.node_level`` — both
+    grain-invariant — so one program serves every grain of the structure.
 
     ``node_top_off``/``node_below_off`` give each supernode's rows inside
     its level's accumulator (-1 where absent); ``contrib_off`` its slice
@@ -376,8 +375,8 @@ def _replay_operator(
 def compile_level_program(plan: ExecPlan) -> LevelProgram:
     """Compile *plan* into the flat level program the fused backend runs.
 
-    Per level the supernodes are bucketed by panel width, every bucket a
-    vectorized lane (:class:`LevelBucket`), and every child-contribution
+    Per level the supernodes are bucketed by panel width
+    (:class:`LevelBucket`), and every child-contribution
     edge of the plan is flattened into the level's ``replay`` operator,
     which keeps, per accumulator row, the plan's ascending-child
     reduction order — so the fused execution is bitwise identical to the

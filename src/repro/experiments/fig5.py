@@ -41,7 +41,7 @@ def _prepared_model(kind: str, size: int) -> ParallelSparseSolver:
     solver = _SOLVER_CACHE.get(key)
     if solver is None:
         a = grid2d_laplacian(size) if kind == "2d" else grid3d_laplacian(size)
-        solver = ParallelSparseSolver(a, p=1, spec=cray_t3d()).prepare()
+        solver = ParallelSparseSolver(a, p=1, spec=cray_t3d(), relax=0).prepare()
         _SOLVER_CACHE[key] = solver
     return solver
 
@@ -55,11 +55,11 @@ def _trisolve_runner(kind: str, spec: MachineSpec, seed: int = 5):
         w = float(stree.solve_flops(1)) * 2.0
         b = rng.normal(size=(base.a.n, 1))
         # Serial time: simulate on one processor.
-        s1 = ParallelSparseSolver(base.a, p=1, spec=spec)
+        s1 = ParallelSparseSolver(base.a, p=1, spec=spec, relax=0)
         s1.symbolic, s1.factor = base.symbolic, base.factor
         s1.assign = subtree_to_subcube(stree, 1)
         _, rep1 = s1.solve(b, check=False)
-        sp = ParallelSparseSolver(base.a, p=p, spec=spec)
+        sp = ParallelSparseSolver(base.a, p=p, spec=spec, relax=0)
         sp.symbolic, sp.factor = base.symbolic, base.factor
         sp.assign = subtree_to_subcube(stree, p)
         _, repp = sp.solve(b, check=False)

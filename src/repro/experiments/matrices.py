@@ -85,9 +85,9 @@ def prepared(
     base = _PREPARED.get(name)
     if base is None:
         wl = get_workload(name)
-        base = ParallelSparseSolver(wl.matrix(), p=1, spec=spec, b=b).prepare()
+        base = ParallelSparseSolver(wl.matrix(), p=1, spec=spec, b=b, relax=0).prepare()
         _PREPARED[name] = base
-    solver = ParallelSparseSolver(base.a, p=p, spec=spec, b=b, variant=variant)
+    solver = ParallelSparseSolver(base.a, p=p, spec=spec, b=b, variant=variant, relax=0)
     solver.symbolic = base.symbolic
     solver.factor = base.factor
     from repro.mapping.subtree_subcube import subtree_to_subcube

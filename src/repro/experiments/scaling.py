@@ -45,10 +45,10 @@ def scaling_law_experiment(
     out: list[ScalingPoint] = []
     for size in sizes:
         a = build(size)
-        base = ParallelSparseSolver(a, p=1, spec=spec).prepare()
+        base = ParallelSparseSolver(a, p=1, spec=spec, relax=0).prepare()
         b = rng.normal(size=(a.n, 1))
         for p in ps:
-            solver = ParallelSparseSolver(a, p=p, spec=spec)
+            solver = ParallelSparseSolver(a, p=p, spec=spec, relax=0)
             solver.symbolic, solver.factor = base.symbolic, base.factor
             solver.assign = subtree_to_subcube(base.symbolic.stree, p)
             _, rep = solver.solve(b, check=False)

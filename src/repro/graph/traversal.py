@@ -7,6 +7,8 @@ without coordinates), reverse Cuthill-McKee, and connectivity checks.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from repro.graph.structure import Adjacency
 from repro.util.validation import check_index
@@ -59,13 +61,17 @@ def pseudo_peripheral(g: Adjacency, start: int = 0) -> int:
 
 
 def connected_components(g: Adjacency) -> np.ndarray:
-    """Component label (0-based, dense) for every vertex."""
-    label = -np.ones(g.n, dtype=np.int64)
-    current = 0
-    for seed in range(g.n):
-        if label[seed] >= 0:
-            continue
-        level = bfs_levels(g, seed)
-        label[level >= 0] = current
-        current += 1
-    return label
+    """Component label (0-based, dense) for every vertex.
+
+    Components are numbered in order of their lowest vertex.  One
+    linear-time labelling of the whole graph (scipy's ``csgraph``),
+    renumbered into that order.
+    """
+    if g.n == 0:
+        return np.empty(0, dtype=np.int64)
+    pattern = csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
+    _, label = _csgraph_components(pattern, directed=False)
+    _, first = np.unique(label, return_index=True)  # each label's lowest vertex
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[label]

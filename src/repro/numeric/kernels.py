@@ -8,27 +8,39 @@ thread-pool engine (:mod:`repro.exec.engine`, kept as a measured baseline
 and second bitwise reference only).  All promise *bitwise identical*
 solutions, which is only possible if every floating-point operation is
 performed by the same kernel on the same operands in the same order.
-This module is that single source of truth:
+This module is that single source of truth.
 
-* :func:`solve_lower` / :func:`solve_lower_t` — the ``t x t`` diagonal
-  solve.  Width-1 panels use an elementwise divide (the op the fused
-  backend applies to a whole bucket of width-1 panels at once); wider
-  panels call BLAS ``dtrsm`` directly, never LAPACK ``trtrs`` or a
-  hand-rolled sweep, so the rounding of the triangular solve is the
-  same function of the values everywhere.
+Every kernel here is a product in the order of a compiled **sparse**
+product — per output row a zero start, then one term at a time,
+ascending, each product rounded before it is added.  A plain GEMM is
+barred: BLAS ``dgemm`` picks different internal kernels for different
+right-hand-side widths, so column ``j`` of an ``(nb, t) @ (t, 16)``
+product is *not* bitwise equal to the ``(nb, t) @ (t, 1)`` product of the
+same column (measured on OpenBLAS).  The serving layer
+(:mod:`repro.serve`) coalesces independent single-column requests into
+wide batches and promises the packed result is indistinguishable from
+solving each column alone — so the canonical order is a fixed function of
+each *column*, never of the batch width.
+
+* :func:`tri_apply` / :func:`tri_apply_t` — the ``t x t`` diagonal solve,
+  applied as a product with the block's inverse ``inv = tril(L_ss⁻¹)``
+  (:meth:`repro.numeric.supernodal.SupernodalFactor.diagonal_inverses`;
+  ``1 / pivot`` at width 1):
+
+  - ``tri_apply``: output row ``i`` starts at ``+0.0`` and receives
+    ``inv[i, k] * top[k, :]`` for ``k = 0, 1, …, i`` in that order — row
+    ``i`` of the block-diagonal CSR operator the fused backend stores per
+    level, which holds the lower triangle only;
+  - ``tri_apply_t``: output row ``k`` starts at ``+0.0`` and receives
+    ``inv[i, k] * top[i, :]`` for ``i = k, k + 1, …, t - 1`` in that order
+    (the CSC view of the same arrays).
+
+  Only ``k <= i`` is summed: the strict upper triangle is never
+  multiplied, so an infinite or NaN operand cannot leak through one of its
+  zeros (``0 * inf`` is NaN), exactly as the sparse product, which does
+  not store those zeros, never sees it.
 * :func:`rect_apply` / :func:`rect_apply_t` — the rectangle products
-  ``R @ solved`` and ``R.T @ xg``.  A plain GEMM is barred: BLAS
-  ``dgemm`` picks different internal kernels for different
-  right-hand-side widths, so column ``j`` of an ``(nb, t) @ (t, 16)``
-  product is *not* bitwise equal to the ``(nb, t) @ (t, 1)`` product of
-  the same column (measured on OpenBLAS; ``dtrsm`` does not have this
-  problem).  The serving layer (:mod:`repro.serve`) coalesces
-  independent single-column requests into wide batches and promises the
-  packed result is indistinguishable from solving each column alone —
-  so the canonical order is a fixed function of each *column*, never of
-  the batch width.  It is the order of a compiled **sparse** product —
-  per output row a zero start, then one term at a time, ascending, each
-  product rounded before it is added:
+  ``R @ solved`` and ``R.T @ xg``:
 
   - ``rect_apply``: output row ``i`` starts at ``+0.0`` and receives
     ``rect[i, k] * solved[k, :]`` for ``k = 0, 1, …, t - 1`` in that
@@ -38,29 +50,34 @@ This module is that single source of truth:
     (the CSC column loop over the *same* three arrays — the transpose is
     a reinterpretation, no value moves).
 
-  Both are strictly sequential ascending sums from a zero start, so a
-  row whose terms are all ``-0.0`` comes out ``+0.0``.  Every column of
-  the operand is carried through the same sequence independently of its
-  neighbours, which makes every multi-column kernel **column-slice
-  invariant**: column ``j`` of the ``m``-column result equals the
-  1-column result on ``operand[:, j:j+1]`` bit for bit, for every ``m``.
+All four are strictly sequential ascending sums from a zero start, so a
+row whose terms are all ``-0.0`` comes out ``+0.0``.  Every column of the
+operand is carried through the same sequence independently of its
+neighbours, which makes every multi-column kernel **column-slice
+invariant**: column ``j`` of the ``m``-column result equals the 1-column
+result on ``operand[:, j:j+1]`` bit for bit, for every ``m``.
 
-  The order has two realisations, kept bitwise equal by the tests.  The
-  fused backend lowers all of a level's rectangles to one
-  ``scipy.sparse`` block and runs scipy's ``csr_matvec(s)`` /
-  ``csc_matvec(s)`` loop once per level
-  (:func:`repro.exec.fused.build_fused_panels`).  The two kernels here
-  serve one dense rectangle at a time (the serial walker, the engine
-  baseline), where scipy's constructor would cost four times the
-  product and a kept operator a kilobyte per rectangle: they form the
-  terms as one broadcast product and sum them with :func:`_ascending_sum`
-  — numpy's reduce over the leading axis, the same sequence.
+The order has two realisations, kept bitwise equal by the tests.  The
+fused backend lowers all of a level's diagonal inverses to one
+block-diagonal ``scipy.sparse`` operator and its rectangles to another,
+and runs scipy's ``csr_matvec(s)`` / ``csc_matvec(s)`` loop once per
+level and operator (:func:`repro.exec.fused.build_fused_panels`).  The
+kernels here serve one dense block at a time (the serial walker, the
+engine baseline), where scipy's constructor would cost four times the
+product and a kept operator a kilobyte per block: they form the terms as
+one broadcast product and sum them with :func:`_ascending_sum` — numpy's
+reduce over the leading axis, the same sequence.
 
 Both are properties of library loops (scipy's ``*_matvec(s)``, numpy's
 outer-axis ``reduce``), not of this module, so ``tests/test_kernels.py``
 pins each against explicit per-``k`` Python loops (values and signs of
 zero, every width) and against the other, and CI repeats that at the
 oldest supported numpy and scipy.
+
+:func:`solve_lower` / :func:`solve_lower_t` are the BLAS ``dtrsm``
+substitution the diagonal solve used before it was inverted.  No solve
+path calls them; they are the accuracy oracle the tests hold the
+inverted kernels to, and a per-layer probe of ``benchmarks/spine``.
 
 The extend-add follows the same rule: every accumulator row is a
 zero-started, in-order sum.  The fused backend computes a level's
@@ -72,7 +89,7 @@ at 0.0 before adding the children's contributions in ascending child
 order.  A plain copy would keep a ``-0.0`` right-hand-side entry that
 the product turns into ``+0.0``.
 
-Anything not covered here (elementwise adds/subtracts/multiplies, row
+Anything not covered here (elementwise adds/subtracts, row
 gathers/scatters) is column-slice invariant and bitwise reproducible by
 construction.
 """
@@ -84,11 +101,11 @@ from scipy.linalg.blas import dtrsm
 
 
 def solve_lower(diag: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Solve ``diag @ solved = top`` with *diag* dense lower triangular.
+    """Solve ``diag @ solved = top`` by substitution (the ``dtrsm`` oracle).
 
     ``top`` is the ``(t, m)`` right-hand-side block; the result is a new
     array (``top`` is never modified).  Width-1 panels are a scalar
-    divide — exactly the op the fused backend broadcasts over a level.
+    divide.  No solve path calls this; see :func:`tri_apply`.
     """
     if diag.shape[0] == 1:
         return top / diag[0, 0]
@@ -96,10 +113,42 @@ def solve_lower(diag: np.ndarray, top: np.ndarray) -> np.ndarray:
 
 
 def solve_lower_t(diag: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Solve ``diag.T @ solved = top`` (the backward-substitution twin)."""
+    """Solve ``diag.T @ solved = top`` (the backward twin of :func:`solve_lower`)."""
     if diag.shape[0] == 1:
         return top / diag[0, 0]
     return dtrsm(1.0, diag, top, lower=1, trans_a=1)
+
+
+def _lower(t: int) -> np.ndarray:
+    """``mask[i, k]`` is ``k <= i``."""
+    return np.tri(t, dtype=bool)
+
+
+def tri_apply(inv: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """``inv @ top`` over the lower triangle: the forward diagonal solve.
+
+    *inv* is the ``t x t`` inverse of a diagonal block, *top* the
+    ``(t, m)`` right-hand side; returns a new ``(t, m)`` block whose row
+    ``i`` is the zero-started ascending-``k`` sum of
+    ``inv[i, k] * top[k, :]`` over ``k <= i`` only.
+    """
+    t = inv.shape[0]
+    terms = np.zeros((t, t, top.shape[1]))  # terms[k, i] = inv[i, k] * top[k]
+    np.multiply(inv.T[:, :, None], top[:, None, :], out=terms, where=_lower(t).T[:, :, None])
+    return _ascending_sum(terms, np.empty_like(terms[0]))
+
+
+def tri_apply_t(inv: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """``inv.T @ top`` over the lower triangle: the backward diagonal solve.
+
+    Row ``k`` of the result is the zero-started ascending-``i`` sum of
+    ``inv[i, k] * top[i, :]`` over ``i >= k`` only — the CSC view of the
+    operator :func:`tri_apply` reads as CSR.
+    """
+    t = inv.shape[0]
+    terms = np.zeros((t, t, top.shape[1]))  # terms[i, k] = inv[i, k] * top[i]
+    np.multiply(inv[:, :, None], top[:, None, :], out=terms, where=_lower(t)[:, :, None])
+    return _ascending_sum(terms, np.empty_like(terms[0]))
 
 
 def _ascending_sum(terms: np.ndarray, out: np.ndarray) -> np.ndarray:

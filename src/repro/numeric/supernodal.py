@@ -8,14 +8,17 @@ the trailing ``(n-t) x (n-t)`` Schur complement up to the parent.
 
 The factor is returned as a :class:`SupernodalFactor`: one dense ``n x t``
 trapezoid per supernode — the exact objects the parallel triangular solvers
-partition row- or column-wise (paper Figures 2-4).
+partition row- or column-wise (paper Figures 2-4).  The real solves apply
+each diagonal block through its inverse, computed once per factor
+(:meth:`SupernodalFactor.diagonal_inverses`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 from repro.numeric.frontal import NotPositiveDefiniteError, dense_cholesky, trsm_lower
 from repro.sparse.csc import LowerCSC
@@ -37,6 +40,8 @@ class SupernodalFactor:
 
     stree: SupernodalTree
     blocks: list[np.ndarray]
+    _inverses: list[np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -44,6 +49,24 @@ class SupernodalFactor:
 
     def nnz(self) -> int:
         return self.stree.factor_nnz()
+
+    def diagonal_inverses(self) -> list[np.ndarray]:
+        """``tril(L_ss⁻¹)`` of every supernode's diagonal block, computed once.
+
+        Entry ``s`` is a C-ordered ``t x t`` array whose strict upper
+        triangle is exactly zero: ``1 / pivot`` at width 1 (one vectorised
+        divide over all width-1 supernodes), LAPACK ``dtrtri`` above.  Every
+        real execution applies a diagonal block as a product with this
+        inverse (:func:`repro.numeric.kernels.tri_apply`), so they all share
+        its bits.
+
+        The pivots are screened first, in one pass: a zero or non-finite
+        one raises :class:`ValueError` naming the first bad supernode and
+        its global column, before anything is inverted.
+        """
+        if self._inverses is None:
+            self._inverses = _invert_diagonals(self.stree, self.blocks)
+        return self._inverses
 
     def to_lower_csc(self, l_indptr: np.ndarray, l_indices: np.ndarray) -> LowerCSC:
         """Scatter the trapezoids into the simplicial CSC pattern."""
@@ -64,6 +87,32 @@ class SupernodalFactor:
             out[sn.rows, sn.col_lo : sn.col_hi] = block
         # A diagonal block's strict upper triangle lands above the diagonal of L.
         return np.tril(out)
+
+
+def _invert_diagonals(stree: SupernodalTree, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    width = stree.col_hi - stree.col_lo
+    first = np.cumsum(width) - width  # each supernode's first pivot in flat
+    flat = (np.concatenate([blk[: blk.shape[1]].diagonal() for blk in blocks])
+            if blocks else np.empty(0))
+    bad = np.flatnonzero((flat == 0.0) | ~np.isfinite(flat))
+    if bad.size:
+        s = int(np.searchsorted(first, bad[0], side="right")) - 1
+        raise ValueError(
+            f"singular or non-finite diagonal in supernode {s} "
+            f"(global column {int(stree.col_lo[s] + bad[0] - first[s])}): "
+            "triangular solve is undefined for this factor"
+        )
+    inverses: list[np.ndarray] = [None] * len(blocks)  # type: ignore[list-item]
+    unit = np.flatnonzero(width == 1)
+    for s, inv in zip(unit.tolist(), (1.0 / flat[first[unit]]).reshape(-1, 1, 1)):
+        inverses[s] = inv
+    for s in np.flatnonzero(width > 1).tolist():
+        t = int(width[s])
+        inv, info = dtrtri(blocks[s][:t, :t], lower=1)
+        if info != 0:  # pragma: no cover - the screen above rules it out
+            raise ValueError(f"dtrtri failed on supernode {s} (info {info})")
+        inverses[s] = np.tril(inv)
+    return inverses
 
 
 def cholesky_supernodal(sym: SymbolicFactor) -> SupernodalFactor:

@@ -5,14 +5,20 @@ Implements Section 2 of the paper in its sequential form:
 * **Forward** (``L y = b``): leaves to root.  At each supernode, gather the
   right-hand-side entries of the supernode's ``t`` columns into the top of
   a length-``n`` work vector, reduce the children's contribution blocks
-  into it (ascending child order), solve the dense ``t x t`` triangle,
-  multiply the ``(n-t) x t`` rectangle by the solved top and subtract it
-  from the bottom — that bottom block is this node's contribution, passed
-  up the assembly tree for the parent to scatter in.
+  into it (ascending child order), solve the dense ``t x t`` triangle as a
+  product with its inverse, multiply the ``(n-t) x t`` rectangle by the
+  solved top and subtract it from the bottom — that bottom block is this
+  node's contribution, passed up the assembly tree for the parent to
+  scatter in.
 * **Backward** (``L^T x = y``): root to leaves.  At each supernode, gather
   the bottom ``n - t`` entries from already-solved ancestor variables,
-  subtract ``R^T`` times the bottom from the top, and solve the transposed
-  triangle.
+  subtract ``R^T`` times the bottom from the top, and multiply by the
+  transposed inverse.
+
+The triangle inverses are the factor's own
+(:meth:`~repro.numeric.supernodal.SupernodalFactor.diagonal_inverses`,
+computed once per factor, with its pivot screen), so a zero or
+non-finite pivot raises :class:`ValueError` before anything is solved.
 
 For ``m`` right-hand sides every vector op becomes the corresponding
 ``(· x m)`` matrix op — exactly the paper's NRHS generalisation.
@@ -22,10 +28,11 @@ The forward sweep deliberately uses the *hierarchical contribution* form
 scattering each rectangle straight into ``y``: that is the one summation
 order every schedule of the level program can reproduce, so serial and
 fused results (and the engine baseline's) are **bitwise identical** — same canonical
-kernels (:mod:`repro.numeric.kernels`), same operands, same order: both
-rectangle products are zero-started, strictly sequential ascending sums
-(forward over the panel's columns ``k``, backward over its below-rows),
-the order of the compiled sparse product the fused backend runs per level.
+kernels (:mod:`repro.numeric.kernels`), same operands, same order: the
+triangle and rectangle products are zero-started, strictly sequential
+ascending sums (forward over the panel's columns ``k``, backward over its
+rows), the order of the compiled sparse products the fused backend runs
+per level.
 The same goes for the extend-add: every accumulator row starts at +0.0
 and then receives its own right-hand-side entry (top rows only) and its
 children's contributions in ascending child order — ``np.add(y[cols],
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.numeric.kernels import rect_apply, rect_apply_t, solve_lower, solve_lower_t
+from repro.numeric.kernels import rect_apply, rect_apply_t, tri_apply, tri_apply_t
 from repro.numeric.supernodal import SupernodalFactor
 from repro.sparse.csc import LowerCSC
 from repro.util.validation import as_real_rhs
@@ -108,6 +115,7 @@ def forward_supernodal(f: SupernodalFactor, b: np.ndarray) -> np.ndarray:
     """Supernodal forward elimination ``L y = b`` (leaves -> root)."""
     y, squeeze = as_rhs_matrix(b, f.n)
     stree = f.stree
+    inverses = f.diagonal_inverses()
     m = y.shape[1]
     contrib: list[np.ndarray | None] = [None] * stree.nsuper
     for s in stree.topo_order():
@@ -122,7 +130,7 @@ def forward_supernodal(f: SupernodalFactor, b: np.ndarray) -> np.ndarray:
                 if u.size:
                     acc[np.searchsorted(sn.rows, stree.supernodes[c].below)] += u
                 contrib[c] = None
-        solved = solve_lower(block[:t, :t], acc[:t])
+        solved = tri_apply(inverses[s], acc[:t])
         y[sn.col_lo : sn.col_hi] = solved
         if sn.n > t:
             contrib[s] = acc[t:] - rect_apply(block[t:, :t], solved)
@@ -133,6 +141,7 @@ def backward_supernodal(f: SupernodalFactor, b: np.ndarray) -> np.ndarray:
     """Supernodal backward substitution ``L^T x = b`` (root -> leaves)."""
     x, squeeze = as_rhs_matrix(b, f.n)
     stree = f.stree
+    inverses = f.diagonal_inverses()
     for s in reversed(stree.topo_order()):
         sn = stree.supernodes[s]
         block = f.blocks[s]
@@ -140,7 +149,7 @@ def backward_supernodal(f: SupernodalFactor, b: np.ndarray) -> np.ndarray:
         top = x[sn.col_lo : sn.col_hi]
         if sn.n > t:
             top = top - rect_apply_t(block[t:, :t], x[sn.below])
-        x[sn.col_lo : sn.col_hi] = solve_lower_t(block[:t, :t], top)
+        x[sn.col_lo : sn.col_hi] = tri_apply_t(inverses[s], top)
     return x[:, 0] if squeeze else x
 
 

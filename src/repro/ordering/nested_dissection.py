@@ -19,6 +19,7 @@ from repro.graph.structure import Adjacency
 from repro.graph.traversal import connected_components
 from repro.ordering.minimum_degree import minimum_degree
 from repro.ordering.permutation import Permutation
+from repro.util.segments import ptr_from_counts
 from repro.util.validation import check_positive
 
 
@@ -92,22 +93,46 @@ def _dissect_components(
     ``max_depth`` minimum degree orders them together.  This is what
     peeling one component and recursing on the rest gives, without a
     frame per component.
+
+    Linear in the graph, not in graph x components: one labelling, one
+    stable sort of the vertices by label, and one relabelled copy of the
+    adjacency, of which each component's subgraph is a slice.
     """
     labels = connected_components(g)
-    last = int(labels.max())
+    order = np.argsort(labels, kind="stable")  # component by component, ascending
+    comp_ptr = ptr_from_counts(np.bincount(labels))
+    local = np.empty(g.n, dtype=np.int64)  # each vertex's position in its component
+    local[order] = np.arange(g.n) - comp_ptr[labels[order]]
+    starts = g.indptr[order]
+    lengths = g.indptr[order + 1] - starts
+    edge_ptr = ptr_from_counts(lengths)
+    flat = np.arange(edge_ptr[-1]) + np.repeat(starts - edge_ptr[:-1], lengths)
+    neighbours = local[g.indices[flat]]
+
+    def component(k: int) -> tuple[Adjacency, np.ndarray]:
+        lo, hi = comp_ptr[k], comp_ptr[k + 1]
+        e_lo, e_hi = edge_ptr[lo], edge_ptr[hi]
+        coords = g.coords[order[lo:hi]] if g.coords is not None else None
+        sub = Adjacency(int(hi - lo), edge_ptr[lo : hi + 1] - e_lo, neighbours[e_lo:e_hi], coords)
+        return sub, order[lo:hi]
+
+    last = comp_ptr.size - 2
     for k in range(last):
-        sub, mapping = g.subgraph(np.flatnonzero(labels == k))
+        sub, mapping = component(k)
         _dissect(sub, to_global[mapping], out, leaf_size, max_depth, depth + k + 1)
-        rest = np.flatnonzero(labels > k)
         if k + 1 < last and (
-            rest.size <= leaf_size or (max_depth is not None and depth + k + 1 >= max_depth)
+            g.n - comp_ptr[k + 1] <= leaf_size
+            or (max_depth is not None and depth + k + 1 >= max_depth)
         ):
-            sub, mapping = g.subgraph(rest)
+            sub, mapping = g.subgraph(np.flatnonzero(labels > k))
             _order_leaf(sub, to_global[mapping], out)
             return
-    sub, mapping = g.subgraph(np.flatnonzero(labels == last))
+    sub, mapping = component(last)
     _dissect(sub, to_global[mapping], out, leaf_size, max_depth, depth + last)
 
 
 def _order_leaf(g: Adjacency, to_global: np.ndarray, out: list[int]) -> None:
+    if g.n == 1:  # what minimum degree gives, without building its state
+        out.append(int(to_global[0]))
+        return
     out.extend(int(to_global[v]) for v in minimum_degree(g).perm)

@@ -58,12 +58,18 @@ def as_real_rhs(value: Any, name: str) -> np.ndarray:
 
     A right-hand side arrives from outside the program: complex input is a
     :class:`TypeError` (a float64 cast would drop the imaginary part behind
-    a warning) and a 0-d one a :class:`ValueError`, both naming *name*,
-    before anything is packed or copied.
+    a warning), a 0-d one a :class:`ValueError`, and so is a NaN or an
+    infinite entry — all naming *name*, before anything is packed or
+    copied, so a bad column never first shows up inside a coalesced batch.
     """
     arr = np.asarray(value)
     if np.iscomplexobj(arr):
         raise TypeError(f"{name} must be real, got complex dtype {arr.dtype}")
     if arr.ndim == 0:
         raise ValueError(f"{name} must be a vector or an (n, nrhs) block, got a 0-d value")
-    return np.asarray(arr, dtype=np.float64)
+    arr = np.asarray(arr, dtype=np.float64)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        where = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(f"{name} must be finite, got {arr[where]} at index {where}")
+    return arr

@@ -12,10 +12,13 @@ Rules (all locations are ``path:line``):
   ``LowerCSC`` are frozen contracts shared across the symbolic, mapping
   and numeric layers; mutating their index arrays invalidates every
   derived structure (etree, supernodes, layouts) silently.
-* ``lint-bare-assert`` — ``assert`` without a message in ``src/``.
+* ``lint-bare-assert`` — ``assert`` without a message in library code.
   Asserts vanish under ``python -O`` and a bare one gives no diagnostic;
   hot-path invariants must either use :func:`repro.util.validation.require`
-  or carry a message.
+  or carry a message.  Test code is exempt — a bare ``assert`` is how
+  pytest states a check and reports it: a file under a ``tests``
+  directory, a ``conftest.py``, or a module pytest collects
+  (``test_*.py``, ``*_test.py``, and this repo's ``bench_*.py``).
 * ``lint-unused-import`` (warning) — imported name never referenced
   (names re-exported via ``__all__`` and ``__future__`` imports are
   exempt; a trailing ``# noqa`` comment suppresses any rule on its line).
@@ -27,7 +30,7 @@ so the repo-wide gate runs anywhere the package itself runs.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Iterable, Sequence
 
 from repro.verify.findings import Report, Severity
@@ -61,6 +64,17 @@ _CSC_INDEX_ATTRS = frozenset({"indptr", "indices"})
 _RANDOM_EXEMPT_SUFFIXES = ("sparse/generators.py",)
 
 
+def _is_test_file(filename: str) -> bool:
+    """True for the test code the bare-assert rule leaves alone."""
+    path = PurePosixPath(filename.replace("\\", "/"))
+    return (
+        "tests" in path.parts[:-1]
+        or path.name == "conftest.py"
+        or path.name.startswith(("test_", "bench_"))
+        or path.name.endswith("_test.py")
+    )
+
+
 def _attr_chain(node: ast.AST) -> list[str]:
     """``a.b.c`` -> ``["a", "b", "c"]``; empty when not a pure name chain."""
     parts: list[str] = []
@@ -81,6 +95,7 @@ class _Linter(ast.NodeVisitor):
         self.lines = source.splitlines()
         self.numpy_aliases: set[str] = {"np", "numpy"}
         self.random_exempt = filename.replace("\\", "/").endswith(_RANDOM_EXEMPT_SUFFIXES)
+        self.test_file = _is_test_file(filename)
         # import tracking for the unused-import rule
         self.imported: dict[str, tuple[int, str]] = {}  # alias -> (line, shown name)
         self.used_names: set[str] = set()
@@ -226,11 +241,11 @@ class _Linter(ast.NodeVisitor):
 
     # ---------------------------------------------------- rule: bare assert
     def visit_Assert(self, node: ast.Assert) -> None:
-        if node.msg is None:
+        if node.msg is None and not self.test_file:
             self._add(
                 "lint-bare-assert",
                 node.lineno,
-                "bare assert in src/ (vanishes under -O and gives no "
+                "bare assert in library code (vanishes under -O and gives no "
                 "diagnostic); use repro.util.validation.require(cond, msg) "
                 "or add a message",
             )

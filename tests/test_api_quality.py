@@ -123,6 +123,17 @@ class TestOptionSurface:
             "a", "p", "spec", "b", "ordering", "variant", "relax", "verify",
         ]
 
+    def test_default_relax_gives_fewer_levels_than_fundamental_supernodes(self):
+        from repro.core.solver import ParallelSparseSolver
+        from repro.exec import program_for
+        from repro.sparse.generators import grid3d_laplacian
+
+        a = grid3d_laplacian(8)
+        default = ParallelSparseSolver(a, verify=False).prepare()
+        fundamental = ParallelSparseSolver(a, relax=0, verify=False).prepare()
+        assert (program_for(default.symbolic.stree).nlevels
+                < program_for(fundamental.symbolic.stree).nlevels)
+
 
 class TestImportHygiene:
     SRC = Path(__file__).resolve().parent.parent / "src"

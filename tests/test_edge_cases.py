@@ -127,6 +127,17 @@ class TestRightHandSideContract:
             with pytest.raises(TypeError, match="bvec must be real"):
                 solver.solve([[1 + 2j]] * solver.a.n, backend=backend)
 
+    @pytest.mark.parametrize("backend", ["sim", "serial", "fused"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_solve_rejects_non_finite_entries(self, solver, backend, bad):
+        b = np.ones((solver.a.n, 3))
+        b[5, 2] = bad
+        message = r"bvec must be finite, got -?(nan|inf) at index \(5, 2\)"
+        with pytest.raises(ValueError, match=message):
+            solver.solve(b, backend=backend)
+        with pytest.raises(ValueError, match="bvec must be finite"):
+            solver.solve(b[:, 2], backend=backend)
+
     def test_as_rhs_matrix_names_the_argument(self):
         with pytest.raises(ValueError, match="b must be a vector or an"):
             as_rhs_matrix(np.array(1.0), 4)
@@ -145,6 +156,12 @@ class TestRightHandSideContract:
                 service.submit(np.float64(1.0))
             with pytest.raises(TypeError, match="b must be real"):
                 service.submit(np.ones(solver.a.n, dtype=np.complex128))
+            for bad in (np.nan, np.inf):
+                b = np.ones(solver.a.n)
+                b[3] = bad
+                message = r"b must be finite, got -?(nan|inf) at index \(3,\)"
+                with pytest.raises(ValueError, match=message):
+                    service.submit(b)
             assert service.report().submitted == 0
             good = service.submit(np.ones(solver.a.n))
             service.drain()

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core.solver import ParallelSparseSolver
+from repro.core.solver import DEFAULT_RELAX, ParallelSparseSolver
 from repro.exec import clear_exec_caches, plan_for, prepare_factor, solve_exec
 from repro.exec import engine as engine_mod
 from repro.exec.engine import _run_task_graph, resolve_workers
@@ -36,10 +36,16 @@ def _fresh_caches():
     clear_exec_caches()
 
 
-@pytest.fixture(scope="module", params=["grid8", "grid3d5", "fe9", "rand60"])
+# every matrix unrelaxed (ids without a suffix) and at the solver's default
+_BATTERY = [(m, r) for r in (0, DEFAULT_RELAX) for m in ("grid8", "grid3d5", "fe9", "rand60")]
+
+
+@pytest.fixture(scope="module", params=_BATTERY,
+                ids=[m if r == 0 else f"{m}-relax{r}" for m, r in _BATTERY])
 def factored(request):
-    a = request.getfixturevalue(request.param)
-    sym = analyze(a)
+    name, relax = request.param
+    a = request.getfixturevalue(name)
+    sym = analyze(a, relax=relax)
     return a, sym, cholesky_supernodal(sym)
 
 
@@ -205,7 +211,7 @@ class TestFaults:
         def boom(*args, **kwargs):
             raise RuntimeError("kernel failure injected")
 
-        monkeypatch.setattr(engine_mod, "solve_lower", boom)
+        monkeypatch.setattr(engine_mod, "tri_apply", boom)
         with pytest.raises(RuntimeError, match="kernel failure injected"):
             solve_exec(factor, rng.normal(size=(sym_grid8.n, 2)), workers=2)
 

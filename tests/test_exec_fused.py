@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
+from repro.core.solver import DEFAULT_RELAX
 from repro.exec import (
     backward_fused,
     certificate_for,
@@ -56,10 +57,16 @@ def _fresh_caches():
     clear_exec_caches()
 
 
-@pytest.fixture(scope="module", params=["grid8", "grid3d5", "fe9", "rand60"])
+# every matrix unrelaxed (ids without a suffix) and at the solver's default
+_BATTERY = [(m, r) for r in (0, DEFAULT_RELAX) for m in ("grid8", "grid3d5", "fe9", "rand60")]
+
+
+@pytest.fixture(scope="module", params=_BATTERY,
+                ids=[m if r == 0 else f"{m}-relax{r}" for m, r in _BATTERY])
 def factored(request):
-    a = request.getfixturevalue(request.param)
-    sym = analyze(a)
+    name, relax = request.param
+    a = request.getfixturevalue(name)
+    sym = analyze(a, relax=relax)
     return a, sym, cholesky_supernodal(sym)
 
 
@@ -229,9 +236,9 @@ class TestZeroAllocationSteadyState:
     def test_sweeps_allocate_no_per_node_arrays(self, sym_grid8, rng):
         # Drive the level loops directly on a leased workspace: with every
         # buffer preallocated, the hot path must allocate nothing beyond
-        # small short-lived temporaries (dtrsm's f2py return value, the two
-        # product blocks scipy returns per level, views and loop-iteration
-        # objects) — nothing that grows with the node count, no term stack.
+        # small short-lived temporaries (the three product blocks scipy
+        # returns per level, views and loop-iteration objects) — nothing
+        # that grows with the node count, no term stack.
         factor = cholesky_supernodal(sym_grid8)
         program = program_for(sym_grid8.stree)
         panels = fused_panels_for(factor)

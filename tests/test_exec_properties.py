@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.sparse.linalg import spsolve_triangular
 
+from repro.core.solver import DEFAULT_RELAX
 from repro.exec import backward_fused, forward_fused, solve_exec, solve_fused
 from repro.numeric.supernodal import cholesky_supernodal
 from repro.numeric.trisolve import (
@@ -127,10 +128,11 @@ def test_full_solve_recovers_known_solution(system, workers):
         seed=st.integers(0, 2**16),
     ),
     rhs_seed=st.integers(0, 2**16),
+    relax=st.sampled_from([0, DEFAULT_RELAX]),
 )
-def test_real_executions_agree_bitwise_at_every_width(a, rhs_seed):
+def test_real_executions_agree_bitwise_at_every_width(a, rhs_seed, relax):
     """serial == fused == engine to the byte; a 16-wide solve is sixteen 1-wide solves."""
-    sym = analyze(a)
+    sym = analyze(a, relax=relax)
     factor = cholesky_supernodal(sym)
     b = np.random.default_rng(rhs_seed).normal(size=(a.n, 16))
     b[:, 3] = 0.0  # a whole zero column, and a signed-zero sprinkle

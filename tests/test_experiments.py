@@ -4,6 +4,9 @@ the full paper-scale runs live in benchmarks/)."""
 import pytest
 
 from repro.analysis.models import figure5_table
+from repro.core.solver import ParallelSparseSolver
+from repro.experiments import fig5, matrices, scaling
+from repro.machine.presets import cray_t3d
 from repro.experiments.fig5 import isoefficiency_experiment
 from repro.experiments.fig7 import fig7_rows, format_fig7
 from repro.experiments.fig8 import fig8_series, format_fig8
@@ -147,3 +150,33 @@ class TestScalingLaws:
 class TestFigure5:
     def test_table_regenerates(self):
         assert len(figure5_table()) == 6
+
+
+class TestPaperFiguresStayUnrelaxed:
+    """The simulated figures were recorded on fundamental supernodes; the
+    solver's default amalgamation must not move them."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        relaxes: list[int] = []
+
+        class Recording(ParallelSparseSolver):
+            def __post_init__(self):
+                super().__post_init__()
+                relaxes.append(self.relax)
+
+        for module in (fig5, matrices, scaling):
+            monkeypatch.setattr(module, "ParallelSparseSolver", Recording)
+        monkeypatch.setattr(fig5, "_SOLVER_CACHE", {})
+        monkeypatch.setattr(matrices, "_PREPARED", {})
+        return relaxes
+
+    def test_experiment_solvers_report_relax_zero(self, built):
+        assert ParallelSparseSolver.relax != 0  # the default they must not follow
+        scaling_law_experiment(kind="2d", sizes=(6,), ps=(1, 2))
+        fig5._trisolve_runner("2d", cray_t3d())(6, 2)
+        fig5._factor_runner("2d", cray_t3d())(6, 2)
+        solver = prepared("grid2d-small", 2)
+        assert solver.relax == 0
+        assert solver.symbolic.stree is prepared("grid2d-small", 4).symbolic.stree
+        assert len(built) >= 8 and set(built) == {0}

@@ -88,6 +88,27 @@ class TestComponents:
         labels = connected_components(g)
         assert labels[0] == labels[1] != labels[2] == labels[3]
 
+    def test_labels_follow_each_components_lowest_vertex(self):
+        # A shuffled union of paths and singletons: the labels are what one
+        # BFS per unlabelled seed, in ascending seed order, hands out.
+        rng = np.random.default_rng(5)
+        sizes = rng.integers(1, 6, size=40)
+        ends = np.cumsum(sizes)
+        src = np.concatenate([np.arange(e - s, e - 1) for s, e in zip(sizes, ends)])
+        perm = rng.permutation(int(ends[-1]))
+        u, v = perm[src], perm[src + 1]
+        n = int(ends[-1])
+        order = np.lexsort((np.concatenate([v, u]), np.concatenate([u, v])))
+        heads, tails = np.concatenate([u, v])[order], np.concatenate([v, u])[order]
+        g = Adjacency(n, np.searchsorted(heads, np.arange(n + 1)), tails)
+        expect = -np.ones(n, dtype=np.int64)
+        for seed in range(n):
+            if expect[seed] < 0:
+                expect[bfs_levels(g, seed) >= 0] = expect.max() + 1
+        np.testing.assert_array_equal(connected_components(g), expect)
+        assert connected_components(Adjacency(0, np.zeros(1, dtype=np.int64),
+                                              np.empty(0, dtype=np.int64))).size == 0
+
 
 class TestSeparators:
     @pytest.mark.parametrize("k", [4, 7, 10])

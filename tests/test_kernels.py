@@ -4,14 +4,15 @@ The serving layer's transparency promise — a request's answer is bitwise
 identical whatever batch it lands in — reduces to one property of the
 kernels in :mod:`repro.numeric.kernels`: column ``j`` of every
 ``m``-column result equals the 1-column result on column ``j`` alone,
-bit for bit, for every ``m``.  For the rectangle kernels that follows from
-their order — per output row a zero-started, strictly ascending sum of
-separately rounded products.  Two library loops realise it: numpy's
-outer-axis ``reduce`` inside ``rect_apply`` / ``rect_apply_t`` (one
-rectangle at a time: serial walker, engine baseline) and scipy's compiled
-``csr_matvec(s)`` / ``csc_matvec(s)`` (one block per level: the fused
-program).  These tests pin both against explicit Python loops and against
-each other, and the empirical fact the triangles rest on: BLAS ``dtrsm``
+bit for bit, for every ``m``.  For the triangle and rectangle kernels that
+follows from their order — per output row a zero-started, strictly
+ascending sum of separately rounded products.  Two library loops realise
+it: numpy's outer-axis ``reduce`` inside ``tri_apply`` / ``tri_apply_t`` /
+``rect_apply`` / ``rect_apply_t`` (one block at a time: serial walker,
+engine baseline) and scipy's compiled ``csr_matvec(s)`` / ``csc_matvec(s)``
+(one operator per level: the fused program).  These tests pin both
+against explicit Python loops and against each other.  The ``dtrsm``
+oracle (``solve_lower`` / ``solve_lower_t``) is pinned too: BLAS ``dtrsm``
 IS width-invariant on this machine, while a plain GEMM is not guaranteed
 to be.
 """
@@ -22,7 +23,18 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
-from repro.numeric.kernels import rect_apply, rect_apply_t, solve_lower, solve_lower_t
+from repro.exec import fused_panels_for, prepare_factor, program_for
+from repro.numeric.kernels import (
+    rect_apply,
+    rect_apply_t,
+    solve_lower,
+    solve_lower_t,
+    tri_apply,
+    tri_apply_t,
+)
+from repro.numeric.supernodal import cholesky_supernodal
+from repro.sparse.generators import fe_mesh_3d, grid2d_laplacian, grid3d_laplacian
+from repro.symbolic.analyze import analyze
 
 WIDTHS = (1, 2, 3, 4, 7, 16, 17, 33)
 
@@ -86,6 +98,134 @@ def test_dtrsm_width_invariance_assumption_holds():
             for j in (0, 11, 23):
                 narrow = dtrsm(1.0, diag, top[:, j : j + 1], lower=1, trans_a=trans)
                 assert np.array_equal(wide[:, j : j + 1], narrow)
+
+
+# ------------------------------------------------------------------ inverted triangles
+# The order, spelled out: row i starts at +0.0 and takes inv[i, k] * top[k]
+# for k = 0..i, ascending; backward row k takes inv[i, k] * top[i] for
+# i = k..t-1.  The strict upper triangle is never touched.
+def _tri_apply_oracle(inv, top):
+    out = np.zeros(top.shape)
+    for i in range(inv.shape[0]):
+        row = np.zeros(top.shape[1])
+        for k in range(i + 1):
+            row = row + inv[i, k] * top[k]
+        out[i] = row
+    return out
+
+
+def _tri_apply_t_oracle(inv, top):
+    out = np.zeros(top.shape)
+    for k in range(inv.shape[0]):
+        row = np.zeros(top.shape[1])
+        for i in range(k, inv.shape[0]):
+            row = row + inv[i, k] * top[i]
+        out[k] = row
+    return out
+
+
+def _tri_operands(rng, t, m):
+    """``(inv, top)`` as strided views of padded blocks, and as contiguous copies."""
+    wide = np.tril(rng.normal(size=(t, t + 2)), 1)[:, 1 : t + 1]  # upper triangle zero
+    wide[(rng.random(wide.shape) < 0.2) & np.tri(t, dtype=bool)] = -0.0
+    top_pad = rng.normal(size=(t, m + 1))
+    top_pad[rng.random(top_pad.shape) < 0.3] = -0.0
+    strided = (wide, top_pad[:, :m])
+    return [strided, tuple(np.ascontiguousarray(a) for a in strided)]
+
+
+def _tri_csr(inv):
+    """The lower triangle of *inv* as the CSR rows the fused program stores."""
+    t = inv.shape[0]
+    rows, cols = np.tril_indices(t)
+    return csr_array((inv[rows, cols], cols.astype(np.int32),
+                      np.concatenate(([0], np.cumsum(np.arange(1, t + 1)))).astype(np.int32)),
+                     shape=(t, t))
+
+
+@pytest.mark.parametrize("t", [1, 2, 5, 17, 48])
+def test_tri_kernels_keep_the_per_k_loops_bits(t):
+    rng = _rng()
+    for m in (1, 2, 3, 7, 16, 17):
+        for inv, top in _tri_operands(rng, t, m):
+            forward = _tri_apply_oracle(inv, top)
+            assert _same_bits(tri_apply(inv, top), forward)
+            assert _same_bits(_tri_csr(inv) @ top, forward)
+            backward = _tri_apply_t_oracle(inv, top)
+            assert _same_bits(tri_apply_t(inv, top), backward)
+            assert _same_bits(_tri_csr(inv).T @ top, backward)
+
+
+@pytest.mark.parametrize("t", [1, 2, 5, 17, 64])
+@pytest.mark.parametrize("m", WIDTHS)
+def test_tri_kernels_column_slice_invariant(t, m):
+    rng = _rng()
+    inv = np.tril(rng.normal(size=(t, t)))
+    top = rng.normal(size=(t, m))
+    for kernel in (tri_apply, tri_apply_t):
+        wide = kernel(inv, top)
+        for j in range(m):
+            assert _same_bits(wide[:, j : j + 1], kernel(inv, top[:, j : j + 1]))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_non_finite_operands_do_not_leak_through_the_upper_zeros(m):
+    # 0 * inf is NaN: a kernel that multiplied the stored-zero upper triangle
+    # would spread an infinite row upwards; the sparse product never sees it.
+    rng = _rng()
+    t = 6
+    inv = np.tril(rng.normal(size=(t, t)))
+    top = rng.normal(size=(t, m))
+    top[4] = np.inf
+    top[2, 0] = np.nan
+    forward = tri_apply(inv, top)
+    assert np.isfinite(forward[:2]).all() and np.isnan(forward[2:, 0]).all()
+    assert np.array_equal(forward, _tri_csr(inv) @ top, equal_nan=True)
+    backward = tri_apply_t(inv, top)
+    assert np.isfinite(backward[5]).all()
+    assert np.array_equal(backward, _tri_csr(inv).T @ top, equal_nan=True)
+
+
+def test_tri_kernels_solve_the_triangle():
+    rng = _rng()
+    for t in (1, 4, 33):
+        diag = _lower(rng, t)
+        inv = np.tril(np.linalg.inv(diag))
+        top = rng.normal(size=(t, 5))
+        for ours, theirs in ((tri_apply(inv, top), solve_lower(diag, top)),
+                             (tri_apply_t(inv, top), solve_lower_t(diag, top))):
+            np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12 * np.abs(theirs).max())
+    # a -0.0 right-hand side comes out +0.0, as from every zero-started sum
+    assert not np.signbit(tri_apply(np.ones((1, 1)), np.full((1, 3), -0.0))).any()
+
+
+@pytest.mark.parametrize(
+    "build,relax",
+    [(lambda: grid2d_laplacian(9), 0), (lambda: grid3d_laplacian(5), 16),
+     (lambda: fe_mesh_3d(4, seed=219), 16)],
+    ids=["grid2d(9)-relax0", "grid3d(5)-relax16", "fe_mesh_3d(4)-relax16"],
+)
+@pytest.mark.parametrize("m", [1, 4])
+def test_level_diagonal_product_is_the_per_node_kernel_to_the_byte(build, relax, m):
+    """``D @ tops`` / ``D.T @ tops`` over a level == ``tri_apply(_t)`` node by node."""
+    factor = cholesky_supernodal(analyze(build(), relax=relax))
+    program = program_for(factor.stree)
+    panels = fused_panels_for(factor)
+    inv = prepare_factor(factor).inv
+    rng = _rng()
+    for lvl, d, dt in zip(program.levels, panels.diag, panels.diag_t):
+        tt = lvl.top_total
+        assert d.format == "csr" and dt.format == "csc" and d.shape == dt.shape == (tt, tt)
+        assert np.shares_memory(d.data, dt.data)
+        tops = rng.normal(size=(tt, m))
+        tops[rng.random(tops.shape) < 0.2] = -0.0
+        forward, backward = np.empty_like(tops), np.empty_like(tops)
+        for s in np.flatnonzero(program.node_level == lvl.index).tolist():
+            lo, hi = program.node_top_off[s], program.node_top_off[s] + inv[s].shape[0]
+            forward[lo:hi] = tri_apply(inv[s], tops[lo:hi])
+            backward[lo:hi] = tri_apply_t(inv[s], tops[lo:hi])
+        assert _same_bits(d @ tops, forward)
+        assert _same_bits(dt @ tops, backward)
 
 
 # ------------------------------------------------------------------ rectangle oracles

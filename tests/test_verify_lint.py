@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.verify.findings import Severity
 from repro.verify.lint import lint_source
 
@@ -52,6 +54,25 @@ def test_reading_csc_arrays_is_fine():
 def test_bare_assert():
     report = lint_source("assert x > 0\n")
     assert "lint-bare-assert" in report.rules()
+
+
+@pytest.mark.parametrize("filename", [
+    "src/repro/exec/fused.py", "src/repro/verify/tests_of_nothing.py", "benchmarks/spine/cli.py",
+])
+def test_bare_assert_fires_in_library_code(filename):
+    assert "lint-bare-assert" in lint_source("assert x > 0\n", filename=filename).rules()
+
+
+@pytest.mark.parametrize("filename", [
+    "tests/test_kernels.py", "tests/_oracles.py", "tests/conftest.py",
+    "benchmarks/spine/tests/test_smoke.py", "benchmarks/bench_memory.py", "pkg/widget_test.py",
+    "C:\\repo\\tests\\helpers.py",
+])
+def test_bare_assert_is_silent_in_test_code(filename):
+    report = lint_source("import numpy as np\nassert x > 0\nx = np.random.rand(2)\n",
+                         filename=filename)
+    assert "lint-bare-assert" not in report.rules()
+    assert "lint-unseeded-random" in report.rules()  # the other rules still apply
 
 
 def test_assert_with_message_is_fine():
