@@ -279,7 +279,7 @@ class ParallelSparseSolver:
         * ``"fused"`` — the vectorized level program of
           :mod:`repro.exec.fused`: whole elimination-tree levels batched
           into a handful of array ops, no per-node Python dispatch, no
-          per-node allocations; seconds are measured wall-clock.  Bitwise
+          array allocations in the sweeps; seconds are measured wall-clock.  Bitwise
           identical to ``serial``.  With ``verify=True`` (the solver
           default) the compiled program is first put through the static
           schedule certifier

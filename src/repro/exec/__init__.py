@@ -17,7 +17,9 @@ Public surface (building blocks only this package and its tests touch
 are imported from their submodules):
 
 * :func:`forward_fused` / :func:`backward_fused` / :func:`solve_fused` —
-  the fused level-program entry points (vector or ``(n, nrhs)`` blocks).
+  the fused level-program entry points (vector or ``(n, nrhs)`` blocks);
+  :func:`warm_fused` builds the one-column workspace and call tapes
+  ahead of the first solve (the serving layer's registration).
 * :func:`build_plan` / :func:`plan_for` — explicit or cached
   :class:`ExecPlan` construction, the schedule a program is compiled from.
 * :func:`compile_level_program` / :func:`program_for` — explicit or
@@ -48,7 +50,7 @@ from repro.exec.cache import (
     program_for,
 )
 from repro.exec.engine import default_workers, solve_exec
-from repro.exec.fused import backward_fused, forward_fused, solve_fused
+from repro.exec.fused import backward_fused, forward_fused, solve_fused, warm_fused
 from repro.exec.plan import (
     ExecPlan,
     Level,
@@ -81,4 +83,5 @@ __all__ = [
     "program_for",
     "solve_exec",
     "solve_fused",
+    "warm_fused",
 ]

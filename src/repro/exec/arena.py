@@ -11,7 +11,9 @@ arena removes them: every buffer a solve needs is sized once per
 (built on first use), runs both sweeps inside the lease, and returns it
 to the free list — so steady-state repeated solves allocate nothing,
 while concurrent solves against the same factor each get their own
-buffers and never race.
+buffers and never race.  Every workspace is built for one owner (the
+plan or program it is carved from) and is only ever handed back to that
+owner, checked by the object itself, not by its ``id``.
 
 Two workspace shapes live here:
 
@@ -19,58 +21,73 @@ Two workspace shapes live here:
   arenas for the thread-pool engine baseline, carved by
   :func:`build_engine_workspace` from an :class:`~repro.exec.plan.ExecPlan` (per-node slices are disjoint,
   so concurrent tasks write without synchronisation);
-* :class:`FusedWorkspace` — the scratch of the fused backend, carved by
-  :func:`build_fused_workspace` from a
+* :class:`FusedWorkspace` — everything the fused backend writes, carved
+  by :func:`build_fused_workspace` from a
   :class:`~repro.exec.plan.LevelProgram`: one ``[y | contrib]`` block
   (the solution rows, then the whole tree's contribution arena — the
-  operand of every level's replay operator) and one backward gather
-  buffer the size of the widest level.
+  operand of every level's replay operator) and one scratch block sized
+  for the widest level, which every level reuses: forward a level's
+  ``[acc | tops]``, backward its ``[gather | t1 | t2]``.  It also holds
+  the two tapes of pre-bound library calls that :mod:`repro.exec.fused`
+  compiles over these buffers, so the sweeps allocate no arrays at all.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator
 
 import numpy as np
 
 from repro.exec.plan import ExecPlan, LevelProgram
 
+if TYPE_CHECKING:
+    from repro.exec.fused import FusedPanels
+
 
 class WorkspaceArena:
     """Thread-safe lease/return pool of solve workspaces.
 
-    Workspaces are keyed by an arbitrary hashable (the backends use
-    ``(kind, id(plan-or-program), nrhs)``); :meth:`lease` pops a free one
-    or builds it via the caller's factory, and always returns it to the
-    free list afterwards — even when the solve raises, since every buffer
-    is fully rewritten by the next lease.  ``built``/``leases`` counters
-    make reuse observable for tests and cache stats.
+    A workspace belongs to an *owner* — the plan or program it was carved
+    from — and a hashable *key* (the backends use ``(kind, nrhs)``).
+    Free workspaces are filed under ``(id(owner), key)`` with a weak
+    reference to their owner; :meth:`lease` pops one and hands it out
+    only if that reference still names *owner* itself, so a collected
+    owner's workspace is never run for a newcomer that inherited its
+    ``id``: it is dropped and a fresh one built via the caller's factory.
+    The workspace always goes back to the free list afterwards — even
+    when the solve raises, since every buffer is fully rewritten by the
+    next lease.  ``built``/``leases`` counters make reuse observable for
+    tests and cache stats.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._free: dict[Hashable, list[object]] = {}
+        self._free: dict[Hashable, list[tuple[weakref.ref, object]]] = {}
         self.built = 0
         self.leases = 0
 
     @contextmanager
-    def lease(self, key: Hashable, build: Callable[[], object]) -> Iterator[object]:
+    def lease(
+        self, owner: object, key: Hashable, build: Callable[[], object]
+    ) -> Iterator[object]:
+        slot = (id(owner), key)
         with self._lock:
-            stack = self._free.get(key)
-            ws = stack.pop() if stack else None
+            stack = self._free.get(slot)
+            entry = stack.pop() if stack else None
             self.leases += 1
-        if ws is None:
-            ws = build()
+        if entry is None or entry[0]() is not owner:
+            entry = (weakref.ref(owner), build())
             with self._lock:
                 self.built += 1
         try:
-            yield ws
+            yield entry[1]
         finally:
             with self._lock:
-                self._free.setdefault(key, []).append(ws)
+                self._free.setdefault(slot, []).append(entry)
 
     def stats(self) -> dict[str, int]:
         with self._lock:
@@ -115,25 +132,35 @@ def build_engine_workspace(plan: ExecPlan, m: int) -> EngineWorkspace:
 
 
 # ------------------------------------------------------------------ fused
-@dataclass(frozen=True)
+@dataclass
 class FusedWorkspace:
-    """Scratch buffers for one fused solve at a fixed NRHS.
+    """Buffers and call tapes for one fused solve at a fixed NRHS.
 
-    Both are ``(rows, m)`` float64 blocks.  ``xc`` is ``[y | contrib]``:
-    the ``n`` solution rows the sweeps run on, then the contribution
-    arena, which persists across levels because parents consume their
-    children's blocks from it.  ``acc`` is sized at the widest level; the
-    backward sweep gathers each level's ``[tops | belows]`` into its
-    leading rows (the forward accumulator is the replay product).
+    The buffers are ``(rows, m)`` float64 blocks.  ``xc`` is
+    ``[y | contrib]``: the ``n`` solution rows the sweeps run on, then
+    the contribution arena, which persists across levels because parents
+    consume their children's blocks from it.  ``scratch`` holds one
+    level at a time: forward its ``[acc | tops]``, backward its gathered
+    ``[tops | belows]`` and the two products ``[t1 | t2]`` of its tops,
+    so it spans the widest level's rows and twice the most tops.
+
+    ``forward`` / ``backward`` are the tapes :mod:`repro.exec.fused`
+    compiles over these buffers for ``panels`` (``None`` until then):
+    flat tuples of ``(call, args)`` pairs, every call pre-bound to its
+    operands and its output slice.
     """
 
-    acc: np.ndarray  # widest level's [tops | belows] (backward gather)
-    xc: np.ndarray   # [y | contrib]: solution rows, then the contribution arena
+    xc: np.ndarray       # [y | contrib]: solution rows, then the contribution arena
+    scratch: np.ndarray  # one level's [acc | tops] (forward), [gather | t1 | t2] (backward)
+    panels: FusedPanels | None = None
+    forward: tuple = ()
+    backward: tuple = ()
 
 
 def build_fused_workspace(program: LevelProgram, m: int) -> FusedWorkspace:
     """Size a :class:`FusedWorkspace` for *program* at *m* right-hand sides."""
+    max_top = max((lvl.top_total for lvl in program.levels), default=0)
     return FusedWorkspace(
-        acc=np.empty((program.max_acc, m)),
         xc=np.empty((program.n + program.contrib_total, m)),
+        scratch=np.empty((program.max_acc + 2 * max_top, m)),
     )

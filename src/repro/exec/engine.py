@@ -155,9 +155,7 @@ def _forward_mat(
     steps = plan.steps
     inv, rect = prep.inv, prep.rect
 
-    with prep.arena.lease(
-        ("engine", id(plan), m), lambda: build_engine_workspace(plan, m)
-    ) as ws:
+    with prep.arena.lease(plan, ("engine", m), lambda: build_engine_workspace(plan, m)) as ws:
         acc_off, con_off = ws.acc_off, ws.contrib_off
 
         def run_task(ti: int) -> None:

@@ -48,16 +48,39 @@ the tree-wide contribution arena — per level a handful of calls:
 
 Forward, a level is ``acc = replay @ xc``, ``tops = D @ acc[:tt]``,
 ``contrib = acc[tt:] - F @ tops`` and the scatter; backward the ``take``,
-``tops -= F.T @ below`` and ``x[rows] = D.T @ tops`` — four calls a level
-each way, whatever the level's width.
+``tops -= F.T @ below`` and ``x[rows] = D.T @ tops``.
 
-Every buffer the sweeps write comes from a
-:class:`~repro.exec.arena.FusedWorkspace` leased from the prepared
-factor's arena (scipy allocates each level's three products), so a
-steady-state solve performs no per-node allocations at all.  All dense
-math matches the canonical kernels in :mod:`repro.numeric.kernels` op
-for op; solutions are bitwise identical to the ``serial`` reference (and
-to the engine baseline, :func:`repro.exec.engine.solve_exec`).
+None of it runs through ``@``.  :func:`_bind` compiles every level, once
+per ``(program, panels, m)``, into a flat **tape** of ``(call, args)``
+pairs stored on the :class:`~repro.exec.arena.FusedWorkspace`, and a
+sweep is one loop over that tuple (:func:`_sweep`): no attribute lookup,
+no dispatch, no allocation.  Each product is the compiled loop ``@``
+would dispatch to — scipy's ``csr_matvec`` / ``csc_matvec`` at one
+column, ``csr_matvecs`` / ``csc_matvecs`` above — called directly with
+the arguments ``@`` passes it (:func:`_matvec`), which skips scipy's
+Python-side dispatch (ROADMAP F4: about 5 µs a product against 1.7 µs
+for the loop).  Those loops accumulate into their output, so scipy
+zeroes it first; the tape instead writes every product into the
+workspace — into one scratch block sized for the widest level, forward
+``[acc | tops]`` and backward ``[gather | t1 | t2]``, which one
+``fill(0.0)`` per level zeroes before its products, and forward the
+rectangle product straight into the level's contribution slice, which
+one ``fill(0.0)`` of the whole arena zeroes before the first level.
+Every output still starts at +0.0 and adds its terms in storage order,
+so the bits are those of ``@`` (``TestDirectCalls`` in
+``tests/test_exec_fused.py`` pins each call bytewise to ``@``, also at
+the oldest numpy and scipy the package admits).  That makes five calls a level each
+way, whatever the level's width — forward the fill, the three products
+and the in-place subtraction ``contrib = acc[tt:] - contrib``, backward
+the ``take``, the fill, two products and the subtraction — plus the
+scatter, a subscript store.
+
+Every buffer the sweeps write comes from the workspace leased from the
+prepared factor's arena, so a steady-state solve allocates no arrays in
+its sweeps at all.  All dense math matches the canonical kernels in
+:mod:`repro.numeric.kernels` op for op; solutions are bitwise identical
+to the ``serial`` reference (and to the engine baseline,
+:func:`repro.exec.engine.solve_exec`).
 
 The backward gather calls ``ndarray.take`` directly (``np.take`` reaches
 the same C routine through a Python-level ``fromnumeric`` wrapper) and
@@ -70,11 +93,12 @@ each one (``schedule-program-*``).
 
 from __future__ import annotations
 
-from contextlib import AbstractContextManager
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array
+from scipy.sparse import _sparsetools, csc_array, csr_array
 
 from repro.exec.arena import FusedWorkspace, build_fused_workspace
 from repro.exec.cache import (
@@ -85,7 +109,8 @@ from repro.exec.cache import (
 )
 from repro.exec.plan import LevelProgram
 from repro.numeric.supernodal import SupernodalFactor
-from repro.numeric.trisolve import as_rhs_matrix, rhs_view
+from repro.numeric.trisolve import rhs_view
+from repro.util.validation import require
 
 
 @dataclass(frozen=True)
@@ -185,38 +210,69 @@ def build_fused_panels(program: LevelProgram, prep: PreparedFactor) -> FusedPane
                        rect=rect, rect_t=tuple(r.T for r in rect))
 
 
-# ------------------------------------------------------------------ sweeps
-def _forward_levels(program: LevelProgram, panels: FusedPanels, ws: FusedWorkspace) -> None:
-    """In-place forward elimination over ``ws.xc = [y | contrib]``, level by level."""
-    xc = ws.xc
-    n = program.n
+# ------------------------------------------------------------------ tapes
+def _flat(block: np.ndarray) -> np.ndarray:
+    """*block*'s memory as one flat view — never a copy the loops would write into."""
+    require(block.flags.c_contiguous, "a fused operand must be a contiguous block")
+    return block.reshape(-1)
+
+
+def _matvec(op: csr_array | csc_array, x: np.ndarray, y: np.ndarray) -> tuple:
+    """``y += op @ x`` as the ``(call, args)`` pair scipy's ``@`` itself makes.
+
+    The call is the compiled loop ``@`` dispatches to — ``csr_matvec`` /
+    ``csc_matvec`` for one column, ``csr_matvecs`` / ``csc_matvecs`` for
+    more — with the arguments ``@`` passes it.  scipy zeroes the output
+    first; the caller's *y* must hold +0.0 when the call runs.
+    """
+    rows, cols = op.shape
+    m = x.shape[1]
+    if m == 1:
+        return getattr(_sparsetools, op.format + "_matvec"), (
+            rows, cols, op.indptr, op.indices, op.data, _flat(x), _flat(y))
+    return getattr(_sparsetools, op.format + "_matvecs"), (
+        rows, cols, m, op.indptr, op.indices, op.data, _flat(x), _flat(y))
+
+
+def _bind(ws: FusedWorkspace, program: LevelProgram, panels: FusedPanels) -> None:
+    """Compile *ws*'s two tapes: every level's calls, pre-bound to *ws*'s buffers."""
+    xc, scratch, n = ws.xc, ws.scratch, program.n
+    x = xc[:n]
+    # Every level's rectangle product accumulates straight into its
+    # contribution slice, so the forward sweep starts the arena at +0.0.
+    forward: list[tuple] = [(xc[n:].fill, (0.0,))]
     for lvl, diag, rect in zip(program.levels, panels.diag, panels.rect):
-        tt = lvl.top_total
-        acc = lvl.replay @ xc
-        tops = diag @ acc[:tt]
-        if lvl.size > tt:
+        size, tt = lvl.size, lvl.top_total
+        acc, tops = scratch[:size], scratch[size : size + tt]
+        forward += [(scratch[: size + tt].fill, (0.0,)),
+                    _matvec(lvl.replay, xc, acc),
+                    _matvec(diag, acc[:tt], tops)]
+        if size > tt:
             c_lo = n + lvl.buckets[0].contrib_lo  # the buckets' slices are consecutive
-            np.subtract(acc[tt:], rect @ tops, out=xc[c_lo : c_lo + lvl.size - tt])
-        xc[lvl.gather_rows[:tt]] = tops
-
-
-def _backward_levels(
-    program: LevelProgram,
-    panels: FusedPanels,
-    x: np.ndarray,
-    ws: FusedWorkspace,
-) -> None:
-    """In-place backward substitution over the (n, m) block, root level first."""
+            contrib = xc[c_lo : c_lo + size - tt]
+            forward += [_matvec(rect, tops, contrib),
+                        (np.subtract, (acc[tt:], contrib, contrib))]
+        forward.append((xc.__setitem__, (lvl.gather_rows[:tt], tops)))
+    backward: list[tuple] = []
     for lvl, diag_t, rect_t in zip(
         reversed(program.levels), reversed(panels.diag_t), reversed(panels.rect_t)
     ):
-        tt = lvl.top_total
-        acc = ws.acc[: lvl.size]
-        x.take(lvl.gather_rows, axis=0, out=acc, mode="clip")
-        tops = acc[:tt]
-        if lvl.size > tt:
-            np.subtract(tops, rect_t @ acc[tt:], out=tops)
-        x[lvl.gather_rows[:tt]] = diag_t @ tops
+        size, tt = lvl.size, lvl.top_total
+        acc, t1, t2 = scratch[:size], scratch[size : size + tt], scratch[size + tt : size + 2 * tt]
+        backward += [(x.take, (lvl.gather_rows, 0, acc, "clip")),
+                     (scratch[size : size + 2 * tt].fill, (0.0,))]
+        if size > tt:
+            backward += [_matvec(rect_t, acc[tt:], t1),
+                         (np.subtract, (acc[:tt], t1, acc[:tt]))]
+        backward += [_matvec(diag_t, acc[:tt], t2),
+                     (x.__setitem__, (lvl.gather_rows[:tt], t2))]
+    ws.forward, ws.backward, ws.panels = tuple(forward), tuple(backward), panels
+
+
+def _sweep(tape: tuple) -> None:
+    """Run one sweep: every call of the tape, in order."""
+    for call, args in tape:
+        call(*args)
 
 
 # ------------------------------------------------------------------ public
@@ -236,13 +292,27 @@ def _resolve_program(
     return program, build_fused_panels(program, prep)
 
 
+@contextmanager
 def _lease(
-    prep: PreparedFactor, program: LevelProgram, m: int
-) -> AbstractContextManager[FusedWorkspace]:
-    """Lease the fused workspace of *program* at *m* columns from *prep*'s arena."""
-    return prep.arena.lease(
-        ("fused", id(program), m), lambda: build_fused_workspace(program, m)
-    )
+    prep: PreparedFactor, program: LevelProgram, panels: FusedPanels, m: int
+) -> Iterator[FusedWorkspace]:
+    """Lease *program*'s workspace at *m* columns from *prep*'s arena, tapes bound to *panels*.
+
+    A hand-built program packs fresh panels on every call, so its tapes
+    are recompiled each time; the cached program's are compiled once.
+    """
+    with prep.arena.lease(program, ("fused", m), lambda: build_fused_workspace(program, m)) as ws:
+        if ws.panels is not panels:
+            _bind(ws, program, panels)
+        yield ws
+
+
+def warm_fused(factor: SupernodalFactor, *, program: LevelProgram | None = None) -> None:
+    """Build the workspace and tapes a one-column fused solve of *factor* runs on."""
+    prep = prepare_factor(factor)
+    program, panels = _resolve_program(factor, prep, program)
+    with _lease(prep, program, panels, 1):
+        pass
 
 
 def forward_fused(
@@ -259,10 +329,10 @@ def forward_fused(
     prep = prepare_factor(factor)
     program, panels = _resolve_program(factor, prep, program)
     b, squeeze = rhs_view(b, factor.n)
-    with _lease(prep, program, b.shape[1]) as ws:
+    with _lease(prep, program, panels, b.shape[1]) as ws:
         y = ws.xc[: factor.n]
         y[...] = b
-        _forward_levels(program, panels, ws)
+        _sweep(ws.forward)
         y = y.copy()
     return y[:, 0] if squeeze else y
 
@@ -276,9 +346,12 @@ def backward_fused(
     """Solve ``L^T x = b`` with the fused level program."""
     prep = prepare_factor(factor)
     program, panels = _resolve_program(factor, prep, program)
-    x, squeeze = as_rhs_matrix(b, factor.n)
-    with _lease(prep, program, x.shape[1]) as ws:
-        _backward_levels(program, panels, x, ws)
+    b, squeeze = rhs_view(b, factor.n)
+    with _lease(prep, program, panels, b.shape[1]) as ws:
+        x = ws.xc[: factor.n]
+        x[...] = b
+        _sweep(ws.backward)
+        x = x.copy()
     return x[:, 0] if squeeze else x
 
 
@@ -291,16 +364,16 @@ def solve_fused(
     """Full ``A x = b`` solve (forward then backward) on the fused backend.
 
     Both sweeps run inside one workspace lease, on its solution rows, so
-    a steady-state solve against a prepared factor performs no per-node
-    allocations.
+    a steady-state solve against a prepared factor allocates no arrays
+    between copying *b* in and the answer out.
     """
     prep = prepare_factor(factor)
     program, panels = _resolve_program(factor, prep, program)
     b, squeeze = rhs_view(b, factor.n)
-    with _lease(prep, program, b.shape[1]) as ws:
+    with _lease(prep, program, panels, b.shape[1]) as ws:
         x = ws.xc[: factor.n]
         x[...] = b
-        _forward_levels(program, panels, ws)
-        _backward_levels(program, panels, x, ws)
+        _sweep(ws.forward)
+        _sweep(ws.backward)
         x = x.copy()
     return x[:, 0] if squeeze else x

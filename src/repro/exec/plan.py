@@ -314,13 +314,13 @@ class Level:
     buckets: tuple[LevelBucket, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class LevelProgram:
     """A flat, vectorized compilation of an :class:`ExecPlan`.
 
     Per elimination-tree level every supernode panel's position is fixed
-    at compile time, so the fused backend executes a level as four
-    whole-level calls instead of per-node Python dispatch.  The program
+    at compile time, so the fused backend executes a level as a handful
+    of whole-level calls instead of per-node Python dispatch.  The program
     depends only on ``plan.steps`` and ``plan.node_level`` — both
     grain-invariant — so one program serves every grain of the structure.
 
@@ -328,8 +328,9 @@ class LevelProgram:
     its level's accumulator (-1 where absent); ``contrib_off`` its slice
     of the tree-wide contribution arena, which follows the ``n`` solution
     rows in the fused workspace.  ``max_acc`` (the largest level) sizes
-    the backward sweep's gather buffer in the reusable
-    :class:`~repro.exec.arena.FusedWorkspace`.
+    the per-level scratch of the reusable
+    :class:`~repro.exec.arena.FusedWorkspace`, whose arena checks a
+    lease against the program by weak reference (hence no ``slots``).
     """
 
     levels: tuple[Level, ...]

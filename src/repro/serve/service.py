@@ -25,9 +25,9 @@ Two execution modes share all of the above:
   every flush decision reproducible to the exact simulated instant.
 
 Registration reuses the weakref caches of :mod:`repro.exec.cache`
-(plans, level programs, prepared factors, packed panels), so the
-service adds no per-request preparation cost on top of a cached
-``solve_fused``.
+(plans, level programs, prepared factors, packed panels) and builds the
+one-column workspace with its call tapes, so the service adds no
+per-request preparation cost on top of a cached ``solve_fused``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.exec import fused_panels_for, prepare_factor, program_for, solve_fused
+from repro.exec import prepare_factor, program_for, solve_fused, warm_fused
 from repro.numeric.supernodal import SupernodalFactor
 from repro.numeric.trisolve import as_rhs_matrix
 from repro.serve.batcher import Batch, Coalescer, SolveRequest
@@ -156,7 +156,7 @@ class SolveService:
             )
         prepare_factor(factor)  # validates the diagonal once, at registration
         program = program_for(factor.stree, certify=certify)
-        fused_panels_for(factor)
+        warm_fused(factor, program=program)  # packs the panels, builds the width-1 tapes
         if perm is None:
             solve = lambda bmat: solve_fused(factor, bmat, program=program)
         else:

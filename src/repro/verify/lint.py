@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.verify.findings import Report, Severity
 
@@ -86,6 +86,17 @@ def _attr_chain(node: ast.AST) -> list[str]:
         parts.reverse()
         return parts
     return []
+
+
+def _stored(targets: Sequence[ast.AST]) -> Iterator[ast.AST]:
+    """The objects an assignment stores into, tuple targets unpacked."""
+    for target in targets:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            yield from _stored(target.elts)
+        elif isinstance(target, ast.Starred):
+            yield from _stored([target.value])
+        else:
+            yield target
 
 
 class _Linter(ast.NodeVisitor):
@@ -224,20 +235,20 @@ class _Linter(ast.NodeVisitor):
 
     # -------------------------------------------------- rule: csc mutation
     def _check_store_mutation(self, targets: Sequence[ast.AST], line: int) -> None:
-        for target in targets:
-            for sub in ast.walk(target):  # type: ignore[arg-type]
-                if (
-                    isinstance(sub, ast.Subscript)
-                    and isinstance(sub.value, ast.Attribute)
-                    and sub.value.attr in _CSC_INDEX_ATTRS
-                ):
+        # Only the chain of the stored object counts: ``data[a.indptr[k]] = v``
+        # stores into ``data`` and merely reads ``indptr``.
+        for store in _stored(targets):
+            while isinstance(store, ast.Subscript):
+                if isinstance(store.value, ast.Attribute) and store.value.attr in _CSC_INDEX_ATTRS:
                     self._add(
                         "lint-csc-mutation",
                         line,
-                        f"element store into a CSC '{sub.value.attr}' array; "
+                        f"element store into a CSC '{store.value.attr}' array; "
                         "CSC structures are immutable contracts — rebuild via "
                         "repro.sparse.build instead",
                     )
+                    break
+                store = store.value
 
     # ---------------------------------------------------- rule: bare assert
     def visit_Assert(self, node: ast.Assert) -> None:

@@ -9,7 +9,8 @@ The central claims under test, mirroring the engine battery in
   class, NRHS width, and aggregation grain of the plan the program was
   compiled from;
 * a second solve against a prepared factor runs entirely out of the
-  workspace arena — no per-node array allocations;
+  workspace arena — the sweeps allocate no arrays — and each of its
+  pre-bound library calls is bytewise the ``@`` product it replaces;
 * the compiled program earns a determinism certificate with the *same*
   digest as its plan's, and the certifier rejects mutated programs.
 """
@@ -17,10 +18,12 @@ The central claims under test, mirroring the engine battery in
 import dataclasses
 import gc
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
+from scipy.sparse import csr_array
 
 from repro.core.solver import DEFAULT_RELAX
 from repro.exec import (
@@ -37,8 +40,9 @@ from repro.exec import (
     solve_exec,
     solve_fused,
 )
+from repro.exec import arena, fused
 from repro.exec.arena import build_fused_workspace
-from repro.exec.fused import _backward_levels, _forward_levels, build_fused_panels
+from repro.exec.fused import build_fused_panels
 from repro.exec.plan import build_plan
 from repro.numeric.supernodal import cholesky_supernodal
 from repro.numeric.trisolve import (
@@ -233,30 +237,44 @@ class TestZeroAllocationSteadyState:
             "steady-state solves built new workspaces instead of leasing"
         )
 
-    def test_sweeps_allocate_no_per_node_arrays(self, sym_grid8, rng):
-        # Drive the level loops directly on a leased workspace: with every
-        # buffer preallocated, the hot path must allocate nothing beyond
-        # small short-lived temporaries (the three product blocks scipy
-        # returns per level, views and loop-iteration objects) — nothing
-        # that grows with the node count, no term stack.
-        factor = cholesky_supernodal(sym_grid8)
-        program = program_for(sym_grid8.stree)
-        panels = fused_panels_for(factor)
-        for m in (1, 16):
-            ws = build_fused_workspace(program, m)
-            y = ws.xc[: sym_grid8.n]
-            y[...] = rng.normal(size=(sym_grid8.n, m))
-            _forward_levels(program, panels, ws)  # warm every code path
-            _backward_levels(program, panels, y, ws)
+    @staticmethod
+    def _sweep_peak(sym, m, rng) -> int:
+        """Peak bytes tracemalloc sees in one warm forward + backward sweep."""
+        factor = cholesky_supernodal(sym)
+        program = program_for(sym.stree)
+        ws = build_fused_workspace(program, m)
+        fused._bind(ws, program, fused_panels_for(factor))
+        ws.xc[: sym.n] = rng.normal(size=(sym.n, m))
+        fused._sweep(ws.forward)  # warm every code path
+        fused._sweep(ws.backward)
+        tracemalloc.start()
+        fused._sweep(ws.forward)
+        fused._sweep(ws.backward)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return peak
 
-            tracemalloc.start()
-            _forward_levels(program, panels, ws)
-            _backward_levels(program, panels, y, ws)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            assert peak < 16 * 1024, (
+    def test_sweeps_allocate_no_per_node_arrays(self, sym_grid8, rng):
+        # Drive the tapes directly on a bound workspace: every call writes
+        # into the workspace, so the hot path allocates no arrays at all —
+        # only loop-iteration objects, nothing that grows with the node
+        # count or the width, no term stack, no product block.
+        for m in (1, 16):
+            peak = self._sweep_peak(sym_grid8, m, rng)
+            assert peak < 8 * 1024, (
                 f"fused sweeps allocated {peak} bytes at peak with {m} columns — "
-                "the zero-allocation path regressed (a per-node np.zeros is back?)"
+                "the zero-allocation path regressed (a product block is back?)"
+            )
+
+    def test_sweeps_on_a_deep_3d_tree_allocate_no_arrays(self, rng):
+        # grid3d(12)'s widest level returns product blocks far above the
+        # bound at 16 columns (and its scatter sizes at one): only sweeps
+        # that write every product into the workspace stay under it.
+        sym = analyze(grid3d_laplacian(12), relax=DEFAULT_RELAX)
+        for m in (1, 16):
+            peak = self._sweep_peak(sym, m, rng)
+            assert peak < 8 * 1024, (
+                f"fused sweeps allocated {peak} bytes at peak with {m} columns on grid3d(12)"
             )
 
     def test_distinct_nrhs_lease_distinct_workspaces(self, sym_grid8, rng):
@@ -265,6 +283,61 @@ class TestZeroAllocationSteadyState:
         solve_fused(factor, rng.normal(size=(sym_grid8.n, 8)))
         prep = prepare_factor(factor)
         assert prep.arena.stats()["built"] >= 2
+
+    def test_a_workspace_never_runs_another_program(self, sym_grid8, rng, monkeypatch):
+        # Leases are filed under id(program), and a collected hand-built
+        # program's id is recycled.  File every program under one id: each
+        # lease must still get a workspace built for its own program.
+        factor = cholesky_supernodal(sym_grid8)
+        b = rng.normal(size=(sym_grid8.n, 2))
+        ref = solve_supernodal(factor, b)
+        built_for = {}
+
+        def build(program, m):
+            ws = build_fused_workspace(program, m)
+            built_for[id(ws)] = program
+            return ws
+
+        real_lease = fused._lease
+
+        @contextmanager
+        def lease(prep, program, panels, m):
+            with real_lease(prep, program, panels, m) as ws:
+                assert built_for[id(ws)] is program, "a workspace ran another program"
+                yield ws
+
+        monkeypatch.setattr(fused, "build_fused_workspace", build)
+        monkeypatch.setattr(fused, "_lease", lease)
+        monkeypatch.setattr(arena, "id", lambda obj: 0, raising=False)
+        hand_built = [compile_level_program(build_plan(sym_grid8.stree, grain=g)) for g in (0, 256)]
+        for program in [*hand_built, None, *hand_built, None]:
+            x = solve_fused(factor, b, program=program)
+            assert x.tobytes() == ref.tobytes()
+
+
+class TestDirectCalls:
+    """The tapes call scipy's compiled loops directly, not through ``@``.
+
+    Each tape product is the ``(call, args)`` pair ``@`` itself would
+    make, on an output the sweep has zeroed; these pin that at whatever
+    numpy and scipy are installed (CI runs this file at the floors).
+    """
+
+    @pytest.mark.parametrize("m", [1, 2, 16])
+    def test_direct_calls_are_bytewise_the_products(self, factored, rng, m):
+        a, sym, factor = factored
+        program = program_for(sym.stree)
+        panels = fused_panels_for(factor)
+        for lvl, diag, diag_t, rect, rect_t in zip(
+            program.levels, panels.diag, panels.diag_t, panels.rect, panels.rect_t
+        ):
+            for op in (lvl.replay, diag, diag_t, rect, rect_t):
+                x = rng.normal(size=(op.shape[1], m))
+                x[::3] = -0.0  # a row of signed zeros must still sum to +0.0
+                y = np.zeros((op.shape[0], m))
+                call, args = fused._matvec(op, x, y)
+                call(*args)
+                assert y.tobytes() == (op @ x).tobytes(), (lvl.index, op.format, op.shape)
 
 
 class TestProgramCompilation:
@@ -335,9 +408,10 @@ class TestFusedCertifier:
                 lvl.replay.indptr[r] : lvl.replay.indptr[r + 1]] >= program.n) >= 2
         )
         lvl = program.levels[li]
-        replay = lvl.replay.copy()
-        lo = int(replay.indptr[row + 1]) - 2
-        replay.indices[lo], replay.indices[lo + 1] = replay.indices[lo + 1], replay.indices[lo]
+        lo = int(lvl.replay.indptr[row + 1]) - 2
+        indices = lvl.replay.indices.copy()
+        indices[lo], indices[lo + 1] = indices[lo + 1], indices[lo]
+        replay = csr_array((lvl.replay.data, indices, lvl.replay.indptr), shape=lvl.replay.shape)
         levels = list(program.levels)
         levels[li] = dataclasses.replace(lvl, replay=replay)
         bad = dataclasses.replace(program, levels=tuple(levels))

@@ -137,6 +137,20 @@ def test_serving_requires_prepared_solver():
 
 
 # ----------------------------------------------------------- registration
+def test_register_builds_the_one_column_workspace(rng):
+    # The first one-column request finds its workspace and call tapes built.
+    from repro.exec import prepare_factor
+
+    factor = cholesky_supernodal(analyze(grid2d_laplacian(6)))
+    with make_service(factor) as service:
+        arena = prepare_factor(factor).arena
+        assert arena.stats()["built"] == 1
+        future = service.submit(rng.normal(size=factor.n), key="m")
+        service.drain()
+        future.result(timeout=0)
+        assert arena.stats()["built"] == 1
+
+
 def test_register_rejects_duplicate_key(factor_grid8):
     with make_service(factor_grid8) as service:
         with pytest.raises(ValueError, match="already registered"):

@@ -41,6 +41,16 @@ def test_csc_index_store_mutation():
     assert "lint-csc-mutation" in report.rules()
 
 
+def test_csc_index_store_through_a_tuple_target_or_a_chain():
+    report = lint_source("def f(a, b):\n    b[0], a.indices[1][0] = 1, 2\n")
+    assert "lint-csc-mutation" in report.rules()
+
+
+def test_indexing_by_a_csc_array_is_no_mutation_of_it():
+    report = lint_source("def f(a, data, k):\n    data[a.indptr[k]] = -1.0\n")
+    assert "lint-csc-mutation" not in report.rules()
+
+
 def test_csc_mutating_method():
     report = lint_source("def f(a):\n    a.indptr.sort()\n")
     assert "lint-csc-mutation" in report.rules()
