@@ -44,13 +44,18 @@ from repro.exec.cache import (
     clear_exec_caches,
     exec_cache_stats,
     fused_certificate_for,
-    fused_panels_for,
     plan_for,
     prepare_factor,
     program_for,
 )
 from repro.exec.engine import default_workers, solve_exec
-from repro.exec.fused import backward_fused, forward_fused, solve_fused, warm_fused
+from repro.exec.fused import (
+    backward_fused,
+    forward_fused,
+    fused_panels_for,
+    solve_fused,
+    warm_fused,
+)
 from repro.exec.plan import (
     ExecPlan,
     Level,

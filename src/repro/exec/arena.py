@@ -13,7 +13,9 @@ to the free list — so steady-state repeated solves allocate nothing,
 while concurrent solves against the same factor each get their own
 buffers and never race.  Every workspace is built for one owner (the
 plan or program it is carved from) and is only ever handed back to that
-owner, checked by the object itself, not by its ``id``.
+owner, checked by the object itself, not by its ``id``.  The owner's
+entry also keeps the one value all its workspaces share — a program's
+packed panels — and goes as soon as the owner is collected.
 
 Two workspace shapes live here:
 
@@ -29,23 +31,40 @@ Two workspace shapes live here:
   for the widest level, which every level reuses: forward a level's
   ``[acc | tops]``, backward its ``[gather | t1 | t2]``.  It also holds
   the two tapes of pre-bound library calls that :mod:`repro.exec.fused`
-  compiles over these buffers, so the sweeps allocate no arrays at all.
+  compiles over these buffers when it builds the workspace, so the
+  sweeps allocate no arrays at all.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Hashable, Iterator
 
 import numpy as np
 
 from repro.exec.plan import ExecPlan, LevelProgram
 
-if TYPE_CHECKING:
-    from repro.exec.fused import FusedPanels
+
+@dataclass(slots=True)
+class _Owner:
+    """One owner's arena entry: its shared value and its free workspaces per key."""
+
+    ref: weakref.ref
+    shared: object = None
+    free: dict[Hashable, list[object]] = field(default_factory=dict)
+
+
+def _drop(arena: weakref.ref, key: int, ref: weakref.ref) -> None:
+    """Forget a collected owner's entry (its weak reference's callback)."""
+    pool = arena()
+    if pool is not None:
+        with pool._lock:
+            if getattr(pool._owners.get(key), "ref", None) is ref:
+                del pool._owners[key]
 
 
 class WorkspaceArena:
@@ -53,48 +72,75 @@ class WorkspaceArena:
 
     A workspace belongs to an *owner* — the plan or program it was carved
     from — and a hashable *key* (the backends use ``(kind, nrhs)``).
-    Free workspaces are filed under ``(id(owner), key)`` with a weak
-    reference to their owner; :meth:`lease` pops one and hands it out
-    only if that reference still names *owner* itself, so a collected
-    owner's workspace is never run for a newcomer that inherited its
-    ``id``: it is dropped and a fresh one built via the caller's factory.
-    The workspace always goes back to the free list afterwards — even
+    Everything the arena keeps for an owner sits in one entry filed under
+    ``id(owner)`` with a weak reference to the owner: its free workspaces
+    per key and one :meth:`shared` value (the fused backend's packed
+    panels).  An entry is only ever used for the owner its reference
+    still names, so a newcomer that inherits a collected owner's ``id``
+    starts afresh; and the reference's callback drops the entry as soon
+    as its owner is collected — the pattern of
+    :class:`~repro.exec.cache._IdentityCache`'s finalizers, bound to the
+    entry so that it dies with the arena instead of outliving it.  A
+    workspace always goes back to the free list after a lease — even
     when the solve raises, since every buffer is fully rewritten by the
     next lease.  ``built``/``leases`` counters make reuse observable for
     tests and cache stats.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._free: dict[Hashable, list[tuple[weakref.ref, object]]] = {}
+        # re-entrant: a collection inside a locked section may run _drop
+        self._lock = threading.RLock()
+        self._owners: dict[int, _Owner] = {}
         self.built = 0
         self.leases = 0
+
+    def _entry(self, owner: object) -> _Owner:
+        """*owner*'s entry, made on first use; call under the lock."""
+        entry = self._owners.get(id(owner))
+        if entry is None or entry.ref() is not owner:
+            callback = functools.partial(_drop, weakref.ref(self), id(owner))
+            entry = self._owners[id(owner)] = _Owner(weakref.ref(owner, callback))
+        return entry
+
+    def shared(self, owner: object, build: Callable[[], object]) -> object:
+        """The value built once for *owner* and kept with its workspaces."""
+        with self._lock:
+            entry = self._entry(owner)
+            if entry.shared is not None:
+                return entry.shared
+        value = build()
+        with self._lock:
+            if entry.shared is None:
+                entry.shared = value
+            return entry.shared
 
     @contextmanager
     def lease(
         self, owner: object, key: Hashable, build: Callable[[], object]
     ) -> Iterator[object]:
-        slot = (id(owner), key)
         with self._lock:
-            stack = self._free.get(slot)
-            entry = stack.pop() if stack else None
+            entry = self._entry(owner)
+            stack = entry.free.get(key)
+            ws = stack.pop() if stack else None
             self.leases += 1
-        if entry is None or entry[0]() is not owner:
-            entry = (weakref.ref(owner), build())
+        if ws is None:
+            ws = build()
             with self._lock:
                 self.built += 1
         try:
-            yield entry[1]
+            yield ws
         finally:
             with self._lock:
-                self._free.setdefault(slot, []).append(entry)
+                entry.free.setdefault(key, []).append(ws)
 
     def stats(self) -> dict[str, int]:
         with self._lock:
+            owners = list(self._owners.values())
             return {
                 "built": self.built,
                 "leases": self.leases,
-                "free": sum(len(v) for v in self._free.values()),
+                "free": sum(len(v) for e in owners for v in e.free.values()),
+                "owners": len(owners),
             }
 
 
@@ -145,14 +191,13 @@ class FusedWorkspace:
     so it spans the widest level's rows and twice the most tops.
 
     ``forward`` / ``backward`` are the tapes :mod:`repro.exec.fused`
-    compiles over these buffers for ``panels`` (``None`` until then):
-    flat tuples of ``(call, args)`` pairs, every call pre-bound to its
+    compiles over these buffers once, when it builds the workspace: flat
+    tuples of ``(call, args)`` pairs, every call pre-bound to its
     operands and its output slice.
     """
 
     xc: np.ndarray       # [y | contrib]: solution rows, then the contribution arena
     scratch: np.ndarray  # one level's [acc | tops] (forward), [gather | t1 | t2] (backward)
-    panels: FusedPanels | None = None
     forward: tuple = ()
     backward: tuple = ()
 

@@ -26,10 +26,10 @@ nothing is rebuilt that can be reused:
   :func:`fused_certificate_for` its schedule certificate
   (``program_for(..., certify=True)`` raises
   :class:`repro.verify.VerificationError` on any finding, and repeated
-  certified solves pay for the proof exactly once per structure);
-  :func:`fused_panels_for` caches the packed panel values (one sparse
-  block-diagonal inverse and one sparse rectangle block per level) per
-  numeric factor.
+  certified solves pay for the proof exactly once per structure).  A
+  program's packed panel values are no cache of this module: they live
+  in the prepared factor's arena, next to the program's workspaces
+  (:func:`repro.exec.fused.fused_panels_for`).
 
 All caches are thread-safe and observable (:func:`exec_cache_stats`),
 and :func:`clear_exec_caches` resets them (tests, benchmarks).
@@ -50,7 +50,6 @@ from repro.numeric.supernodal import SupernodalFactor
 from repro.symbolic.stree import SupernodalTree
 
 if TYPE_CHECKING:
-    from repro.exec.fused import FusedPanels
     from repro.verify.schedule import ScheduleCertificate
 
 
@@ -97,7 +96,6 @@ _PREPARED = _IdentityCache()
 _CERTS = _IdentityCache()
 _PROGRAMS = _IdentityCache()
 _FUSED_CERTS = _IdentityCache()
-_PANELS = _IdentityCache()
 
 
 def plan_for(stree: SupernodalTree) -> ExecPlan:
@@ -196,16 +194,6 @@ def fused_certificate_for(stree: SupernodalTree) -> "ScheduleCertificate":
     return _FUSED_CERTS.get(stree, certify)
 
 
-def fused_panels_for(factor: SupernodalFactor) -> "FusedPanels":
-    """The cached packed panel values of *factor* (built once)."""
-    def build() -> "FusedPanels":
-        from repro.exec.fused import build_fused_panels
-
-        return build_fused_panels(program_for(factor.stree), prepare_factor(factor))
-
-    return _PANELS.get(factor, build)
-
-
 def clear_exec_caches() -> None:
     """Drop all cached plans, programs, prepared factors and certificates."""
     _PLANS.clear()
@@ -213,11 +201,10 @@ def clear_exec_caches() -> None:
     _CERTS.clear()
     _PROGRAMS.clear()
     _FUSED_CERTS.clear()
-    _PANELS.clear()
 
 
 def exec_cache_stats() -> dict[str, int]:
-    """Hit/miss/size counters for all six caches."""
+    """Hit/miss/size counters for all five caches."""
     return {
         "plan_hits": _PLANS.hits,
         "plan_misses": _PLANS.misses,
@@ -234,7 +221,4 @@ def exec_cache_stats() -> dict[str, int]:
         "fused_cert_hits": _FUSED_CERTS.hits,
         "fused_cert_misses": _FUSED_CERTS.misses,
         "fused_cert_entries": len(_FUSED_CERTS),
-        "panels_hits": _PANELS.hits,
-        "panels_misses": _PANELS.misses,
-        "panels_entries": len(_PANELS),
     }

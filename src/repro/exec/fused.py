@@ -25,8 +25,8 @@ the tree-wide contribution arena — per level a handful of calls:
   three arrays.  Per output row scipy's loop is the zero-started
   ascending sum of :func:`~repro.numeric.kernels.tri_apply` /
   :func:`~repro.numeric.kernels.tri_apply_t`, which the serial walker and
-  the engine run node by node.  No per-bucket and no per-node loop is
-  left in the sweeps, and no BLAS call;
+  the engine run node by node.  No per-node loop is left in the
+  sweeps, and no BLAS call;
 * all of the level's rectangles are **one compiled sparse product** too.
   :func:`build_fused_panels` lowers them to a single CSR block ``F`` whose
   rows are the accumulator's below rows and whose columns are its tops,
@@ -51,10 +51,11 @@ Forward, a level is ``acc = replay @ xc``, ``tops = D @ acc[:tt]``,
 ``tops -= F.T @ below`` and ``x[rows] = D.T @ tops``.
 
 None of it runs through ``@``.  :func:`_bind` compiles every level, once
-per ``(program, panels, m)``, into a flat **tape** of ``(call, args)``
-pairs stored on the :class:`~repro.exec.arena.FusedWorkspace`, and a
-sweep is one loop over that tuple (:func:`_sweep`): no attribute lookup,
-no dispatch, no allocation.  Each product is the compiled loop ``@``
+per workspace — when the arena builds it, for one program at one width
+``m`` — into a flat **tape** of ``(call, args)`` pairs stored on the
+:class:`~repro.exec.arena.FusedWorkspace`, and a sweep is one loop over
+that tuple (:func:`_sweep`): no attribute lookup, no dispatch, no
+allocation.  Each product is the compiled loop ``@``
 would dispatch to — scipy's ``csr_matvec`` / ``csc_matvec`` at one
 column, ``csr_matvecs`` / ``csc_matvecs`` above — called directly with
 the arguments ``@`` passes it (:func:`_matvec`), which skips scipy's
@@ -77,10 +78,14 @@ scatter, a subscript store.
 
 Every buffer the sweeps write comes from the workspace leased from the
 prepared factor's arena, so a steady-state solve allocates no arrays in
-its sweeps at all.  All dense math matches the canonical kernels in
-:mod:`repro.numeric.kernels` op for op; solutions are bitwise identical
-to the ``serial`` reference (and to the engine baseline,
-:func:`repro.exec.engine.solve_exec`).
+its sweeps at all.  The arena also keeps each program's packed panels
+(:func:`build_fused_panels`, placed by the program's ``node_top_off`` /
+``node_below_off``) in that program's entry, so a hand-built
+``program=`` packs once, like the cached one, and its panels, tapes
+and workspaces go when it is collected.  All dense math matches the
+canonical kernels in :mod:`repro.numeric.kernels` op for op; solutions
+are bitwise identical to the ``serial`` reference (and to the engine
+baseline, :func:`repro.exec.engine.solve_exec`).
 
 The backward gather calls ``ndarray.take`` directly (``np.take`` reaches
 the same C routine through a Python-level ``fromnumeric`` wrapper) and
@@ -93,21 +98,15 @@ each one (``schedule-program-*``).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import ContextManager
 
 import numpy as np
 from scipy.sparse import _sparsetools, csc_array, csr_array
 
 from repro.exec.arena import FusedWorkspace, build_fused_workspace
-from repro.exec.cache import (
-    PreparedFactor,
-    fused_panels_for,
-    prepare_factor,
-    program_for,
-)
-from repro.exec.plan import LevelProgram
+from repro.exec.cache import PreparedFactor, prepare_factor, program_for
+from repro.exec.plan import LevelProgram, level_nodes
 from repro.numeric.supernodal import SupernodalFactor
 from repro.numeric.trisolve import rhs_view
 from repro.util.validation import require
@@ -136,78 +135,83 @@ class FusedPanels:
     rect_t: tuple[csc_array, ...]
 
 
-def _level_diagonals(program: LevelProgram, prep: PreparedFactor) -> tuple[csr_array, ...]:
-    """Lower every level's diagonal-block inverses to one block-diagonal CSR.
+def _level_diagonal(
+    tt: int, top: np.ndarray, width: np.ndarray, inv: list[np.ndarray]
+) -> csr_array:
+    """One level's diagonal-block inverses as one block-diagonal CSR.
 
     Each top row ``i`` of a width-``t`` node holds ``i + 1`` entries, at the
     node's first ``i + 1`` top columns; the values are each inverse's
     lower triangle, row by row, node after node in the level's top order.
     """
-    blocks = []
-    for lvl in program.levels:
-        tt = lvl.top_total
-        index = np.int32 if tt * (tt + 1) // 2 <= np.iinfo(np.int32).max else np.int64
-        width = np.concatenate([np.full(bkt.k, bkt.t, dtype=index) for bkt in lvl.buckets])
-        start = np.repeat(np.cumsum(width, dtype=index) - width, width)  # per row
-        count = np.arange(1, tt + 1, dtype=index) - start  # i + 1
-        indptr = np.zeros(tt + 1, dtype=index)
-        np.cumsum(count, out=indptr[1:])
-        indices = np.repeat(start - indptr[:-1], count)
-        indices += np.arange(indices.size, dtype=index)
-        data = []
-        for bkt in lvl.buckets:
-            rows, cols = np.tril_indices(bkt.t)
-            stack = np.stack([prep.inv[s] for s in bkt.nodes.tolist()])
-            data.append(stack[:, rows, cols].reshape(-1))
-        blocks.append(csr_array((np.concatenate(data) if data else np.empty(0), indices, indptr),
-                                shape=(tt, tt)))
-    return tuple(blocks)
+    index = np.int32 if tt * (tt + 1) // 2 <= np.iinfo(np.int32).max else np.int64
+    start = np.repeat(top.astype(index), width)  # per row, its node's first top
+    count = np.arange(1, tt + 1, dtype=index) - start  # i + 1
+    indptr = np.zeros(tt + 1, dtype=index)
+    np.cumsum(count, out=indptr[1:])
+    indices = np.repeat(start - indptr[:-1], count)
+    indices += np.arange(indices.size, dtype=index)
+    # one gather per width: a node's triangle is contiguous from its first row
+    data = np.empty(indices.size)
+    for t in np.unique(width).tolist():
+        same = np.flatnonzero(width == t)
+        tri = np.tri(t, dtype=bool)
+        stack = np.stack([inv[k] for k in same.tolist()])
+        data[indptr[top[same]][:, None] + np.arange(t * (t + 1) // 2)] = stack[:, tri]
+    return csr_array((data, indices, indptr), shape=(tt, tt))
 
 
-def _level_rectangles(program: LevelProgram, prep: PreparedFactor) -> tuple[csr_array, ...]:
-    """Lower every level's rectangles to the CSR block its sweeps multiply by.
+def _level_rectangle(
+    tt: int, top: np.ndarray, width: np.ndarray, count: np.ndarray, rect: list[np.ndarray]
+) -> csr_array:
+    """One level's rectangles as the CSR block its sweeps multiply by.
 
-    Rows are the level accumulator's below rows.  A below row of a
-    width-``t`` bucket holds ``t`` entries, at the accumulator columns of
-    its owner's tops (from ``top_lo + rep_idx * t``, ascending); the
-    values are the factor's rectangles in the same (below) order.
+    Rows are the level accumulator's below rows, owner after owner.  A
+    below row of a width-``t`` owner holds ``t`` entries, at the
+    accumulator columns of its owner's tops, ascending; the values are
+    the factor's rectangles in the same order.
     """
-    buckets = [bkt for lvl in program.levels for bkt in lvl.buckets]
-    rows = [bkt.b for bkt in buckets]
-    nnz = sum(bkt.b * bkt.t for bkt in buckets)
-    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
-    # per below row, program order: its entry count, its first column and
-    # where its entries start
-    width = np.repeat(np.array([bkt.t for bkt in buckets], dtype=index), rows)
-    first = np.concatenate([bkt.rep_idx for bkt in buckets], dtype=index)
-    first *= width
-    first += np.repeat(np.array([bkt.top_lo for bkt in buckets], dtype=index), rows)
-    ptr = np.zeros(width.size + 1, dtype=index)
-    np.cumsum(width, out=ptr[1:])
-
+    index = np.int32 if int(width @ count) <= np.iinfo(np.int32).max else np.int64
+    per_row = np.repeat(width.astype(index), count)  # entries per below row
+    indptr = np.zeros(per_row.size + 1, dtype=index)
+    np.cumsum(per_row, out=indptr[1:])
+    # entry e of row r sits at column top[owner(r)] + (e - indptr[r])
+    indices = np.repeat(np.repeat(top.astype(index), count) - indptr[:-1], per_row)
+    indices += np.arange(indices.size, dtype=index)
     # Every level gets arrays of its own: scipy copies a block handed to it
     # as a slice of something larger, which would double the peak.
-    blocks = []
-    row = 0
-    for lvl in program.levels:
-        nb = lvl.size - lvl.top_total
-        indptr = ptr[row : row + nb + 1] - ptr[row]
-        # entry e of row r sits at column first[r] + (e - indptr[r])
-        indices = np.repeat(first[row : row + nb] - indptr[:-1], width[row : row + nb])
-        indices += np.arange(indices.size, dtype=index)
-        owners = [s for bkt in lvl.buckets for s in bkt.nodes[: bkt.k_below].tolist()]
-        data = np.concatenate([prep.rect[s].reshape(-1) for s in owners] or [np.empty(0)])
-        blocks.append(csr_array((data, indices, indptr), shape=(nb, lvl.top_total)))
-        row += nb
-    return tuple(blocks)
+    data = np.concatenate([r.reshape(-1) for r in rect] or [np.empty(0)])
+    return csr_array((data, indices, indptr), shape=(per_row.size, tt))
 
 
 def build_fused_panels(program: LevelProgram, prep: PreparedFactor) -> FusedPanels:
-    """Pack the panel values of *prep* in *program*'s level layout."""
-    diag = _level_diagonals(program, prep)
-    rect = _level_rectangles(program, prep)
-    return FusedPanels(diag=diag, diag_t=tuple(d.T for d in diag),
-                       rect=rect, rect_t=tuple(r.T for r in rect))
+    """Pack the panel values of *prep* in *program*'s level layout.
+
+    A level's tops sit back to back in node order, then the belows of the
+    nodes that have any, so the offsets give every width and below count.
+    """
+    diag, rect = [], []
+    for lvl, nodes in zip(program.levels, level_nodes(program.node_level, program.nlevels)):
+        top, below = program.node_top_off[nodes], program.node_below_off[nodes]
+        width = np.diff(top, append=lvl.top_total)
+        owns = below >= 0
+        diag.append(_level_diagonal(
+            lvl.top_total, top, width, [prep.inv[s] for s in nodes.tolist()]))
+        rect.append(_level_rectangle(
+            lvl.top_total, top[owns], width[owns], np.diff(below[owns], append=lvl.size),
+            [prep.rect[s] for s in nodes[owns].tolist()]))
+    return FusedPanels(diag=tuple(diag), diag_t=tuple(d.T for d in diag),
+                       rect=tuple(rect), rect_t=tuple(r.T for r in rect))
+
+
+def _panels(prep: PreparedFactor, program: LevelProgram) -> FusedPanels:
+    """*program*'s packed panels of *prep*, kept in *prep*'s arena entry for *program*."""
+    return prep.arena.shared(program, lambda: build_fused_panels(program, prep))
+
+
+def fused_panels_for(factor: SupernodalFactor) -> FusedPanels:
+    """The packed panel values of *factor* in its structure's cached program (built once)."""
+    return _panels(prepare_factor(factor), program_for(factor.stree))
 
 
 # ------------------------------------------------------------------ tapes
@@ -234,7 +238,7 @@ def _matvec(op: csr_array | csc_array, x: np.ndarray, y: np.ndarray) -> tuple:
         rows, cols, m, op.indptr, op.indices, op.data, _flat(x), _flat(y))
 
 
-def _bind(ws: FusedWorkspace, program: LevelProgram, panels: FusedPanels) -> None:
+def _bind(ws: FusedWorkspace, program: LevelProgram, panels: FusedPanels) -> FusedWorkspace:
     """Compile *ws*'s two tapes: every level's calls, pre-bound to *ws*'s buffers."""
     xc, scratch, n = ws.xc, ws.scratch, program.n
     x = xc[:n]
@@ -248,8 +252,7 @@ def _bind(ws: FusedWorkspace, program: LevelProgram, panels: FusedPanels) -> Non
                     _matvec(lvl.replay, xc, acc),
                     _matvec(diag, acc[:tt], tops)]
         if size > tt:
-            c_lo = n + lvl.buckets[0].contrib_lo  # the buckets' slices are consecutive
-            contrib = xc[c_lo : c_lo + size - tt]
+            contrib = xc[n + lvl.arena_lo : n + lvl.arena_lo + size - tt]
             forward += [_matvec(rect, tops, contrib),
                         (np.subtract, (acc[tt:], contrib, contrib))]
         forward.append((xc.__setitem__, (lvl.gather_rows[:tt], tops)))
@@ -266,7 +269,8 @@ def _bind(ws: FusedWorkspace, program: LevelProgram, panels: FusedPanels) -> Non
                          (np.subtract, (acc[:tt], t1, acc[:tt]))]
         backward += [_matvec(diag_t, acc[:tt], t2),
                      (x.__setitem__, (lvl.gather_rows[:tt], t2))]
-    ws.forward, ws.backward, ws.panels = tuple(forward), tuple(backward), panels
+    ws.forward, ws.backward = tuple(forward), tuple(backward)
+    return ws
 
 
 def _sweep(tape: tuple) -> None:
@@ -276,42 +280,26 @@ def _sweep(tape: tuple) -> None:
 
 
 # ------------------------------------------------------------------ public
-def _resolve_program(
-    factor: SupernodalFactor,
-    prep: PreparedFactor,
-    program: LevelProgram | None,
-) -> tuple[LevelProgram, FusedPanels]:
-    """Pair a program with its packed panels, preferring the caches.
-
-    ``program=None`` and passing the structure's cached program both hit
-    the memoized panels; only a hand-built program pays to pack inline.
-    """
-    cached = program_for(factor.stree)
-    if program is None or program is cached:
-        return cached, fused_panels_for(factor)
-    return program, build_fused_panels(program, prep)
-
-
-@contextmanager
 def _lease(
-    prep: PreparedFactor, program: LevelProgram, panels: FusedPanels, m: int
-) -> Iterator[FusedWorkspace]:
-    """Lease *program*'s workspace at *m* columns from *prep*'s arena, tapes bound to *panels*.
+    factor: SupernodalFactor, program: LevelProgram | None, m: int
+) -> ContextManager[FusedWorkspace]:
+    """Lease the workspace of *program* (default: the cached one) at *m* columns.
 
-    A hand-built program packs fresh panels on every call, so its tapes
-    are recompiled each time; the cached program's are compiled once.
+    It comes from the prepared factor's arena.  A workspace's tapes are
+    bound once, when it is built, to the panels the arena keeps for the
+    program — packed once per program, hand-built or cached.
     """
-    with prep.arena.lease(program, ("fused", m), lambda: build_fused_workspace(program, m)) as ws:
-        if ws.panels is not panels:
-            _bind(ws, program, panels)
-        yield ws
+    prep = prepare_factor(factor)
+    program = program_for(factor.stree) if program is None else program
+    return prep.arena.lease(
+        program, ("fused", m),
+        lambda: _bind(build_fused_workspace(program, m), program, _panels(prep, program)),
+    )
 
 
 def warm_fused(factor: SupernodalFactor, *, program: LevelProgram | None = None) -> None:
     """Build the workspace and tapes a one-column fused solve of *factor* runs on."""
-    prep = prepare_factor(factor)
-    program, panels = _resolve_program(factor, prep, program)
-    with _lease(prep, program, panels, 1):
+    with _lease(factor, program, 1):
         pass
 
 
@@ -326,10 +314,8 @@ def forward_fused(
     *b* may be a vector or an ``(n, nrhs)`` block; the result matches the
     input's shape and is bitwise identical to the serial reference.
     """
-    prep = prepare_factor(factor)
-    program, panels = _resolve_program(factor, prep, program)
     b, squeeze = rhs_view(b, factor.n)
-    with _lease(prep, program, panels, b.shape[1]) as ws:
+    with _lease(factor, program, b.shape[1]) as ws:
         y = ws.xc[: factor.n]
         y[...] = b
         _sweep(ws.forward)
@@ -344,10 +330,8 @@ def backward_fused(
     program: LevelProgram | None = None,
 ) -> np.ndarray:
     """Solve ``L^T x = b`` with the fused level program."""
-    prep = prepare_factor(factor)
-    program, panels = _resolve_program(factor, prep, program)
     b, squeeze = rhs_view(b, factor.n)
-    with _lease(prep, program, panels, b.shape[1]) as ws:
+    with _lease(factor, program, b.shape[1]) as ws:
         x = ws.xc[: factor.n]
         x[...] = b
         _sweep(ws.backward)
@@ -367,10 +351,8 @@ def solve_fused(
     a steady-state solve against a prepared factor allocates no arrays
     between copying *b* in and the answer out.
     """
-    prep = prepare_factor(factor)
-    program, panels = _resolve_program(factor, prep, program)
     b, squeeze = rhs_view(b, factor.n)
-    with _lease(prep, program, panels, b.shape[1]) as ws:
+    with _lease(factor, program, b.shape[1]) as ws:
         x = ws.xc[: factor.n]
         x[...] = b
         _sweep(ws.forward)

@@ -27,13 +27,15 @@ structure:
 
 :func:`compile_level_program` then lays a plan out for the fused backend
 as a :class:`LevelProgram`: per elimination-tree level one packed
-accumulator, the level's whole extend-add compiled into one
-structure-only ``scipy.sparse`` CSR operator ``replay`` (row ``i`` lists
-what accumulator row ``i`` sums, in the plan's order, all coefficients
-1.0), and one :class:`LevelBucket` per panel width, whose tops, belows
-and contribution slices are contiguous, bucket after bucket, so a
-level's diagonal inverses and its rectangles each lower to one sparse
-block (:func:`repro.exec.fused.build_fused_panels`).
+accumulator in one canonical node order — the level's supernodes in
+ascending id, their tops back to back, then the belows of those that
+have any, in the same order — and the level's whole extend-add compiled
+into one structure-only ``scipy.sparse`` CSR operator ``replay`` (row
+``i`` lists what accumulator row ``i`` sums, in the plan's order, all
+coefficients 1.0).  The tree-wide contribution arena follows the same
+order, level after level.  A level's diagonal inverses and its
+rectangles each lower to one sparse block
+(:func:`repro.exec.fused.build_fused_panels`).
 
 Plans and programs depend only on the symbolic structure (never on
 numeric values), so they are cached per structure by
@@ -252,47 +254,17 @@ def build_plan(stree: SupernodalTree, *, grain: int = DEFAULT_GRAIN) -> ExecPlan
 
 # --------------------------------------------------------------- level program
 @dataclass(frozen=True, slots=True)
-class LevelBucket:
-    """The panels of one (level, panel width) pair, laid out contiguously.
-
-    ``nodes`` lists the level's width-``t`` supernodes — those with
-    below-rows first, then the trivial ones, each part ascending.  Their
-    tops are contiguous in the level accumulator (``t`` rows per node from
-    ``top_lo``, in this order) and the first ``k_below`` of them own
-    contiguous below segments from ``below_lo``: ``rep_idx`` is the owner
-    position in ``[0, k_below)`` of every stacked below row.  The same
-    ``b`` rows, in the same order, are the bucket's slice of the
-    contribution arena (from ``contrib_lo``) and of the level's backward
-    gather (from ``below_lo - top_total``).
-    """
-
-    t: int
-    nodes: np.ndarray       # (k,) supernode ids
-    k_below: int            # how many leading nodes have below-rows
-    top_lo: int             # first accumulator row of the k * t tops
-    below_lo: int           # first accumulator row of the stacked belows
-    contrib_lo: int         # first contribution-arena row of the same rows
-    rep_idx: np.ndarray     # (b,) owner position per stacked below row
-
-    @property
-    def k(self) -> int:
-        return int(self.nodes.size)
-
-    @property
-    def b(self) -> int:
-        return int(self.rep_idx.size)
-
-
-@dataclass(frozen=True, slots=True)
 class Level:
     """One fully-packed elimination-tree level of a :class:`LevelProgram`.
 
-    The level accumulator is laid out ``[tops | belows]``, bucket after
-    bucket in ascending width.  ``gather_rows`` names, per accumulator
-    row, the solution row it stands for: a top's own column, a below
-    row's ancestor row.  Its first ``top_total`` entries are where the
-    solved tops are written back; the backward sweep gathers the whole
-    vector in one ``take``.
+    The level accumulator is laid out ``[tops | belows]``: the level's
+    supernodes in ascending id, their tops back to back, then the belows
+    of those that have any, in the same order; the same belows, in that
+    order, are the contribution arena's rows from ``arena_lo``.
+    ``gather_rows`` names, per accumulator row, the solution row it
+    stands for: a top's own column, a below row's ancestor row.  Its
+    first ``top_total`` entries are where the solved tops are written
+    back; the backward sweep gathers the whole vector in one ``take``.
 
     ``replay`` is the level's extend-add as one structure-only CSR
     operator of shape ``(size, n + contrib_total)`` over the fused
@@ -311,7 +283,7 @@ class Level:
     top_total: int
     gather_rows: np.ndarray
     replay: csr_array
-    buckets: tuple[LevelBucket, ...]
+    arena_lo: int
 
 
 @dataclass(frozen=True)
@@ -348,10 +320,6 @@ class LevelProgram:
         return len(self.levels)
 
 
-def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-
 def _replay_operator(
     size: int, top_src: np.ndarray, dst: np.ndarray, src: np.ndarray, ncols: int
 ) -> csr_array:
@@ -373,15 +341,20 @@ def _replay_operator(
     )
 
 
+def level_nodes(node_level: np.ndarray, nlevels: int) -> list[np.ndarray]:
+    """Per level, its supernodes in ascending id — the order of its tops and belows."""
+    order = np.argsort(node_level, kind="stable")
+    return np.split(order, np.searchsorted(node_level[order], np.arange(1, nlevels)))
+
+
 def compile_level_program(plan: ExecPlan) -> LevelProgram:
     """Compile *plan* into the flat level program the fused backend runs.
 
-    Per level the supernodes are bucketed by panel width
-    (:class:`LevelBucket`), and every child-contribution
-    edge of the plan is flattened into the level's ``replay`` operator,
-    which keeps, per accumulator row, the plan's ascending-child
-    reduction order — so the fused execution is bitwise identical to the
-    per-node walker.
+    Per level the supernodes are laid out in ascending id (see
+    :class:`Level`), and every child-contribution edge of the plan is
+    flattened into the level's ``replay`` operator, which keeps, per
+    accumulator row, the plan's ascending-child reduction order — so the
+    fused execution is bitwise identical to the per-node walker.
     """
     steps = plan.steps
     ns = len(steps)
@@ -393,74 +366,41 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
     node_below_off = np.full(ns, -1, dtype=np.int64)
     contrib_off = np.full(ns, -1, dtype=np.int64)
     width = np.array([st.t for st in steps], dtype=np.int64)
+    below_count = np.array([st.n - st.t for st in steps], dtype=np.int64)
     col_lo = np.array([st.col_lo for st in steps], dtype=np.int64)
     # the fused workspace: n solution rows, then the whole contribution arena
-    ncols = n + sum(st.n - st.t for st in steps)
-
-    by_level: list[list[int]] = [[] for _ in range(nlev)]
-    for s in range(ns):
-        by_level[int(node_level[s])].append(s)  # ascending per level
+    ncols = n + int(below_count.sum())
 
     levels: list[Level] = []
     ccur = 0
-    max_acc = 0
-
-    for li in range(nlev):
-        nodes = by_level[li]
-        # width -> (below-owning nodes, trivial nodes), each ascending
-        by_width: dict[int, tuple[list[int], list[int]]] = {}
-        for s in nodes:
-            st = steps[s]
-            by_width.setdefault(st.t, ([], []))[st.n == st.t].append(s)
-        # (width, below-owning nodes, all nodes with those first)
-        lanes = [(t, own, own + trivial) for t, (own, trivial) in sorted(by_width.items())]
-
-        # --- accumulator layout: every bucket's tops, then every bucket's
-        # belows; the contribution arena follows the below order.
-        pos = 0
-        for t, _, members in lanes:
-            for s in members:
-                node_top_off[s] = pos
-                pos += t
-        top_total = pos
-        buckets: list[LevelBucket] = []
-        for t, owners, members in lanes:
-            counts = np.array([steps[s].n - t for s in owners], dtype=np.int64)
-            buckets.append(LevelBucket(
-                t=t,
-                nodes=np.array(members, dtype=np.int64),
-                k_below=len(owners),
-                top_lo=int(node_top_off[members[0]]),
-                below_lo=pos,
-                contrib_lo=ccur,
-                rep_idx=np.repeat(np.arange(len(owners), dtype=np.int32), counts),
-            ))
-            for s, nb in zip(owners, counts.tolist()):
-                node_below_off[s] = pos
-                contrib_off[s] = ccur
-                pos += nb
-                ccur += nb
-        size = pos
+    for li, nodes in enumerate(level_nodes(node_level, nlev)):
+        owners = nodes[below_count[nodes] > 0]
+        # tops back to back, then the owners' belows; the arena follows them
+        w, counts = width[nodes], below_count[owners]
+        top_total = int(w.sum())
+        node_top_off[nodes] = np.cumsum(w) - w
+        node_below_off[owners] = top_total + np.cumsum(counts) - counts
+        contrib_off[owners] = node_below_off[owners] - top_total + ccur
+        size = top_total + int(counts.sum())
 
         # --- per accumulator row, the solution row it stands for: tops
         # their own columns, belows their ancestor rows ---
-        tops = np.concatenate([bkt.nodes for bkt in buckets])
         gather_rows = np.concatenate([
-            np.repeat(col_lo[tops] - node_top_off[tops], width[tops]) + np.arange(top_total),
-            *(steps[s].below for bkt in buckets for s in bkt.nodes[: bkt.k_below].tolist()),
+            np.repeat(col_lo[nodes] - node_top_off[nodes], w) + np.arange(top_total),
+            *(steps[s].below for s in owners.tolist()),
         ], dtype=np.int64)
 
         # --- flatten the level's child-contribution edges ---
         edges = [  # parents ascending; children ascend within each
             (s, c, idx)
-            for s in nodes
+            for s in nodes.tolist()
             for c, idx in zip(steps[s].children, steps[s].child_scatter)
             if idx.size
         ]
         lens = np.array([idx.size for _, _, idx in edges], dtype=np.int64)
         parent = np.repeat(np.array([s for s, _, _ in edges], dtype=np.int64), lens)
         child = np.repeat(np.array([c for _, c, _ in edges], dtype=np.int64), lens)
-        row = _concat([idx for _, _, idx in edges]).astype(np.int64)
+        row = np.concatenate([np.empty(0, np.int64), *(idx for _, _, idx in edges)])
         replay = _replay_operator(
             size,
             gather_rows[:top_total],
@@ -477,9 +417,9 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
             top_total=top_total,
             gather_rows=gather_rows,
             replay=replay,
-            buckets=tuple(buckets),
+            arena_lo=ccur,
         ))
-        max_acc = max(max_acc, size)
+        ccur += size - top_total
 
     return LevelProgram(
         levels=tuple(levels),
@@ -490,5 +430,5 @@ def compile_level_program(plan: ExecPlan) -> LevelProgram:
         contrib_total=ccur,
         n=n,
         nsuper=ns,
-        max_acc=max_acc,
+        max_acc=max((lvl.size for lvl in levels), default=0),
     )

@@ -200,6 +200,41 @@ def _certify_mutated_level(pick, mutate) -> Report:
     return certify_level_program(mutated, plan, stree).report
 
 
+def _program_child_at_parents_level() -> Report:
+    # Lift a child onto its parent's level in the plan, then compile that
+    # plan faithfully: the one level barrier left cannot order the child's
+    # contribution hand-off to its parent, nor the parent's solved rows
+    # back to the child.
+    from repro.exec.plan import compile_level_program
+    from repro.verify.schedule import certify_level_program
+
+    plan, stree = _plan_and_tree()
+    child = next(s for s, st in enumerate(plan.steps) if st.below.size and st.t)
+    parent = next(s for s, st in enumerate(plan.steps) if child in st.children)
+    node_level = plan.node_level.copy()
+    node_level[child] = node_level[parent]
+    plan = dataclasses.replace(plan, node_level=node_level)
+    return certify_level_program(compile_level_program(plan), plan, stree).report
+
+
+def _program_tops_swapped() -> Report:
+    # Two supernodes of one level trade top offsets while every operator
+    # stays put: the panel packer would lay each node's inverse and
+    # rectangle over the other's tops.
+    from repro.exec.plan import compile_level_program
+    from repro.verify.schedule import certify_level_program
+
+    plan, stree = _plan_and_tree()
+    program = compile_level_program(plan)
+    lvl_of = program.node_level
+    a = next(s for s in range(program.nsuper) if np.count_nonzero(lvl_of == lvl_of[s]) >= 2)
+    b = next(s for s in range(a + 1, program.nsuper) if lvl_of[s] == lvl_of[a])
+    top = program.node_top_off.copy()
+    top[[a, b]] = top[[b, a]]
+    mutated = dataclasses.replace(program, node_top_off=top)
+    return certify_level_program(mutated, plan, stree).report
+
+
 def _summing_row(lvl, n: int) -> int | None:
     """The first accumulator row of *lvl* that sums two or more child contributions."""
     op = lvl.replay
@@ -361,6 +396,18 @@ def known_bad_cases() -> list[BadCase]:
             "a child reduction list out of ascending order — nondeterministic sums",
             frozenset({"schedule-reduction-order"}),
             _plan_permuted_reduction,
+        ),
+        BadCase(
+            "program-child-at-parents-level",
+            "a fused level program with a child on its parent's level",
+            frozenset({"schedule-program-level", "schedule-stale-read"}),
+            _program_child_at_parents_level,
+        ),
+        BadCase(
+            "program-tops-swapped",
+            "a fused level program whose two nodes trade top offsets in one level",
+            frozenset({"schedule-program-layout"}),
+            _program_tops_swapped,
         ),
         BadCase(
             "program-swapped-scatter",

@@ -34,15 +34,18 @@ properties the engine's docstrings promise:
    for schedule equivalence by comparing two hex strings.
 
 :func:`certify_level_program` extends the proof to the fused backend's
-:class:`~repro.exec.plan.LevelProgram`: the program's flat layout and
-operators (accumulator layout, one lane per (level, width) bucket, the
-per-level replay operator, the merged gather vector) are decoded back
-against the plan's steps — rules prefixed ``schedule-program-``; for a
-replay operator: its ``(indptr, indices)`` equal the plan's rows entry
-for entry (``-scatter``; its top rows' leading self-entries are
-``-gather``'s) and every coefficient is exactly 1.0 — and the same
-obligations are checked against the level chain, each node standing in
-its ``program.node_level``.  A
+:class:`~repro.exec.plan.LevelProgram`, rules prefixed
+``schedule-program-``.  From the plan's steps and node levels alone the
+certifier derives the one layout a program may have — per level the
+nodes in ascending id, tops back to back, then the belows, the arena
+following them — and requires the program's offsets, level extents and
+maxima to equal it (``-layout``); the gather vectors and replay
+operators are then compared with what that layout makes them: a replay
+operator's ``(indptr, indices)`` equal the plan's rows entry for entry
+(``-scatter``; its top rows' leading self-entries are ``-gather``'s) and
+every coefficient is exactly 1.0.  The same obligations are checked
+against the level chain, each node standing in its
+``program.node_level``.  A
 certified program earns its plan's digest: the fused backend provably
 executes the plan's schedule.
 
@@ -543,28 +546,18 @@ def certify_plan(
 
 
 # ------------------------------------------------------- level programs
-def _first_untiled_row(starts: np.ndarray, lengths: np.ndarray, total: int) -> int | None:
-    """Where the intervals stop tiling ``[0, total)`` (``None``: they tile it)."""
-    order = np.argsort(starts, kind="stable")
-    starts, lengths = starts[order], lengths[order]
-    expect = np.cumsum(lengths) - lengths
-    bad = np.flatnonzero(starts != expect)
-    if bad.size:
-        return int(min(starts[bad[0]], expect[bad[0]]))
-    end = int(lengths.sum())
-    return None if end == total else min(end, total)
-
-
 def _check_program_structure(
     program: "LevelProgram", plan: "ExecPlan", report: Report, name: str
 ) -> None:
     """Decode the program against the plan it claims to compile.
 
     The fused executor trusts the program's index vectors and replay
-    operators blindly — this check re-derives, from the plan's steps
-    alone, what every one must contain, so a mutated layout, operator,
-    gather or lane can never certify.  Nothing here consults ``compile_level_program``: the
-    compiler's output is judged against the plan, not against itself.
+    operators blindly — this check derives, from the plan's steps and
+    node levels alone, the one layout a program may have and what every
+    gather vector and operator must then contain, and requires equality,
+    so a mutated layout, operator or gather can never certify.  Nothing
+    here consults ``compile_level_program``: the compiler's output is
+    judged against the plan, not against itself.
     """
     steps = plan.steps
     ns = len(steps)
@@ -603,137 +596,72 @@ def _check_program_structure(
             location=loc0,
         )
 
-    # Membership: levels must partition the supernodes, each node listed
-    # in the level node_level assigns it to.
-    listed = [
-        np.concatenate([bkt.nodes for bkt in lvl.buckets], dtype=np.int64)
-        if lvl.buckets else np.empty(0, dtype=np.int64)
-        for lvl in program.levels
-    ]
-    flat = np.concatenate(listed) if listed else np.empty(0, dtype=np.int64)
-    where = np.repeat(np.arange(len(listed)), [a.size for a in listed])
-    unknown = (flat < 0) | (flat >= ns)
-    times = np.bincount(flat[~unknown], minlength=ns)
-    misplaced = ~unknown
-    misplaced[misplaced] = lvl_of[flat[misplaced]] != where[misplaced]
-    for bad, what in (
-        (flat[unknown], "are not supernodes of the plan"),
-        (np.flatnonzero(times > 1), "appear in several levels or twice in one"),
-        (np.flatnonzero(times == 0), "appear in no level — never solved"),
-        (flat[misplaced], "execute in a level other than node_level's"),
-    ):
-        if bad.size:
-            report.add(
-                "schedule-program-partition",
-                f"supernodes {format_index_set(np.unique(bad))} {what}",
-                location=loc0,
-            )
-    if np.any(unknown) or np.any(times != 1) or np.any(misplaced):
-        return  # the per-level decodes below would only cascade
-
     width = np.array([st.t for st in steps], dtype=np.int64)
     below_count = np.array([st.n - st.t for st in steps], dtype=np.int64)
     col_lo = np.array([st.col_lo for st in steps], dtype=np.int64)
     # the workspace the replay operators read: n solution rows, then the arena
     n = max((st.col_hi for st in steps), default=0)
-    ncols = n + program.contrib_total
-    if program.n != n:
-        report.add(
-            "schedule-program-shape",
-            f"program declares {program.n} solution rows but the plan's "
-            f"columns end at {n} — contributions would land in the wrong rows",
-            location=loc0,
-        )
 
-    # Contribution arena: the per-node slices must tile [0, contrib_total).
+    # --- the canonical layout: per level the nodes in ascending id, their
+    # tops back to back, then the belows of those that have any; the
+    # contribution arena follows the n solution rows and the belows, level
+    # after level.
+    nlev = len(program.levels)
+    order = np.argsort(lvl_of, kind="stable")
+    tops = np.bincount(lvl_of, width, nlev).astype(np.int64)
+    belows = np.bincount(lvl_of, below_count, nlev).astype(np.int64)
+    sizes, arena_lo = tops + belows, np.cumsum(belows) - belows
+    top_off = np.empty(ns, dtype=np.int64)
+    top_off[order] = np.cumsum(width[order]) - width[order]
+    top_off -= (np.cumsum(tops) - tops)[lvl_of]  # each level's tops start at 0
+    arena = np.empty(ns, dtype=np.int64)
+    arena[order] = np.cumsum(below_count[order]) - below_count[order]
     has_below = below_count > 0
-    row = _first_untiled_row(
-        program.contrib_off[has_below], below_count[has_below], program.contrib_total
-    )
-    if row is not None:
-        report.add(
-            "schedule-program-contrib",
-            f"contribution slices overlap, leave a gap or overrun the declared "
-            f"{program.contrib_total} rows at arena row {row}",
-            location=loc0,
-        )
-
-    for lvl, nodes in zip(program.levels, listed):
-        loc = f"{name}/program level {lvl.index}"
-        members = np.sort(nodes)
-        owners = members[has_below[members]]
-
-        # --- accumulator layout: per-node intervals must tile [0, size),
-        # tops inside [0, top_total), belows after it.
-        top_at, below_at = program.node_top_off[members], program.node_below_off[owners]
-        row = _first_untiled_row(
-            np.concatenate((top_at, below_at)),
-            np.concatenate((width[members], below_count[owners])),
-            lvl.size,
-        )
-        layout_ok = (
-            row is None
-            and not np.any(top_at + width[members] > lvl.top_total)
-            and not np.any(below_at < lvl.top_total)
-        )
-        if not layout_ok:
+    contrib_off = np.where(has_below, arena, -1)
+    below_off = np.where(has_below, tops[lvl_of] + arena - arena_lo[lvl_of], -1)
+    levels = program.levels
+    for what, unit, got, want in (
+        ("node_top_off", "supernode", program.node_top_off, top_off),
+        ("node_below_off", "supernode", program.node_below_off, below_off),
+        ("contrib_off", "supernode", program.contrib_off, contrib_off),
+        ("index", "level", [lvl.index for lvl in levels], np.arange(nlev)),
+        ("size", "level", [lvl.size for lvl in levels], sizes),
+        ("top_total", "level", [lvl.top_total for lvl in levels], tops),
+        ("arena_lo", "level", [lvl.arena_lo for lvl in levels], arena_lo),
+        ("n", "program", [program.n], [n]),
+        ("contrib_total", "program", [program.contrib_total], [int(belows.sum())]),
+        ("max_acc", "program", [program.max_acc], [int(sizes.max(initial=0))]),
+    ):
+        got, want = np.asarray(got).tolist(), np.asarray(want).tolist()
+        if got != want:
+            k = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), len(want))
             report.add(
                 "schedule-program-layout",
-                f"panels do not tile the level accumulator as [tops | belows] "
-                f"(top region [0, {lvl.top_total}), size {lvl.size}"
-                + (f", first overlap, gap or overrun at row {row})" if row is not None
-                   else "): a block sits in the wrong region"),
-                location=loc,
+                f"{what} of {unit} {k} departs from the node-order layout "
+                "the plan gives — the operators would be packed for another layout",
+                location=loc0,
             )
 
-        # --- every bucket is one vectorized lane: its arrays must restate
-        # the plan's per-node facts or the bucket-wide take / product /
-        # reduction would pair the wrong rows.
-        for bkt in lvl.buckets:
-            t, kb, at = bkt.t, bkt.k_below, np.arange(bkt.k)
-            own = bkt.nodes[:kb]
-            counts = below_count[own]
-            seg = np.cumsum(counts) - counts
-            bad = (
-                kb > bkt.k
-                or np.any(width[bkt.nodes] != t)
-                or np.any((below_count[bkt.nodes] > 0) != (at < kb))
-                or not np.array_equal(program.node_top_off[bkt.nodes], bkt.top_lo + t * at)
-                or not np.array_equal(bkt.rep_idx, np.repeat(at[:kb], counts))
-                or not np.array_equal(program.node_below_off[own], bkt.below_lo + seg)
-                or not np.array_equal(program.contrib_off[own], bkt.contrib_lo + seg)
-            )
-            if bad:
-                report.add(
-                    "schedule-program-lane",
-                    f"bucket t={t} misdescribes its panels (width, below-owning "
-                    "nodes first, top / below / contribution offsets or owner "
-                    "indices) — the bucket-wide product would reduce the wrong "
-                    "segments",
-                    location=loc,
-                )
-
-        if not layout_ok:
-            continue  # the vector decodes below assume a clean layout
+    ncols = n + int(belows.sum())
+    bounds = np.cumsum(np.bincount(lvl_of, minlength=nlev))[:-1]
+    for li, (lvl, members) in enumerate(zip(levels, np.split(order, bounds))):
+        loc = f"{name}/program level {li}"
+        size, tt = int(sizes[li]), int(tops[li])
+        owners = members[has_below[members]]
 
         # --- per accumulator row, the solution row it stands for: each
         # panel's own columns for its tops, its below-rows for its belows.
-        tw = width[members]
-        ramp = np.arange(int(tw.sum())) - np.repeat(np.cumsum(tw) - tw, tw)
-        exp_top = np.full(lvl.top_total, -1, dtype=np.int64)
-        exp_top[np.repeat(top_at, tw) + ramp] = np.repeat(col_lo[members], tw) + ramp
-        exp_g = np.full(lvl.size - lvl.top_total, -1, dtype=np.int64)
-        for s, go in zip(owners, (below_at - lvl.top_total).tolist()):
-            exp_g[go:go + below_count[s]] = steps[s].below
+        exp_top = np.repeat(col_lo[members] - top_off[members], width[members]) + np.arange(tt)
+        exp_g = np.concatenate([np.empty(0, np.int64), *(steps[s].below for s in owners.tolist())])
         rows = lvl.gather_rows
-        if rows.size != lvl.size or not np.array_equal(rows[: lvl.top_total], exp_top):
+        if rows.size != size or not np.array_equal(rows[:tt], exp_top):
             report.add(
                 "schedule-program-gather",
                 "gather vector's top rows do not name each panel's own "
                 "columns — solved tops would be written to the wrong rows",
                 location=loc,
             )
-        if rows.size != lvl.size or not np.array_equal(rows[lvl.top_total :], exp_g):
+        if rows.size != size or not np.array_equal(rows[tt:], exp_g):
             report.add(
                 "schedule-program-gather",
                 "backward gather vector does not fetch each panel's "
@@ -755,27 +683,25 @@ def _check_program_structure(
             par = np.repeat([s for s, _, _ in edges], lens)
             idx64 = np.concatenate([idx for _, _, idx in edges]).astype(np.int64)
             exp_dst = idx64 + np.where(
-                idx64 < width[par],
-                program.node_top_off[par],
-                program.node_below_off[par] - width[par],
+                idx64 < width[par], top_off[par], below_off[par] - width[par]
             )
             first = np.cumsum(lens) - lens
             exp_src = n + np.arange(idx64.size) + np.repeat(
-                program.contrib_off[[c for _, c, _ in edges]] - first, lens
+                contrib_off[[c for _, c, _ in edges]] - first, lens
             )
         else:
             exp_dst = exp_src = np.empty(0, dtype=np.int64)
-        dst = np.concatenate((np.arange(lvl.top_total), exp_dst))
-        order = np.argsort(dst, kind="stable")
-        exp_ptr = np.zeros(lvl.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=lvl.size), out=exp_ptr[1:])
-        exp_idx = np.concatenate((exp_top, exp_src))[order]
+        dst = np.concatenate((np.arange(tt), exp_dst))
+        order_in = np.argsort(dst, kind="stable")
+        exp_ptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(dst, minlength=size), out=exp_ptr[1:])
+        exp_idx = np.concatenate((exp_top, exp_src))[order_in]
         op = lvl.replay
-        if op.shape != (lvl.size, ncols):
+        if op.shape != (size, ncols):
             report.add(
                 "schedule-program-workspace",
                 f"replay operator is {op.shape[0]} x {op.shape[1]}, not "
-                f"{lvl.size} x {ncols} (the level over the [y | contrib] workspace)",
+                f"{size} x {ncols} (the level over the [y | contrib] workspace)",
                 location=loc,
             )
         elif (
@@ -790,7 +716,7 @@ def _check_program_structure(
                 location=loc,
             )
         else:
-            self_at = exp_ptr[: lvl.top_total]  # each top row's first entry
+            self_at = exp_ptr[:tt]  # each top row's first entry
             if not np.array_equal(op.indices[self_at], exp_idx[self_at]):
                 report.add(
                     "schedule-program-gather",
@@ -816,14 +742,6 @@ def _check_program_structure(
                     location=loc,
                 )
 
-        # --- the backward gather buffer must cover this level.
-        if program.max_acc < lvl.size:
-            report.add(
-                "schedule-program-workspace",
-                f"declared workspace maxima cannot hold level {lvl.index}",
-                location=loc,
-            )
-
 
 def certify_level_program(
     program: "LevelProgram",
@@ -836,9 +754,9 @@ def certify_level_program(
 
     Extends :func:`certify_plan` in three moves: first the plan itself is
     certified (a faithful compilation of a broken plan is still broken);
-    then the program's flat layout, lanes, replay operators and gather
-    vectors are decoded back against the plan's steps (rules
-    ``schedule-program-*``);
+    then the program's layout must equal the one derived from the plan,
+    and its replay operators and gather vectors what that layout makes
+    them (rules ``schedule-program-*``);
     finally the plan's ordering obligations are checked against the level
     chain, each node standing in its ``program.node_level`` — level ``i``
     before ``i + 1`` forward, reversed backward — proving the level

@@ -4,6 +4,7 @@ certificates)."""
 from __future__ import annotations
 
 import gc
+import weakref
 
 import pytest
 
@@ -100,11 +101,15 @@ def test_program_and_panels_cached_and_evicted():
     assert fused_panels_for(factor) is fused_panels_for(factor)
     stats = exec_cache_stats()
     assert stats["program_misses"] == 1 and stats["program_hits"] >= 1
-    assert stats["panels_misses"] == 1 and stats["panels_hits"] >= 1
+    # the panels live in the factor's arena, in the cached program's entry
+    arena = prepare_factor(factor).arena
+    assert arena.stats()["owners"] == 1
+    arena = weakref.ref(arena)
     del sym, factor
     gc.collect()
     stats = exec_cache_stats()
-    assert stats["program_entries"] == 0 and stats["panels_entries"] == 0
+    assert stats["program_entries"] == 0 and stats["factor_entries"] == 0
+    assert arena() is None
 
 
 def test_fused_certificate_memoized_and_evicted():

@@ -17,6 +17,8 @@ The central claims under test, mirroring the engine battery in
 
 import dataclasses
 import gc
+import sys
+import threading
 import tracemalloc
 from contextlib import contextmanager
 
@@ -285,9 +287,9 @@ class TestZeroAllocationSteadyState:
         assert prep.arena.stats()["built"] >= 2
 
     def test_a_workspace_never_runs_another_program(self, sym_grid8, rng, monkeypatch):
-        # Leases are filed under id(program), and a collected hand-built
-        # program's id is recycled.  File every program under one id: each
-        # lease must still get a workspace built for its own program.
+        # Arena entries are filed under id(program), and a collected
+        # hand-built program's id is recycled.  File every program under one
+        # id: each lease must still get a workspace built for its own program.
         factor = cholesky_supernodal(sym_grid8)
         b = rng.normal(size=(sym_grid8.n, 2))
         ref = solve_supernodal(factor, b)
@@ -301,9 +303,10 @@ class TestZeroAllocationSteadyState:
         real_lease = fused._lease
 
         @contextmanager
-        def lease(prep, program, panels, m):
-            with real_lease(prep, program, panels, m) as ws:
-                assert built_for[id(ws)] is program, "a workspace ran another program"
+        def lease(factor, program, m):
+            with real_lease(factor, program, m) as ws:
+                own = program_for(factor.stree) if program is None else program
+                assert built_for[id(ws)] is own, "a workspace ran another program"
                 yield ws
 
         monkeypatch.setattr(fused, "build_fused_workspace", build)
@@ -313,6 +316,80 @@ class TestZeroAllocationSteadyState:
         for program in [*hand_built, None, *hand_built, None]:
             x = solve_fused(factor, b, program=program)
             assert x.tobytes() == ref.tobytes()
+
+
+class TestHandBuiltPrograms:
+    """A ``program=`` the caller compiled: its panels and tapes live in the arena."""
+
+    @staticmethod
+    def _hand_built(sym):
+        return compile_level_program(build_plan(sym.stree, grain=0))
+
+    def test_warm_solves_pack_its_panels_once(self, sym_grid8, rng, monkeypatch):
+        # Three widths, three workspaces, one packing; then three warm
+        # solves that neither pack nor bind again.
+        factor = cholesky_supernodal(sym_grid8)
+        blocks = [rng.normal(size=(sym_grid8.n, m)) for m in (1, 2, 3)]
+        packed = []
+        real = fused.build_fused_panels
+        monkeypatch.setattr(
+            fused, "build_fused_panels",
+            lambda program, prep: packed.append(program) or real(program, prep),
+        )
+        program = self._hand_built(sym_grid8)
+        for b in blocks + blocks:
+            x = solve_fused(factor, b, program=program)
+            assert x.tobytes() == solve_supernodal(factor, b).tobytes()
+        assert len(packed) == 1 and packed[0] is program
+        assert prepare_factor(factor).arena.stats()["built"] == 3
+
+    def test_collected_programs_leave_nothing_in_the_arena(self, sym_grid8, rng):
+        b = rng.normal(size=(sym_grid8.n, 2))
+
+        def after(count):
+            factor = cholesky_supernodal(sym_grid8)
+            solve_fused(factor, b)  # the cached program's entry stays
+            for _ in range(count):
+                solve_fused(factor, b, program=self._hand_built(sym_grid8))
+                gc.collect()
+            return prepare_factor(factor).arena.stats()
+
+        one, twenty = after(1), after(20)
+        assert twenty["free"] == one["free"] == 1
+        assert twenty["owners"] == one["owners"] == 1
+
+
+    def test_concurrent_solves_share_one_entry(self, sym_grid8, rng):
+        # More threads than cores, switching often, all on one hand-built
+        # program: every answer is the serial one's bits, the program ends
+        # with one shared panel set, and no leased workspace is lost.
+        factor = cholesky_supernodal(sym_grid8)
+        program = self._hand_built(sym_grid8)
+        blocks = [rng.normal(size=(sym_grid8.n, m)) for m in (1, 2, 3)]
+        expect = [solve_supernodal(factor, b).tobytes() for b in blocks]
+        wrong = []
+
+        def work():
+            for k in range(30):
+                b = blocks[k % 3]
+                if solve_fused(factor, b, program=program).tobytes() != expect[k % 3]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not wrong
+        arena = prepare_factor(factor).arena
+        stats = arena.stats()
+        assert stats["free"] == stats["built"] and stats["owners"] == 1
+        assert arena.shared(program, lambda: pytest.fail("panels packed again")) is not None
 
 
 class TestDirectCalls:

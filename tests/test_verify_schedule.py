@@ -168,7 +168,7 @@ class TestCertifyMutants:
         ), report.render()
 
 
-    # --- the level program's replay operators and bucket lanes: reported, never raised
+    # --- the level program's layout and replay operators: reported, never raised
 
     @staticmethod
     def _certify_with_level(sym, plan, pick, mutate):
@@ -262,23 +262,53 @@ class TestCertifyMutants:
         )
         assert report.rules() == {"schedule-program-workspace"}, report.render()
 
-    def test_owner_index_shifted_in_a_wide_bucket_is_flagged(self):
-        def wide(bkt):
-            return bkt.t > 1 and bkt.k_below > 1
+    def test_child_at_its_parents_level_is_a_level_finding(self, sym, plan):
+        # A faithful compilation of a plan whose child shares its parent's
+        # level: the layout is canonical, the level barrier is not enough.
+        child = next(s for s, st in enumerate(plan.steps) if st.below.size and st.t)
+        parent = next(s for s, st in enumerate(plan.steps) if child in st.children)
+        node_level = plan.node_level.copy()
+        node_level[child] = node_level[parent]
+        lifted = dataclasses.replace(plan, node_level=node_level)
+        report = certify_level_program(compile_level_program(lifted), lifted, sym.stree).report
+        level = [f for f in report.errors() if f.rule == "schedule-program-level"]
+        assert [f"child {child}" in f.message for f in level] == [True], report.render()
+        assert report.rules() == {"schedule-program-level", "schedule-stale-read"}
 
-        def mutate(lvl):
-            buckets = list(lvl.buckets)
-            bi = next(i for i, bkt in enumerate(buckets) if wide(bkt))
-            rep = buckets[bi].rep_idx.copy()
-            rep[np.argmax(rep == 1)] = 0  # the first rectangle swallows a foreign row
-            buckets[bi] = dataclasses.replace(buckets[bi], rep_idx=rep)
-            return dataclasses.replace(lvl, buckets=tuple(buckets))
+    def test_swapped_top_offsets_are_a_layout_finding(self, sym, plan):
+        program = compile_level_program(plan)
+        lvl_of = program.node_level
+        a = next(s for s in range(program.nsuper) if np.count_nonzero(lvl_of == lvl_of[s]) >= 2)
+        b = next(s for s in range(a + 1, program.nsuper) if lvl_of[s] == lvl_of[a])
+        top = program.node_top_off.copy()
+        top[[a, b]] = top[[b, a]]
+        mutant = dataclasses.replace(program, node_top_off=top)
+        report = certify_level_program(mutant, plan, sym.stree).report
+        assert report.rules() == {"schedule-program-layout"}, report.render()
+        assert f"node_top_off of supernode {a} " in report.render()
 
-        sym = analyze(grid2d_laplacian(10))  # has width-2 and width-3 multi-node buckets
+    @pytest.mark.parametrize(
+        "field", ["node_below_off", "contrib_off", "n", "contrib_total", "max_acc"]
+    )
+    def test_every_declared_program_offset_is_held_to_the_layout(self, sym, plan, field):
+        program = compile_level_program(plan)
+        value = getattr(program, field)
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value[np.argmax(value >= 0)] += 1
+        else:
+            value += 1
+        mutant = dataclasses.replace(program, **{field: value})
+        report = certify_level_program(mutant, plan, sym.stree).report
+        assert report.rules() == {"schedule-program-layout"}, report.render()
+
+    @pytest.mark.parametrize("field", ["index", "size", "top_total", "arena_lo"])
+    def test_every_declared_level_extent_is_held_to_the_layout(self, sym, plan, field):
         report = self._certify_with_level(
-            sym, build_plan(sym.stree), lambda lvl: any(map(wide, lvl.buckets)), mutate
+            sym, plan, lambda lvl: lvl.size > lvl.top_total > 0,
+            lambda lvl: dataclasses.replace(lvl, **{field: getattr(lvl, field) + 1}),
         )
-        assert report.rules() == {"schedule-program-lane"}, report.render()
+        assert report.rules() == {"schedule-program-layout"}, report.render()
 
 
 class TestLevelChainSharesThePlansConflicts:
@@ -333,6 +363,8 @@ class TestLevelChainSharesThePlansConflicts:
                 "schedule-tree-mismatch",
             },
             "plan-permuted-reduction": {"schedule-reduction-order"},
+            "program-child-at-parents-level": {"schedule-program-level", "schedule-stale-read"},
+            "program-tops-swapped": {"schedule-program-layout"},
             "program-swapped-scatter": {"schedule-program-scatter"},
             "program-replay-row-swapped": {"schedule-program-scatter"},
             "program-replay-entry-dropped": {"schedule-program-scatter"},
