@@ -370,7 +370,7 @@ class ParallelSparseSolver:
             from repro.exec.cache import program_for
 
             # Cached per structure; with verify=True the compiled level
-            # program is certified against its plan before first use.
+            # program is certified against the tree before first use.
             program = program_for(sym.stree, certify=self.verify)
             t0 = perf_counter()
             y = forward_fused(factor, b_perm, program=program)

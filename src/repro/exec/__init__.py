@@ -20,20 +20,18 @@ are imported from their submodules):
   the fused level-program entry points (vector or ``(n, nrhs)`` blocks);
   :func:`warm_fused` builds the one-column workspace and call tapes
   ahead of the first solve (the serving layer's registration).
-* :func:`build_plan` / :func:`plan_for` — explicit or cached
-  :class:`ExecPlan` construction, the schedule a program is compiled from.
 * :func:`compile_level_program` / :func:`program_for` — explicit or
-  cached compilation of a plan into a :class:`LevelProgram`;
+  cached compilation of a supernodal tree into a :class:`LevelProgram`;
   ``program_for(..., certify=True)`` runs the static schedule certifier
   (:mod:`repro.verify.schedule`) first.
-* :func:`fused_certificate_for` / :func:`certificate_for` — the memoized
-  determinism certificates (race-freedom + exactly-once coverage proofs)
-  for a structure's level program and for its plan.  ``certificate_for``
-  is still exported because it is the digest the program's certificate
-  must equal, and ``benchmarks/spine`` times it.
-* :func:`solve_exec` / :func:`default_workers` — the thread-pool engine,
-  kept only because ``benchmarks/spine`` measures it as a baseline and
-  the tests use it as a second bitwise reference.
+* :func:`fused_certificate_for` — the memoized determinism certificate
+  (race-freedom + exactly-once coverage proofs) of a structure's level
+  program, judged against the tree.
+* :func:`solve_exec` / :func:`default_workers`, :func:`build_plan` /
+  :func:`plan_for` and :func:`certificate_for` — the thread-pool engine,
+  its :class:`ExecPlan` and the plan's certificate, kept only because
+  ``benchmarks/spine`` measures them as a baseline and the tests use the
+  engine as a second bitwise reference.  No fused solve builds a plan.
 * :func:`prepare_factor`, :func:`fused_panels_for`,
   :func:`clear_exec_caches`, :func:`exec_cache_stats` — value
   preparation and cache control.

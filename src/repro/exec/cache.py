@@ -1,18 +1,23 @@
-"""Per-structure plan cache and per-factor value preparation.
+"""Per-structure program cache and per-factor value preparation.
 
 Repeated solves against the same factorization are the common case (multi
 right-hand-side workloads, iterative refinement, time stepping), so
 nothing is rebuilt that can be reused:
 
-* :func:`plan_for` caches one default-grain
-  :class:`~repro.exec.plan.ExecPlan` per symbolic structure, keyed by the
-  identity of the :class:`~repro.symbolic.stree.SupernodalTree` every
+* :func:`program_for` caches the compiled
+  :class:`~repro.exec.plan.LevelProgram` per symbolic structure, keyed by
+  the identity of the :class:`~repro.symbolic.stree.SupernodalTree` every
   :class:`~repro.symbolic.analyze.SymbolicFactor` and
-  :class:`~repro.numeric.supernodal.SupernodalFactor` share; entries
-  are evicted automatically when the structure is garbage collected.
-  :func:`certificate_for` memoizes the plan's
+  :class:`~repro.numeric.supernodal.SupernodalFactor` share; entries are
+  evicted automatically when the structure is garbage collected.
+  :func:`fused_certificate_for` memoizes the program's
   :class:`~repro.verify.schedule.ScheduleCertificate` alongside it (same
-  key, same eviction) — the digest a certified level program must earn.
+  key, same eviction; ``program_for(..., certify=True)`` raises
+  :class:`repro.verify.VerificationError` on any finding, and repeated
+  certified solves pay for the proof exactly once per structure).  Both
+  are built from the tree alone.  A program's packed panel values are no
+  cache of this module: they live in the prepared factor's arena, next
+  to the program's workspaces (:func:`repro.exec.fused.fused_panels_for`).
 * :func:`prepare_factor` caches a :class:`PreparedFactor` per numeric
   factor: contiguous diagonal/rectangle views of each trapezoid and the
   diagonal blocks' inverses, behind a one-time, one-pass singularity
@@ -21,15 +26,10 @@ nothing is rebuilt that can be reused:
   wrong answer or a hung pool).  Each
   prepared factor owns a :class:`~repro.exec.arena.WorkspaceArena`, so
   the solve workspaces share the factor's lifetime and eviction.
-* :func:`program_for` caches the compiled
-  :class:`~repro.exec.plan.LevelProgram` per structure, and
-  :func:`fused_certificate_for` its schedule certificate
-  (``program_for(..., certify=True)`` raises
-  :class:`repro.verify.VerificationError` on any finding, and repeated
-  certified solves pay for the proof exactly once per structure).  A
-  program's packed panel values are no cache of this module: they live
-  in the prepared factor's arena, next to the program's workspaces
-  (:func:`repro.exec.fused.fused_panels_for`).
+* :func:`plan_for` caches the thread-pool engine's default-grain
+  :class:`~repro.exec.plan.ExecPlan` per structure, and
+  :func:`certificate_for` the plan's certificate; no fused solve, and
+  nothing of the serving layer, builds either.
 
 All caches are thread-safe and observable (:func:`exec_cache_stats`),
 and :func:`clear_exec_caches` resets them (tests, benchmarks).
@@ -171,7 +171,7 @@ def program_for(stree: SupernodalTree, *, certify: bool = False) -> LevelProgram
     schedule certifier (:func:`fused_certificate_for`) before it is
     handed out.
     """
-    prog = _PROGRAMS.get(stree, lambda: compile_level_program(plan_for(stree)))
+    prog = _PROGRAMS.get(stree, lambda: compile_level_program(stree))
     if certify:
         fused_certificate_for(stree).report.raise_if_errors(
             "fused level program failed schedule certification"
@@ -180,16 +180,12 @@ def program_for(stree: SupernodalTree, *, certify: bool = False) -> LevelProgram
 
 
 def fused_certificate_for(stree: SupernodalTree) -> "ScheduleCertificate":
-    """The cached schedule certificate for *stree*'s fused level program.
-
-    The certificate carries the *plan's* canonical digest — certifying
-    the program means proving it is a faithful, race-free re-layout of
-    the same schedule, so its digest equals :func:`certificate_for`'s.
-    """
+    """The cached schedule certificate for *stree*'s fused level program,
+    judged against the tree itself (no plan is built)."""
     def certify() -> "ScheduleCertificate":
         from repro.verify.schedule import certify_level_program
 
-        return certify_level_program(program_for(stree), plan_for(stree), stree)
+        return certify_level_program(program_for(stree), stree)
 
     return _FUSED_CERTS.get(stree, certify)
 

@@ -5,17 +5,17 @@ one scatter loop per supernode.  On fine-grained elimination trees
 (unrelaxed 2-D/3-D grid trees are ~85% width-1 supernodes) that overhead dwarfs
 the dense kernels (``exec.engine.*`` against ``exec.fused.*`` in
 ``benchmarks/spine/README.md``).  This module executes the
-:class:`~repro.exec.plan.LevelProgram` compiled from the plan over one
+:class:`~repro.exec.plan.LevelProgram` compiled from the tree over one
 workspace block ``xc = [y | contrib]`` — the ``n`` solution rows, then
 the tree-wide contribution arena — per level a handful of calls:
 
 * the level's gather and extend-add are **one compiled sparse product**,
   ``acc = replay @ xc``: row ``i`` of the level's structure-only operator
   lists a top's own right-hand-side row, then every child contribution
-  the row receives in the plan's (parent ascending, child ascending)
+  the row receives in the tree's (parent ascending, child ascending)
   order, all with coefficient 1.0.  scipy's row loop starts each row at
   +0.0 and adds ``1.0 * x`` (exact) one term at a time in storage order,
-  so every row receives exactly the plan's deterministic ascending-child
+  so every row receives exactly the deterministic ascending-child
   sum — the serial walker's, which starts its accumulators at +0.0 too;
 * the level's diagonal solves are **one compiled sparse product** too,
   ``tops = D @ acc[:tt]``: :func:`build_fused_panels` stores the inverses
@@ -92,7 +92,7 @@ the same C routine through a Python-level ``fromnumeric`` wrapper) and
 with ``mode="clip"``: under the default ``mode="raise"`` numpy builds the
 result in a temporary and copies it into ``out``, which costs more than
 the gather.  Every index vector and operator is in range by construction
-— the compiler derives them from the plan and the certifier re-derives
+— the compiler derives them from the tree and the certifier re-derives
 each one (``schedule-program-*``).
 """
 

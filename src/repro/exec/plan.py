@@ -1,11 +1,25 @@
-"""Execution plans: level-scheduled task graphs over the supernodal tree.
+"""Level programs and execution plans over the supernodal tree.
 
 The simulated solvers in :mod:`repro.core` model the paper's
 message-passing algorithms; this module is the *real* counterpart.  It
-turns a :class:`~repro.symbolic.stree.SupernodalTree` into an
-:class:`ExecPlan` — the schedule the fused :class:`LevelProgram` is
-compiled from (``steps`` and ``node_level``) and everything the
-thread-pool engine baseline (:mod:`repro.exec.engine`) needs to run
+turns a :class:`~repro.symbolic.stree.SupernodalTree` into the two
+schedules the host executes:
+
+:func:`compile_level_program` lays the tree out for the fused backend as
+a :class:`LevelProgram`: per bottom-up elimination-tree level one packed
+accumulator in one canonical node order — the level's supernodes in
+ascending id, their tops back to back, then the belows of those that
+have any, in the same order — and the level's whole extend-add compiled
+into one structure-only ``scipy.sparse`` CSR operator ``replay`` (row
+``i`` lists what accumulator row ``i`` sums, in the tree's order, all
+coefficients 1.0).  The tree-wide contribution arena follows the same
+order, level after level.  A level's diagonal inverses and its
+rectangles each lower to one sparse block
+(:func:`repro.exec.fused.build_fused_panels`).  The level order alone
+orders the work, and it is a pure function of the tree.
+
+:func:`build_plan` builds the :class:`ExecPlan` of the thread-pool
+engine baseline (:mod:`repro.exec.engine`) — everything it needs to run
 forward elimination and backward substitution without recomputing any
 structure:
 
@@ -24,18 +38,6 @@ structure:
 * **The task tree** with dependency counts for both directions: a forward
   task is ready when all of its child tasks finished; a backward task is
   ready when its parent task finished.
-
-:func:`compile_level_program` then lays a plan out for the fused backend
-as a :class:`LevelProgram`: per elimination-tree level one packed
-accumulator in one canonical node order — the level's supernodes in
-ascending id, their tops back to back, then the belows of those that
-have any, in the same order — and the level's whole extend-add compiled
-into one structure-only ``scipy.sparse`` CSR operator ``replay`` (row
-``i`` lists what accumulator row ``i`` sums, in the plan's order, all
-coefficients 1.0).  The tree-wide contribution arena follows the same
-order, level after level.  A level's diagonal inverses and its
-rectangles each lower to one sparse block
-(:func:`repro.exec.fused.build_fused_panels`).
 
 Plans and programs depend only on the symbolic structure (never on
 numeric values), so they are cached per structure by
@@ -272,10 +274,10 @@ class Level:
     contribution arena).  Row ``i`` lists what accumulator row ``i``
     sums: a top row first its own right-hand-side row (column
     ``gather_rows[i]``), then every row its child contributions (columns
-    ``n + arena row``) in the plan's (parent ascending, child ascending,
+    ``n + arena row``) in the tree's (parent ascending, child ascending,
     row ascending) order; every coefficient is exactly 1.0.  scipy's row
     loop starts each row at +0.0 and adds ``1.0 * x`` term by term in
-    storage order, so the product is the plan's in-order sum.
+    storage order, so the product is the per-node walker's in-order sum.
     """
 
     index: int
@@ -288,13 +290,12 @@ class Level:
 
 @dataclass(frozen=True)
 class LevelProgram:
-    """A flat, vectorized compilation of an :class:`ExecPlan`.
+    """A flat, vectorized compilation of a supernodal tree.
 
     Per elimination-tree level every supernode panel's position is fixed
     at compile time, so the fused backend executes a level as a handful
     of whole-level calls instead of per-node Python dispatch.  The program
-    depends only on ``plan.steps`` and ``plan.node_level`` — both
-    grain-invariant — so one program serves every grain of the structure.
+    depends only on the tree: its nodes' steps and bottom-up levels.
 
     ``node_top_off``/``node_below_off`` give each supernode's rows inside
     its level's accumulator (-1 where absent); ``contrib_off`` its slice
@@ -326,7 +327,7 @@ def _replay_operator(
     """One level's extend-add as a structure-only CSR operator.
 
     *dst*/*src* list the replay entries (accumulator row, workspace
-    column) in the plan's order; every top row ``i`` gets its own
+    column) in the tree's order; every top row ``i`` gets its own
     right-hand-side column ``top_src[i]`` ahead of them.  A stable sort
     by row keeps each row's entries in that order.
     """
@@ -347,18 +348,22 @@ def level_nodes(node_level: np.ndarray, nlevels: int) -> list[np.ndarray]:
     return np.split(order, np.searchsorted(node_level[order], np.arange(1, nlevels)))
 
 
-def compile_level_program(plan: ExecPlan) -> LevelProgram:
-    """Compile *plan* into the flat level program the fused backend runs.
+def compile_level_program(stree: SupernodalTree) -> LevelProgram:
+    """Compile *stree* into the flat level program the fused backend runs.
 
-    Per level the supernodes are laid out in ascending id (see
-    :class:`Level`), and every child-contribution edge of the plan is
-    flattened into the level's ``replay`` operator, which keeps, per
-    accumulator row, the plan's ascending-child reduction order — so the
-    fused execution is bitwise identical to the per-node walker.
+    Levels are the tree's bottom-up levels.  Per level the supernodes are
+    laid out in ascending id (see :class:`Level`), and every
+    child-contribution edge is flattened into the level's ``replay``
+    operator, which keeps, per accumulator row, the ascending-child
+    reduction order — so the fused execution is bitwise identical to the
+    per-node walker.
     """
-    steps = plan.steps
+    return _compile_levels(_node_steps(stree), stree.bottom_up_levels())
+
+
+def _compile_levels(steps: list[NodeStep], node_level: np.ndarray) -> LevelProgram:
+    """The level program that places each of *steps* on its ``node_level``."""
     ns = len(steps)
-    node_level = plan.node_level
     nlev = int(node_level.max()) + 1 if ns else 0
     n = max((st.col_hi for st in steps), default=0)
 

@@ -25,7 +25,7 @@ Two execution modes share all of the above:
   every flush decision reproducible to the exact simulated instant.
 
 Registration reuses the weakref caches of :mod:`repro.exec.cache`
-(plans, level programs, prepared factors, packed panels) and builds the
+(level programs, prepared factors, packed panels) and builds the
 one-column workspace with its call tapes, so the service adds no
 per-request preparation cost on top of a cached ``solve_fused``.
 """

@@ -15,14 +15,14 @@ of them *before* anything executes:
   elimination trees / postorder, supernode partitions, subtree-to-subcube
   maps and block-cyclic layouts.
 * :mod:`repro.verify.schedule` — the schedule certifier for the real
-  shared-memory execution layer (:mod:`repro.exec`): the ordering
-  obligations the elimination tree names (child contribution → parent,
-  solved ancestor rows → descendant; all the cross-node conflicts there
-  are, since column ranges tile, every contribution buffer has one
-  writer and one reader, and accumulators are node-private) checked
-  against the happens-before of the dependency-counted task tree,
-  exactly-once coverage proofs, and a canonical determinism certificate
-  (:func:`certify_plan`).
+  shared-memory execution layer (:mod:`repro.exec`): the fused level
+  program judged against the supernodal tree (layout, operators, and
+  the level order of every hand-off the tree names), and the engine's
+  plans, whose ordering obligations (child contribution → parent,
+  solved ancestor rows → descendant) are checked against the
+  happens-before of the dependency-counted task tree
+  (:func:`certify_plan`); each earns a canonical determinism
+  certificate.
 * :mod:`repro.verify.lint` — AST lint with repo-specific rules
   (unseeded randomness, CSC index-array mutation, bare asserts,
   unused imports).

@@ -32,6 +32,7 @@ from repro.verify.invariants import (
     check_supernode_partition,
 )
 from repro.verify.lint import lint_source
+from repro.verify.schedule import certify_level_program, certify_plan
 
 
 @dataclass(frozen=True)
@@ -124,12 +125,6 @@ def _plan_and_tree():
     return build_plan(sym.stree, grain=64), sym.stree
 
 
-def _certify(plan, stree) -> Report:
-    from repro.verify.schedule import certify_plan
-
-    return certify_plan(plan, stree).report
-
-
 def _plan_dropped_dependency() -> Report:
     # Remove one child task from a parent's dependency list: the parent's
     # forward counter under-counts, so it can start before that child has
@@ -138,7 +133,7 @@ def _plan_dropped_dependency() -> Report:
     task_children = [list(c) for c in plan.task_children]
     tp = next(i for i in range(plan.ntasks) if task_children[i])
     task_children[tp].pop(0)
-    return _certify(dataclasses.replace(plan, task_children=task_children), stree)
+    return certify_plan(dataclasses.replace(plan, task_children=task_children), stree).report
 
 
 def _plan_scatter_overlap() -> Report:
@@ -156,7 +151,7 @@ def _plan_scatter_overlap() -> Report:
     idx[1] = idx[0]
     scatters[ci] = idx
     steps[si] = dataclasses.replace(steps[si], child_scatter=tuple(scatters))
-    return _certify(dataclasses.replace(plan, steps=steps), stree)
+    return certify_plan(dataclasses.replace(plan, steps=steps), stree).report
 
 
 def _plan_duplicated_columns() -> Report:
@@ -167,7 +162,7 @@ def _plan_duplicated_columns() -> Report:
     steps[1] = dataclasses.replace(
         steps[1], col_lo=steps[0].col_lo, col_hi=steps[0].col_hi
     )
-    return _certify(dataclasses.replace(plan, steps=steps), stree)
+    return certify_plan(dataclasses.replace(plan, steps=steps), stree).report
 
 
 def _plan_permuted_reduction() -> Report:
@@ -183,56 +178,53 @@ def _plan_permuted_reduction() -> Report:
         children=tuple(reversed(st.children)),
         child_scatter=tuple(reversed(st.child_scatter)),
     )
-    return _certify(dataclasses.replace(plan, steps=steps), stree)
+    return certify_plan(dataclasses.replace(plan, steps=steps), stree).report
+
+
+def _program_and_tree():
+    """A small pristine level program to mutate (grid2d(5))."""
+    from repro.exec.plan import compile_level_program
+    from repro.sparse.generators import grid2d_laplacian
+    from repro.symbolic.analyze import analyze
+
+    stree = analyze(grid2d_laplacian(5)).stree
+    return compile_level_program(stree), stree
 
 
 def _certify_mutated_level(pick, mutate) -> Report:
     """Certify the pristine program with one level replaced by ``mutate(level)``."""
-    from repro.exec.plan import compile_level_program
-    from repro.verify.schedule import certify_level_program
-
-    plan, stree = _plan_and_tree()
-    program = compile_level_program(plan)
+    program, stree = _program_and_tree()
     li = next(i for i, lvl in enumerate(program.levels) if pick(lvl))
     levels = list(program.levels)
     levels[li] = mutate(levels[li])
-    mutated = dataclasses.replace(program, levels=tuple(levels))
-    return certify_level_program(mutated, plan, stree).report
+    return certify_level_program(dataclasses.replace(program, levels=tuple(levels)), stree).report
 
 
 def _program_child_at_parents_level() -> Report:
-    # Lift a child onto its parent's level in the plan, then compile that
-    # plan faithfully: the one level barrier left cannot order the child's
-    # contribution hand-off to its parent, nor the parent's solved rows
-    # back to the child.
-    from repro.exec.plan import compile_level_program
-    from repro.verify.schedule import certify_level_program
+    # Lift a child onto its parent's level and compile those levels
+    # faithfully: the layout is canonical, but no level barrier orders the
+    # child's contribution hand-off to its parent, nor the parent's solved
+    # rows back to the child.
+    from repro.exec.plan import _compile_levels, _node_steps
 
-    plan, stree = _plan_and_tree()
-    child = next(s for s, st in enumerate(plan.steps) if st.below.size and st.t)
-    parent = next(s for s, st in enumerate(plan.steps) if child in st.children)
-    node_level = plan.node_level.copy()
-    node_level[child] = node_level[parent]
-    plan = dataclasses.replace(plan, node_level=node_level)
-    return certify_level_program(compile_level_program(plan), plan, stree).report
+    _, stree = _program_and_tree()
+    child = next(s for s, sn in enumerate(stree.supernodes) if sn.below.size)
+    node_level = stree.bottom_up_levels()
+    node_level[child] = node_level[stree.parent[child]]
+    return certify_level_program(_compile_levels(_node_steps(stree), node_level), stree).report
 
 
 def _program_tops_swapped() -> Report:
     # Two supernodes of one level trade top offsets while every operator
     # stays put: the panel packer would lay each node's inverse and
     # rectangle over the other's tops.
-    from repro.exec.plan import compile_level_program
-    from repro.verify.schedule import certify_level_program
-
-    plan, stree = _plan_and_tree()
-    program = compile_level_program(plan)
+    program, stree = _program_and_tree()
     lvl_of = program.node_level
     a = next(s for s in range(program.nsuper) if np.count_nonzero(lvl_of == lvl_of[s]) >= 2)
     b = next(s for s in range(a + 1, program.nsuper) if lvl_of[s] == lvl_of[a])
     top = program.node_top_off.copy()
     top[[a, b]] = top[[b, a]]
-    mutated = dataclasses.replace(program, node_top_off=top)
-    return certify_level_program(mutated, plan, stree).report
+    return certify_level_program(dataclasses.replace(program, node_top_off=top), stree).report
 
 
 def _summing_row(lvl, n: int) -> int | None:
@@ -252,8 +244,7 @@ def _certify_mutated_operator(mutate) -> Report:
     contributions and returns the three arrays; ``lo`` is that row's
     second-to-last entry (its last two entries are both contributions).
     """
-    plan, _ = _plan_and_tree()
-    n = max(st.col_hi for st in plan.steps)
+    n = _program_and_tree()[0].n
 
     def mutate_level(lvl):
         op = lvl.replay.copy()
@@ -400,7 +391,7 @@ def known_bad_cases() -> list[BadCase]:
         BadCase(
             "program-child-at-parents-level",
             "a fused level program with a child on its parent's level",
-            frozenset({"schedule-program-level", "schedule-stale-read"}),
+            frozenset({"schedule-program-level"}),
             _program_child_at_parents_level,
         ),
         BadCase(

@@ -6,9 +6,10 @@ source file under ``src/repro``, checks the structural invariants of a
 small deterministic workload battery end to end (ordering -> symbolic ->
 mapping -> layouts), statically verifies the communication structure
 of the repo's real SPMD forward/backward solver programs, and certifies
-the shared-memory execution plans of a battery of grids and irregular
-3-D meshes for race-freedom, exactly-once coverage and reduction-order determinism —
-all without running the simulator or the thread pool.
+the fused level programs and the engine's plans of a battery of grids
+and irregular 3-D meshes for race-freedom, exactly-once coverage and
+reduction-order determinism — all without running the simulator or the
+thread pool.
 ``run_bad_corpus`` is the negative gate: it must find errors in every
 seeded known-bad input, proving the checkers still catch what they were
 built to catch.
@@ -124,24 +125,24 @@ SCHEDULE_BATTERY_GRAINS = (0, 256, 4096)
 
 
 def run_schedule_certification() -> Report:
-    """Certify the execution plans of the standard workload battery.
+    """Certify the level programs and plans of the standard workload battery.
 
-    Three small grids and an irregular 3-D mesh at every grain of
-    ``SCHEDULE_BATTERY_GRAINS``, plus the n = 1728 irregular mesh of the
-    benchmark's cold workload at the default grain.  Each plan and the
-    fused :class:`~repro.exec.plan.LevelProgram` compiled from it must
-    certify clean (:func:`~repro.verify.schedule.certify_level_program`
-    proves both).  The determinism digest must be byte-identical across an
-    independent rebuild of the plan (``schedule-cert-unstable`` otherwise)
-    and the program's certificate must carry it — one structure, one
-    certificate, for every backend (``schedule-cert-divergent`` otherwise):
-    the static counterpart of the runtime test that solves are bitwise
-    identical across worker counts.
+    Three small grids and an irregular 3-D mesh, plus the n = 1728
+    irregular mesh of the benchmark's cold workload.  Each matrix's fused
+    :class:`~repro.exec.plan.LevelProgram` is grain-invariant, so it is
+    certified once against the tree
+    (:func:`~repro.verify.schedule.certify_level_program`); each plan is
+    certified (:func:`~repro.verify.schedule.certify_plan`) at every grain
+    of ``SCHEDULE_BATTERY_GRAINS`` (the cold mesh at the default grain).
+    Every determinism digest must be byte-identical across an independent
+    recompile or rebuild (``schedule-cert-unstable`` otherwise): the
+    static counterpart of the runtime test that solves are bitwise
+    identical across runs.
     """
     from repro.exec.plan import DEFAULT_GRAIN, build_plan, compile_level_program
     from repro.sparse.generators import fe_mesh_3d, grid2d_laplacian, grid3d_laplacian
     from repro.symbolic.analyze import analyze
-    from repro.verify.schedule import certify_level_program, plan_digest
+    from repro.verify.schedule import certify_level_program, certify_plan, plan_digest
 
     report = Report()
     battery = [
@@ -149,39 +150,33 @@ def run_schedule_certification() -> Report:
         ("grid2d(12)", grid2d_laplacian(12), SCHEDULE_BATTERY_GRAINS),
         ("grid3d(4)", grid3d_laplacian(4), SCHEDULE_BATTERY_GRAINS),
         ("fe3d(5)", fe_mesh_3d(5, seed=219), SCHEDULE_BATTERY_GRAINS),
-        # The hsct21954 analogue (n = 1728) of the spine's cold workload, with
-        # the plan solve() runs on it.  Analysing it costs more than all of the
-        # above together, so the grain sweep stays on the small matrices.
+        # The hsct21954 analogue (n = 1728) of the spine's cold workload.
+        # Analysing it costs more than all of the above together, so the
+        # grain sweep stays on the small matrices.
         ("fe3d(12)", fe_mesh_3d(12, seed=219), (DEFAULT_GRAIN,)),
     ]
+
+    def check_stable(label: str, digest: str, again: str) -> None:
+        if again != digest:
+            report.add(
+                "schedule-cert-unstable",
+                f"{label}: determinism certificate differs across rebuilds "
+                f"({sorted({digest, again})}) — the hash is not a pure "
+                "function of the structure",
+                location=label,
+            )
+
     for name, a, grains in battery:
-        sym = analyze(a)
+        stree = analyze(a).stree
+        fused = certify_level_program(compile_level_program(stree), stree, name=name)
+        report.extend(fused.report)
+        again = certify_level_program(compile_level_program(stree), stree, name=name)
+        check_stable(name, fused.digest, again.digest)
         for grain in grains:
             label = f"{name} grain={grain}"
-            plan = build_plan(sym.stree, grain=grain)
-            digest = plan_digest(plan)
-            rebuilt_digest = plan_digest(build_plan(sym.stree, grain=grain))
-            # Certifying the program certifies its plan first: one report.
-            fused = certify_level_program(
-                compile_level_program(plan), plan, sym.stree, name=label
-            )
-            report.extend(fused.report)
-            if rebuilt_digest != digest:
-                report.add(
-                    "schedule-cert-unstable",
-                    f"{label}: determinism certificate differs across plan "
-                    f"rebuilds ({sorted({digest, rebuilt_digest})}) — the hash "
-                    "is not a pure function of the structure",
-                    location=label,
-                )
-            if fused.digest != digest:
-                report.add(
-                    "schedule-cert-divergent",
-                    f"{label}: the fused level program's certificate digest "
-                    "differs from its plan's — the program is not a certified "
-                    "re-layout of the schedule",
-                    location=label,
-                )
+            cert = certify_plan(build_plan(stree, grain=grain), stree, name=label)
+            report.extend(cert.report)
+            check_stable(label, cert.digest, plan_digest(build_plan(stree, grain=grain)))
     return report
 
 

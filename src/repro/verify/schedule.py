@@ -1,4 +1,4 @@
-"""Static schedule certifier for the shared-memory execution plans.
+"""Static schedule certifier for the engine's plans and the fused level programs.
 
 :func:`certify_plan` takes an :class:`~repro.exec.plan.ExecPlan` (and
 optionally the :class:`~repro.symbolic.stree.SupernodalTree` it was
@@ -33,21 +33,25 @@ properties the engine's docstrings promise:
    the task topology, so two runs (any worker counts) can be checked
    for schedule equivalence by comparing two hex strings.
 
-:func:`certify_level_program` extends the proof to the fused backend's
-:class:`~repro.exec.plan.LevelProgram`, rules prefixed
-``schedule-program-``.  From the plan's steps and node levels alone the
-certifier derives the one layout a program may have — per level the
-nodes in ascending id, tops back to back, then the belows, the arena
-following them — and requires the program's offsets, level extents and
-maxima to equal it (``-layout``); the gather vectors and replay
-operators are then compared with what that layout makes them: a replay
-operator's ``(indptr, indices)`` equal the plan's rows entry for entry
-(``-scatter``; its top rows' leading self-entries are ``-gather``'s) and
-every coefficient is exactly 1.0.  The same obligations are checked
-against the level chain, each node standing in its
-``program.node_level``.  A
-certified program earns its plan's digest: the fused backend provably
-executes the plan's schedule.
+:func:`certify_level_program` certifies the fused backend's
+:class:`~repro.exec.plan.LevelProgram` against the
+:class:`~repro.symbolic.stree.SupernodalTree` alone, rules prefixed
+``schedule-program-``; it never consults a plan.  Under the program's
+node levels the certifier derives the one layout a program may have —
+per level the nodes in ascending id, tops back to back, then the
+belows, the arena following them — and requires the program's offsets,
+level extents and maxima to equal it (``-layout``).  It locates every
+child's below-rows in its parent's rows itself (``-scatter`` when one
+is missing), and compares the gather vectors and replay operators with
+what that layout makes them: a replay operator's ``(indptr, indices)``
+equal the tree's rows entry for entry (``-scatter``; its top rows'
+leading self-entries are ``-gather``'s) and every coefficient is
+exactly 1.0.  The level barrier is the program's only ordering device,
+so the level order is proved by two vector comparisons
+(``-level``): forward, every child sits on a lower level than its
+parent; backward, every below-row is solved on a higher level than the
+node that gathers it.  The program's digest hashes the arrays the
+executor reads, so it depends on no plan and no grain.
 
 Findings use the shared :class:`~repro.verify.findings.Report`
 machinery; rules are prefixed ``schedule-``.
@@ -61,6 +65,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.symbolic.etree import NO_PARENT
 from repro.verify.findings import Report
 
 if TYPE_CHECKING:
@@ -68,23 +73,22 @@ if TYPE_CHECKING:
     from repro.symbolic.stree import SupernodalTree
 
 #: Bumped whenever the canonical serialization behind the digest changes.
-CERT_SCHEMA = "repro-schedule-cert/1"
+CERT_SCHEMA = "repro-schedule-cert/2"
 
 
 @dataclass(frozen=True)
 class ScheduleCertificate:
-    """The certifier's verdict for one plan.
+    """The certifier's verdict for one plan or level program.
 
     ``digest`` is the determinism certificate: equal digests mean equal
-    schedules (same steps, same reduction orders, same task topology),
-    hence bitwise-equal results regardless of worker count.  ``report``
-    carries every violated property; :attr:`ok` is True iff none.
+    schedules (for a plan: same steps, reduction orders and task
+    topology; for a program: same levels, layout and operators), hence
+    bitwise-equal results.  ``report`` carries every violated property;
+    :attr:`ok` is True iff none.
     """
 
     digest: str
     report: Report
-    nsuper: int
-    ntasks: int
 
     @property
     def ok(self) -> bool:
@@ -461,10 +465,9 @@ def _check_orderings(
 ) -> None:
     """Prove the writer of every obligation of one sweep runs first.
 
-    ``unit[s]`` is node ``s``'s scheduling unit (plan task, or level of a
-    level program; ``-1``: in none) and ``pos[s]`` its program order
-    inside that unit; cross-unit order comes from the guaranteed
-    dependency edges alone.
+    ``unit[s]`` is node ``s``'s plan task (``-1``: in none) and
+    ``pos[s]`` its program order inside that task; cross-task order
+    comes from the guaranteed dependency edges alone.
     """
     reach = _guaranteed_reachability(len(ndeps), ndeps, dependents, report, name, phase)
     if reach is None:
@@ -491,39 +494,6 @@ def _check_orderings(
 
 
 # ------------------------------------------------------------------ public
-def _certify_plan_orderings(
-    plan: "ExecPlan", stree: "SupernodalTree | None", name: str
-) -> tuple[ScheduleCertificate, tuple[Obligations, Obligations] | None]:
-    """:func:`certify_plan`, also handing back the ordering obligations.
-
-    :func:`certify_level_program` re-checks them against the level chain.
-    ``None`` when the column ranges do not tile (already reported): the
-    ordering check is then skipped, as it is on a dependency cycle.
-    """
-    report = Report()
-    n = stree.n if stree is not None else max(
-        (st.col_hi for st in plan.steps), default=0
-    )
-    task_of, place = _check_partition(plan, report, name)
-    tiles = _check_coverage(plan, report, name, n)
-    _check_scatters(plan, report, name)
-    _check_reduction_order(plan, report, name)
-    if stree is not None:
-        _check_tree(plan, stree, report, name)
-
-    obligations = _ordering_obligations(plan, n) if tiles else None
-    if obligations is not None:
-        # Program order inside a task: the forward sweep walks the task's
-        # nodes in list order, the backward sweep in reverse.
-        fwd, bwd = obligations
-        _check_orderings("forward", fwd, task_of, place, *plan.forward_deps(), report, name)
-        _check_orderings("backward", bwd, task_of, -place, *plan.backward_deps(), report, name)
-    cert = ScheduleCertificate(
-        digest=plan_digest(plan), report=report, nsuper=len(plan.steps), ntasks=plan.ntasks
-    )
-    return cert, obligations
-
-
 def certify_plan(
     plan: "ExecPlan",
     stree: "SupernodalTree | None" = None,
@@ -542,71 +512,120 @@ def certify_plan(
     Callers that want fail-fast semantics use
     ``certify_plan(...).report.raise_if_errors()``.
     """
-    return _certify_plan_orderings(plan, stree, name)[0]
+    report = Report()
+    n = stree.n if stree is not None else max(
+        (st.col_hi for st in plan.steps), default=0
+    )
+    task_of, place = _check_partition(plan, report, name)
+    tiles = _check_coverage(plan, report, name, n)
+    _check_scatters(plan, report, name)
+    _check_reduction_order(plan, report, name)
+    if stree is not None:
+        _check_tree(plan, stree, report, name)
+
+    if tiles:
+        # Program order inside a task: the forward sweep walks the task's
+        # nodes in list order, the backward sweep in reverse.
+        fwd, bwd = _ordering_obligations(plan, n)
+        _check_orderings("forward", fwd, task_of, place, *plan.forward_deps(), report, name)
+        _check_orderings("backward", bwd, task_of, -place, *plan.backward_deps(), report, name)
+    return ScheduleCertificate(digest=plan_digest(plan), report=report)
 
 
 # ------------------------------------------------------- level programs
-def _check_program_structure(
-    program: "LevelProgram", plan: "ExecPlan", report: Report, name: str
+def _program_digest(program: "LevelProgram") -> str:
+    """Canonical sha256 over the arrays the fused executor reads.
+
+    Covers the node levels and offsets, every level's extents, gather
+    vector and replay structure — one update per array.  A pure function
+    of the program, hence (for a compiled program) of the tree.
+    """
+    h = hashlib.sha256(CERT_SCHEMA.encode())
+
+    def put(values) -> None:
+        h.update(np.ascontiguousarray(values, dtype=np.int64).tobytes())
+
+    levels = program.levels
+    put([program.nsuper, len(levels), program.n])
+    for vector in (program.node_level, program.node_top_off, program.node_below_off,
+                   program.contrib_off):
+        put(vector)
+    for extent in ("size", "top_total", "arena_lo"):
+        put([getattr(lvl, extent) for lvl in levels])
+    for lvl in levels:
+        op = lvl.replay.tocsr()
+        put(lvl.gather_rows)
+        put(op.indptr)
+        put(op.indices)
+    return h.hexdigest()
+
+
+def _check_program(
+    program: "LevelProgram", stree: "SupernodalTree", report: Report, name: str
 ) -> None:
-    """Decode the program against the plan it claims to compile.
+    """Judge the program against the tree it claims to compile.
 
     The fused executor trusts the program's index vectors and replay
-    operators blindly — this check derives, from the plan's steps and
-    node levels alone, the one layout a program may have and what every
-    gather vector and operator must then contain, and requires equality,
-    so a mutated layout, operator or gather can never certify.  Nothing
-    here consults ``compile_level_program``: the compiler's output is
-    judged against the plan, not against itself.
+    operators blindly — this check derives, from the tree's column ranges,
+    row lists and parents under the program's node levels alone, the one
+    layout a program may have and what every gather vector and operator
+    must then contain, and requires equality, so a mutated layout,
+    operator or gather can never certify.  Nothing here consults the
+    compiler, a plan or the steps' scatter indices: the compiler's output
+    is judged against the tree, not against itself.
     """
-    steps = plan.steps
-    ns = len(steps)
+    ns = stree.nsuper
     loc0 = f"{name}/program"
-    if program.nsuper != ns or len(program.levels) != (
-        int(plan.node_level.max()) + 1 if ns else 0
-    ):
+    lvl_of = np.asarray(program.node_level)
+    nlev = len(program.levels)
+    if program.nsuper != ns or lvl_of.shape != (ns,) or np.any((lvl_of < 0) | (lvl_of >= nlev)):
         report.add(
             "schedule-program-shape",
-            f"program covers {program.nsuper} supernodes in "
-            f"{len(program.levels)} levels but the plan has {ns} supernodes",
-            location=loc0,
-        )
-        return
-    if not np.array_equal(program.node_level, plan.node_level):
-        report.add(
-            "schedule-program-shape",
-            "program's node levels differ from the plan's bottom-up levels",
+            f"program levels {program.nsuper} supernodes in {nlev} levels but the "
+            f"tree has {ns} supernodes, each of which must sit in a level that exists",
             location=loc0,
         )
         return
 
-    # The level barrier is the program's only ordering device: every
-    # child must sit strictly below its parent or the contribution
-    # hand-off happens inside one unordered level.
-    lvl_of = program.node_level
-    kids = np.array([c for st in steps for c in st.children], dtype=np.int64)
-    parents = np.repeat(np.arange(ns), [len(st.children) for st in steps])
-    inverted = lvl_of[kids] >= lvl_of[parents]
-    for c, s in zip(kids[inverted].tolist(), parents[inverted].tolist()):
+    # Every (node, row) pair of the tree, node after node: the node's own
+    # columns, then its ascending below-rows.
+    width, height = stree.widths, stree.heights
+    below_count = height - width
+    n = stree.n
+    rows = np.concatenate([np.empty(0, np.int64), *(sn.rows for sn in stree.supernodes)])
+    node = np.repeat(np.arange(ns), height)
+    local = np.arange(rows.size) - (np.cumsum(height) - height)[node]
+    below = local >= width[node]
+
+    # --- the level barrier is the program's only ordering device: forward,
+    # every child's contribution is written on a level below its parent's;
+    # backward, every below-row a node gathers is solved on a level above.
+    parent = stree.parent
+    kids = np.flatnonzero(parent != NO_PARENT)
+    for c in kids[lvl_of[kids] >= lvl_of[parent[kids]]].tolist():
         report.add(
             "schedule-program-level",
-            f"child {c} (level {int(lvl_of[c])}) is not strictly below "
-            f"its parent {s} (level {int(lvl_of[s])}) — the level "
-            "barrier cannot order their contribution hand-off",
+            f"[forward] child {c} (level {int(lvl_of[c])}) is not strictly below "
+            f"its parent {int(parent[c])} (level {int(lvl_of[parent[c]])}) — the "
+            "level barrier cannot order their contribution hand-off",
             location=loc0,
         )
-
-    width = np.array([st.t for st in steps], dtype=np.int64)
-    below_count = np.array([st.n - st.t for st in steps], dtype=np.int64)
-    col_lo = np.array([st.col_lo for st in steps], dtype=np.int64)
-    # the workspace the replay operators read: n solution rows, then the arena
-    n = max((st.col_hi for st in steps), default=0)
+    reader, solved = node[below], rows[below]
+    writer = np.repeat(np.arange(ns), width)[solved]
+    late = lvl_of[writer] <= lvl_of[reader]
+    for r, w in sorted(set(zip(reader[late].tolist(), writer[late].tolist()))):
+        report.add(
+            "schedule-program-level",
+            f"[backward] supernode {r} (level {int(lvl_of[r])}) gathers rows "
+            f"{format_index_set(solved[(reader == r) & (writer == w)])} that supernode "
+            f"{w} solves on level {int(lvl_of[w])} — not strictly above it",
+            location=loc0,
+        )
 
     # --- the canonical layout: per level the nodes in ascending id, their
     # tops back to back, then the belows of those that have any; the
     # contribution arena follows the n solution rows and the belows, level
     # after level.
-    nlev = len(program.levels)
     order = np.argsort(lvl_of, kind="stable")
     tops = np.bincount(lvl_of, width, nlev).astype(np.int64)
     belows = np.bincount(lvl_of, below_count, nlev).astype(np.int64)
@@ -638,64 +657,63 @@ def _check_program_structure(
             report.add(
                 "schedule-program-layout",
                 f"{what} of {unit} {k} departs from the node-order layout "
-                "the plan gives — the operators would be packed for another layout",
+                "the tree gives — the operators would be packed for another layout",
                 location=loc0,
             )
 
+    # --- every pair's row in the level accumulators laid end to end; per
+    # accumulator row, the solution row it stands for: each panel's own
+    # columns for its tops, its below-rows for its belows.
+    start = np.cumsum(sizes) - sizes
+    acc = start[lvl_of[node]] + local + np.where(below, (below_off - width)[node], top_off[node])
+    gather = np.empty(rows.size, dtype=np.int64)
+    gather[acc] = rows
+
+    # --- each child's below-rows located in its parent's rows, with one
+    # lookup over all (parent, row) keys.
+    stride = int(rows.max(initial=-1)) + 1
+    keys = node * stride + rows
+    hands = below & (parent[node] != NO_PARENT)
+    child = node[hands]
+    want = parent[child] * stride + rows[hands]
+    at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    found = keys[at] == want
+    for c in np.unique(child[~found]).tolist():
+        report.add(
+            "schedule-program-scatter",
+            f"supernode {c}'s below-rows are not all rows of its parent "
+            f"{int(parent[c])} — its contribution has nowhere to land",
+            location=f"{name}/supernode {c}",
+        )
+
+    # --- the replay operators, end to end: every top row first reads its
+    # own right-hand-side row, then every row its child contributions in
+    # the tree's (parent ascending, child ascending, row ascending) order.
+    dst = np.concatenate((acc[~below], acc[at[found]]))
+    src = np.concatenate((
+        rows[~below],
+        (n + contrib_off[child] + local[hands] - width[child])[found],
+    ))
+    exp_ptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=rows.size), out=exp_ptr[1:])
+    exp_idx = src[np.argsort(dst, kind="stable")]
     ncols = n + int(belows.sum())
-    bounds = np.cumsum(np.bincount(lvl_of, minlength=nlev))[:-1]
-    for li, (lvl, members) in enumerate(zip(levels, np.split(order, bounds))):
+
+    for li, lvl in enumerate(levels):
         loc = f"{name}/program level {li}"
-        size, tt = int(sizes[li]), int(tops[li])
-        owners = members[has_below[members]]
-
-        # --- per accumulator row, the solution row it stands for: each
-        # panel's own columns for its tops, its below-rows for its belows.
-        exp_top = np.repeat(col_lo[members] - top_off[members], width[members]) + np.arange(tt)
-        exp_g = np.concatenate([np.empty(0, np.int64), *(steps[s].below for s in owners.tolist())])
-        rows = lvl.gather_rows
-        if rows.size != size or not np.array_equal(rows[:tt], exp_top):
+        lo, size, tt = int(start[li]), int(sizes[li]), int(tops[li])
+        if not np.array_equal(lvl.gather_rows, gather[lo:lo + size]):
             report.add(
                 "schedule-program-gather",
-                "gather vector's top rows do not name each panel's own "
-                "columns — solved tops would be written to the wrong rows",
-                location=loc,
-            )
-        if rows.size != size or not np.array_equal(rows[tt:], exp_g):
-            report.add(
-                "schedule-program-gather",
-                "backward gather vector does not fetch each panel's "
-                "below-rows in the accumulator's below order",
+                "gather vector does not name each panel's own columns for its "
+                "tops and its below-rows for its belows — solved tops would be "
+                "written to, or belows fetched from, the wrong rows",
                 location=loc,
             )
 
-        # --- the replay operator: every top row first reads its own
-        # right-hand-side row, then every row its child contributions in the
-        # plan's (parent ascending, child ascending, row ascending) order.
-        edges = [
-            (s, c, idx)
-            for s in members.tolist()
-            for c, idx in zip(steps[s].children, steps[s].child_scatter)
-            if below_count[c]
-        ]
-        if edges:
-            lens = np.array([idx.size for _, _, idx in edges], dtype=np.int64)
-            par = np.repeat([s for s, _, _ in edges], lens)
-            idx64 = np.concatenate([idx for _, _, idx in edges]).astype(np.int64)
-            exp_dst = idx64 + np.where(
-                idx64 < width[par], top_off[par], below_off[par] - width[par]
-            )
-            first = np.cumsum(lens) - lens
-            exp_src = n + np.arange(idx64.size) + np.repeat(
-                contrib_off[[c for _, c, _ in edges]] - first, lens
-            )
-        else:
-            exp_dst = exp_src = np.empty(0, dtype=np.int64)
-        dst = np.concatenate((np.arange(tt), exp_dst))
-        order_in = np.argsort(dst, kind="stable")
-        exp_ptr = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=size), out=exp_ptr[1:])
-        exp_idx = np.concatenate((exp_top, exp_src))[order_in]
+        ptr = exp_ptr[lo:lo + size + 1]
+        idx = exp_idx[ptr[0]:ptr[-1]]
+        ptr = ptr - ptr[0]
         op = lvl.replay
         if op.shape != (size, ncols):
             report.add(
@@ -706,35 +724,35 @@ def _check_program_structure(
             )
         elif (
             op.format != "csr"
-            or not np.array_equal(op.indptr, exp_ptr)
-            or op.indices.size != exp_idx.size
+            or not np.array_equal(op.indptr, ptr)
+            or op.indices.size != idx.size
         ):
             report.add(
                 "schedule-program-scatter",
-                "replay operator rows do not hold the plan's contribution "
+                "replay operator rows do not hold the tree's contribution "
                 "entries — a contribution would be lost, doubled or misrouted",
                 location=loc,
             )
         else:
-            self_at = exp_ptr[:tt]  # each top row's first entry
-            if not np.array_equal(op.indices[self_at], exp_idx[self_at]):
+            self_at = ptr[:tt]  # each top row's first entry
+            if not np.array_equal(op.indices[self_at], idx[self_at]):
                 report.add(
                     "schedule-program-gather",
                     "replay operator's top rows do not start from each "
                     "panel's own right-hand-side rows",
                     location=loc,
                 )
-            replayed = np.ones(exp_idx.size, dtype=bool)
+            replayed = np.ones(idx.size, dtype=bool)
             replayed[self_at] = False
-            if not np.array_equal(op.indices[replayed], exp_idx[replayed]):
+            if not np.array_equal(op.indices[replayed], idx[replayed]):
                 report.add(
                     "schedule-program-scatter",
-                    "replay operator differs from the plan's deterministic "
+                    "replay operator differs from the tree's deterministic "
                     "(parent-ascending, child-ascending) contribution replay — "
                     "results would depend on the program, not the structure",
                     location=loc,
                 )
-            if op.data.size != exp_idx.size or np.any(op.data != 1.0):
+            if op.data.size != idx.size or np.any(op.data != 1.0):
                 report.add(
                     "schedule-program-scatter",
                     "replay operator has a coefficient other than exactly 1.0 "
@@ -745,54 +763,22 @@ def _check_program_structure(
 
 def certify_level_program(
     program: "LevelProgram",
-    plan: "ExecPlan",
-    stree: "SupernodalTree | None" = None,
+    stree: "SupernodalTree",
     *,
     name: str = "fused",
 ) -> ScheduleCertificate:
-    """Statically certify a fused level program against its plan.
+    """Statically certify a fused level program against its tree; never raises.
 
-    Extends :func:`certify_plan` in three moves: first the plan itself is
-    certified (a faithful compilation of a broken plan is still broken);
-    then the program's layout must equal the one derived from the plan,
-    and its replay operators and gather vectors what that layout makes
-    them (rules ``schedule-program-*``);
-    finally the plan's ordering obligations are checked against the level
-    chain, each node standing in its ``program.node_level`` — level ``i``
-    before ``i + 1`` forward, reversed backward — proving the level
-    barriers order every cross-node hand-off.
-
-    The certificate's ``digest`` is the *plan's* canonical digest: a
-    certified program is proven to be a re-layout of exactly that
-    schedule, so a fused solve reports the determinism certificate of
-    the plan itself.
+    The program's layout must equal the one derived from the tree under
+    the program's node levels, and its replay operators and gather vectors
+    what that layout makes them; every hand-off must cross a level
+    barrier the right way — a child's contribution upward, an ancestor's
+    solved rows downward (rules ``schedule-program-*``).  The digest
+    hashes the arrays the executor reads (see ``_program_digest``).
     """
-    base, obligations = _certify_plan_orderings(plan, stree, name)
-    report = base.report
-    _check_program_structure(program, plan, report, name)
-
-    nlev = len(program.levels)
-    level = program.node_level
-    # A node_level that is not one existing level per supernode is already a
-    # schedule-program-shape finding; there is no chain to check it against.
-    if (
-        obligations is not None
-        and level.size == len(plan.steps)
-        and not np.any((level < 0) | (level >= nlev))
-    ):
-        # Same-level hand-offs are rejected by schedule-program-level above,
-        # so ascending node order stands in for the within-level program
-        # order.  Each level waits for the one the sweep visits just before.
-        pos = np.arange(level.size)
-        waits = [min(i, 1) for i in range(nlev)]
-        up = [[i + 1] if i + 1 < nlev else [] for i in range(nlev)]
-        down = [[i - 1] if i > 0 else [] for i in range(nlev)]
-        fwd, bwd = obligations
-        _check_orderings("forward", fwd, level, pos, waits, up, report, name)
-        _check_orderings("backward", bwd, level, pos, waits[::-1], down, report, name)
-    return ScheduleCertificate(
-        digest=base.digest, report=report, nsuper=program.nsuper, ntasks=nlev
-    )
+    report = Report()
+    _check_program(program, stree, report, name)
+    return ScheduleCertificate(digest=_program_digest(program), report=report)
 
 
 __all__ = [

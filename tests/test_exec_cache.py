@@ -1,5 +1,5 @@
-"""Eviction behaviour of the weakref-keyed exec caches (plans, factors,
-certificates)."""
+"""Eviction behaviour of the weakref-keyed exec caches (plans, programs,
+factors, certificates), and which paths fill them."""
 
 from __future__ import annotations
 
@@ -125,6 +125,27 @@ def test_fused_certificate_memoized_and_evicted():
     del sym
     gc.collect()
     assert exec_cache_stats()["fused_cert_entries"] == 0
+
+
+def test_no_product_path_builds_a_plan():
+    # The fused solve, its certification, and the serving layer's
+    # registration stand on the tree: the engine's plan cache stays cold.
+    import numpy as np
+
+    from repro.core.solver import ParallelSparseSolver
+    from repro.exec import fused_certificate_for
+    from repro.serve import FakeClock, SolveService
+
+    a = grid2d_laplacian(6)
+    solver = ParallelSparseSolver(a, p=1).prepare()
+    _, rep = solver.solve(np.ones(a.n), backend="fused")
+    assert rep.schedule_certificate is not None
+    with SolveService(clock=FakeClock()) as service:
+        service.register("grid", solver)
+    assert fused_certificate_for(analyze(grid2d_laplacian(5)).stree).ok
+    stats = exec_cache_stats()
+    assert stats["fused_cert_misses"] == 2
+    assert stats["plan_misses"] == 0 and stats["cert_misses"] == 0
 
 
 @pytest.mark.parametrize("bad", [0.0, float("nan")], ids=["zero", "nan"])

@@ -5,14 +5,13 @@ The central claims under test, mirroring the engine battery in
 ``test_exec_engine.py``:
 
 * fused solves are *bitwise* identical to the serial supernodal solvers
-  and the thread-pool engine (at every worker count), for every problem
-  class, NRHS width, and aggregation grain of the plan the program was
-  compiled from;
+  and the thread-pool engine (at every worker count and plan grain), for
+  every problem class and NRHS width;
 * a second solve against a prepared factor runs entirely out of the
   workspace arena — the sweeps allocate no arrays — and each of its
   pre-bound library calls is bytewise the ``@`` product it replaces;
-* the compiled program earns a determinism certificate with the *same*
-  digest as its plan's, and the certifier rejects mutated programs.
+* the compiled program earns a determinism certificate whose digest no
+  plan grain changes, and the certifier rejects mutated programs.
 """
 
 import dataclasses
@@ -30,7 +29,6 @@ from scipy.sparse import csr_array
 from repro.core.solver import DEFAULT_RELAX
 from repro.exec import (
     backward_fused,
-    certificate_for,
     clear_exec_caches,
     compile_level_program,
     forward_fused,
@@ -45,7 +43,7 @@ from repro.exec import (
 from repro.exec import arena, fused
 from repro.exec.arena import build_fused_workspace
 from repro.exec.fused import build_fused_panels
-from repro.exec.plan import build_plan
+from repro.exec.plan import _compile_levels, build_plan
 from repro.numeric.supernodal import cholesky_supernodal
 from repro.numeric.trisolve import (
     backward_supernodal,
@@ -105,15 +103,14 @@ class TestBitwiseAgreement:
 
     @pytest.mark.parametrize("grain", [0, 256, 4096])
     def test_bitwise_across_plan_grains(self, factored, rng, grain):
-        # The level program is grain-invariant by construction; a program
-        # compiled from ANY grain of the same structure must reproduce
-        # the serial answer bit for bit.
+        # The level program knows no grain; the engine's plan at ANY grain
+        # of the same structure must reproduce the fused answer bit for bit.
         a, sym, factor = factored
         b = rng.normal(size=(a.n, 4))
-        plan = build_plan(sym.stree, grain=grain)
-        program = compile_level_program(plan)
-        x = solve_fused(factor, b, program=program)
+        x = solve_fused(factor, b)
         assert np.array_equal(x, solve_supernodal(factor, b))
+        plan = build_plan(sym.stree, grain=grain)
+        assert np.array_equal(x, solve_exec(factor, b, workers=2, plan=plan))
 
     def test_forward_backward_sweeps_match_serial(self, factored, rng):
         a, sym, factor = factored
@@ -312,7 +309,7 @@ class TestZeroAllocationSteadyState:
         monkeypatch.setattr(fused, "build_fused_workspace", build)
         monkeypatch.setattr(fused, "_lease", lease)
         monkeypatch.setattr(arena, "id", lambda obj: 0, raising=False)
-        hand_built = [compile_level_program(build_plan(sym_grid8.stree, grain=g)) for g in (0, 256)]
+        hand_built = [compile_level_program(sym_grid8.stree) for _ in range(2)]
         for program in [*hand_built, None, *hand_built, None]:
             x = solve_fused(factor, b, program=program)
             assert x.tobytes() == ref.tobytes()
@@ -323,7 +320,7 @@ class TestHandBuiltPrograms:
 
     @staticmethod
     def _hand_built(sym):
-        return compile_level_program(build_plan(sym.stree, grain=0))
+        return compile_level_program(sym.stree)
 
     def test_warm_solves_pack_its_panels_once(self, sym_grid8, rng, monkeypatch):
         # Three widths, three workspaces, one packing; then three warm
@@ -419,14 +416,12 @@ class TestDirectCalls:
 
 class TestProgramCompilation:
     def test_program_grain_invariant(self, sym_grid8):
-        # Same structure, different task aggregation: identical programs
-        # (the compiler reads only the steps and the node levels).
-        programs = [
-            compile_level_program(build_plan(sym_grid8.stree, grain=g))
-            for g in (0, 256, 4096)
-        ]
-        ref = programs[0]
-        for prog in programs[1:]:
+        # The program compiled from the tree is the one the steps and node
+        # levels of the engine's plan give, at every task aggregation.
+        ref = compile_level_program(sym_grid8.stree)
+        for g in (0, 256, 4096):
+            plan = build_plan(sym_grid8.stree, grain=g)
+            prog = _compile_levels(plan.steps, plan.node_level)
             assert prog.nsuper == ref.nsuper
             assert np.array_equal(prog.node_level, ref.node_level)
             assert len(prog.levels) == len(ref.levels)
@@ -449,9 +444,9 @@ class TestProgramCompilation:
         assert rep.residual < 1e-12
         x_ser, rep_ser = prepared_grid12.solve(b, backend="serial")
         assert np.array_equal(x, x_ser)
-        # One structure, one determinism certificate: the program earns its plan's.
+        # One structure, one determinism certificate: the program's.
         stree = prepared_grid12.symbolic.stree
-        assert rep.schedule_certificate == certificate_for(stree).digest
+        assert rep.schedule_certificate == fused_certificate_for(stree).digest
         assert rep_ser.schedule_certificate is None
 
     def test_workers_rejected_on_fused_backend(self, prepared_grid12, rng):
@@ -464,19 +459,24 @@ class TestProgramCompilation:
 
 class TestFusedCertifier:
     def test_certificate_clean_and_digest_matches_plan(self, factored):
+        # The digest is the program's own: a program compiled from the
+        # engine's plan, at any grain, earns the very same one.
+        from repro.verify.schedule import certify_level_program
+
         a, sym, factor = factored
         cert = fused_certificate_for(sym.stree)
         assert cert.ok, [str(f) for f in cert.report.errors()]
-        assert cert.digest == certificate_for(sym.stree).digest
-        assert cert.ntasks == len(program_for(sym.stree).levels)
+        for grain in (0, 4096):
+            plan = build_plan(sym.stree, grain=grain)
+            program = _compile_levels(plan.steps, plan.node_level)
+            assert certify_level_program(program, sym.stree).digest == cert.digest
 
     def test_certifier_rejects_swapped_scatter(self, sym_grid8):
         import dataclasses
 
         from repro.verify.schedule import certify_level_program
 
-        plan = plan_for(sym_grid8.stree)
-        program = compile_level_program(plan)
+        program = compile_level_program(sym_grid8.stree)
         # a row that sums two child contributions: swapping them reorders its sum
         li, row = next(
             (i, r) for i, lvl in enumerate(program.levels)
@@ -492,7 +492,7 @@ class TestFusedCertifier:
         levels = list(program.levels)
         levels[li] = dataclasses.replace(lvl, replay=replay)
         bad = dataclasses.replace(program, levels=tuple(levels))
-        cert = certify_level_program(bad, plan, sym_grid8.stree)
+        cert = certify_level_program(bad, sym_grid8.stree)
         assert not cert.ok
         assert "schedule-program-scatter" in {f.rule for f in cert.report.errors()}
 
@@ -501,12 +501,11 @@ class TestFusedCertifier:
 
         from repro.verify.schedule import certify_level_program
 
-        plan = plan_for(sym_grid8.stree)
-        program = compile_level_program(plan)
+        program = compile_level_program(sym_grid8.stree)
         node_level = program.node_level.copy()
         node_level[0] += 1
         bad = dataclasses.replace(program, node_level=node_level)
-        cert = certify_level_program(bad, plan, sym_grid8.stree)
+        cert = certify_level_program(bad, sym_grid8.stree)
         assert not cert.ok
 
     def test_certifying_program_for_raises_on_broken_program(self, sym_grid8):

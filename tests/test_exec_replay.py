@@ -4,7 +4,7 @@
 contribution replay to one structure-only CSR operator ``replay`` over the
 fused workspace ``[y | contrib]``.  Under test:
 
-* the operator is exactly what the plan's steps spell out — row by row
+* the operator is exactly what the tree's nodes spell out — row by row
   the top's own right-hand-side column, then the child contributions in
   (parent ascending, child ascending, row ascending) order, every
   coefficient 1.0, int32 indices;
@@ -29,7 +29,6 @@ from repro.exec import (
     clear_exec_caches,
     forward_fused,
     fused_panels_for,
-    plan_for,
     program_for,
     solve_exec,
     solve_fused,
@@ -80,19 +79,21 @@ def _rhs(n: int, m: int, seed: int) -> np.ndarray:
 def _expected_rows(stree):
     """Per level, per accumulator row, the workspace columns it sums, in order.
 
-    A plain walk over the plan's steps — parents ascending, each top's own
+    A plain walk over the tree's nodes — parents ascending, each top's own
     column first, then children ascending and their rows ascending.
     """
-    plan, program = plan_for(stree), program_for(stree)
+    program = program_for(stree)
     rows = [[[] for _ in range(lvl.size)] for lvl in program.levels]
-    for s, st in enumerate(plan.steps):
+    for s, sn in enumerate(stree.supernodes):
         acc = rows[int(program.node_level[s])]
         top, below = int(program.node_top_off[s]), int(program.node_below_off[s])
-        for j in range(st.t):
-            acc[top + j].append(st.col_lo + j)
-        for c, idx in zip(st.children, st.child_scatter):
-            for r, k in enumerate(idx.tolist()):
-                dest = top + k if k < st.t else below + k - st.t
+        for j in range(sn.t):
+            acc[top + j].append(sn.col_lo + j)
+        position = {int(r): k for k, r in enumerate(sn.rows)}
+        for c in stree.children[s]:
+            for r, row in enumerate(stree.supernodes[c].below.tolist()):
+                k = position[row]
+                dest = top + k if k < sn.t else below + k - sn.t
                 acc[dest].append(program.n + int(program.contrib_off[c]) + r)
     return program, rows
 

@@ -15,7 +15,7 @@ from repro.exec import (
     plan_for,
     program_for,
 )
-from repro.exec.plan import build_plan, compile_level_program
+from repro.exec.plan import _compile_levels, _node_steps, build_plan, compile_level_program
 from repro.sparse.generators import grid2d_laplacian, grid3d_laplacian, random_spd
 from repro.symbolic.analyze import analyze
 from repro.verify import VerificationError
@@ -81,7 +81,6 @@ class TestObligations:
             got = [(w, r, tuple(rows.tolist())) for w, r, rows in zip(*derived)]
             assert len(got) == len(set(got))
             assert set(got) == _brute_force_obligations(stree, sweep)
-        assert certify_level_program(compile_level_program(plan), plan, stree).ok
 
     def test_format_index_set(self):
         assert format_index_set(np.array([], dtype=np.int64)) == "[]"
@@ -95,8 +94,6 @@ class TestCertifyClean:
         plan = build_plan(sym.stree, grain=grain)
         cert = certify_plan(plan, sym.stree)
         assert cert.ok, cert.report.render()
-        assert cert.nsuper == sym.stree.nsuper
-        assert cert.ntasks == plan.ntasks
 
     def test_digest_stable_across_rebuilds(self, sym):
         p1 = build_plan(sym.stree, grain=64)
@@ -171,15 +168,15 @@ class TestCertifyMutants:
     # --- the level program's layout and replay operators: reported, never raised
 
     @staticmethod
-    def _certify_with_level(sym, plan, pick, mutate):
-        program = compile_level_program(plan)
+    def _certify_with_level(sym, pick, mutate):
+        program = compile_level_program(sym.stree)
         li = next(i for i, lvl in enumerate(program.levels) if pick(lvl))
         levels = list(program.levels)
         levels[li] = mutate(levels[li])
         mutant = dataclasses.replace(program, levels=tuple(levels))
-        return certify_level_program(mutant, plan, sym.stree).report
+        return certify_level_program(mutant, sym.stree).report
 
-    def _mutate_operator(self, sym, plan, mutate):
+    def _mutate_operator(self, sym, mutate):
         """Certify with ``mutate(ptr, idx, val, lo)`` applied to copies of one
         level's replay operator arrays; ``lo`` is a summing row's
         second-to-last entry."""
@@ -191,40 +188,36 @@ class TestCertifyMutants:
             op.indptr, op.indices, op.data = mutate(op.indptr, op.indices, op.data, lo)
             return dataclasses.replace(lvl, replay=op)
 
-        return self._certify_with_level(
-            sym, plan, lambda lvl: _summing_row(lvl, n) is not None, edit
-        )
+        return self._certify_with_level(sym, lambda lvl: _summing_row(lvl, n) is not None, edit)
 
-    def test_dropped_replay_entry_is_a_lost_update(self, sym, plan):
+    def test_dropped_replay_entry_is_a_lost_update(self, sym):
         report = self._mutate_operator(
-            sym, plan,
+            sym,
             lambda ptr, idx, val, lo: (ptr - (ptr > lo), np.delete(idx, lo), np.delete(val, lo)),
         )
         assert report.rules() == {"schedule-program-scatter"}, report.render()
 
-    def test_replay_row_swapped_reorders_its_sum(self, sym, plan):
+    def test_replay_row_swapped_reorders_its_sum(self, sym):
         def mutate(ptr, idx, val, lo):
             idx[[lo, lo + 1]] = idx[[lo + 1, lo]]
             return ptr, idx, val
 
-        report = self._mutate_operator(sym, plan, mutate)
+        report = self._mutate_operator(sym, mutate)
         assert report.rules() == {"schedule-program-scatter"}, report.render()
 
-    def test_replay_coefficient_other_than_one_is_flagged(self, sym, plan):
+    def test_replay_coefficient_other_than_one_is_flagged(self, sym):
         def mutate(ptr, idx, val, lo):
             val[lo] = 2.0
             return ptr, idx, val
 
-        report = self._mutate_operator(sym, plan, mutate)
+        report = self._mutate_operator(sym, mutate)
         assert report.rules() == {"schedule-program-scatter"}, report.render()
 
-    def test_malformed_replay_indptr_is_reported(self, sym, plan):
-        report = self._mutate_operator(
-            sym, plan, lambda ptr, idx, val, lo: (ptr[:-1], idx, val)
-        )
+    def test_malformed_replay_indptr_is_reported(self, sym):
+        report = self._mutate_operator(sym, lambda ptr, idx, val, lo: (ptr[:-1], idx, val))
         assert report.rules() == {"schedule-program-scatter"}, report.render()
 
-    def test_top_row_from_a_foreign_rhs_row_is_a_gather_finding(self, sym, plan):
+    def test_top_row_from_a_foreign_rhs_row_is_a_gather_finding(self, sym):
         def mutate(lvl):
             op = lvl.replay.copy()
             idx = op.indices.copy()
@@ -232,10 +225,10 @@ class TestCertifyMutants:
             op.indices = idx
             return dataclasses.replace(lvl, replay=op)
 
-        report = self._certify_with_level(sym, plan, lambda lvl: lvl.top_total >= 2, mutate)
+        report = self._certify_with_level(sym, lambda lvl: lvl.top_total >= 2, mutate)
         assert report.rules() == {"schedule-program-gather"}, report.render()
 
-    def test_merged_backward_gather_is_checked_in_both_halves(self, sym, plan):
+    def test_merged_backward_gather_is_checked_in_both_halves(self, sym):
         def shift(lo):
             def mutate(lvl):
                 rows = lvl.gather_rows.copy()
@@ -245,10 +238,10 @@ class TestCertifyMutants:
 
         pick = lambda lvl: lvl.size > lvl.top_total  # noqa: E731
         for lo in (lambda lvl: 0, lambda lvl: lvl.top_total):
-            report = self._certify_with_level(sym, plan, pick, shift(lo))
+            report = self._certify_with_level(sym, pick, shift(lo))
             assert report.rules() == {"schedule-program-gather"}, report.render()
 
-    def test_misshapen_replay_operator_is_a_workspace_finding(self, sym, plan):
+    def test_misshapen_replay_operator_is_a_workspace_finding(self, sym):
         from scipy.sparse import csr_array
 
         def mutate(lvl):
@@ -257,41 +250,44 @@ class TestCertifyMutants:
             return dataclasses.replace(lvl, replay=narrow)
 
         report = self._certify_with_level(
-            sym, plan, lambda lvl: lvl.replay.indices.max(initial=0) < lvl.replay.shape[1] - 1,
+            sym, lambda lvl: lvl.replay.indices.max(initial=0) < lvl.replay.shape[1] - 1,
             mutate,
         )
         assert report.rules() == {"schedule-program-workspace"}, report.render()
 
-    def test_child_at_its_parents_level_is_a_level_finding(self, sym, plan):
-        # A faithful compilation of a plan whose child shares its parent's
-        # level: the layout is canonical, the level barrier is not enough.
-        child = next(s for s, st in enumerate(plan.steps) if st.below.size and st.t)
-        parent = next(s for s, st in enumerate(plan.steps) if child in st.children)
-        node_level = plan.node_level.copy()
+    def test_child_at_its_parents_level_is_a_level_finding(self, sym):
+        # A faithful compilation of levels that put a child on its parent's
+        # level: the layout is canonical, the level barrier is not enough —
+        # in either sweep.
+        stree = sym.stree
+        child = next(s for s, sn in enumerate(stree.supernodes) if sn.below.size)
+        parent = int(stree.parent[child])
+        node_level = stree.bottom_up_levels()
         node_level[child] = node_level[parent]
-        lifted = dataclasses.replace(plan, node_level=node_level)
-        report = certify_level_program(compile_level_program(lifted), lifted, sym.stree).report
-        level = [f for f in report.errors() if f.rule == "schedule-program-level"]
-        assert [f"child {child}" in f.message for f in level] == [True], report.render()
-        assert report.rules() == {"schedule-program-level", "schedule-stale-read"}
+        program = _compile_levels(_node_steps(stree), node_level)
+        report = certify_level_program(program, stree).report
+        assert report.rules() == {"schedule-program-level"}, report.render()
+        assert [f.message.split(" (")[0] for f in report.errors()] == [
+            f"[forward] child {child}", f"[backward] supernode {child}",
+        ], report.render()
 
-    def test_swapped_top_offsets_are_a_layout_finding(self, sym, plan):
-        program = compile_level_program(plan)
+    def test_swapped_top_offsets_are_a_layout_finding(self, sym):
+        program = compile_level_program(sym.stree)
         lvl_of = program.node_level
         a = next(s for s in range(program.nsuper) if np.count_nonzero(lvl_of == lvl_of[s]) >= 2)
         b = next(s for s in range(a + 1, program.nsuper) if lvl_of[s] == lvl_of[a])
         top = program.node_top_off.copy()
         top[[a, b]] = top[[b, a]]
         mutant = dataclasses.replace(program, node_top_off=top)
-        report = certify_level_program(mutant, plan, sym.stree).report
+        report = certify_level_program(mutant, sym.stree).report
         assert report.rules() == {"schedule-program-layout"}, report.render()
         assert f"node_top_off of supernode {a} " in report.render()
 
     @pytest.mark.parametrize(
         "field", ["node_below_off", "contrib_off", "n", "contrib_total", "max_acc"]
     )
-    def test_every_declared_program_offset_is_held_to_the_layout(self, sym, plan, field):
-        program = compile_level_program(plan)
+    def test_every_declared_program_offset_is_held_to_the_layout(self, sym, field):
+        program = compile_level_program(sym.stree)
         value = getattr(program, field)
         if isinstance(value, np.ndarray):
             value = value.copy()
@@ -299,55 +295,114 @@ class TestCertifyMutants:
         else:
             value += 1
         mutant = dataclasses.replace(program, **{field: value})
-        report = certify_level_program(mutant, plan, sym.stree).report
+        report = certify_level_program(mutant, sym.stree).report
         assert report.rules() == {"schedule-program-layout"}, report.render()
 
     @pytest.mark.parametrize("field", ["index", "size", "top_total", "arena_lo"])
-    def test_every_declared_level_extent_is_held_to_the_layout(self, sym, plan, field):
+    def test_every_declared_level_extent_is_held_to_the_layout(self, sym, field):
         report = self._certify_with_level(
-            sym, plan, lambda lvl: lvl.size > lvl.top_total > 0,
+            sym, lambda lvl: lvl.size > lvl.top_total > 0,
             lambda lvl: dataclasses.replace(lvl, **{field: getattr(lvl, field) + 1}),
         )
         assert report.rules() == {"schedule-program-layout"}, report.render()
 
 
-class TestLevelChainSharesThePlansConflicts:
-    """The level-chain check re-uses the plan's ordering obligations."""
+class TestProgramStandsOnTheTree:
+    """The level program is certified from the tree alone, never via a plan."""
 
-    def test_conflicts_derived_once_per_sweep(self, sym, plan, monkeypatch):
-        calls = []
-        real = schedule._ordering_obligations
-        monkeypatch.setattr(
-            schedule, "_ordering_obligations",
-            lambda plan, n: calls.append(1) or real(plan, n),
-        )
-        cert = certify_level_program(compile_level_program(plan), plan, sym.stree)
+    def test_certified_without_the_plan_machinery(self, sym, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the program certifier consulted plan machinery")
+
+        for name in ("_ordering_obligations", "_guaranteed_reachability", "plan_digest"):
+            monkeypatch.setattr(schedule, name, unreachable)
+        cert = certify_level_program(compile_level_program(sym.stree), sym.stree)
         assert cert.ok, cert.report.render()
-        assert len(calls) == 1  # both sweeps, plan tasks and level chain alike
 
-    def test_level_chain_findings_name_levels_not_plan_tasks(self, sym, plan):
-        # Lift a child onto its parent's level: its backward gather then
-        # shares a level with the write it depends on, and the finding must
-        # label both accesses with that *level*, not with their plan tasks.
-        program = compile_level_program(plan)
-        child = next(s for s, st in enumerate(plan.steps) if st.below.size and st.t)
-        parent = next(s for s, st in enumerate(plan.steps) if child in st.children)
-        node_level = program.node_level.copy()
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=strategies.integers(2, 28),
+        density=strategies.floats(0.02, 0.6),
+        seed=strategies.integers(0, 2**16),
+        data=strategies.data(),
+    )
+    def test_random_patterns_certify_and_their_mutants_are_reported(self, n, density, seed, data):
+        stree = analyze(random_spd(n, density=density, seed=seed)).stree
+        program = compile_level_program(stree)
+        cert = certify_level_program(program, stree)
+        assert cert.ok, cert.report.render()
+
+        # A node moved onto its parent's level: a level finding, nothing else.
+        kids = np.flatnonzero(stree.parent >= 0)
+        if kids.size:
+            child = int(data.draw(strategies.sampled_from(kids.tolist())))
+            node_level = stree.bottom_up_levels()
+            node_level[child] = node_level[stree.parent[child]]
+            lifted = _compile_levels(_node_steps(stree), node_level)
+            report = certify_level_program(lifted, stree).report
+            assert report.rules() == {"schedule-program-level"}, report.render()
+
+        # One replay index shifted by one: a top row's own right-hand-side
+        # entry is the gather rule's, any other entry the scatter rule's.
+        li = data.draw(strategies.integers(0, program.nlevels - 1))
+        lvl = program.levels[li]
+        k = data.draw(strategies.integers(0, lvl.replay.indices.size - 1))
+        op = lvl.replay.copy()
+        op.indices = op.indices.copy()
+        op.indices[k] += 1
+        levels = list(program.levels)
+        levels[li] = dataclasses.replace(lvl, replay=op)
+        mutant = dataclasses.replace(program, levels=tuple(levels))
+        report = certify_level_program(mutant, stree).report
+        own_rhs = k in op.indptr[:lvl.top_total]
+        rule = "schedule-program-gather" if own_rhs else "schedule-program-scatter"
+        assert report.rules() == {rule}, report.render()
+
+    def test_backward_level_finding_names_levels_and_rows(self, sym):
+        # A node lifted onto its parent's level gathers rows its parent
+        # solves on that same level: the finding names both and the rows.
+        stree = sym.stree
+        child = next(s for s, sn in enumerate(stree.supernodes) if sn.below.size)
+        parent = int(stree.parent[child])
+        node_level = stree.bottom_up_levels()
         node_level[child] = node_level[parent]
-        cert = certify_level_program(
-            dataclasses.replace(program, node_level=node_level), plan, sym.stree
-        )
-        label = f"(task {int(node_level[parent])})"
-        stale = [f for f in cert.report.errors() if f.rule == "schedule-stale-read"]
-        assert stale and all(f.message.count(label) == 2 for f in stale), cert.report.render()
+        program = _compile_levels(_node_steps(stree), node_level)
+        report = certify_level_program(program, stree).report
+        lv = int(node_level[parent])
+        rows = stree.supernodes[child].below
+        mine = rows[(rows >= stree.supernodes[parent].col_lo) & (rows < stree.supernodes[parent].col_hi)]
+        assert any(
+            f.message == f"[backward] supernode {child} (level {lv}) gathers rows "
+            f"{format_index_set(mine)} that supernode {parent} solves on level {lv} "
+            "— not strictly above it"
+            for f in report.errors()
+        ), report.render()
 
-    def test_level_the_program_does_not_have_is_reported_not_raised(self, sym, plan):
-        # Used to die with IndexError in the level-chain check.
-        program = compile_level_program(plan)
+    def test_below_row_missing_from_its_parent_is_a_scatter_finding(self):
+        from repro.symbolic.stree import Supernode, SupernodalTree
+
+        def chain(first_rows):
+            return SupernodalTree(
+                supernodes=[
+                    Supernode(0, 0, 1, np.array(first_rows)),
+                    Supernode(1, 1, 2, np.array([1, 2])),
+                    Supernode(2, 2, 4, np.array([2, 3])),
+                ],
+                parent=np.array([1, 2, -1]),
+            )
+
+        program = compile_level_program(chain([0, 1, 2]))
+        # The same shapes, but child 0 now hands row 3 to parent 1, whose
+        # rows are only {1, 2}.
+        report = certify_level_program(program, chain([0, 1, 3])).report
+        assert "supernode 0's below-rows are not all rows of its parent 1" in report.render()
+
+    def test_level_the_program_does_not_have_is_reported_not_raised(self, sym):
+        program = compile_level_program(sym.stree)
         node_level = program.node_level.copy()
         node_level[0] = len(program.levels)
         cert = certify_level_program(
-            dataclasses.replace(program, node_level=node_level), plan, sym.stree
+            dataclasses.replace(program, node_level=node_level), sym.stree
         )
         assert cert.report.rules() == {"schedule-program-shape"}
 
@@ -363,7 +418,7 @@ class TestLevelChainSharesThePlansConflicts:
                 "schedule-tree-mismatch",
             },
             "plan-permuted-reduction": {"schedule-reduction-order"},
-            "program-child-at-parents-level": {"schedule-program-level", "schedule-stale-read"},
+            "program-child-at-parents-level": {"schedule-program-level"},
             "program-tops-swapped": {"schedule-program-layout"},
             "program-swapped-scatter": {"schedule-program-scatter"},
             "program-replay-row-swapped": {"schedule-program-scatter"},
@@ -398,7 +453,7 @@ class TestSolveReportCertificate:
         solver = ParallelSparseSolver(a, p=1).prepare()
         x, rep = solver.solve(b, backend="fused")
         sym, factor = solver.symbolic, solver.factor
-        assert rep.schedule_certificate == certificate_for(sym.stree).digest
+        assert rep.schedule_certificate == fused_certificate_for(sym.stree).digest
         _, again = ParallelSparseSolver(a, p=1).prepare().solve(b, backend="fused")
         assert again.schedule_certificate == rep.schedule_certificate
         b_perm = sym.perm.apply_to_vector(b)
