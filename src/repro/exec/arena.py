@@ -32,7 +32,10 @@ Two workspace shapes live here:
   ``[acc | tops]``, backward its ``[gather | t1 | t2]``.  It also holds
   the two tapes of pre-bound library calls that :mod:`repro.exec.fused`
   compiles over these buffers when it builds the workspace, so the
-  sweeps allocate no arrays at all.
+  sweeps allocate no arrays at all.  A workspace bound for the
+  two-thread split gets one more scratch block, ``part_scratch``, sized
+  for the rows of the part the worker thread runs; the caller's part
+  and the top reuse ``scratch``, one after the other.
 """
 
 from __future__ import annotations
@@ -193,11 +196,13 @@ class FusedWorkspace:
     ``forward`` / ``backward`` are the tapes :mod:`repro.exec.fused`
     compiles over these buffers once, when it builds the workspace: flat
     tuples of ``(call, args)`` pairs, every call pre-bound to its
-    operands and its output slice.
+    operands and its output slice.  ``part_scratch`` is the worker
+    thread's scratch when the tapes are bound split, else ``None``.
     """
 
     xc: np.ndarray       # [y | contrib]: solution rows, then the contribution arena
     scratch: np.ndarray  # one level's [acc | tops] (forward), [gather | t1 | t2] (backward)
+    part_scratch: np.ndarray | None = None  # the worker thread's part's own scratch
     forward: tuple = ()
     backward: tuple = ()
 

@@ -63,7 +63,11 @@ class _IdentityCache:
         self.misses = 0
 
     def get(self, anchor: object, build: Callable[[], Any]) -> Any:
-        """The value cached for *anchor*, built (outside the lock) on a miss."""
+        """The value cached for *anchor*, built (outside the lock) on a miss.
+
+        Two threads that miss at once both build, and both get the value
+        filed first — never two values for one anchor.
+        """
         with self._lock:
             entry = self._entries.get(id(anchor))
             if entry is not None and entry[0]() is anchor:
@@ -72,6 +76,9 @@ class _IdentityCache:
             self.misses += 1
         value = build()
         with self._lock:
+            entry = self._entries.get(id(anchor))
+            if entry is not None and entry[0]() is anchor:
+                return entry[1]
             self._entries[id(anchor)] = (weakref.ref(anchor), value)
         weakref.finalize(anchor, self._evict, id(anchor))
         return value

@@ -87,6 +87,18 @@ canonical kernels in :mod:`repro.numeric.kernels` op for op; solutions
 are bitwise identical to the ``serial`` reference (and to the engine
 baseline, :func:`repro.exec.engine.solve_exec`).
 
+On a block of ``SPLIT_MIN_WIDTH`` or more columns, in a process that
+may use two CPUs, a workspace is bound **split**: the program's two
+``parts`` (:func:`~repro.exec.plan.split_parts`, whole subtrees under
+the tree's first fork) each get their own tape of the same operators,
+called on the part's rows — CSR ``indptr`` slices forward, CSC column
+slices backward (:func:`_part_tapes`) — and the top keeps one tape for
+the rest.  A forward sweep zeroes the arena, runs the second part on a
+per-process worker thread and the first in the caller, joins, and runs
+the top; backward runs the top, then forks and joins the parts.  Every
+row still sums the same terms in the same order, on one thread, so
+the answer is bitwise the single-thread one.
+
 The backward gather calls ``ndarray.take`` directly (``np.take`` reaches
 the same C routine through a Python-level ``fromnumeric`` wrapper) and
 with ``mode="clip"``: under the default ``mode="raise"`` numpy builds the
@@ -98,6 +110,9 @@ each one (``schedule-program-*``).
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from typing import ContextManager
 
@@ -106,7 +121,7 @@ from scipy.sparse import _sparsetools, csc_array, csr_array
 
 from repro.exec.arena import FusedWorkspace, build_fused_workspace
 from repro.exec.cache import PreparedFactor, prepare_factor, program_for
-from repro.exec.plan import LevelProgram, level_nodes
+from repro.exec.plan import LevelProgram, level_nodes, part_rows
 from repro.numeric.supernodal import SupernodalFactor
 from repro.numeric.trisolve import rhs_view
 from repro.util.validation import require
@@ -221,54 +236,141 @@ def _flat(block: np.ndarray) -> np.ndarray:
     return block.reshape(-1)
 
 
-def _matvec(op: csr_array | csc_array, x: np.ndarray, y: np.ndarray) -> tuple:
+def _matvec(op: csr_array | csc_array, x: np.ndarray, y: np.ndarray, lo: int = 0,
+            hi: int | None = None) -> tuple:
     """``y += op @ x`` as the ``(call, args)`` pair scipy's ``@`` itself makes.
 
     The call is the compiled loop ``@`` dispatches to — ``csr_matvec`` /
     ``csc_matvec`` for one column, ``csr_matvecs`` / ``csc_matvecs`` for
     more — with the arguments ``@`` passes it.  scipy zeroes the output
     first; the caller's *y* must hold +0.0 when the call runs.
+
+    ``lo`` / ``hi`` slice *op*'s compressed axis — a CSR's rows, a CSC's
+    columns — by passing ``indptr[lo:hi + 1]`` with the full ``indices``
+    and ``data``.  So a CSR slice writes its rows from ``y[0]`` and reads
+    *x* at its own column numbers; a CSC slice reads its columns from
+    ``x[0]`` and writes *y* at its own row numbers.
     """
+    hi = op.indptr.size - 1 if hi is None else hi
     rows, cols = op.shape
+    if op.format == "csr":
+        rows = hi - lo
+    else:
+        cols = hi - lo
+    ptr = op.indptr[lo : hi + 1]
     m = x.shape[1]
     if m == 1:
         return getattr(_sparsetools, op.format + "_matvec"), (
-            rows, cols, op.indptr, op.indices, op.data, _flat(x), _flat(y))
+            rows, cols, ptr, op.indices, op.data, _flat(x), _flat(y))
     return getattr(_sparsetools, op.format + "_matvecs"), (
-        rows, cols, m, op.indptr, op.indices, op.data, _flat(x), _flat(y))
+        rows, cols, m, ptr, op.indices, op.data, _flat(x), _flat(y))
 
 
-def _bind(ws: FusedWorkspace, program: LevelProgram, panels: FusedPanels) -> FusedWorkspace:
-    """Compile *ws*'s two tapes: every level's calls, pre-bound to *ws*'s buffers."""
-    xc, scratch, n = ws.xc, ws.scratch, program.n
+def _part_tapes(
+    program: LevelProgram, panels: FusedPanels, xc: np.ndarray, scratch: np.ndarray,
+    lo: int, hi: int,
+) -> tuple[list[tuple], list[tuple]]:
+    """The forward and backward calls of the supernodes ``lo <= s < hi`` on *scratch*.
+
+    Per level the nodes own tops ``[ta, tb)`` and belows ``[ba, bb)`` of
+    the accumulator (:func:`~repro.exec.plan.part_rows`), and every
+    operator is called on that slice of its rows (forward) or columns
+    (backward), so each row sums the same terms in the same order as on
+    the whole level.  What a slice reads at its level numbering sits at
+    that numbering in *scratch*, everything else back to back:
+
+    * forward, ``[acc tops at rows ta..tb | acc belows | solved tops]``,
+      the solved tops at ``tb + nb - ta`` plus their level row;
+    * backward, ``[gathered tops | gathered belows | t1 | t2]``, each of
+      ``t1`` and ``t2`` written at its base plus the level row.
+
+    For the whole id range that is ``[acc | tops]`` and ``[gather | t1 |
+    t2]``: one run of rows per sweep, one call per operator.
+    """
+    n = program.n
     x = xc[:n]
+    forward: list[tuple] = []
+    backward: list[tuple] = []
+    for lvl, (ta, tb, ba, bb), diag, diag_t, rect, rect_t in zip(
+        program.levels, part_rows(program, lo, hi),
+        panels.diag, panels.diag_t, panels.rect, panels.rect_t,
+    ):
+        nt, nb, tt = tb - ta, bb - ba, lvl.top_total
+        if not nt:
+            continue  # no node of the range on this level
+        require(scratch.shape[0] >= _scratch_rows(ta, tb, ba, bb),
+                "a part's scratch block is too short for its rows")
+        contrib = xc[n + lvl.arena_lo + ba - tt : n + lvl.arena_lo + bb - tt]
+        gather = lvl.gather_rows
+        # forward: acc = replay @ xc, tops = D @ acc, contrib = acc - F @ tops
+        at = tb + nb - ta
+        acc_b, tops = scratch[tb : tb + nb], scratch[tb + nb : tb + nb + nt]
+        forward.append((scratch[ta : tb + nb + nt].fill, (0.0,)))
+        one_run = ba == tb or not nb  # the tops and the belows are one run of rows
+        if one_run:
+            forward.append(_matvec(lvl.replay, xc, scratch[ta : tb + nb], ta, tb + nb))
+        else:
+            forward += [_matvec(lvl.replay, xc, scratch[ta:tb], ta, tb),
+                        _matvec(lvl.replay, xc, acc_b, ba, bb)]
+        forward.append(_matvec(diag, scratch[:tb], tops, ta, tb))
+        if nb:
+            forward += [_matvec(rect, scratch[at : at + tb], contrib, ba - tt, bb - tt),
+                        (np.subtract, (acc_b, contrib, contrib))]
+        forward.append((xc.__setitem__, (gather[ta:tb], tops)))
+        # backward: take, tops -= F.T @ below, x[tops] = D.T @ tops
+        g = nt + nb
+        acc_t, t1, t2 = scratch[:nt], scratch[g : g + tb], scratch[g + nt : g + nt + tb]
+        if one_run:
+            calls = [(x.take, (gather[ta : tb + nb], 0, scratch[:g], "clip"))]
+        else:
+            calls = [(x.take, (gather[ta:tb], 0, acc_t, "clip")),
+                     (x.take, (gather[ba:bb], 0, scratch[nt:g], "clip"))]
+        calls.append((scratch[g + ta : g + tb + nt].fill, (0.0,)))
+        if nb:
+            # two views of the tops, as the single-thread tape has always
+            # passed them: one object as input and output takes numpy's
+            # faster alias path, and the one-part tape stays today's
+            calls += [_matvec(rect_t, scratch[nt:g], t1, ba - tt, bb - tt),
+                      (np.subtract, (scratch[:nt], t1[ta:], acc_t))]
+        calls += [_matvec(diag_t, acc_t, t2, ta, tb),
+                  (x.__setitem__, (gather[ta:tb], t2[ta:]))]
+        backward[:0] = calls
+    return forward, backward
+
+
+def _scratch_rows(ta: int, tb: int, ba: int, bb: int) -> int:
+    """The scratch rows :func:`_part_tapes` uses on a level: backward's, the longer."""
+    return 2 * (tb - ta) + (bb - ba) + tb
+
+
+def _bind(
+    ws: FusedWorkspace, program: LevelProgram, panels: FusedPanels,
+    parts: tuple[tuple[int, int], ...] = (),
+) -> FusedWorkspace:
+    """Compile *ws*'s two tapes: every level's calls, pre-bound to *ws*'s buffers.
+
+    Without *parts* every node is one part on ``ws.scratch``.  With the
+    program's two ``parts``, the first runs on ``ws.scratch`` in the
+    caller and the second in the worker thread (one :func:`_fork` call)
+    on ``ws.part_scratch``, a block made here for that part's rows; the
+    rest — the top — runs on ``ws.scratch`` after the join forward and
+    before the fork backward.
+    """
+    require(len(parts) in (0, 2), "a split binds exactly two parts")
+    xc, n = ws.xc, program.n
+    top, rest = max((h for _, h in parts), default=0), program.nsuper
+    forward, backward = _part_tapes(program, panels, xc, ws.scratch, top, rest)
     # Every level's rectangle product accumulates straight into its
     # contribution slice, so the forward sweep starts the arena at +0.0.
-    forward: list[tuple] = [(xc[n:].fill, (0.0,))]
-    for lvl, diag, rect in zip(program.levels, panels.diag, panels.rect):
-        size, tt = lvl.size, lvl.top_total
-        acc, tops = scratch[:size], scratch[size : size + tt]
-        forward += [(scratch[: size + tt].fill, (0.0,)),
-                    _matvec(lvl.replay, xc, acc),
-                    _matvec(diag, acc[:tt], tops)]
-        if size > tt:
-            contrib = xc[n + lvl.arena_lo : n + lvl.arena_lo + size - tt]
-            forward += [_matvec(rect, tops, contrib),
-                        (np.subtract, (acc[tt:], contrib, contrib))]
-        forward.append((xc.__setitem__, (lvl.gather_rows[:tt], tops)))
-    backward: list[tuple] = []
-    for lvl, diag_t, rect_t in zip(
-        reversed(program.levels), reversed(panels.diag_t), reversed(panels.rect_t)
-    ):
-        size, tt = lvl.size, lvl.top_total
-        acc, t1, t2 = scratch[:size], scratch[size : size + tt], scratch[size + tt : size + 2 * tt]
-        backward += [(x.take, (lvl.gather_rows, 0, acc, "clip")),
-                     (scratch[size : size + 2 * tt].fill, (0.0,))]
-        if size > tt:
-            backward += [_matvec(rect_t, acc[tt:], t1),
-                         (np.subtract, (acc[:tt], t1, acc[:tt]))]
-        backward += [_matvec(diag_t, acc[:tt], t2),
-                     (x.__setitem__, (lvl.gather_rows[:tt], t2))]
+    forward.insert(0, (xc[n:].fill, (0.0,)))
+    if parts:
+        rows = max((_scratch_rows(*r) for r in part_rows(program, *parts[1]) if r[1] > r[0]),
+                   default=0)
+        ws.part_scratch = np.empty((rows, ws.scratch.shape[1]))
+        a, b = [_part_tapes(program, panels, xc, block, lo, hi)
+                for block, (lo, hi) in zip((ws.scratch, ws.part_scratch), parts)]
+        forward.insert(1, (_fork, (tuple(a[0]), tuple(b[0]))))
+        backward.append((_fork, (tuple(a[1]), tuple(b[1]))))
     ws.forward, ws.backward = tuple(forward), tuple(backward)
     return ws
 
@@ -277,6 +379,104 @@ def _sweep(tape: tuple) -> None:
     """Run one sweep: every call of the tape, in order."""
     for call, args in tape:
         call(*args)
+
+
+# ------------------------------------------------------------ the worker
+#: Narrowest block the sweeps split across two threads.  Warm
+#: ``solve_fused``, split ÷ one thread, on grid2d(96), grid3d(16),
+#: grid3d(12) and fe_mesh_3d(12, seed=219) at relax 16: five pairs of
+#: alternating processes per matrix (20 readings per width), 2-core VM,
+#: ``OPENBLAS_NUM_THREADS=1``.  Medians are per matrix, in that order.
+#:
+#: ====  ==========================  ===========  ======
+#:   m   medians                     range        losses
+#: ====  ==========================  ===========  ======
+#:   1   1.13  0.99  2.86  1.49      0.98–2.98    17/20
+#:   2   0.72  0.72  0.97  0.95      0.71–1.67     3/20
+#:   4   0.71  0.70  0.94  0.91      0.69–1.59     3/20
+#:   8   0.67  0.67  0.87  0.84      0.64–1.43     2/20
+#:  16   0.60  0.63  0.77  0.75      0.60–1.14     1/20
+#: ====  ==========================  ===========  ======
+#:
+#: A one-column sweep is too short to pay for its GIL hand-offs.  At 2
+#: and 4 columns the split wins most readings but loses up to 1.7× when
+#: the second core is busy; from 8 the products are large enough that
+#: the worst reading stays within 1.43× and the usual one is 0.6–0.9×.
+#: Serving's open-loop batches (mean width 1.4) stay single-threaded.
+SPLIT_MIN_WIDTH = 8
+
+_jobs: queue.SimpleQueue | None = None
+_free = threading.Lock()  # held from a hand-off until the worker has run it
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """The worker thread: run each job handed over, holding on to none of it."""
+    while True:
+        _run(*jobs.get())
+
+
+def _run(tape: tuple, done: threading.Lock, failed: list) -> None:
+    """Run *tape*, then free the worker and release its caller."""
+    try:
+        _sweep(tape)
+    except BaseException as exc:  # handed to the caller, never lost here
+        failed.append(exc)
+    finally:
+        _free.release()
+        done.release()
+
+
+def _worker() -> queue.SimpleQueue:
+    """The worker thread's queue; the thread starts on first use.
+
+    Only a caller holding ``_free`` asks, so no two threads start one.
+    """
+    global _jobs
+    if _jobs is None:
+        _jobs = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(_jobs,), name="repro-fused-part",
+                         daemon=True).start()
+    return _jobs
+
+
+def _forget_worker() -> None:
+    """A forked child has no worker thread: start a new one when it needs it."""
+    global _jobs, _free
+    _jobs, _free = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _fork(mine: tuple, theirs: tuple) -> None:
+    """Run *theirs* on the worker thread and *mine* here; return once both ran.
+
+    While the worker runs another caller's part, both run here, one after
+    the other: a second core already busy gains nothing from a hand-off.
+    The join is in ``finally``: whatever *mine* raises, the worker is
+    done writing before the caller's lease can hand the workspace on.
+    """
+    if not _free.acquire(blocking=False):
+        _sweep(mine)
+        _sweep(theirs)
+        return
+    done, failed = threading.Lock(), []
+    done.acquire()
+    _worker().put((theirs, done, failed))
+    try:
+        _sweep(mine)
+    finally:
+        done.acquire()
+    if failed:
+        raise failed[0]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 # ------------------------------------------------------------------ public
@@ -291,10 +491,13 @@ def _lease(
     """
     prep = prepare_factor(factor)
     program = program_for(factor.stree) if program is None else program
-    return prep.arena.lease(
-        program, ("fused", m),
-        lambda: _bind(build_fused_workspace(program, m), program, _panels(prep, program)),
-    )
+
+    def build() -> FusedWorkspace:
+        split = m >= SPLIT_MIN_WIDTH and _usable_cpus() >= 2
+        return _bind(build_fused_workspace(program, m), program, _panels(prep, program),
+                     program.parts if split else ())
+
+    return prep.arena.lease(program, ("fused", m), build)
 
 
 def warm_fused(factor: SupernodalFactor, *, program: LevelProgram | None = None) -> None:

@@ -16,7 +16,10 @@ coefficients 1.0).  The tree-wide contribution arena follows the same
 order, level after level.  A level's diagonal inverses and its
 rectangles each lower to one sparse block
 (:func:`repro.exec.fused.build_fused_panels`).  The level order alone
-orders the work, and it is a pure function of the tree.
+orders the work, and it is a pure function of the tree.  So is the
+program's two-way split (:func:`split_parts`): the subtrees under the
+tree's first fork, cut into two id ranges the fused sweeps may run on
+two threads, each owning one run of rows per level (:func:`part_rows`).
 
 :func:`build_plan` builds the :class:`ExecPlan` of the thread-pool
 engine baseline (:mod:`repro.exec.engine`) — everything it needs to run
@@ -53,7 +56,7 @@ from scipy.sparse import csr_array
 
 from repro.symbolic.etree import NO_PARENT
 from repro.symbolic.stree import SupernodalTree
-from repro.util.flops import supernode_solve_flops
+from repro.util.flops import gemm_flops, supernode_solve_flops, trsm_flops
 from repro.util.validation import require
 
 #: Default aggregation grain: subtrees cheaper than this many flops per
@@ -304,6 +307,15 @@ class LevelProgram:
     the per-level scratch of the reusable
     :class:`~repro.exec.arena.FusedWorkspace`, whose arena checks a
     lease against the program by weak reference (hence no ``slots``).
+
+    ``parts`` is the two-way split of :func:`split_parts`: two disjoint
+    supernode-id ranges ``[lo, hi)``, each a union of whole subtrees, that
+    the fused sweeps may run at the same time; every node from the
+    larger ``hi`` up is the *top*, which runs after them forward and
+    before them backward.  Empty when the tree has no fork.  Since every
+    level lays its nodes out in ascending id, each part owns one
+    contiguous run of top rows and one of below rows in every level
+    (:func:`part_rows`).
     """
 
     levels: tuple[Level, ...]
@@ -315,6 +327,7 @@ class LevelProgram:
     n: int
     nsuper: int
     max_acc: int
+    parts: tuple[tuple[int, int], ...] = ()
 
     @property
     def nlevels(self) -> int:
@@ -436,4 +449,65 @@ def _compile_levels(steps: list[NodeStep], node_level: np.ndarray) -> LevelProgr
         n=n,
         nsuper=ns,
         max_acc=max((lvl.size for lvl in levels), default=0),
+        parts=split_parts(steps),
     )
+
+
+def split_parts(steps: list[NodeStep]) -> tuple[tuple[int, int], ...]:
+    """The two supernode-id ranges the fused sweeps run side by side.
+
+    Walking down from the root while a node has one child, the first node
+    with two or more children is the fork (a forest forks at its roots).
+    Its child subtrees, in postorder, are cut into two contiguous id
+    ranges whose solve flops are as even as one cut makes them — the
+    paper's subtree-to-subcube split at its first level.  The fork and
+    its ancestors are the top.  A path has no fork and no split.
+    """
+    ns = len(steps)
+    counts = np.fromiter((len(st.children) for st in steps), np.int64, ns)
+    parent = np.full(ns, -1, dtype=np.int64)
+    parent[np.fromiter((c for st in steps for c in st.children), np.int64, int(counts.sum()))] = (
+        np.repeat(np.arange(ns), counts))
+    kids = np.flatnonzero(parent < 0).tolist()
+    while len(kids) == 1:
+        kids = list(steps[kids[0]].children)
+    if len(kids) < 2:
+        return ()
+    # Postorder makes subtree k the ids from the previous kid's + 1 to k:
+    # every other node in it has a larger parent in it.
+    ids, top = np.arange(ns), kids[-1] + 1
+    block = np.searchsorted(kids, ids[:top])
+    inner = np.flatnonzero(np.isin(ids[:top], kids, invert=True))
+    up = parent[inner]
+    if np.any(up <= inner) or np.any(np.searchsorted(kids, up) != block[inner]):
+        return ()  # not postordered
+    width = np.fromiter((st.t for st in steps), np.int64, ns)
+    height = np.fromiter((st.n for st in steps), np.int64, ns)
+    flops = np.cumsum(trsm_flops(width) + gemm_flops(height - width, width))[kids]
+    cut = kids[int(np.argmin(np.abs(2 * flops[:-1] - flops[-1])))] + 1
+    return ((0, cut), (cut, top))
+
+
+def part_rows(program: LevelProgram, lo: int, hi: int) -> list[tuple[int, int, int, int]]:
+    """Per level, the accumulator rows of the supernodes ``lo <= s < hi``.
+
+    Each entry is ``(ta, tb, ba, bb)``: their tops are rows ``[ta, tb)``,
+    their belows rows ``[ba, bb)`` — one run each, since a level lays its
+    nodes out in ascending id.  The whole id range gives ``(0,
+    top_total, top_total, size)``.
+    """
+    (ta, ba), (tb, bb) = _first_rows(program, lo), _first_rows(program, hi)
+    return list(zip(ta.tolist(), tb.tolist(), ba.tolist(), bb.tolist()))
+
+
+def _first_rows(program: LevelProgram, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per level, the first top row and the first below row of the nodes ``s >= bound``.
+
+    A level with no such node gives its ``top_total`` and its ``size``.
+    """
+    tops = np.array([lvl.top_total for lvl in program.levels], dtype=np.int64)
+    belows = np.array([lvl.size for lvl in program.levels], dtype=np.int64)
+    level, below = program.node_level[bound:], program.node_below_off[bound:]
+    np.minimum.at(tops, level, program.node_top_off[bound:])
+    np.minimum.at(belows, level[below >= 0], below[below >= 0])
+    return tops, belows

@@ -296,6 +296,27 @@ def _program_replay_coefficient_two() -> Report:
     return _certify_mutated_operator(mutate)
 
 
+def _program_part_splits_subtree() -> Report:
+    # The cut between the two parts moves past the first node of the
+    # second part that has a parent in it: that node runs on one thread
+    # and its parent on the other, which would read its contribution
+    # before it is written.
+    program, stree = _program_and_tree()
+    (lo, _), (mid, hi) = program.parts
+    s = next(s for s in range(mid, hi) if mid <= stree.parent[s] < hi)
+    parts = ((lo, s + 1), (s + 1, hi))
+    return certify_level_program(dataclasses.replace(program, parts=parts), stree).report
+
+
+def _program_parts_overlap() -> Report:
+    # The first part reaches one node into the second: both threads would
+    # solve that node, writing its rows and its contribution at once.
+    program, stree = _program_and_tree()
+    (lo, mid), second = program.parts
+    parts = ((lo, mid + 1), second)
+    return certify_level_program(dataclasses.replace(program, parts=parts), stree).report
+
+
 _BAD_SOURCE = '''\
 import numpy as np
 import os
@@ -423,6 +444,18 @@ def known_bad_cases() -> list[BadCase]:
             "a replay operator that adds one child contribution twice over",
             frozenset({"schedule-program-scatter"}),
             _program_replay_coefficient_two,
+        ),
+        BadCase(
+            "program-part-splits-subtree",
+            "a two-way split whose cut puts a node and its parent on different threads",
+            frozenset({"schedule-program-part"}),
+            _program_part_splits_subtree,
+        ),
+        BadCase(
+            "program-parts-overlap",
+            "a two-way split whose two parts share a node",
+            frozenset({"schedule-program-part"}),
+            _program_parts_overlap,
         ),
         BadCase(
             "forbidden-source-constructs",

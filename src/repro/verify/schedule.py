@@ -50,8 +50,11 @@ exactly 1.0.  The level barrier is the program's only ordering device,
 so the level order is proved by two vector comparisons
 (``-level``): forward, every child sits on a lower level than its
 parent; backward, every below-row is solved on a higher level than the
-node that gathers it.  The program's digest hashes the arrays the
-executor reads, so it depends on no plan and no grain.
+node that gathers it.  The program's two-way split, whose parts run on
+two threads, must be two disjoint id ranges, each closed under children,
+with every other node in the top above them (``-part``).  The program's
+digest hashes the arrays the executor reads, so it depends on no plan
+and no grain.
 
 Findings use the shared :class:`~repro.verify.findings.Report`
 machinery; rules are prefixed ``schedule-``.
@@ -73,7 +76,7 @@ if TYPE_CHECKING:
     from repro.symbolic.stree import SupernodalTree
 
 #: Bumped whenever the canonical serialization behind the digest changes.
-CERT_SCHEMA = "repro-schedule-cert/2"
+CERT_SCHEMA = "repro-schedule-cert/3"
 
 
 @dataclass(frozen=True)
@@ -536,9 +539,10 @@ def certify_plan(
 def _program_digest(program: "LevelProgram") -> str:
     """Canonical sha256 over the arrays the fused executor reads.
 
-    Covers the node levels and offsets, every level's extents, gather
-    vector and replay structure — one update per array.  A pure function
-    of the program, hence (for a compiled program) of the tree.
+    Covers the two-way split, the node levels and offsets, every level's
+    extents, gather vector and replay structure — one update per array.
+    A pure function of the program, hence (for a compiled program) of
+    the tree.
     """
     h = hashlib.sha256(CERT_SCHEMA.encode())
 
@@ -547,6 +551,7 @@ def _program_digest(program: "LevelProgram") -> str:
 
     levels = program.levels
     put([program.nsuper, len(levels), program.n])
+    put([len(program.parts), *np.reshape(program.parts, -1)])
     for vector in (program.node_level, program.node_top_off, program.node_below_off,
                    program.contrib_off):
         put(vector)
@@ -558,6 +563,52 @@ def _program_digest(program: "LevelProgram") -> str:
         put(op.indptr)
         put(op.indices)
     return h.hexdigest()
+
+
+def _check_parts(
+    parts: Sequence[tuple[int, int]], parent: np.ndarray, report: Report, loc: str
+) -> None:
+    """Judge the two-way split the fused sweeps may run on two threads.
+
+    The parts must be disjoint id ranges, each closed under children, and
+    every node outside them must be top — at or above the parts' largest
+    end, where the executor runs the top.  With the layout (each part's
+    rows are runs of its levels) and the tree's below-row containment,
+    that means neither part reads or writes the other's rows: a part's
+    children are its own, and its ancestors are its own or top, which
+    runs after the parts forward and before them backward.
+    """
+    ns = parent.size
+    bad = [(lo, hi) for lo, hi in parts if not 0 <= lo <= hi <= ns]
+    if len(parts) not in (0, 2) or bad:
+        report.add("schedule-program-part",
+                   f"split {tuple(parts)} is not two ranges of the {ns} supernode ids",
+                   location=loc)
+        return
+    member = np.zeros((len(parts), ns), dtype=bool)
+    for k, (lo, hi) in enumerate(parts):
+        member[k, lo:hi] = True
+    shared = np.flatnonzero(member.sum(axis=0) > 1)
+    if shared.size:
+        report.add("schedule-program-part",
+                   f"supernode {shared[0]} is in two parts — both threads would solve it",
+                   location=loc)
+    kids = np.flatnonzero(parent != NO_PARENT)
+    for k, (lo, hi) in enumerate(parts):
+        cut = kids[member[k, parent[kids]] & ~member[k, kids]]
+        if cut.size:
+            report.add("schedule-program-part",
+                       f"part [{lo}, {hi}) holds supernode {parent[cut[0]]} but not its "
+                       f"child {cut[0]} — the split cuts a subtree, so the two threads "
+                       "would hand a contribution across",
+                       location=loc)
+    top = max((hi for _, hi in parts), default=0)
+    lost = np.flatnonzero(~member.any(axis=0)[:top])
+    if lost.size:
+        report.add("schedule-program-part",
+                   f"supernode {lost[0]} is in no part and below the top (ids from {top}) "
+                   "— no tape would solve it",
+                   location=loc)
 
 
 def _check_program(
@@ -621,6 +672,8 @@ def _check_program(
             f"{w} solves on level {int(lvl_of[w])} — not strictly above it",
             location=loc0,
         )
+
+    _check_parts(program.parts, parent, report, loc0)
 
     # --- the canonical layout: per level the nodes in ascending id, their
     # tops back to back, then the belows of those that have any; the

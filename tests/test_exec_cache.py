@@ -4,6 +4,7 @@ factors, certificates), and which paths fill them."""
 from __future__ import annotations
 
 import gc
+import threading
 import weakref
 
 import pytest
@@ -110,6 +111,28 @@ def test_program_and_panels_cached_and_evicted():
     stats = exec_cache_stats()
     assert stats["program_entries"] == 0 and stats["factor_entries"] == 0
     assert arena() is None
+
+
+def test_racing_first_uses_share_one_value():
+    # Two threads miss on one anchor at once and both build: both must get
+    # the value filed first, or each would lease from an arena of its own.
+    from repro.exec.cache import _IdentityCache
+
+    cache, anchor, both_in = _IdentityCache(), analyze(grid2d_laplacian(3)).stree, threading.Barrier(2)
+    got = []
+
+    def build():
+        both_in.wait(timeout=10)
+        return object()
+
+    threads = [threading.Thread(target=lambda: got.append(cache.get(anchor, build)))
+               for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert len(got) == 2 and got[0] is got[1] and cache.get(anchor, object) is got[0]
+    assert len(cache) == 1
 
 
 def test_fused_certificate_memoized_and_evicted():

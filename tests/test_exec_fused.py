@@ -237,12 +237,16 @@ class TestZeroAllocationSteadyState:
         )
 
     @staticmethod
-    def _sweep_peak(sym, m, rng) -> int:
-        """Peak bytes tracemalloc sees in one warm forward + backward sweep."""
+    def _sweep_peak(sym, m, rng, split=False) -> int:
+        """Peak bytes tracemalloc sees in one warm forward + backward sweep.
+
+        A *split* workspace runs the program's two parts on two threads.
+        """
         factor = cholesky_supernodal(sym)
         program = program_for(sym.stree)
+        assert program.parts or not split, "the tree has no fork to split at"
         ws = build_fused_workspace(program, m)
-        fused._bind(ws, program, fused_panels_for(factor))
+        fused._bind(ws, program, fused_panels_for(factor), program.parts if split else ())
         ws.xc[: sym.n] = rng.normal(size=(sym.n, m))
         fused._sweep(ws.forward)  # warm every code path
         fused._sweep(ws.backward)
@@ -258,11 +262,12 @@ class TestZeroAllocationSteadyState:
         # into the workspace, so the hot path allocates no arrays at all —
         # only loop-iteration objects, nothing that grows with the node
         # count or the width, no term stack, no product block.
-        for m in (1, 16):
-            peak = self._sweep_peak(sym_grid8, m, rng)
+        for m, split in ((1, False), (16, False), (16, True)):
+            peak = self._sweep_peak(sym_grid8, m, rng, split)
             assert peak < 8 * 1024, (
-                f"fused sweeps allocated {peak} bytes at peak with {m} columns — "
-                "the zero-allocation path regressed (a product block is back?)"
+                f"fused sweeps allocated {peak} bytes at peak with {m} columns "
+                f"(split: {split}) — the zero-allocation path regressed (a product "
+                "block is back?)"
             )
 
     def test_sweeps_on_a_deep_3d_tree_allocate_no_arrays(self, rng):
@@ -270,10 +275,11 @@ class TestZeroAllocationSteadyState:
         # bound at 16 columns (and its scatter sizes at one): only sweeps
         # that write every product into the workspace stay under it.
         sym = analyze(grid3d_laplacian(12), relax=DEFAULT_RELAX)
-        for m in (1, 16):
-            peak = self._sweep_peak(sym, m, rng)
+        for m, split in ((1, False), (16, False), (16, True)):
+            peak = self._sweep_peak(sym, m, rng, split)
             assert peak < 8 * 1024, (
-                f"fused sweeps allocated {peak} bytes at peak with {m} columns on grid3d(12)"
+                f"fused sweeps allocated {peak} bytes at peak with {m} columns "
+                f"(split: {split}) on grid3d(12)"
             )
 
     def test_distinct_nrhs_lease_distinct_workspaces(self, sym_grid8, rng):

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies
+from scipy.sparse import csr_array
 
 from repro.exec import (
     certificate_for,
@@ -242,8 +243,6 @@ class TestCertifyMutants:
             assert report.rules() == {"schedule-program-gather"}, report.render()
 
     def test_misshapen_replay_operator_is_a_workspace_finding(self, sym):
-        from scipy.sparse import csr_array
-
         def mutate(lvl):
             op = lvl.replay
             narrow = csr_array((op.data, op.indices, op.indptr), shape=(lvl.size, op.shape[1] - 1))
@@ -347,9 +346,9 @@ class TestProgramStandsOnTheTree:
         li = data.draw(strategies.integers(0, program.nlevels - 1))
         lvl = program.levels[li]
         k = data.draw(strategies.integers(0, lvl.replay.indices.size - 1))
-        op = lvl.replay.copy()
-        op.indices = op.indices.copy()
-        op.indices[k] += 1
+        indices = lvl.replay.indices.copy()
+        indices[k] += 1
+        op = csr_array((lvl.replay.data, indices, lvl.replay.indptr), shape=lvl.replay.shape)
         levels = list(program.levels)
         levels[li] = dataclasses.replace(lvl, replay=op)
         mutant = dataclasses.replace(program, levels=tuple(levels))
@@ -397,6 +396,15 @@ class TestProgramStandsOnTheTree:
         report = certify_level_program(program, chain([0, 1, 3])).report
         assert "supernode 0's below-rows are not all rows of its parent 1" in report.render()
 
+    @pytest.mark.parametrize("mutate", ["gap", "one part", "out of range"])
+    def test_a_split_that_loses_a_node_or_leaves_the_ids_is_a_part_finding(self, sym, mutate):
+        program = compile_level_program(sym.stree)
+        (_, mid), (_, hi) = program.parts
+        parts = {"gap": ((0, mid - 1), (mid, hi)), "one part": ((0, hi),),
+                 "out of range": ((0, mid), (mid, program.nsuper + 1))}[mutate]
+        mutant = dataclasses.replace(program, parts=parts)
+        assert certify_level_program(mutant, sym.stree).report.rules() == {"schedule-program-part"}
+
     def test_level_the_program_does_not_have_is_reported_not_raised(self, sym):
         program = compile_level_program(sym.stree)
         node_level = program.node_level.copy()
@@ -424,6 +432,8 @@ class TestProgramStandsOnTheTree:
             "program-replay-row-swapped": {"schedule-program-scatter"},
             "program-replay-entry-dropped": {"schedule-program-scatter"},
             "program-replay-coefficient-two": {"schedule-program-scatter"},
+            "program-part-splits-subtree": {"schedule-program-part"},
+            "program-parts-overlap": {"schedule-program-part"},
         }
         cases = [c for c in known_bad_cases() if c.name.startswith(("plan-", "program-"))]
         assert {c.name: c.run().rules() for c in cases} == recorded
