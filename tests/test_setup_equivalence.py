@@ -7,8 +7,10 @@ elimination tree, the pattern of L, the supernode partition, every
 supernode's rows and parent, and every byte (plus layout and dtype) of
 every factor block.  Factor-bit preservation leans on
 ``np.linalg.cholesky`` referencing only the lower triangle of its input
-and on ``a @ a.T`` taking one BLAS route whatever surrounds it, which is
-why CI runs this file at the numpy / scipy floors too.
+and on ``a @ a.T`` taking one BLAS route whatever surrounds it, and the
+nested-dissection rounds on ``lexsort`` keeping ties in vertex order and
+on ``reduceat(axis=0)``, which is why CI runs this file at the numpy /
+scipy floors too.
 """
 
 from __future__ import annotations
@@ -25,15 +27,19 @@ from hypothesis import strategies as st
 from repro.core.solver import ParallelSparseSolver
 from repro.exec import fused_certificate_for
 from repro.experiments.matrices import get_workload
-from repro.graph.separators import _boundary_separator
 from repro.graph.structure import adjacency_from_matrix
 from repro.mapping.subtree_subcube import subtree_to_subcube
 from repro.numeric.supernodal import cholesky_supernodal
 from repro.ordering.api import METHODS
+from repro.ordering.minimum_degree import minimum_degree
+from repro.ordering.nested_dissection import _induced, _members, nested_dissection
 from repro.sparse.build import from_triplets
 from repro.sparse.csc import SymCSC
 from repro.sparse.generators import (
+    anisotropic_laplacian,
+    fe_mesh_2d,
     fe_mesh_3d,
+    graded_mesh_2d,
     grid2d_laplacian,
     grid3d_laplacian,
     random_spd,
@@ -44,6 +50,7 @@ from repro.symbolic.pattern import symbolic_factor_pattern
 from repro.symbolic.postorder import relabel_tree
 from repro.symbolic.stree import build_supernodal_tree
 from repro.symbolic.supernodes import find_supernodes
+from repro.util.segments import segment_ids
 
 from tests import _setup_oracles as oracle
 
@@ -153,6 +160,95 @@ def test_spine_matrices_keep_digest_and_answer(build):
     assert answers[0] == answers[1]
 
 
+# ---------------------------------------------------------------- ordering
+#: ``None`` stands for the graph's own size: one leaf, no cut at all.
+leaf_sizes = st.sampled_from([1, 2, 4, 8, None])
+max_depths = st.sampled_from([None, 0, 1, 3])
+seeds = st.integers(0, 2**16)
+meshes = st.one_of(
+    st.builds(grid2d_laplacian, st.integers(2, 30)),
+    st.builds(grid3d_laplacian, st.integers(2, 9)),
+    st.builds(fe_mesh_2d, st.integers(2, 12), seed=seeds),
+    st.builds(fe_mesh_3d, st.integers(2, 6), seed=seeds),
+    st.builds(graded_mesh_2d, st.integers(2, 16), grading=st.floats(1.0, 3.0), seed=seeds),
+    st.builds(anisotropic_laplacian, st.integers(2, 20), epsilon=st.floats(1e-4, 1.0)),
+)
+
+
+@st.composite
+def forests(draw):
+    """A shuffled random forest, with no coordinates, scattered integer
+    coordinates, or collinear ones (ties in the key and in the spread)."""
+    n = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(seeds))
+    roots = draw(st.floats(0.0, 0.5))
+    child = np.flatnonzero(rng.random(n) >= roots)
+    child = child[child > 0]
+    parent = (rng.random(child.size) * child).astype(np.int64)
+    relabel = rng.permutation(n)
+    rows, cols = relabel[np.maximum(child, parent)], relabel[np.minimum(child, parent)]
+    deg = np.bincount(np.concatenate([rows, cols]), minlength=n)
+    kind = draw(st.sampled_from(["none", "scattered", "collinear"]))
+    coords = None
+    if kind == "scattered":
+        coords = rng.integers(0, 5, size=(n, 2)).astype(float)
+    elif kind == "collinear":
+        direction = draw(st.sampled_from([(1.0, 1.0), (1.0, 2.0, 0.0), (0.0, 0.0, 1.0)]))
+        coords = np.outer(rng.integers(0, 4, size=n), direction)
+    return from_triplets(n, np.concatenate([rows, np.arange(n)]),
+                         np.concatenate([cols, np.arange(n)]),
+                         np.concatenate([-np.ones(rows.size), deg + 1.0]), coords=coords)
+
+
+def assert_same_dissection(a, leaf_size, max_depth) -> None:
+    g = adjacency_from_matrix(a)
+    leaf = max(g.n, 1) if leaf_size is None else leaf_size
+    got = nested_dissection(g, leaf_size=leaf, max_depth=max_depth).perm
+    want = oracle.nested_dissection(g, leaf_size=leaf, max_depth=max_depth).perm
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=meshes, leaf_size=leaf_sizes, max_depth=max_depths)
+def test_nested_dissection_matches_the_recursion_on_meshes(a, leaf_size, max_depth):
+    assert_same_dissection(a, leaf_size, max_depth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=forests(), leaf_size=leaf_sizes, max_depth=max_depths)
+def test_nested_dissection_matches_the_recursion_on_forests(a, leaf_size, max_depth):
+    assert_same_dissection(a, leaf_size, max_depth)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=random_spd_matrices, leaf_size=leaf_sizes, max_depth=max_depths)
+def test_nested_dissection_matches_the_recursion_without_coordinates(a, leaf_size, max_depth):
+    assert_same_dissection(a, leaf_size, max_depth)
+
+
+@pytest.mark.parametrize("name", ["disconnected", "diagonal", "n=1"])
+@pytest.mark.parametrize("max_depth", [None, 0, 1, 3])
+@pytest.mark.parametrize("leaf_size", [1, 2, 4, 8])
+def test_nested_dissection_matches_the_recursion_on_components(name, leaf_size, max_depth):
+    assert_same_dissection(FIXED[name](), leaf_size, max_depth)
+
+
+@pytest.mark.parametrize("max_depth", [None, 0, 1, 3])
+@pytest.mark.parametrize("leaf_size", [1, 2, 4, 8, None])
+@pytest.mark.parametrize("build", [lambda: grid2d_laplacian(30), lambda: grid3d_laplacian(9)],
+                         ids=["grid2d(30)", "grid3d(9)"])
+def test_nested_dissection_matches_the_recursion_at_the_largest_sizes(build, leaf_size, max_depth):
+    assert_same_dissection(build(), leaf_size, max_depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.one_of(random_spd_matrices, meshes, forests()))
+def test_minimum_degree_matches_the_pairwise_kernel(a):
+    g = adjacency_from_matrix(a)
+    got, want = minimum_degree(g).perm, oracle.minimum_degree(g).perm
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------------------ stages
 @settings(max_examples=30, deadline=None)
 @given(a=random_spd_matrices, data=st.data())
@@ -161,17 +257,18 @@ def test_graph_primitives(a, data):
     assert np.array_equal(g.indptr, want.indptr) and np.array_equal(g.indices, want.indices)
     assert g.indices.dtype == want.indices.dtype
 
-    vertices = np.array(data.draw(st.lists(st.integers(0, a.n - 1), unique=True)), dtype=np.int64)
-    (sub, mapping), (sub_want, mapping_want) = g.subgraph(vertices), oracle.subgraph(g, vertices)
-    assert sub.n == sub_want.n and np.array_equal(mapping, mapping_want)
-    assert np.array_equal(sub.indptr, sub_want.indptr)
-    assert np.array_equal(sub.indices, sub_want.indices)
-    assert sub.indices.dtype == sub_want.indices.dtype
-
-    side = np.array(data.draw(st.lists(st.booleans(), min_size=a.n, max_size=a.n)))
-    sep, sep_want = _boundary_separator(g, side), oracle._boundary_separator(g, side)
-    for part in ("left", "separator", "right"):
-        assert np.array_equal(getattr(sep, part), getattr(sep_want, part)), part
+    # Every part's induced subgraph out of one pass, against the loop
+    # subgraph of each part's vertices; label -1 is in no part.
+    label = np.array(data.draw(st.lists(st.integers(-1, 3), min_size=a.n, max_size=a.n)))
+    members, ptr = _members(label, 4)
+    adj_ptr, adj = _induced(label, members, ptr, segment_ids(g.indptr), g.indices)
+    assert adj.dtype == np.int64
+    for k in range(4):
+        sub, mapping = oracle.subgraph(g, np.flatnonzero(label == k))
+        assert np.array_equal(members[ptr[k] : ptr[k + 1]], mapping)
+        rows = adj_ptr[ptr[k] : ptr[k + 1] + 1]
+        assert np.array_equal(rows - rows[0], sub.indptr)
+        assert np.array_equal(adj[rows[0] : rows[-1]], sub.indices)
 
 
 @settings(max_examples=30, deadline=None)
