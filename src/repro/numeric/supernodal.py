@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dtrtri, dtrtrs
 
-from repro.numeric.frontal import NotPositiveDefiniteError, dense_cholesky, trsm_lower
+from repro.numeric.frontal import NotPositiveDefiniteError, dense_cholesky
 from repro.sparse.csc import LowerCSC
 from repro.symbolic.analyze import SymbolicFactor
 from repro.symbolic.stree import SupernodalTree
@@ -115,6 +115,24 @@ def _invert_diagonals(stree: SupernodalTree, blocks: list[np.ndarray]) -> list[n
     return inverses
 
 
+def _solve_below(diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``diag⁻¹ rhs`` as the LAPACK call ``solve_triangular`` makes.
+
+    The same ``dtrtrs`` on the same operands, so the same bits, without
+    the wrapper's validation, which costs more than the solve on a small
+    front.  ``diag`` comes fresh from ``np.linalg.cholesky``: C-ordered,
+    so LAPACK reads it as the upper triangle of its transpose, unless it
+    is 1 x 1 and also F-ordered.
+    """
+    if diag.flags.f_contiguous:
+        x, info = dtrtrs(diag, rhs, lower=1, trans=0)
+    else:
+        x, info = dtrtrs(diag.T, rhs, lower=0, trans=1)
+    if info != 0:  # pragma: no cover - a Cholesky factor has a positive diagonal
+        raise ValueError(f"dtrtrs failed (info {info})")
+    return x
+
+
 def cholesky_supernodal(sym: SymbolicFactor) -> SupernodalFactor:
     """Multifrontal factorization of ``sym.a_perm``.
 
@@ -166,7 +184,7 @@ def cholesky_supernodal(sym: SymbolicFactor) -> SupernodalFactor:
         block = np.empty((n_s, t_s))
         block[:t_s] = diag
         if n_s > t_s:
-            below = trsm_lower(diag, front[t_s:, :t_s].T).T
+            below = _solve_below(diag, front[t_s:, :t_s].T).T
             block[t_s:] = below
             # Schur complement for the parent.
             pending[s] = front[t_s:, t_s:] - below @ below.T

@@ -56,3 +56,16 @@ def is_valid_etree(parent: np.ndarray) -> bool:
     """True iff every ``parent[j]`` is -1 or in ``(j, n)`` — which also rules out cycles."""
     n = parent.shape[0]
     return bool(np.all((parent == NO_PARENT) | ((parent > np.arange(n)) & (parent < n))))
+
+
+def _chain_links(parent: np.ndarray) -> np.ndarray:
+    """``links[j - 1]`` is True iff column j continues column j - 1's chain:
+    j is that column's parent and has no other child.
+
+    A chain is a maximal run of such columns.  The pattern rounds unroll
+    the column-structure recurrence along each chain, and a (relaxed)
+    supernode is a run of one chain, so both ask this one question.
+    """
+    n = parent.shape[0]
+    nchildren = np.bincount(parent[parent != NO_PARENT], minlength=n)
+    return (parent[:-1] == np.arange(1, n)) & (nchildren[1:] == 1)

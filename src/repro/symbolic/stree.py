@@ -17,7 +17,7 @@ import numpy as np
 from repro.symbolic.etree import NO_PARENT
 from repro.symbolic.postorder import children_lists, levels_deepest_first, tree_levels
 from repro.symbolic.supernodes import SupernodePartition
-from repro.util.segments import ptr_from_counts, segment_ids
+from repro.util.segments import ptr_from_counts
 from repro.util.validation import require
 
 
@@ -161,6 +161,11 @@ class SupernodalTree:
         return self._factor_flops
 
 
+class SupernodeChainError(ValueError):
+    """A supernode's columns are not one etree chain, so its last column
+    does not hold its rows."""
+
+
 def build_supernodal_tree(
     l_indptr: np.ndarray,
     l_indices: np.ndarray,
@@ -168,39 +173,46 @@ def build_supernodal_tree(
 ) -> SupernodalTree:
     """Assemble the supernodal tree from the factor pattern and a partition.
 
-    The row structure of a supernode is the union of its columns' patterns
-    restricted to rows ``>= col_hi`` (for fundamental supernodes this equals
-    the first column's pattern; the union form also supports relaxed
-    amalgamation) — one ``np.unique`` over ``supernode * n + row`` keys for
-    the whole tree.  The tree parent of a supernode is the supernode owning
-    its smallest below-row.
+    The rows of a supernode are the union of its columns' patterns
+    restricted to rows ``>= col_hi``.  When every column but the last has
+    the next column as its etree parent, column ``j``'s pattern below
+    ``j + 1`` lies inside column ``j + 1``'s, so that union is the last
+    column's pattern: the rows come out of L with one gather, and no entry
+    of L is sorted.  Fundamental and relaxed supernodes are such chains;
+    a partition with a column whose first below-diagonal row is not the
+    next column raises :class:`SupernodeChainError`.  The tree parent of a
+    supernode is the supernode owning its smallest below-row.
     """
     n, ns = partition.n, partition.nsuper
     bounds = partition.boundaries
     col_to_sn = partition.column_to_supernode()
-    keys = col_to_sn[segment_ids(l_indptr)]  # owning supernode of every entry of L
-    below = l_indices >= bounds[1:][keys]
-    keys = keys[below]
-    keys *= n
-    keys += l_indices[below]
-    keys = np.unique(keys)
-    owner = keys // n
-    below_rows = keys - owner * n
-    nbelow = np.bincount(owner, minlength=ns)
-    below_ptr = ptr_from_counts(nbelow)[:-1]
+    inner = np.flatnonzero(col_to_sn[:-1] == col_to_sn[1:])
+    chained = ((l_indptr[inner + 1] - l_indptr[inner] > 1)
+               & (l_indices[l_indptr[inner] + 1] == inner + 1))
+    if not chained.all():
+        j = int(inner[np.argmin(chained)])
+        raise SupernodeChainError(
+            f"supernode {int(col_to_sn[j])} (columns [{int(bounds[col_to_sn[j]])}, "
+            f"{int(bounds[col_to_sn[j] + 1])})): column {j}'s etree parent is not "
+            f"column {j + 1}")
+
+    # All row lists live in one array, supernode after supernode: the
+    # supernode's own columns, then its last column's rows below it.
+    last = l_indptr[bounds[1:] - 1]
+    widths = np.diff(bounds)
+    nbelow = l_indptr[bounds[1:]] - last - 1
+    ptr = ptr_from_counts(widths + nbelow)
+    # One gather from L that starts ``width - 1`` entries ahead of the last
+    # column: the head slots it fills get the supernode's columns next, and
+    # the rest is the last column, diagonal first.
+    rows = l_indices[np.repeat(last - (widths - 1) - ptr[:-1], widths + nbelow)
+                     + np.arange(int(ptr[-1]))]
+    columns = np.arange(n)
+    rows[ptr[col_to_sn] + columns - bounds[col_to_sn]] = columns
 
     parent = np.full(ns, NO_PARENT, dtype=np.int64)
     has_below = nbelow > 0
-    parent[has_below] = col_to_sn[below_rows[below_ptr[has_below]]]
-
-    # All row lists live in one array, supernode after supernode: the
-    # supernode's own columns, then its sorted below-rows.
-    widths = np.diff(bounds)
-    ptr = ptr_from_counts(widths + nbelow)
-    rows = np.empty(int(ptr[-1]), dtype=np.int64)
-    columns = np.arange(n)
-    rows[ptr[col_to_sn] + columns - bounds[col_to_sn]] = columns
-    rows[(ptr[:-1] + widths - below_ptr)[owner] + np.arange(keys.shape[0])] = below_rows
+    parent[has_below] = col_to_sn[l_indices[last[has_below] + 1]]
     ptr, bounds = ptr.tolist(), bounds.tolist()
     nodes = [
         Supernode(index=s, col_lo=bounds[s], col_hi=bounds[s + 1], rows=rows[ptr[s] : ptr[s + 1]])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.symbolic.etree import NO_PARENT
+from repro.symbolic.etree import _chain_links
 from repro.util.validation import require
 
 
@@ -83,10 +83,9 @@ def find_supernodes(
     n = parent.shape[0]
     require(col_counts.shape[0] == n, "col_counts must match parent length")
     require(relax >= 0, f"relax must be >= 0, got {relax}")
-    nchildren = np.bincount(parent[parent != NO_PARENT], minlength=n)
-    # Column j joins column j - 1 when it is that column's parent, has no
-    # other child, and (fundamental) the two patterns agree below j.
-    chain = (parent[:-1] == np.arange(1, n)) & (nchildren[1:] == 1)
+    # Column j joins column j - 1 when it continues that column's chain
+    # and (fundamental) the two patterns agree below j.
+    chain = _chain_links(parent)
     slack = col_counts[:-1] - col_counts[1:] - 1
     if relax == 0:
         merge = chain & (slack == 0)

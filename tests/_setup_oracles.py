@@ -6,7 +6,10 @@ turned into functions taking the object first), among them the recursive
 nested dissection with its pairwise minimum degree and geometric
 bisection.  They define what the array programs must reproduce
 *exactly*: the same permutation, the same patterns, the same supernode
-rows and every byte of every factor block.
+rows and every byte of every factor block.  Two earlier array programs
+sit beside them as the fast references at sizes the loops cannot reach:
+the column pattern one ``np.unique`` per etree depth, and the supernode
+rows one ``np.unique`` over every entry of L.
 ``tests/test_setup_equivalence.py`` compares the two; nothing under
 ``src/`` imports this module.
 """
@@ -28,10 +31,10 @@ from repro.sparse.build import from_triplets
 from repro.sparse.csc import SymCSC
 from repro.symbolic.analyze import SymbolicFactor
 from repro.symbolic.etree import NO_PARENT
-from repro.symbolic.postorder import postorder
+from repro.symbolic.postorder import postorder, tree_levels
 from repro.symbolic.stree import Supernode, SupernodalTree
 from repro.symbolic.supernodes import SupernodePartition
-from repro.util.segments import ptr_from_counts
+from repro.util.segments import ptr_from_counts, run_starts, segment_ids
 from repro.util.validation import check_positive, require
 
 
@@ -362,6 +365,100 @@ def build_supernodal_tree(
         nodes.append(Supernode(index=s, col_lo=lo, col_hi=hi, rows=rows))
         if below_arr.size:
             parent[s] = int(col_to_sn[below_arr[0]])
+    return SupernodalTree(supernodes=nodes, parent=parent)
+
+
+def symbolic_factor_pattern_per_depth(
+    a: SymCSC, parent: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The column pattern one ``np.unique`` per depth of the column etree."""
+    n = a.n
+    parent = np.asarray(parent, dtype=np.int64)
+    depth = tree_levels(parent)
+    nlevels = int(depth.max()) + 1 if n else 0
+
+    # Strictly-lower entries of A as keys, grouped by the depth of their column.
+    column = segment_ids(a.indptr)
+    strict = a.indices > column
+    a_depth = depth[column[strict]]
+    by_depth = np.argsort(a_depth, kind="stable")
+    a_keys = (column[strict] * n + a.indices[strict])[by_depth]
+    a_ptr = ptr_from_counts(np.bincount(a_depth, minlength=nlevels))
+
+    # Deepest level first: ``carry`` holds what the level below hands up,
+    # already re-keyed to the parent column.
+    levels = []
+    carry = np.empty(0, dtype=np.int64)
+    for d in range(nlevels - 1, -1, -1):
+        keys = np.unique(np.concatenate([carry, a_keys[a_ptr[d] : a_ptr[d + 1]]]))
+        levels.append(keys)
+        col = keys // n
+        # The smallest row of a column's structure is its etree parent;
+        # everything after it belongs to the parent's structure too.
+        rest = np.flatnonzero(~run_starts(col))
+        col = col[rest]
+        carry = keys[rest] + (parent[col] - col) * n
+
+    # From here on every array is nnz(L) long; each is dropped or reused
+    # in place as soon as it has been read, which holds the peak of this
+    # function near three such arrays.
+    keys = np.concatenate(levels) if levels else carry
+    del levels, carry
+    col = keys // n
+    keys -= col * n  # now the row of every below-diagonal entry
+    indptr = ptr_from_counts(np.bincount(col, minlength=n) + 1)
+    # A column lives at one depth, so its rows are one sorted run of
+    # ``keys``: the k-th of them goes k slots behind the column's diagonal.
+    first = np.flatnonzero(run_starts(col))
+    shift = indptr[:-1] + 1
+    shift[col[first]] -= first
+    slot = shift[col]
+    del col
+    slot += np.arange(slot.shape[0])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    indices[indptr[:-1]] = np.arange(n)  # diagonal leads each column
+    indices[slot] = keys
+    return indptr, indices
+
+
+def build_supernodal_tree_keyed(
+    l_indptr: np.ndarray,
+    l_indices: np.ndarray,
+    partition: SupernodePartition,
+) -> SupernodalTree:
+    """Supernode rows as one ``np.unique`` over ``supernode * n + row`` keys
+    of every entry of L below its supernode."""
+    n, ns = partition.n, partition.nsuper
+    bounds = partition.boundaries
+    col_to_sn = partition.column_to_supernode()
+    keys = col_to_sn[segment_ids(l_indptr)]  # owning supernode of every entry of L
+    below = l_indices >= bounds[1:][keys]
+    keys = keys[below]
+    keys *= n
+    keys += l_indices[below]
+    keys = np.unique(keys)
+    owner = keys // n
+    below_rows = keys - owner * n
+    nbelow = np.bincount(owner, minlength=ns)
+    below_ptr = ptr_from_counts(nbelow)[:-1]
+
+    parent = np.full(ns, NO_PARENT, dtype=np.int64)
+    has_below = nbelow > 0
+    parent[has_below] = col_to_sn[below_rows[below_ptr[has_below]]]
+
+    # All row lists live in one array, supernode after supernode: the
+    # supernode's own columns, then its sorted below-rows.
+    widths = np.diff(bounds)
+    ptr = ptr_from_counts(widths + nbelow)
+    rows = np.empty(int(ptr[-1]), dtype=np.int64)
+    columns = np.arange(n)
+    rows[ptr[col_to_sn] + columns - bounds[col_to_sn]] = columns
+    rows[(ptr[:-1] + widths - below_ptr)[owner] + np.arange(keys.shape[0])] = below_rows
+    ptr, bounds = ptr.tolist(), bounds.tolist()
+    nodes = [
+        Supernode(index=s, col_lo=bounds[s], col_hi=bounds[s + 1], rows=rows[ptr[s] : ptr[s + 1]])
+        for s in range(ns)
+    ]
     return SupernodalTree(supernodes=nodes, parent=parent)
 
 

@@ -5,12 +5,15 @@ library ran before ordering, symbolic analysis and multifrontal assembly
 became array programs.  Nothing may differ: the permutation, the
 elimination tree, the pattern of L, the supernode partition, every
 supernode's rows and parent, and every byte (plus layout and dtype) of
-every factor block.  Factor-bit preservation leans on
-``np.linalg.cholesky`` referencing only the lower triangle of its input
-and on ``a @ a.T`` taking one BLAS route whatever surrounds it, and the
-nested-dissection rounds on ``lexsort`` keeping ties in vertex order and
-on ``reduceat(axis=0)``, which is why CI runs this file at the numpy /
-scipy floors too.
+every factor block.  At the spine sizes the column pattern and the
+supernode rows are also held to the two array programs they replaced
+(one ``np.unique`` per etree depth, one over every entry of L).
+Factor-bit preservation leans on ``np.linalg.cholesky`` referencing only
+the lower triangle of its input, on the direct ``dtrtrs`` call making the
+call ``solve_triangular`` makes, and on ``a @ a.T`` taking one BLAS route
+whatever surrounds it, and the nested-dissection rounds on ``lexsort``
+keeping ties in vertex order and on ``reduceat(axis=0)``, which is why CI
+runs this file at the numpy / scipy floors too.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,6 +48,7 @@ from repro.sparse.generators import (
     grid3d_laplacian,
     random_spd,
 )
+from repro.symbolic import pattern
 from repro.symbolic.analyze import analyze
 from repro.symbolic.etree import elimination_tree
 from repro.symbolic.pattern import symbolic_factor_pattern
@@ -99,13 +104,22 @@ def assert_same_symbolic(new, old) -> None:
         got, want = getattr(new, name), getattr(old, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert np.array_equal(new.partition.boundaries, old.partition.boundaries)
-    assert np.array_equal(new.stree.parent, old.stree.parent)
-    assert np.array_equal(new.stree.level, old.stree.level)
-    assert new.stree.children == old.stree.children
-    for got, want in zip(new.stree.supernodes, old.stree.supernodes, strict=True):
+    assert_same_tree(new.stree, old.stree)
+
+
+def assert_same_tree(new, old) -> None:
+    assert np.array_equal(new.parent, old.parent)
+    assert np.array_equal(new.level, old.level)
+    assert new.children == old.children
+    for got, want in zip(new.supernodes, old.supernodes, strict=True):
         assert (got.index, got.col_lo, got.col_hi) == (want.index, want.col_lo, want.col_hi)
         assert got.rows.dtype == np.int64 and got.rows.flags.c_contiguous
         assert np.array_equal(got.rows, want.rows)
+
+
+def assert_same_pattern(got, want) -> None:
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def assert_same_blocks(new, old) -> None:
@@ -285,8 +299,7 @@ def test_symbolic_stages_under_a_random_symmetric_permutation(a, seed, relax):
     assert parent.dtype == np.int64 and np.array_equal(parent, oracle.elimination_tree(b))
 
     indptr, indices = symbolic_factor_pattern(b, parent)
-    indptr_want, indices_want = oracle.symbolic_factor_pattern(b, parent)
-    assert np.array_equal(indptr, indptr_want) and np.array_equal(indices, indices_want)
+    assert_same_pattern((indptr, indices), oracle.symbolic_factor_pattern(b, parent))
 
     counts = np.diff(indptr)
     partition = find_supernodes(parent, counts, relax=relax)
@@ -298,6 +311,91 @@ def test_symbolic_stages_under_a_random_symmetric_permutation(a, seed, relax):
     assert np.array_equal(stree.parent, stree_want.parent)
     for got, sn in zip(stree.supernodes, stree_want.supernodes, strict=True):
         assert np.array_equal(got.rows, sn.rows)
+
+
+SPINE = {
+    "grid3d(16)": lambda: grid3d_laplacian(16),
+    "grid2d(96)": lambda: grid2d_laplacian(96),
+    "grid3d(12)": lambda: grid3d_laplacian(12),
+    "hsct21954": lambda: get_workload("hsct21954").matrix(),
+}
+
+
+@pytest.mark.parametrize("name", SPINE)
+def test_chain_rounds_match_the_per_depth_references_at_spine_sizes(name):
+    sym = analyze(SPINE[name]())
+    indptr, indices, parent = sym.l_indptr, sym.l_indices, sym.etree_parent
+    assert_same_pattern((indptr, indices),
+                        oracle.symbolic_factor_pattern_per_depth(sym.a_perm, parent))
+    for relax in (0, 2, 16, 64):
+        partition = find_supernodes(parent, np.diff(indptr), relax=relax)
+        stree = build_supernodal_tree(indptr, indices, partition)
+        assert_same_tree(stree, oracle.build_supernodal_tree_keyed(indptr, indices, partition))
+        if relax == 16:  # the solver's default: its fronts against solve_triangular's bits
+            relaxed = dataclasses.replace(sym, partition=partition, stree=stree)
+            assert_same_blocks(cholesky_supernodal(relaxed), oracle.cholesky_supernodal(relaxed))
+
+
+def from_edges(n: int, edges: list[tuple[int, int]]) -> SymCSC:
+    """A diagonally dominant matrix with one off-diagonal entry per edge,
+    in natural order (the etree is read off the edges as given)."""
+    lo, hi = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    rows, cols = np.maximum(lo, hi), np.minimum(lo, hi)
+    deg = np.bincount(np.concatenate([rows, cols]), minlength=n)
+    return from_triplets(n, np.concatenate([rows, np.arange(n)]),
+                         np.concatenate([cols, np.arange(n)]),
+                         np.concatenate([-np.ones(rows.size), deg + 1.0]))
+
+
+#: Etree shapes in natural order, with the chain tree's depth: the number
+#: of rounds the pattern takes.
+SHAPES = {
+    # One chain: every column is its predecessor's only parent.
+    "path": (lambda: from_edges(20_000, [(j, j + 1) for j in range(19_999)]), 1),
+    # Every leaf hangs off the last column, which has many children.
+    "star": (lambda: from_edges(50, [(j, 49) for j in range(49)]), 2),
+    # The hub eliminated first fills everything in: one chain again.
+    "hub first": (lambda: from_edges(50, [(0, j) for j in range(1, 50)]), 1),
+    # A star whose hub leads a path into a second star; a third star; and
+    # isolated columns.
+    "forest": (lambda: from_edges(30, [(0, 4), (1, 4), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7),
+                                       (7, 8), (8, 9), (9, 12), (10, 12), (11, 12),
+                                       (20, 25), (21, 25)]), 3),
+}
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_pattern_takes_one_round_per_depth_of_the_chain_tree(name):
+    build, rounds = SHAPES[name]
+    a = build()
+    parent = elimination_tree(a)
+    carries, real = [], pattern._chain_round
+
+    def round_body(*args):
+        out = real(*args)
+        carries.append(out[-1])
+        return out
+
+    with mock.patch.object(pattern, "_chain_round", wraps=round_body) as body:
+        got = symbolic_factor_pattern(a, parent)
+    assert body.call_count == rounds
+    assert_same_pattern(got, oracle.symbolic_factor_pattern_per_depth(a, parent))
+    if a.n <= 50:
+        assert_same_pattern(got, oracle.symbolic_factor_pattern(a, parent))
+    # A chain hands up its last column's rows without the first of them,
+    # the parent: the textbook recurrence's "each without its first entry".
+    assert np.array_equal(np.sort(np.concatenate(carries)), handed_up(parent, *got))
+
+
+def handed_up(parent, indptr, indices) -> np.ndarray:
+    """``row * n + parent`` of every row below each chain's parent, from
+    the chain's last column of L; chains as ``find_supernodes`` merges them."""
+    n = parent.shape[0]
+    nkids = np.bincount(parent[parent != -1], minlength=n)
+    keys = [int(r) * n + int(parent[j]) for j in range(n) if parent[j] != -1
+            and not (parent[j] == j + 1 and nkids[j + 1] == 1)
+            for r in indices[indptr[j] + 2 : indptr[j + 1]]]
+    return np.sort(np.array(keys, dtype=np.int64))
 
 
 def test_a_stored_negative_zero_factors_like_an_accumulated_one(sym_grid8):
@@ -320,19 +418,30 @@ def test_relabel_tree_matches(sym_grid8):
 
 
 # ------------------------------------------------------------------ memory
+def high_water(stage, *args) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        stage(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("build", [lambda: grid2d_laplacian(48), lambda: grid3d_laplacian(10)],
                          ids=["grid2d(48)", "grid3d(10)"])
 def test_factorization_high_water_mark_stays_within_a_tenth_of_the_oracle(build):
     """Updates are released when consumed and the index vectors are O(nnz(A))."""
     sym = analyze(build())
+    assert high_water(cholesky_supernodal, sym) <= 1.10 * high_water(oracle.cholesky_supernodal, sym)
 
-    def high_water(factorize) -> int:
-        gc.collect()
-        tracemalloc.start()
-        try:
-            factorize(sym)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert high_water(cholesky_supernodal) <= 1.10 * high_water(oracle.cholesky_supernodal)
+@pytest.mark.parametrize("build", [lambda: grid2d_laplacian(48), lambda: grid3d_laplacian(10)],
+                         ids=["grid2d(48)", "grid3d(10)"])
+def test_pattern_high_water_mark_stays_within_a_tenth_of_the_per_depth_reference(build):
+    """Each round's expansion is sorted where it lands; no nnz(L) array is
+    concatenated or sorted whole."""
+    sym = analyze(build())
+    args = (sym.a_perm, sym.etree_parent)
+    assert (high_water(symbolic_factor_pattern, *args)
+            <= 1.10 * high_water(oracle.symbolic_factor_pattern_per_depth, *args))

@@ -14,7 +14,7 @@ from repro.symbolic.postorder import (
     tree_levels,
 )
 from repro.symbolic.supernodes import SupernodePartition, find_supernodes
-from repro.symbolic.stree import build_supernodal_tree
+from repro.symbolic.stree import SupernodeChainError, build_supernodal_tree
 
 
 def brute_force_etree(dense):
@@ -249,6 +249,26 @@ class TestSupernodalTree:
         for s in range(stree.nsuper):
             for c in stree.children[s]:
                 assert stree.parent[c] == s
+
+    def test_a_partition_across_sibling_leaves_raises(self):
+        # Columns 0..3 all hang off column 4, so a supernode [0, 2) is no
+        # chain: column 1's rows are not column 0's.
+        dense = np.eye(5) * 5.0
+        dense[-1, :-1] = dense[:-1, -1] = -1.0
+        a = from_dense(dense)
+        parent = elimination_tree(a)
+        indptr, indices = symbolic_factor_pattern(a, parent)
+        with pytest.raises(SupernodeChainError, match="column 0's etree parent is not column 1"):
+            build_supernodal_tree(indptr, indices, SupernodePartition(np.array([0, 2, 3, 4, 5])))
+
+    def test_a_partition_across_a_column_without_fill_raises(self):
+        # Column 0 of a diagonal matrix has no row below its diagonal; the
+        # slot after it holds column 1's diagonal, which must not pass for
+        # column 0's parent.
+        a = from_dense(np.eye(3) * 2.0)
+        indptr, indices = symbolic_factor_pattern(a, elimination_tree(a))
+        with pytest.raises(SupernodeChainError, match="supernode 0"):
+            build_supernodal_tree(indptr, indices, SupernodePartition(np.array([0, 2, 3])))
 
     def test_child_update_rows_inside_parent(self, sym_grid3d5):
         """The multifrontal invariant: a child's below rows are a subset of
